@@ -18,7 +18,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import eq, gt
 from typing import List, Optional
 
 from repro.faults.report import FaultReport
@@ -354,10 +356,10 @@ class SimulationEngine:
                 # state, behaved identically, and returned to that
                 # state: by induction every remaining iteration repeats
                 # the tape.  Replay it (falls back to full simulation
-                # if the sanity guard ever trips).
+                # at the first iteration it cannot certify).
                 first = it
                 it, clock = self._replay_iterations(
-                    dag, scheduler, tape, counters, flow,
+                    dag, scheduler, tape, t0, counters, flow,
                     it, iterations, clock, barrier_cost, iteration_times,
                     tracer,
                 )
@@ -883,7 +885,7 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def _replay_iterations(
-        self, dag, scheduler, tape, counters, flow,
+        self, dag, scheduler, tape, tape_t0, counters, flow,
         it, iterations, clock, barrier_cost, iteration_times,
         tracer=None,
     ):
@@ -896,13 +898,18 @@ class SimulationEngine:
         (clock, iteration times, counters, flow records) are
         bit-identical to continuing the simulation.
 
-        A cheap sanity guard re-checks what the tape's structure
-        implies: assignment start times must be non-decreasing in tape
-        order and the iteration end must not precede the last start.
-        A violation would mean the event order depended on the absolute
-        anchor (sub-femtosecond effects the detector cannot certify
-        against); the iteration is then *not* committed and the caller
-        falls back to full simulation from it.  Returns
+        That holds only while the event loop would take the same path at
+        the new anchor.  Every decision of the loop — heap order, the
+        next event time, which releases and finishes fold into it —
+        compares two value nodes (``a < b``, ``a == b`` or
+        ``a <= b + _EPS``), and rounding at a different anchor can flip
+        a near-tie between values computed along different paths (a
+        spawn-time release landing one ulp before or after a task
+        finish).  Each replayed iteration is therefore certified
+        against the taped iteration (anchored at ``tape_t0``): the
+        values must keep the same sort order, the same ties and the same
+        ``+ _EPS`` reach.  An iteration that fails is *not* committed
+        and the caller falls back to full simulation from it.  Returns
         ``(next_iteration, clock)``.
         """
         ops, end_node = tape
@@ -915,6 +922,33 @@ class SimulationEngine:
         record_flow = flow.record if flow is not None else None
         ttask = tracer.task if tracer is not None else None
         eps = _EPS
+
+        def evaluate(t0):
+            vals = [t0]
+            append = vals.append
+            for op in ops:
+                kind = op[0]
+                if kind == 2:
+                    append(vals[op[1]] + op[2])
+                elif kind == 1:
+                    rt = release_time(op[1], t0)
+                    tv = vals[op[2]]
+                    append(tv if rt < tv else rt)
+                else:
+                    append(release_time(op[1], t0))
+            return vals
+
+        def shape(vals):
+            """(ties, eps reach) of ``vals`` in the taped sort order."""
+            sv = [vals[i] for i in order]
+            if any(map(gt, sv, sv[1:])):
+                return None
+            return (bytes(map(eq, sv, sv[1:])),
+                    [bisect_right(sv, v + eps) for v in sv])
+
+        ref = evaluate(tape_t0)
+        order = sorted(range(len(ref)), key=ref.__getitem__)
+        ref_shape = shape(ref)
         n_exec = counters.tasks_executed
         busy_t = counters.busy_time
         ovh_t = counters.overhead_time
@@ -930,29 +964,9 @@ class SimulationEngine:
         while it < iterations:
             t0 = clock
             scheduler.reset_iteration(it, t0)
-            # -- pass 1: evaluate the value graph at this anchor ------
-            vals = [t0]
-            append = vals.append
-            ok = True
-            prev_start = t0
-            for op in ops:
-                kind = op[0]
-                if kind == 2:
-                    start = vals[op[1]]
-                    if start + eps < prev_start:
-                        ok = False
-                        break
-                    prev_start = start
-                    append(start + op[2])
-                elif kind == 1:
-                    rt = release_time(op[1], t0)
-                    tv = vals[op[2]]
-                    append(tv if rt < tv else rt)
-                else:
-                    append(release_time(op[1], t0))
-            if ok and vals[end_node] + eps < prev_start:
-                ok = False
-            if not ok:
+            # -- pass 1: evaluate and certify the value graph ---------
+            vals = evaluate(t0)
+            if shape(vals) != ref_shape:
                 break  # uncommitted; caller resumes full simulation
             # -- pass 2: commit counters, flow, and the clock ---------
             for node, op in assign_ops:

@@ -21,7 +21,8 @@ class FlowRecord(NamedTuple):
     A ``NamedTuple`` rather than a dataclass: one record is appended
     per executed task, so construction cost is on the simulator's hot
     path (tuple construction is several times cheaper than a frozen
-    dataclass ``__init__``).
+    dataclass ``__init__``), and :meth:`FlowGraph.record` builds it with
+    ``tuple.__new__``, skipping the generated Python-level ``__new__``.
     """
 
     tid: int
@@ -30,6 +31,25 @@ class FlowRecord(NamedTuple):
     start: float
     end: float
     iteration: int
+
+
+def _overlap_fraction(envelopes: Dict[str, Tuple[float, float]]) -> float:
+    """Fraction of kernel-envelope time shared with another kernel:
+    0 ⇒ disjoint, BSP-like phases; towards 1 ⇒ fully pipelined (the
+    quantitative signature of Figs. 10 and 13)."""
+    env = sorted(envelopes.values())
+    if len(env) < 2:
+        return 0.0
+    total = sum(hi - lo for lo, hi in env)
+    if total <= 0:
+        return 0.0
+    overlap = 0.0
+    for i, (lo1, hi1) in enumerate(env):
+        for lo2, hi2 in env[i + 1:]:
+            if lo2 >= hi1:
+                break
+            overlap += max(0.0, min(hi1, hi2) - max(lo1, lo2))
+    return min(1.0, overlap / total)
 
 
 class FlowGraph:
@@ -41,99 +61,68 @@ class FlowGraph:
         self.records: List[FlowRecord] = []
 
     def record(self, tid, kernel, core, start, end, iteration) -> None:
-        self.records.append(
-            FlowRecord(tid, kernel, core, start, end, iteration)
-        )
+        self.records.append(tuple.__new__(
+            FlowRecord, (tid, kernel, core, start, end, iteration)))
 
     def __len__(self):
         return len(self.records)
 
-    @property
-    def makespan(self) -> float:
-        return max((r.end for r in self.records), default=0.0)
-
-    # ------------------------------------------------------------------
-    def kernel_envelopes(self) -> Dict[str, Tuple[float, float]]:
-        """First start and last finish per kernel.
-
-        In a BSP execution the envelopes of consecutive kernels are
-        disjoint (barriers); in pipelined task execution they overlap —
-        the overlap fraction is the quantitative signature of Figs. 10
-        and 13.
-        """
-        env: Dict[str, Tuple[float, float]] = {}
-        for r in self.records:
-            lo, hi = env.get(r.kernel, (r.start, r.end))
-            env[r.kernel] = (min(lo, r.start), max(hi, r.end))
-        return env
-
-    def kernel_overlap_fraction(self) -> float:
-        """Fraction of kernel-envelope time shared with another kernel.
-
-        0 ⇒ perfectly phased (BSP-like); towards 1 ⇒ fully pipelined.
-        """
-        env = sorted(self.kernel_envelopes().values())
-        if len(env) < 2:
-            return 0.0
-        total = sum(hi - lo for lo, hi in env)
-        if total <= 0:
-            return 0.0
-        overlap = 0.0
-        for i, (lo1, hi1) in enumerate(env):
-            for lo2, hi2 in env[i + 1:]:
-                if lo2 >= hi1:
-                    break
-                overlap += max(0.0, min(hi1, hi2) - max(lo1, lo2))
-        return min(1.0, overlap / total)
-
-    def core_busy_time(self) -> Dict[int, float]:
-        busy: Dict[int, float] = {}
-        for r in self.records:
-            busy[r.core] = busy.get(r.core, 0.0) + (r.end - r.start)
-        return busy
-
-    def utilization(self, n_cores: int) -> float:
-        """Mean busy fraction over the makespan."""
-        span = self.makespan
-        if span <= 0:
-            return 0.0
-        return sum(self.core_busy_time().values()) / (span * n_cores)
-
-    def iteration_spans(self) -> Dict[int, Tuple[float, float]]:
-        spans: Dict[int, Tuple[float, float]] = {}
-        for r in self.records:
-            lo, hi = spans.get(r.iteration, (r.start, r.end))
-            spans[r.iteration] = (min(lo, r.start), max(hi, r.end))
-        return spans
-
     # ------------------------------------------------------------------
     def summary(self) -> "FlowSummary":
-        """Aggregate view of this trace (serializable, records dropped)."""
+        """Aggregate view of this trace (serializable, records dropped).
+
+        One fold builds the per-kernel start/finish envelopes, per-core
+        busy time and per-iteration spans in first-seen key order; min
+        and max replace only on a strict ``<``/``>``.
+        """
+        env: Dict[str, list] = {}
+        busy: Dict[int, float] = {}
+        spans: Dict[int, list] = {}
+        env_get, busy_get, spans_get = env.get, busy.get, spans.get
+        for _tid, kernel, core, start, end, it in self.records:
+            e = env_get(kernel)
+            if e is None:
+                env[kernel] = e = [start, end]
+            if start < e[0]:
+                e[0] = start
+            if end > e[1]:
+                e[1] = end
+            busy[core] = busy_get(core, 0.0) + (end - start)
+            s = spans_get(it)
+            if s is None:
+                spans[it] = s = [start, end]
+            if start < s[0]:
+                s[0] = start
+            if end > s[1]:
+                s[1] = end
+        envelopes = {k: (lo, hi) for k, (lo, hi) in env.items()}
         return FlowSummary(
             n_records=len(self.records),
-            makespan=self.makespan,
-            envelopes=self.kernel_envelopes(),
-            overlap_fraction=self.kernel_overlap_fraction(),
-            core_busy=self.core_busy_time(),
-            spans=self.iteration_spans(),
+            makespan=max((hi for _lo, hi in envelopes.values()), default=0.0),
+            envelopes=envelopes,
+            overlap_fraction=_overlap_fraction(envelopes),
+            core_busy=busy,
+            spans={i: (lo, hi) for i, (lo, hi) in spans.items()},
         )
 
-    def to_dict(self) -> dict:
-        """Full record list as JSON-serializable rows."""
-        return {
-            "records": [
-                [r.tid, r.kernel, r.core, r.start, r.end, r.iteration]
-                for r in self.records
-            ]
-        }
+    @property
+    def makespan(self) -> float:
+        return self.summary().makespan
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlowGraph":
-        fg = cls()
-        for tid, kernel, core, start, end, iteration in d.get("records", []):
-            fg.record(int(tid), str(kernel), int(core), float(start),
-                      float(end), int(iteration))
-        return fg
+    def kernel_envelopes(self) -> Dict[str, Tuple[float, float]]:
+        return self.summary().envelopes
+
+    def kernel_overlap_fraction(self) -> float:
+        return self.summary().overlap_fraction
+
+    def core_busy_time(self) -> Dict[int, float]:
+        return self.summary().core_busy
+
+    def utilization(self, n_cores: int) -> float:
+        return self.summary().utilization(n_cores)
+
+    def iteration_spans(self) -> Dict[int, Tuple[float, float]]:
+        return self.summary().spans
 
     # ------------------------------------------------------------------
     def to_gantt(self, width: int = 100, max_cores: int = 32) -> str:

@@ -1,8 +1,77 @@
-"""Flow graph reductions: envelopes, overlap, utilization, Gantt text."""
+"""Flow graph reductions: envelopes, overlap, utilization, Gantt text.
+
+The production aggregates come from one fold over the records
+(:meth:`FlowGraph.summary`).  The naive reference below is the
+one-walk-per-aggregate implementation the fold replaced; the fold must
+equal it bit for bit, dict key order included.
+"""
+
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.flowgraph import FlowGraph
+from repro.analysis.experiment import run_version
+from repro.sim.flowgraph import FlowGraph, FlowRecord, FlowSummary
+
+
+# -- naive reference: one walk per aggregate ---------------------------
+def _ref_envelopes(records):
+    env = {}
+    for r in records:
+        lo, hi = env.get(r.kernel, (r.start, r.end))
+        env[r.kernel] = (min(lo, r.start), max(hi, r.end))
+    return env
+
+
+def _ref_overlap_fraction(records):
+    env = sorted(_ref_envelopes(records).values())
+    if len(env) < 2:
+        return 0.0
+    total = sum(hi - lo for lo, hi in env)
+    if total <= 0:
+        return 0.0
+    overlap = 0.0
+    for i, (lo1, hi1) in enumerate(env):
+        for lo2, hi2 in env[i + 1:]:
+            if lo2 >= hi1:
+                break
+            overlap += max(0.0, min(hi1, hi2) - max(lo1, lo2))
+    return min(1.0, overlap / total)
+
+
+def _ref_core_busy(records):
+    busy = {}
+    for r in records:
+        busy[r.core] = busy.get(r.core, 0.0) + (r.end - r.start)
+    return busy
+
+
+def _ref_spans(records):
+    spans = {}
+    for r in records:
+        lo, hi = spans.get(r.iteration, (r.start, r.end))
+        spans[r.iteration] = (min(lo, r.start), max(hi, r.end))
+    return spans
+
+
+def reference_summary(records):
+    return FlowSummary(
+        n_records=len(records),
+        makespan=max((r.end for r in records), default=0.0),
+        envelopes=_ref_envelopes(records),
+        overlap_fraction=_ref_overlap_fraction(records),
+        core_busy=_ref_core_busy(records),
+        spans=_ref_spans(records),
+    )
+
+
+def assert_bit_identical(got: FlowSummary, want: FlowSummary):
+    """``repr``-level equality (JSON floats) including dict key order."""
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert list(got.envelopes) == list(want.envelopes)
+    assert list(got.core_busy) == list(want.core_busy)
+    assert list(got.spans) == list(want.spans)
 
 
 def make_flow(records):
@@ -74,3 +143,58 @@ def test_gantt_renders_all_cores_and_legend():
     assert "A=SPMM" in text and "B=XY" in text
     assert "core   0" in text and "core   3" in text
     assert "A" in text.splitlines()[1]
+
+
+# -- differential: fold vs reference -----------------------------------
+# Small pools make ties (equal starts/ends, repeated keys) common, and
+# -0.0 vs 0.0 is the one tie whose winner shows in the output, which
+# pins the replace-only-on-strict rule; the free floats exercise
+# rounding in the busy sums and overlap math.
+_times = st.one_of(st.sampled_from([0.0, -0.0, 1e-6, 2.5e-6, 3e-6]),
+                   st.floats(0.0, 1e-3, allow_nan=False))
+_durations = st.one_of(st.just(0.0), st.sampled_from([1e-6, 5e-7]),
+                       st.floats(0.0, 1e-4, allow_nan=False))
+_records = st.lists(st.tuples(
+    st.integers(0, 50),
+    st.sampled_from(["SPMM", "XY", "XTY", "DOT"]),
+    st.integers(0, 3),
+    _times,
+    _durations,
+    st.integers(0, 3),
+), max_size=40)
+
+
+@given(_records)
+@settings(max_examples=300, deadline=None)
+def test_fold_matches_reference_bit_for_bit(rows):
+    f = make_flow([(tid, k, c, s, s + d, it)
+                   for tid, k, c, s, d, it in rows])
+    assert all(type(r) is FlowRecord for r in f.records)
+    want = reference_summary(f.records)
+    assert_bit_identical(f.summary(), want)
+    assert repr(f.makespan) == repr(want.makespan)
+    assert repr(f.kernel_overlap_fraction()) == repr(want.overlap_fraction)
+    assert repr(f.utilization(4)) == repr(want.utilization(4))
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0, "A", 0, 1.0, 1.0, 0)],
+    [(0, "A", 0, 0.0, 1.0, 0), (1, "A", 1, 0.0, 1.0, 0),
+     (2, "B", 0, 1.0, 1.0, 1), (3, "A", 0, 1.0, 2.0, 1)],
+    # Signed-zero ends: the first-seen -0.0 must survive a 0.0 tie.
+    [(0, "A", 0, -0.0, -0.0, 0), (1, "A", 1, 0.0, 0.0, 0)],
+])
+def test_fold_edge_cases(rows):
+    f = make_flow(rows)
+    assert_bit_identical(f.summary(), reference_summary(f.records))
+
+
+def test_engine_cell_summary_matches_reference():
+    """A real simulated cell: the fold and the reference agree on the
+    serialized summary the result cache and the service hand out."""
+    res = run_version("broadwell", "inline1", "lanczos", "deepsparse",
+                      block_count=32, iterations=4)
+    assert len(res.flow.records) == 4 * res.n_tasks_per_iteration
+    assert_bit_identical(res.summary().flow,
+                         reference_summary(res.flow.records))

@@ -15,9 +15,14 @@ random DAGs rather than the fixed paper problems of
 import os
 from contextlib import contextmanager
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.graph.builder import BuildOptions, DAGBuilder
+from repro.graph.trace import TraceRecorder
 from repro.machine import broadwell
+from repro.matrices.coo import COOMatrix
+from repro.matrices.csb import CSBMatrix
 from repro.sim.engine import _default_barrier_cost, SimulationEngine, run_bsp
 from repro.sim.schedulers import (
     DeepSparseScheduler,
@@ -137,6 +142,52 @@ def test_flag_combos_are_bit_identical(dag, policy):
             assert obs == baseline, combo
     # All six iterations ran, under whichever path produced them.
     assert baseline[7] == 6 * len(dag)
+
+
+def _spmm_only_dag():
+    """196-task SPMM-only DAG that ``random_problem()`` once drew.
+
+    Under DeepSparse the steady-state detector arms at iteration 4.  In
+    the taped iteration a spawn-time release (``t0 + 28 * spawn_cost``)
+    and a task finish land one ulp apart; at the next anchor their
+    rounding flips, so full simulation starts the released task at the
+    other value and every later start moves by about one ulp.
+    """
+    rng = np.random.default_rng(0)
+    coo = COOMatrix((66, 66), rng.integers(0, 66, 1),
+                    rng.integers(0, 66, 1), rng.standard_normal(1))
+    t = TraceRecorder()
+    t.record("SPMM", ("A", "X"), ("Y",))
+    builder = DAGBuilder(CSBMatrix.from_coo(coo, 5), "A",
+                         {"X": 2, "Y": 2, "Q": 2},
+                         {"Z": (2, 2), "P": (2, 2), "s": (1, 1)},
+                         BuildOptions(skip_empty=False,
+                                      spmm_mode="dependency"))
+    return builder.build(t.calls)
+
+
+def test_replay_refuses_anchor_dependent_near_ties(monkeypatch):
+    """Replay must match full simulation to the bit, or not commit."""
+    dag = _spmm_only_dag()
+    assert len(dag) == 196
+    replays = []
+    original = SimulationEngine._replay_iterations
+
+    def spy(self, *args, **kwargs):
+        replays.append(len(args[-2]))  # iteration_times so far
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationEngine, "_replay_iterations", spy)
+    runs = [SimulationEngine(broadwell(), seed=7).run(
+        dag, DeepSparseScheduler(), iterations=6, steady_state=ss)
+        for ss in (True, False)]
+    assert replays == [4]  # the detector did arm on this DAG
+    fast, full = runs
+    assert fast.total_time == full.total_time
+    assert fast.iteration_times == full.iteration_times
+    assert fast.counters.to_dict() == full.counters.to_dict()
+    assert [tuple(r) for r in fast.flow.records] == \
+        [tuple(r) for r in full.flow.records]
 
 
 @given(random_problem(), st.sampled_from(POLICIES), st.integers(0, 50))
