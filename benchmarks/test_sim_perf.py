@@ -21,16 +21,13 @@ trajectory is tracked across PRs:
    change nothing but the clock.  The ``prep_store`` JSON section
    records hit rate and cold vs warm seconds.
 3. **EPYC 128-core cold cell** — one cold Fig. 9-style cell on the
-   big machine (the manycore half of the paper), recorded with the
-   charge-memo counters for that run.
-4. **charge-memo cell** — a steady-state-disabled multi-iteration cell
-   with the resident-state charge memo armed vs killed
-   (``REPRO_NO_CHARGE_MEMO=1``).  The guard asserts the memo *hits*
-   and that results are bit-identical; both wall times and the hit
-   rate are recorded.  The honest finding (see DESIGN.md): replaying
-   a charge memo hit costs about as much as the compiled walk it
-   skips, so the memo is neutral-by-default and its value is the
-   state-signature machinery, not wall-clock — no speedup floor here.
+   big machine (the manycore half of the paper).
+4. **traced cell** — a steady-state-disabled multi-iteration cell run
+   untraced (fused ``_charge_bare`` walk) and traced (every charge
+   through ``CacheHierarchy.access``, the walk's oracle).  The guard
+   asserts the summaries are identical; both wall times and the
+   traced/untraced ratio are recorded — no slowdown ceiling, the
+   recorded ratio is the tracking signal.
 5. **steady-state fast path** — a Fig. 9-style cell at solver-realistic
    iteration counts must run ≥ 5× faster with the iteration-replay
    fast path than with ``REPRO_NO_STEADY_STATE=1`` full simulation
@@ -162,11 +159,9 @@ def test_charge_microbench(benchmark):
                BuildOptions(skip_empty=True, spmm_mode="dependency"))
     cost = CostModel(machine, CacheHierarchy(machine),
                      MemoryModel(machine))
-    # Paper-default configuration (Fig. 9 cells run 2 iterations): the
-    # charge memo stays below its arming horizon, so this measures the
-    # compiled bare walk the cold grids actually run.  The memo-armed
-    # path has its own guard (test_charge_memo_cell).
-    cost.prepare(dag, iterations=2)
+    # Untraced, so this measures the compiled bare walk the grids run;
+    # the traced (access) path has its own guard (test_traced_cell).
+    cost.prepare(dag)
     tasks = dag.tasks
     n_cores = machine.n_cores
 
@@ -265,30 +260,23 @@ def test_epyc_cold_cell(monkeypatch):
     """One cold Fig. 9-style cell on the 128-core EPYC machine.
 
     The manycore half of the paper's evaluation: a large matrix on the
-    2×64-core preset, cold memos, recorded with the charge-memo
-    counters for the run (Fig. 9 cells run 2 iterations, below the
-    memo's 3-iteration arming horizon, so they are expected to show
-    zero memo traffic — the recorded counters pin that the memo adds
-    no bookkeeping to the paper-default configuration).  The prep
-    store is disabled so this stays a true everything-from-scratch
-    build, the one configuration no other timing guard covers.
+    2×64-core preset, cold memos.  The prep store is disabled so this
+    stays a true everything-from-scratch build, the one configuration
+    no other timing guard covers.
     """
     from repro.analysis.experiment import run_version
 
     monkeypatch.setenv("REPRO_NO_PREP", "1")
     from repro.bench.runner import DEFAULT_BLOCK_COUNT
-    from repro.sim.cost import charge_memo_stats, reset_charge_memo_stats
 
     _clear_experiment_memos()
-    reset_charge_memo_stats()
     t0 = time.perf_counter()
     res = run_version("epyc", "Queen4147", "lanczos", "deepsparse",
                       block_count=DEFAULT_BLOCK_COUNT["epyc"],
                       iterations=2)
     dt = time.perf_counter() - t0
-    stats = charge_memo_stats()
     emit(f"EPYC cold cell: {dt:.2f}s on {res.n_cores} cores, "
-         f"{res.counters.tasks_executed} tasks, memo {stats}")
+         f"{res.counters.tasks_executed} tasks")
     _record("epyc_cold_cell", {
         "cell": {"machine": "epyc", "matrix": "Queen4147",
                  "solver": "lanczos", "version": "deepsparse",
@@ -297,81 +285,64 @@ def test_epyc_cold_cell(monkeypatch):
         "seconds": dt,
         "n_cores": res.n_cores,
         "tasks_executed": res.counters.tasks_executed,
-        "memo_hits": stats["hits"],
-        "memo_misses": stats["misses"],
     })
     assert res.n_cores == 128
     assert res.counters.tasks_executed > 0
-    # Paper-default cells are below the memo arming horizon.
-    assert stats == {"hits": 0, "misses": 0}
 
 
-def test_charge_memo_cell(monkeypatch):
-    """Resident-state charge memo: must hit, must change nothing.
+def test_traced_cell(monkeypatch):
+    """Traced vs untraced: same numbers, recorded cost of tracing.
 
-    A steady-state-disabled multi-iteration cell keeps every iteration
-    live, so warm-iteration cache states recur and the memo records
-    (third consecutive sighting) and then replays.  The guard pins the
-    two things this PR promises — the memo engages on recurring heavy
-    states, and results are bit-identical with it on or killed — and
-    records the honest wall-clock of both runs plus the hit rate.  No
-    speedup floor: a replayed hit costs about as much as the compiled
-    walk it skips (DESIGN.md, "what the memo is and is not worth").
+    A traced run prices every charge through
+    :meth:`CacheHierarchy.access` (the trace hook sees each operand
+    touch), an untraced one through the fused ``_charge_bare`` walk.
+    With the steady-state replay off every iteration is simulated, so
+    the two wall times compare the walks plus the tracer's own work.
+    The guard asserts the summaries are identical and records both
+    times; no slowdown ceiling — the recorded ratio is the signal.
     """
     from repro.analysis.experiment import run_version
-    from repro.sim.cost import charge_memo_stats, reset_charge_memo_stats
+    from repro.trace import InMemorySink, Tracer
 
     cell = dict(machine="broadwell", matrix="Queen4147", solver="lanczos",
-                version="deepsparse", block_count=48, iterations=8)
+                version="deepsparse", block_count=48, iterations=6)
 
-    def one_run():
-        return run_version(cell["machine"], cell["matrix"], cell["solver"],
-                           cell["version"], block_count=cell["block_count"],
-                           iterations=cell["iterations"])
+    def best_of(n, traced):
+        best = res = None
+        for _ in range(n):
+            tracer = Tracer(InMemorySink()) if traced else None
+            t0 = time.perf_counter()
+            res = run_version(cell["machine"], cell["matrix"],
+                              cell["solver"], cell["version"],
+                              block_count=cell["block_count"],
+                              iterations=cell["iterations"],
+                              tracer=tracer)
+            dt = time.perf_counter() - t0
+            if best is None or dt < best:
+                best = dt
+        return best, res
 
     monkeypatch.setenv("REPRO_NO_STEADY_STATE", "1")
     # Warm the census/trace/DAG memos so both runs time simulation only.
     run_version(cell["machine"], cell["matrix"], cell["solver"],
                 cell["version"], block_count=cell["block_count"],
                 iterations=1)
+    untraced_s, untraced = best_of(2, traced=False)
+    traced_s, traced = best_of(2, traced=True)
 
-    monkeypatch.delenv("REPRO_NO_CHARGE_MEMO", raising=False)
-    reset_charge_memo_stats()
-    t0 = time.perf_counter()
-    on = one_run()
-    on_s = time.perf_counter() - t0
-    stats = charge_memo_stats()
-
-    monkeypatch.setenv("REPRO_NO_CHARGE_MEMO", "1")
-    reset_charge_memo_stats()
-    t0 = time.perf_counter()
-    off = one_run()
-    off_s = time.perf_counter() - t0
-    off_stats = charge_memo_stats()
-
-    identical = on.summary().to_dict() == off.summary().to_dict()
-    total = stats["hits"] + stats["misses"]
-    hit_rate = stats["hits"] / max(1, total)
-    emit(f"charge memo: on {on_s:.2f}s / off {off_s:.2f}s, "
-         f"{stats['hits']}/{total} hits ({hit_rate:.0%}), "
-         f"bit-identical: {identical}")
-    _record("charge_memo", {
+    identical = (traced.summary().to_dict()
+                 == untraced.summary().to_dict())
+    ratio = traced_s / max(untraced_s, 1e-9)
+    emit(f"traced cell: untraced {untraced_s:.3f}s / traced "
+         f"{traced_s:.3f}s ({ratio:.2f}x), identical: {identical}")
+    _record("traced_cell", {
         "cell": cell,
-        "memo_on_seconds": on_s,
-        "memo_off_seconds": off_s,
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-        "hit_rate": hit_rate,
-        "bit_identical": identical,
-        "note": "no speedup floor by design: a replayed hit costs "
-                "about as much as the compiled walk it skips; the "
-                "wall-clock win at iteration granularity is the "
-                "steady_state section",
+        "untraced_seconds": untraced_s,
+        "traced_seconds": traced_s,
+        "traced_over_untraced": ratio,
+        "identical": identical,
     })
     assert identical
-    assert stats["hits"] > 0
-    # Kill-switch really kills: no memo traffic at all when disabled.
-    assert off_stats == {"hits": 0, "misses": 0}
 
 
 def test_steady_state_speedup(monkeypatch):

@@ -163,18 +163,9 @@ def _prepped_dag(machine_name: str, matrix: str, block_size: int,
         return artifact["dag"]
     dag = _dag(matrix, block_size, solver, width, options)
     _compile_prep(machine_name, dag, first_touch)
-    # The charge memo is excluded from the artifact: its keys embed
-    # id(plans), which is meaningless in another process.  Popping it
-    # here is safe — engines lazily recreate it against the (shared)
-    # compiled plans.
-    memo = dag.__dict__.pop("_charge_memo", None)
-    try:
-        store.put(config, {"config": config,
-                           "census": _census(matrix, block_size),
-                           "dag": dag})
-    finally:
-        if memo is not None:
-            dag._charge_memo = memo
+    store.put(config, {"config": config,
+                       "census": _census(matrix, block_size),
+                       "dag": dag})
     return dag
 
 

@@ -67,7 +67,7 @@ __all__ = [
 #: the payload layout *or* to the pickled structures it carries (plan
 #: tuple shape, GraphArrays fields, …): old artifacts are orphaned by
 #: the salt, not migrated.
-PREP_FORMAT = 1
+PREP_FORMAT = 2
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

@@ -25,13 +25,16 @@ simulated numbers bit-identical or bump
 :data:`repro.sim.cost.COST_MODEL_VERSION`.
 
 The compiled-plan charge walk (:meth:`repro.sim.cost.CostModel.
-_charge_fast`) inlines this exact algorithm once more, fused with the
-pricing loop; it reads and writes ``LRUCache._entries`` / ``.used``
-and the hierarchy's ``_sharers`` / ``_l3_sharers`` / ``_group_of`` /
-``_invalidate_others`` / ``trace_hook`` directly.  Those names are an
+_charge_bare`) inlines this exact algorithm once more, fused with the
+pricing loop, for untraced runs; traced runs and ad-hoc pricing walk
+through :meth:`CacheHierarchy.access` itself, which is the fused
+walk's oracle.  The fused walk reads and writes ``LRUCache._entries``
+/ ``.used`` and the hierarchy's ``_sharers`` / ``_l3_sharers`` /
+``_group_of`` / ``_invalidate_others`` directly.  Those names are an
 internal contract: any semantic change to :meth:`CacheHierarchy.
 access` must be mirrored there (the equivalence fixture and the
-charge-memo property test catch divergence).
+differential test ``tests/test_property_charge_walk.py``, which runs
+both walks side by side, catch divergence).
 """
 
 from __future__ import annotations

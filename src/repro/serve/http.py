@@ -77,6 +77,11 @@ class Request(NamedTuple):
             doc = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise HttpError(400, f"malformed JSON body: {e}") from None
+        except RecursionError:
+            # Arrays/objects nested past the interpreter's recursion
+            # limit: a client error like any other undecodable body.
+            raise HttpError(400, "malformed JSON body: nested too "
+                                 "deeply") from None
         if not isinstance(doc, dict):
             raise HttpError(400, "JSON body must be an object")
         return doc
@@ -122,11 +127,13 @@ async def read_request(reader: asyncio.StreamReader
 
     length = 0
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise HttpError(400, "malformed Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
+        # 1*DIGIT only: int() would also take "+10", "1_0", "-0" and
+        # non-ASCII digits.
+        value = headers["content-length"]
+        if not (value.isascii() and value.isdigit()):
+            raise HttpError(400, "malformed Content-Length")
+        length = int(value)
+        if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes refused")
     elif headers.get("transfer-encoding"):
         raise HttpError(400, "chunked bodies not supported")

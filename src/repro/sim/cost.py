@@ -13,9 +13,6 @@ placement, and per-task overheads differ between the frameworks.
 
 from __future__ import annotations
 
-import os
-from typing import Tuple
-
 from repro.graph.task import Task
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
@@ -23,7 +20,7 @@ from repro.machine.topology import MachineSpec
 
 __all__ = [
     "CostModel", "COST_MODEL_VERSION", "KIND_EFFICIENCY", "TaskCharge",
-    "apply_core_derate", "charge_memo_stats", "reset_charge_memo_stats",
+    "apply_core_derate",
 ]
 
 #: Semantic fingerprint of the pricing model.  Bump whenever a change
@@ -33,55 +30,6 @@ __all__ = [
 #: performance refactors that keep results bit-identical — proven by
 #: ``tests/test_engine_equivalence.py`` — must NOT bump it.
 COST_MODEL_VERSION = 1
-
-#: Kill-switch for the resident-state charge memo (mirrors
-#: ``REPRO_NO_STEADY_STATE``): set ``REPRO_NO_CHARGE_MEMO=1`` to force
-#: every charge through the full plan walk.  Results are bit-identical
-#: either way — the switch exists for debugging and for the property
-#: tests that prove that equivalence.
-_MEMO_ENV = "REPRO_NO_CHARGE_MEMO"
-
-#: Process-wide memo hit/miss aggregate, flushed by the engines at the
-#: end of each run (engines are per-execute objects, so per-instance
-#: counters alone would be unobservable from benchmark code).
-_MEMO_STATS = {"hits": 0, "misses": 0}
-
-
-def charge_memo_stats() -> dict:
-    """Process-wide charge-memo ``{"hits": .., "misses": ..}`` totals."""
-    return dict(_MEMO_STATS)
-
-
-def reset_charge_memo_stats() -> None:
-    _MEMO_STATS["hits"] = 0
-    _MEMO_STATS["misses"] = 0
-
-
-#: Shared zero-miss lines tuple (full L1 hit): the trace hook only ever
-#: reads it, so one immutable instance serves every hit.
-_ZERO_LINES = (0, 0, 0)
-
-#: Per-(plan, domain) memo buckets are bounded: a slot that accumulates
-#: this many distinct resident-state signatures is thrashing (the local
-#: state never settles), so it is dropped and rebuilt rather than grown.
-#: Deliberately tiny — iteration recurrence needs 1–2 states per slot,
-#: and the entries are tuple graphs the cyclic GC must repeatedly scan:
-#: at 32 the retained population made full collections dominate the
-#: memo's entire saving (measured ~1.4x *slowdown* on an 8-iteration
-#: Fig. 9-style sweep; ~2.9s of a 9.6s run was GC).
-_MEMO_BUCKET_CAP = 2
-
-#: Depth-3 signatures snapshot the whole shared-L3 dict, which can hold
-#: hundreds of entries; beyond this size the snapshot costs more than a
-#: re-walk, so such states are priced live instead of memoized.
-_SIG3_CAP = 96
-
-#: A (plan, domain) slot whose local state never recurs (e.g. under
-#: HPX's randomized work stealing, measured at a 1% hit rate) is pure
-#: signature overhead; after this many consecutive non-hit sightings
-#: (hits reset the streak) the slot is disabled outright, so later
-#: charges skip even the signature build.
-_MEMO_MISS_STREAK = 16
 
 #: Fraction of peak flops each kernel class sustains when data is in L1.
 KIND_EFFICIENCY = {
@@ -133,12 +81,8 @@ class CostModel:
     __slots__ = (
         "machine", "cache", "memory", "gather_intensity", "_peak_core",
         "_l2c", "_l3c", "_prep", "_prep_tasks", "_lazy_info",
-        # -- compiled access plans + charge memo (see prepare) ---------
-        "_fast_ok", "_fast_prep", "_plan_epoch", "_homes", "_haspart",
-        "_core_dom", "_mm_local", "_mm_remote", "_mm_scat",
-        "_mm_scatmode", "_n_domains", "_memo",
-        "_bare_ctx", "_bare_common",
-        "memo_hits", "memo_misses",
+        # -- compiled access plans (see prepare) -----------------------
+        "_plan_epoch", "_bare_ctx", "_bare_common",
     )
 
     def __init__(
@@ -164,24 +108,12 @@ class CostModel:
         self._lazy_info = {}
         # Fast-path state: armed by ``prepare`` when the DAG interns
         # its handle keys (dense ints index the home-domain arrays).
-        # ``_fast_prep`` is ``_prep`` when armed, else None — one load
+        # ``_plan_epoch`` is the memory model's ``state_epoch`` the
+        # arrays were resolved at, -1 when unarmed — one comparison
         # decides the dispatch in ``charge``.
-        self._fast_ok = False
-        self._fast_prep = None
         self._plan_epoch = -1
-        self._homes = None
-        self._haspart = None
-        self._core_dom = memory._core_domain
-        self._mm_local = memory._local_cost
-        self._mm_remote = memory._remote_cost
-        self._mm_scat = memory._scattered_cost
-        self._mm_scatmode = memory.scattered
-        self._n_domains = machine.n_numa_domains
-        self._memo = None
         self._bare_ctx = None
         self._bare_common = None
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     # ------------------------------------------------------------------
     def compute_seconds(self, task: Task) -> float:
@@ -363,20 +295,12 @@ class CostModel:
         fixed = (g1 - g2) * self._l2c + (g2 - g3) * self._l3c
         return (g1, g2, g3, fixed, scattered, xkey)
 
-    def prepare(self, dag, iterations=None) -> None:
+    def prepare(self, dag) -> None:
         """Precompute pricing invariants for every task of one DAG.
 
         Called by the engines before their hot loop; ``charge`` falls
         back to a lazy per-task memo for tasks outside the prepared
         DAG (ad-hoc pricing in tests and analysis code).
-
-        ``iterations`` is the engine's iteration count, used purely as
-        a heuristic to arm the charge memo: local cache states can only
-        recur across warm iterations (iteration 1 is cold, iteration 2
-        first *enters* the fixed point, so iteration 3 is the earliest
-        possible replay), so runs known to be shorter than 3 iterations
-        skip the memo's bookkeeping entirely.  ``None`` (ad-hoc
-        pricing, unknown horizon) arms it.
 
         The invariants depend only on the task and on *immutable*
         pricing inputs (machine constants, ``gather_intensity``) —
@@ -385,14 +309,13 @@ class CostModel:
         memoized DAG on the same machine price it once.
 
         What is stored per task is a *compiled access plan*
-        ``(compute, touches, gather, pid)``: the ``_task_info`` tuple
-        with zero-byte touches dropped (a zero-byte access is a
-        documented no-op: no state change, no hook call, no cost) and a
-        dense plan id ``pid`` (the task index) naming the plan in memo
-        keys.  ``prepare`` also snapshots the NUMA home domain of
-        every interned handle into arrays stamped with the memory
-        model's ``state_epoch``; ``charge`` re-validates the epoch per
-        call and falls back to the live pricing path on any mismatch.
+        ``(compute, touches, gather)``: the ``_task_info`` tuple with
+        zero-byte touches dropped (a zero-byte access is a documented
+        no-op: no state change, no hook call, no cost).  ``prepare``
+        also snapshots the NUMA home domain of every interned handle
+        into arrays stamped with the memory model's ``state_epoch``;
+        ``charge`` re-validates the epoch per call and falls back to
+        the live pricing path on any mismatch.
         """
         tasks = dag.tasks
         self._prep_tasks = tasks
@@ -416,36 +339,17 @@ class CostModel:
                 dag._cost_prep = store
             except AttributeError:  # slotted/foreign DAG type
                 self._prep = self._compile_plans(tasks, key_of, soa)
-                self._arm_fast_path(key_of, iterations, dag)
+                self._arm_fast_path(key_of, dag)
                 return
         prep = store.get(key)
         if prep is None or len(prep) != len(tasks):
             prep = self._compile_plans(tasks, key_of, soa)
             store[key] = prep
-            # A replaced plan list may be freed and its id() reused, so
-            # any memo keyed on the old plans' identity must go too.
-            try:
-                dag._charge_memo = {}
-            except AttributeError:
-                pass
         self._prep = prep
-        self._arm_fast_path(key_of, iterations, dag)
+        self._arm_fast_path(key_of, dag)
 
     def _compile_plans(self, tasks, key_of, soa=None):
         """Flatten every task into its access plan.
-
-        The plan id is simply the task's index: plans embed their
-        operand keys, so two distinct tasks virtually never compile to
-        identical plans and content-interning them would only pay
-        hashing cost for no collapse.
-
-        ``heavy`` marks plans whose L1 insert extents alone overflow
-        L1 — every walk of such a plan does eviction work from any
-        start state, which is what makes a memo replay cheaper than
-        the walk.  Light plans walk in a handful of dict ops, below
-        the cost of even computing a state signature (measured: memoing
-        them made whole sweeps *slower* at a 73% hit rate), so the
-        charge memo only arms for heavy plans.
 
         When the DAG is frozen (``soa`` given, interned keys active)
         the touch tuples are read off the flat structure-of-arrays
@@ -457,12 +361,11 @@ class CostModel:
             return self._compile_plans_soa(tasks, soa, key_of)
         plans = []
         info = self._task_info
-        l1 = self.machine.l1_size
         for t in tasks:
             compute, touches, gather = info(t, key_of)
-            touches = tuple(tt for tt in touches if tt[1] > 0)
-            heavy = sum(tt[3] for tt in touches) > l1
-            plans.append((compute, touches, gather, len(plans), heavy))
+            plans.append((compute,
+                          tuple(tt for tt in touches if tt[1] > 0),
+                          gather))
         return plans
 
     def _compile_plans_soa(self, tasks, soa, key_of):
@@ -512,12 +415,11 @@ class CostModel:
                      (t_nbytes[j] + 63) // 64)
                     for j in range(a, b) if t_nbytes[j] > 0
                 ]
-            heavy = sum(tt[3] for tt in touches) > l1
-            plans.append((compute, tuple(touches), gather, tid, heavy))
+            plans.append((compute, tuple(touches), gather))
         return plans
 
-    def _arm_fast_path(self, key_of, iterations=None, dag=None) -> None:
-        """Snapshot NUMA homes + memo state for the compiled-plan walk.
+    def _arm_fast_path(self, key_of, dag) -> None:
+        """Snapshot NUMA homes for the compiled-plan walk.
 
         The fast walk prices DRAM legs from per-key arrays instead of
         :meth:`MemoryModel.dram_line_cost`; the arrays are only valid
@@ -527,14 +429,13 @@ class CostModel:
         ``(machine, first_touch, n_parts, matrix_geometry)`` over the
         DAG's own interning, so they are cached on the DAG under that
         key — five runtimes pricing the same memoized DAG resolve every
-        home once, not once per engine.  The charge memo is armed here
-        too and cleared on every ``prepare`` (one memo per run).
+        home once, not once per engine.
         """
         mem = self.memory
         arrays = None
         if key_of is not None:
             astore = None
-            if dag is not None and not mem._placement:
+            if not mem._placement:
                 akey = (self.machine, mem.first_touch, mem._n_parts,
                         mem.matrix_geometry)
                 astore = getattr(dag, "_home_arrays", None)
@@ -553,75 +454,25 @@ class CostModel:
                 arrays = mem.home_arrays()
                 if arrays is not None and astore is not None:
                     astore[akey] = arrays
-        if arrays is not None:
-            self._homes, self._haspart = arrays
-            self._plan_epoch = mem.state_epoch
-            self._fast_ok = True
-            self._fast_prep = self._prep
-        else:
-            self._homes = self._haspart = None
+        if arrays is None:
             self._plan_epoch = -1
-            self._fast_ok = False
-            self._fast_prep = None
-        self._core_dom = mem._core_domain
-        self._mm_local = mem._local_cost
-        self._mm_remote = mem._remote_cost
-        self._mm_scat = mem._scattered_cost
-        self._mm_scatmode = mem.scattered
-        self._n_domains = self.machine.n_numa_domains
-        # Memo arming policy: plan ids embed the tasks' operand keys,
-        # so distinct tasks almost never share a plan — memo hits come
-        # from *the same task* recurring under a recurring local state,
-        # which first happens when warm iteration 3 replays iteration
-        # 2's charges (iteration 1 is cold, iteration 2 enters the
-        # warm fixed point).  Runs known to be shorter are all misses,
-        # so they skip the memo's bookkeeping entirely.  When armed,
-        # the memo is shared *across runs* through the DAG whenever
-        # the recorded values are provably run-independent: an entry
-        # is a pure function of the plan (pinned by the exact compiled
-        # ``prep`` object), the machine, and the memory-model
-        # constants that price DRAM legs — so the store keys on all of
-        # those and is only used when no explicit placement pins
-        # exist.  Runtime versions re-pricing the same memoized DAG
-        # then replay each other's recorded charges wherever local
-        # cache states recur.
-        memo = None
-        if (self._fast_ok and not os.environ.get(_MEMO_ENV)
-                and (iterations is None or iterations >= 3)):
-            shared = None
-            if dag is not None and not mem._placement:
-                mkey = (id(self._prep), mem.first_touch, mem.scattered,
-                        mem._n_parts, mem.matrix_geometry)
-                mstore = getattr(dag, "_charge_memo", None)
-                if mstore is None:
-                    mstore = {}
-                    try:
-                        dag._charge_memo = mstore
-                    except AttributeError:  # slotted/foreign DAG type
-                        mstore = None
-                if mstore is not None:
-                    shared = mstore.get(mkey)
-                    if shared is None:
-                        shared = mstore[mkey] = {}
-            if shared is not None:
-                memo = shared
-            elif iterations is None or iterations >= 3:
-                memo = {}
-        self._memo = memo
-        self.memo_hits = 0
-        self.memo_misses = 0
-        # Hot-loop invariants of the bare compiled walk, resolved once
-        # per prepare instead of per charge: one shared tuple for the
+            self._bare_common = None
+            return
+        homes, haspart = arrays
+        self._plan_epoch = mem.state_epoch
+        # Hot-loop invariants of the compiled walk, resolved once per
+        # prepare instead of per charge: one shared tuple for the
         # model-wide bindings and a lazily-filled per-core list (see
         # :meth:`_bare_core_ctx`).  Rebuilt on every prepare; a stale
-        # context is unreachable because the bare path is only entered
-        # under the same ``state_epoch`` guard that validated these.
+        # context is unreachable because the compiled walk is only
+        # entered under the same ``state_epoch`` guard that validated
+        # these.
         cache = self.cache
         self._bare_common = (
             cache._sharers, cache._l3_sharers, cache._invalidate_others,
-            self._l2c, self._l3c, self._homes, self._haspart,
-            self._mm_local, self._mm_remote, self._mm_scat,
-            self._mm_scatmode,
+            self._l2c, self._l3c, homes, haspart,
+            mem._local_cost, mem._remote_cost, mem._scattered_cost,
+            mem.scattered,
         )
         self._bare_ctx = [None] * self.machine.n_cores
 
@@ -634,17 +485,9 @@ class CostModel:
         L3 = cache.l3[g]
         ctx = (L1, L2, L3, L1._entries, L2._entries, L3._entries,
                L1.capacity, L2.capacity, L3.capacity, g,
-               self._core_dom[core])
+               self.memory._core_domain[core])
         self._bare_ctx[core] = ctx
         return ctx
-
-    def flush_memo_stats(self) -> None:
-        """Fold this run's memo hit/miss counters into the process
-        aggregate (called by the engines when a run completes)."""
-        _MEMO_STATS["hits"] += self.memo_hits
-        _MEMO_STATS["misses"] += self.memo_misses
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     def charge(self, task: Task, core: int) -> TaskCharge:
         """Execute the task's memory behaviour on ``core`` and price it.
@@ -653,20 +496,19 @@ class CostModel:
         task's duration decomposition and per-level missed lines.
         """
         tid = task.tid
-        fp = self._fast_prep
-        if (fp is not None and 0 <= tid < len(fp)
-                and self._prep_tasks[tid] is task
-                and self.memory.state_epoch == self._plan_epoch):
-            plan = fp[tid]
-            if ((self._memo is None or not plan[4])
-                    and self.cache.trace_hook is None):
-                return self._charge_bare(plan, core)
-            return self._charge_fast(plan, core)
         prep = self._prep
         if (prep is not None and 0 <= tid < len(prep)
                 and self._prep_tasks[tid] is task):
             plan = prep[tid]
-            compute, touches, gather = plan[0], plan[1], plan[2]
+            # The compiled walk needs home arrays valid for the current
+            # placement (an unarmed prepare stamps epoch -1, which never
+            # matches) and no trace hook; everything else — traced runs,
+            # epoch mismatches, ad-hoc tasks — walks through
+            # CacheHierarchy.access below, the walk's oracle.
+            if (self.memory.state_epoch == self._plan_epoch
+                    and self.cache.trace_hook is None):
+                return self._charge_bare(plan, core)
+            compute, touches, gather = plan
         else:
             memo = self._lazy_info.get(id(task))
             if memo is None or memo[0] is not task:
@@ -719,8 +561,8 @@ class CostModel:
             (compute + memory_t, compute, memory_t, (l1, l2, l3)),
         )
 
-    def _charge_fast(self, plan, core: int) -> TaskCharge:
-        """Compiled-plan charge: fused walk + resident-state memo.
+    def _charge_bare(self, plan, core: int) -> TaskCharge:
+        """Compiled-plan charge: the fused walk of untraced runs.
 
         Executes the same per-touch algorithm as ``charge`` +
         :meth:`CacheHierarchy.access`, term-for-term and in the same
@@ -729,601 +571,13 @@ class CostModel:
         attribute lookup hoisted, the DRAM leg priced from the
         epoch-stamped home arrays, and a whole-cache-clobber eviction
         fast path (an inserted extent that fills the level evicts
-        every other entry — the dominant cold-cache case).
-
-        Layered on top is the resident-state charge memo.  A charge's
-        *value* and its *state delta* are pure functions of the plan,
-        the core's NUMA domain, and exactly this local state: the
-        (key → resident bytes) contents, in LRU order, of the core's
-        L1, of its L2 if any touch misses L1, and of its L3 group if
-        any touch misses L2 (an eviction at a level implies a miss
-        into the next, so a walk that never misses L1 never reads
-        deeper state).  The signature is those dict-items tuples at
-        the matching depth — nothing else is read, which is the
-        memo-key invariant.  Sharer sets are deliberately *not* in the
-        key: sharer-map updates, prunes, and write invalidations are
-        executed live on replay (against the current sets and the
-        current ``core``/group, exactly as the full walk would), so
-        their state never needs to match record time — which is also
-        why slots key on the *domain*, not the core: pricing reads
-        only the core's domain, every dict op replays against the
-        replaying core's own (signature-matched) caches, and the
-        recorded ``used`` totals are sums over the matched signatures.
-        On a hit the recorded ``TaskCharge`` is returned after
-        replaying the recorded dict operations (preserving insertion
-        order — the steady-state fingerprint hashes it) and per-touch
-        miss-lines tuples are fed to the trace hook, so tracing sees
-        the same event stream as a full walk.  Recording only starts
-        when a plan's L1 signature repeats back-to-back for a
-        (plan, domain) slot, which keeps one-shot cold states from
-        paying the recording overhead.
+        every other entry — the dominant cold-cache case).  Any
+        semantic change to the walk must be mirrored in
+        :meth:`CacheHierarchy.access` (see machine/cache.py);
+        ``tests/test_property_charge_walk.py`` checks the two walks
+        against each other.
         """
-        compute, touches, gather, pid, heavy = plan
-        cache = self.cache
-        g = cache._group_of[core]
-        L1 = cache.l1[core]
-        L2 = cache.l2[core]
-        L3 = cache.l3[g]
-        e1 = L1._entries
-        e2 = L2._entries
-        e3 = L3._entries
-        sharer_map = cache._sharers
-        l3_sharer_map = cache._l3_sharers
-        hook = cache.trace_hook
-        inval = cache._invalidate_others
-
-        # -- memo lookup ---------------------------------------------
-        cdom = self._core_dom[core]
-        memo = self._memo
-        rec = None
-        slot = None
-        sig1 = sig2 = sig3 = None
-        if memo is not None and heavy:
-            mkey = pid * self._n_domains + cdom
-            slot = memo.get(mkey)
-            if slot is False:
-                # Disabled by a miss streak: this slot's state never
-                # recurs, don't even build the signature.
-                self.memo_misses += 1
-                slot = None
-            elif slot is None:
-                # Signatures are flat ``keys + values`` tuples (decoded
-                # unambiguously by splitting at the midpoint, so they
-                # discriminate exactly like an items() tuple) — they
-                # hold only ints, which lets the cyclic GC untrack them
-                # instead of rescanning one pair-tuple per entry on
-                # every collection; the allocation churn of pair tuples
-                # was a measured net loss at sweep scale.
-                sig1 = tuple(e1) + tuple(e1.values())
-                # Slot layout: three per-depth entry dicts, the marker
-                # signature, the non-hit streak, and the marker's
-                # consecutive-sighting count.
-                memo[mkey] = [None, None, None, sig1, 0, 1]
-                self.memo_misses += 1
-                slot = None
-            else:
-                sig1 = tuple(e1) + tuple(e1.values())
-                entry = None
-                d = slot[0]
-                if d is not None:
-                    entry = d.get(sig1)
-                if entry is None and (slot[1] is not None
-                                      or slot[2] is not None):
-                    sig2 = tuple(e2) + tuple(e2.values())
-                    d = slot[1]
-                    if d is not None:
-                        entry = d.get((sig1, sig2))
-                    if entry is None:
-                        d = slot[2]
-                        if d is not None and len(e3) <= _SIG3_CAP:
-                            entry = d.get((sig1, sig2,
-                                           tuple(e3) + tuple(e3.values())))
-                if entry is not None and hook is not None \
-                        and entry[1] is not None and entry[2] is None:
-                    # Compact (aggregate-only) entry, but a trace hook
-                    # is attached and needs per-touch miss events:
-                    # fall through to a full walk (counted as a miss;
-                    # the re-recording stores a per-touch entry).
-                    entry = None
-                if entry is not None:
-                    # -- replay: recorded charge + state delta --------
-                    # The signature matched *exactly* (dict items in
-                    # order), so the walk's final L1/L2/L3 contents are
-                    # the recorded post-states: apply them wholesale
-                    # with clear()+update() (C speed, exact insertion
-                    # order) instead of re-executing per-touch dict
-                    # churn.  Only the operations on *shared* state —
-                    # sharer prunes for recorded victims, sharer adds,
-                    # and write invalidations — replay per touch, in
-                    # touch order, against the live maps (their state
-                    # need not match record time; see above).
-                    self.memo_hits += 1
-                    slot[4] = 0
-                    charge_obj, agg, tops, post1, ru1, p2, p3 = entry
-                    if agg is not None and hook is None:
-                        # All touch keys distinct and no victim recurs
-                        # as a touch key (checked at record time), so
-                        # the sharer ops commute across touches —
-                        # replay them category-by-category from the
-                        # flattened tuples.  Per-key op order is
-                        # preserved (each key appears in exactly one
-                        # category), which is all the live state can
-                        # observe.
-                        prunes, l3prunes, radds, l3adds, writes = agg
-                        for v in prunes:
-                            s = sharer_map.get(v)
-                            if s is not None:
-                                s.discard(core)
-                                if not s:
-                                    del sharer_map[v]
-                        for v in l3prunes:
-                            s = l3_sharer_map.get(v)
-                            if s is not None:
-                                s.discard(g)
-                                if not s:
-                                    del l3_sharer_map[v]
-                        for key in radds:
-                            s = sharer_map.get(key)
-                            if s is None:
-                                sharer_map[key] = {core}
-                            else:
-                                s.add(core)
-                        for key in l3adds:
-                            s = l3_sharer_map.get(key)
-                            if s is None:
-                                l3_sharer_map[key] = {g}
-                            else:
-                                s.add(g)
-                        for key in writes:
-                            s = sharer_map.get(key)
-                            if s is None:
-                                sharer_map[key] = {core}
-                                n_sharers = 1
-                            else:
-                                s.add(core)
-                                n_sharers = len(s)
-                            s = l3_sharer_map.get(key)
-                            if s is None:
-                                l3_sharer_map[key] = {g}
-                                n_l3s = 1
-                            else:
-                                s.add(g)
-                                n_l3s = len(s)
-                            if n_sharers > 1 or n_l3s > 1:
-                                inval(core, g, key)
-                    else:
-                        for key, write, lines, prunes, l3prunes in tops:
-                            for v in prunes:
-                                s = sharer_map.get(v)
-                                if s is not None:
-                                    s.discard(core)
-                                    if not s:
-                                        del sharer_map[v]
-                            for v in l3prunes:
-                                s = l3_sharer_map.get(v)
-                                if s is not None:
-                                    s.discard(g)
-                                    if not s:
-                                        del l3_sharer_map[v]
-                            if write:
-                                s = sharer_map.get(key)
-                                if s is None:
-                                    sharer_map[key] = {core}
-                                    n_sharers = 1
-                                else:
-                                    s.add(core)
-                                    n_sharers = len(s)
-                                s = l3_sharer_map.get(key)
-                                if s is None:
-                                    l3_sharer_map[key] = {g}
-                                    n_l3s = 1
-                                else:
-                                    s.add(g)
-                                    n_l3s = len(s)
-                                if n_sharers > 1 or n_l3s > 1:
-                                    inval(core, g, key)
-                            else:
-                                if lines[0]:
-                                    s = sharer_map.get(key)
-                                    if s is None:
-                                        sharer_map[key] = {core}
-                                    else:
-                                        s.add(core)
-                                s = l3_sharer_map.get(key)
-                                if s is None:
-                                    l3_sharer_map[key] = {g}
-                                else:
-                                    s.add(g)
-                            if hook is not None:
-                                hook(lines)
-                    e1.clear()
-                    e1.update(zip(post1[0], post1[1]))
-                    L1.used = ru1
-                    if p2 is not None:
-                        e2.clear()
-                        e2.update(zip(p2[0], p2[1]))
-                        L2.used = p2[2]
-                    if p3 is not None:
-                        e3.clear()
-                        e3.update(zip(p3[0], p3[1]))
-                        L3.used = p3[2]
-                    return charge_obj
-                self.memo_misses += 1
-                streak = slot[4] + 1
-                slot[4] = streak
-                if slot[3] == sig1:
-                    c = slot[5] + 1
-                    slot[5] = c
-                    if c >= 3:
-                        # Third consecutive sighting of this L1 state
-                        # for this (plan, domain): record the walk.
-                        # (Recording on the *second* sighting paid a
-                        # store for every state that recurs exactly
-                        # twice — e.g. the warm-up iterations of runs
-                        # the steady-state fast path then takes over —
-                        # a measured net loss at sweep scale.)  Deeper
-                        # signatures must be snapshotted now, before
-                        # the walk mutates the state they describe.
-                        # An L3 too large to sign stays ``None`` — if
-                        # the walk turns out to read it, the recording
-                        # is discarded.
-                        rec = []
-                        if sig2 is None:
-                            sig2 = tuple(e2) + tuple(e2.values())
-                        if len(e3) <= _SIG3_CAP:
-                            sig3 = tuple(e3) + tuple(e3.values())
-                    else:
-                        slot = None
-                elif streak >= _MEMO_MISS_STREAK:
-                    # The state keeps changing faster than it recurs:
-                    # stop signing this slot for good (a hit would
-                    # have reset the streak).
-                    memo[mkey] = False
-                    slot = None
-                else:
-                    slot[3] = sig1
-                    slot[5] = 1
-                    slot = None
-
-        # -- full plan walk ------------------------------------------
-        cap1 = L1.capacity
-        cap2 = L2.capacity
-        cap3 = L3.capacity
-        u1 = L1.used
-        u2 = L2.used
-        u3 = L3.used
-        l2_touched = False
-        l3_touched = False
-        l2c = self._l2c
-        l3c = self._l3c
-        homes = self._homes
-        haspart = self._haspart
-        local = self._mm_local
-        remote = self._mm_remote
-        scat = self._mm_scat
-        scat_mode = self._mm_scatmode
-        lt1 = lt2 = lt3 = 0
-        memory_t = 0.0
-        for key, nbytes, write, n1, lmf in touches:
-            # -- L1 (private) ----------------------------------------
-            # ``pr`` collects this touch's sharer-pruned victims (L1
-            # then L2, in eviction order) and ``pr3`` its L3-pruned
-            # victims — the only per-victim work a memo replay must
-            # re-execute (the dict contents themselves are restored
-            # wholesale from the recorded post-state).
-            pr = pr3 = ()
-            if n1 == cap1:
-                # Giant touch (the plan precomputed the clamp): the
-                # insert fills L1, so the post-state is exactly
-                # ``{key: cap1}`` and every *other* entry is a victim.
-                # Iterating the dict skipping ``key`` yields the same
-                # victims in the same LRU order the one-at-a-time
-                # eviction loop would (moving ``key`` to the MRU end
-                # does not reorder the rest).
-                resident = e1.get(key, 0)
-                mb1 = nbytes - resident if resident < nbytes else 0
-                if len(e1) > 1 or (not resident and e1):
-                    if rec is not None:
-                        pr = []
-                    for v in e1:
-                        if v == key:
-                            continue
-                        if v not in e2:
-                            s = sharer_map.get(v)
-                            if s is not None:
-                                s.discard(core)
-                                if not s:
-                                    del sharer_map[v]
-                            if rec is not None:
-                                pr.append(v)
-                    e1.clear()
-                e1[key] = cap1
-                u1 = cap1
-            else:
-                resident = e1.pop(key, 0)
-                mb1 = nbytes - resident if resident < nbytes else 0
-                u1 += n1 - resident
-                e1[key] = n1
-                if u1 > cap1:
-                    # n1 < cap1 here, so the loop stops before ever
-                    # reaching ``key`` at the MRU end.
-                    if rec is not None and pr == ():
-                        pr = []
-                    while u1 > cap1 and e1:
-                        v = next(iter(e1))
-                        u1 -= e1.pop(v)
-                        if v not in e2:
-                            s = sharer_map.get(v)
-                            if s is not None:
-                                s.discard(core)
-                                if not s:
-                                    del sharer_map[v]
-                            if rec is not None:
-                                pr.append(v)
-            mb2 = mb3 = 0
-            if mb1:
-                # -- L2 (private) ------------------------------------
-                l2_touched = True
-                if mb1 >= cap2:
-                    # Same whole-cache clobber at L2.
-                    resident = e2.get(key, 0)
-                    mb2 = mb1 - resident if resident < mb1 else 0
-                    if len(e2) > 1 or (not resident and e2):
-                        if rec is not None and pr == ():
-                            pr = []
-                        for v in e2:
-                            if v == key:
-                                continue
-                            if v not in e1:
-                                s = sharer_map.get(v)
-                                if s is not None:
-                                    s.discard(core)
-                                    if not s:
-                                        del sharer_map[v]
-                                if rec is not None:
-                                    pr.append(v)
-                        e2.clear()
-                    e2[key] = cap2
-                    u2 = cap2
-                else:
-                    resident = e2.pop(key, 0)
-                    mb2 = mb1 - resident if resident < mb1 else 0
-                    u2 += mb1 - resident
-                    e2[key] = mb1
-                    if u2 > cap2:
-                        if rec is not None and pr == ():
-                            pr = []
-                        while u2 > cap2 and e2:
-                            v = next(iter(e2))
-                            u2 -= e2.pop(v)
-                            if v not in e1:
-                                s = sharer_map.get(v)
-                                if s is not None:
-                                    s.discard(core)
-                                    if not s:
-                                        del sharer_map[v]
-                                if rec is not None:
-                                    pr.append(v)
-                if mb2:
-                    # -- L3 (shared per group) -----------------------
-                    l3_touched = True
-                    resident = e3.pop(key, 0)
-                    mb3 = mb2 - resident if resident < mb2 else 0
-                    n3 = mb2 if mb2 < cap3 else cap3
-                    u3 += n3 - resident
-                    e3[key] = n3
-                    if u3 > cap3:
-                        if rec is not None:
-                            pr3 = []
-                        while u3 > cap3 and e3:
-                            v = next(iter(e3))
-                            u3 -= e3.pop(v)
-                            s = l3_sharer_map.get(v)
-                            if s is not None:
-                                s.discard(g)
-                                if not s:
-                                    del l3_sharer_map[v]
-                            if rec is not None:
-                                pr3.append(v)
-            # Sharer maps are maintained independently (pruning may
-            # have emptied one but not the other for this key).
-            if write:
-                s = sharer_map.get(key)
-                if s is None:
-                    sharer_map[key] = {core}
-                    n_sharers = 1
-                else:
-                    s.add(core)
-                    n_sharers = len(s)
-                s = l3_sharer_map.get(key)
-                if s is None:
-                    l3_sharer_map[key] = {g}
-                    n_l3s = 1
-                else:
-                    s.add(g)
-                    n_l3s = len(s)
-                if n_sharers > 1 or n_l3s > 1:
-                    inval(core, g, key)
-            else:
-                if mb1:
-                    s = sharer_map.get(key)
-                    if s is None:
-                        sharer_map[key] = {core}
-                    else:
-                        s.add(core)
-                # A read that hit L1 in full needs no L1/L2 sharer op:
-                # key-resident-in-L1 implies the core is already a
-                # sharer (every path that removes the membership also
-                # removes the L1/L2 entries), so the add is a no-op —
-                # skip it.  The L3 sharer add is NOT skippable: an L3
-                # eviction prunes the group while the key can stay in
-                # L1, and the access must re-add it.
-                s = l3_sharer_map.get(key)
-                if s is None:
-                    l3_sharer_map[key] = {g}
-                else:
-                    s.add(g)
-            if mb1:
-                if mb3 == nbytes:
-                    # Fully cold touch: all three levels missed in
-                    # full (mb3 == mb2 == mb1 == nbytes), so the
-                    # L2/L3 legs are exactly zero and the line count
-                    # is the plan's precomputed ``full_lines``.
-                    lm1 = lm2 = lm3 = lmf
-                    lt1 += lmf
-                    lt2 += lmf
-                    lt3 += lmf
-                    if scat_mode and haspart[key]:
-                        memory_t += lmf * scat
-                    elif homes[key] != cdom:
-                        memory_t += lmf * remote
-                    else:
-                        memory_t += lmf * local
-                else:
-                    # ceil-divide missed bytes into 64-byte lines.
-                    lm1 = (mb1 + 63) // 64
-                    lm2 = (mb2 + 63) // 64
-                    lm3 = (mb3 + 63) // 64
-                    lt1 += lm1
-                    lt2 += lm2
-                    lt3 += lm3
-                    if lm3:
-                        if scat_mode and haspart[key]:
-                            dc = scat
-                        elif homes[key] != cdom:
-                            dc = remote
-                        else:
-                            dc = local
-                        memory_t += ((lm1 - lm2) * l2c + (lm2 - lm3) * l3c
-                                     + lm3 * dc)
-                    else:
-                        memory_t += (lm1 - lm2) * l2c + lm2 * l3c
-                if hook is not None or rec is not None:
-                    lines = (lm1, lm2, lm3)
-                    if hook is not None:
-                        hook(lines)
-                    if rec is not None:
-                        rec.append((key, write, lines,
-                                    tuple(pr), tuple(pr3)))
-            else:
-                # Full L1 hit: zero miss lines, zero cost — and no
-                # victims anywhere (the insert never grows the level:
-                # resident >= nbytes >= the clamped extent, and a
-                # fully-resident giant touch is the level's only
-                # entry) — but the hook still fires, exactly like
-                # CacheHierarchy.access.
-                if hook is not None:
-                    hook(_ZERO_LINES)
-                if rec is not None:
-                    rec.append((key, write, _ZERO_LINES, (), ()))
-        if gather is not None:
-            g1, g2, g3, fixed, scattered, xkey = gather
-            # NUMA pricing of the gather's DRAM leg (same branch
-            # structure as MemoryModel.dram_line_cost).
-            if scattered:
-                dram = scat
-            elif xkey is None:
-                dram = local
-            elif scat_mode and haspart[xkey]:
-                dram = scat
-            elif homes[xkey] != cdom:
-                dram = remote
-            else:
-                dram = local
-            lt1 += g1
-            lt2 += g2
-            lt3 += g3
-            memory_t += fixed + g3 * dram
-        L1.used = u1
-        if l2_touched:
-            L2.used = u2
-        if l3_touched:
-            L3.used = u3
-        charge_obj = tuple.__new__(
-            TaskCharge,
-            (compute + memory_t, compute, memory_t, (lt1, lt2, lt3)),
-        )
-        if rec is not None:
-            if l3_touched:
-                if sig3 is None:
-                    # The walk read an L3 state too large to sign —
-                    # the memo-key invariant (key covers all state
-                    # read) cannot hold, so drop the recording.
-                    return charge_obj
-                d = slot[2]
-                if d is None:
-                    d = slot[2] = {}
-                skey = (sig1, sig2, sig3)
-            elif l2_touched:
-                d = slot[1]
-                if d is None:
-                    d = slot[1] = {}
-                skey = (sig1, sig2)
-            else:
-                d = slot[0]
-                if d is None:
-                    d = slot[0] = {}
-                skey = sig1
-            if len(d) >= _MEMO_BUCKET_CAP:
-                d.clear()
-            # Flatten the sharer ops into per-category tuples when
-            # they provably commute: every touch key distinct, and no
-            # pruned victim recurring as a touch key (a key then
-            # appears in exactly one category, so per-key op order is
-            # trivially preserved).  Plans with recurring keys replay
-            # per-touch instead.
-            tkeys = [t[0] for t in rec]
-            agg = None
-            if len(set(tkeys)) == len(tkeys):
-                prunes = []
-                l3prunes = []
-                radds = []
-                l3adds = []
-                writes = []
-                for key, write, lines, prv, prv3 in rec:
-                    prunes.extend(prv)
-                    l3prunes.extend(prv3)
-                    if write:
-                        writes.append(key)
-                    else:
-                        if lines[0]:
-                            radds.append(key)
-                        l3adds.append(key)
-                tset = set(tkeys)
-                if not (tset.intersection(prunes)
-                        or tset.intersection(l3prunes)):
-                    agg = (tuple(prunes), tuple(l3prunes), tuple(radds),
-                           tuple(l3adds), tuple(writes))
-            # Post-states snapshot the dicts *after* the walk (items
-            # in insertion order — replay restores them wholesale and
-            # the steady-state fingerprint hashes that order).  The
-            # per-touch tape is kept only when the aggregate form
-            # can't serve (key collisions) or a trace hook needs the
-            # per-touch events — entries are long-lived tuple graphs
-            # the cyclic GC keeps scanning, so store the minimum.
-            d[skey] = (
-                charge_obj, agg,
-                tuple(rec) if (agg is None or hook is not None) else None,
-                (tuple(e1), tuple(e1.values())), u1,
-                (tuple(e2), tuple(e2.values()), u2) if l2_touched else None,
-                (tuple(e3), tuple(e3.values()), u3) if l3_touched else None,
-            )
-        return charge_obj
-
-    def _charge_bare(self, plan, core: int) -> TaskCharge:
-        """Compiled-plan charge with the memo and tracing disarmed.
-
-        The same walk as :meth:`_charge_fast` with every memo-lookup,
-        recording, and trace-hook branch deleted — the dispatcher in
-        :meth:`charge` only routes here when ``self._memo is None``
-        and no trace hook is attached, which makes those branches
-        provably dead.  Kept as a twin because cold low-iteration
-        cells (the fig9 perf-guard workload) run exactly in this mode
-        and the dead-branch checks were measurable there.  Any
-        semantic change to the walk must be applied to both twins and
-        to :meth:`CacheHierarchy.access` (see machine/cache.py).
-        """
-        compute, touches, gather, _pid, _heavy = plan
+        compute, touches, gather = plan
         ctx = self._bare_ctx[core]
         if ctx is None:
             ctx = self._bare_core_ctx(core)

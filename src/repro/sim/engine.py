@@ -278,7 +278,7 @@ class SimulationEngine:
         if self.memory.n_parts is None:
             self.memory.n_parts = _max_partitions(dag)
         scheduler.prepare(dag, self.machine, self.memory, seed=self.seed)
-        self.cost.prepare(dag, iterations=iterations)
+        self.cost.prepare(dag)
         counters = PerfCounters()
         # record_flow=False must actually skip recording, not record
         # every task and throw the trace away afterwards.
@@ -372,10 +372,6 @@ class SimulationEngine:
         if tracer is not None:
             scheduler.tracer = None
             self.cache.trace_hook = None
-        # Fold this run's charge-memo counters into the process-wide
-        # aggregate (the engine object is per-execute, so the counters
-        # would otherwise be unobservable from benchmark code).
-        self.cost.flush_memo_stats()
         fault_report = None
         if fs is not None:
             fault_report = fs.finalize(scheduler.name,
@@ -1151,7 +1147,7 @@ def run_bsp(
     if memory.n_parts is None:
         memory.n_parts = _max_partitions(dag)
     cost = CostModel(machine, cache, memory)
-    cost.prepare(dag, iterations=iterations)
+    cost.prepare(dag)
     counters = PerfCounters()
     flow = FlowGraph()
     n_cores = machine.n_cores
@@ -1457,7 +1453,6 @@ def run_bsp(
     counters.l3_misses = l3m
     if tracer is not None:
         cache.trace_hook = None
-    cost.flush_memo_stats()
     fault_report = None
     if fs is not None:
         fault_report = fs.finalize(flavor, tuple(iteration_times))

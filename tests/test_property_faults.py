@@ -7,11 +7,10 @@
 
 2. **Identity** — a zero-fault plan must be observationally invisible:
    passing ``faults=FaultPlan.empty()`` (or no plan at all) must
-   reproduce the frozen equivalence fixture exactly, under every
-   combination of the engine kill-switches (``REPRO_NO_STEADY_STATE``,
-   ``REPRO_NO_CHARGE_MEMO``) — the fault path may not perturb either
-   hot-path optimization, and neither optimization may leak into the
-   fault path.
+   reproduce the frozen equivalence fixture exactly, with the engine
+   kill-switch ``REPRO_NO_STEADY_STATE`` set or unset — the fault path
+   may not perturb the steady-state replay, and the replay may not
+   leak into the fault path.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ with open(FIXTURE, "r", encoding="utf-8") as _f:
     _CELLS = json.load(_f)
 
 _VERSIONS = ("libcsr", "libcsb", "deepsparse", "hpx", "regent")
-_KILL_SWITCHES = ("REPRO_NO_STEADY_STATE", "REPRO_NO_CHARGE_MEMO")
 
 
 def _observed(res) -> dict:
@@ -99,28 +97,24 @@ def test_same_plan_same_numbers(plan, version):
 
 
 @given(version=st.sampled_from(_VERSIONS),
-       no_steady_state=st.booleans(),
-       no_charge_memo=st.booleans())
+       no_steady_state=st.booleans())
 @settings(max_examples=16, deadline=None)
 def test_zero_fault_plan_reproduces_frozen_fixture(
-        version, no_steady_state, no_charge_memo):
+        version, no_steady_state):
     """Empty plan == fixture, with and without the hot-path kill
-    switches — the fault layer must neither perturb nor depend on the
-    steady-state replay and the charge memo."""
-    saved = {k: os.environ.pop(k, None) for k in _KILL_SWITCHES}
+    switch — the fault layer must neither perturb nor depend on the
+    steady-state replay."""
+    saved = os.environ.pop("REPRO_NO_STEADY_STATE", None)
     try:
         if no_steady_state:
             os.environ["REPRO_NO_STEADY_STATE"] = "1"
-        if no_charge_memo:
-            os.environ["REPRO_NO_CHARGE_MEMO"] = "1"
         res = run_version("broadwell", "inline1", "lanczos", version,
                           block_count=16, iterations=12,
                           faults=FaultPlan.empty())
     finally:
-        for k, v in saved.items():
-            os.environ.pop(k, None)
-            if v is not None:
-                os.environ[k] = v
+        os.environ.pop("REPRO_NO_STEADY_STATE", None)
+        if saved is not None:
+            os.environ["REPRO_NO_STEADY_STATE"] = saved
     assert res.fault_report is None
     got = _observed(res)
     expected = _CELLS[f"broadwell/inline1/lanczos/{version}/16/12"]

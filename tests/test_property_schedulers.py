@@ -4,12 +4,10 @@ Every runtime policy (DeepSparse, HPX, Regent, BSP) executing a random
 builder-produced DAG must land between the scheduling-theory bounds —
 makespan no better than the compute-only critical path or the work/P
 bound, and no worse than serializing every charged second — and must
-do so under *every* combination of the engine's equivalence switches:
-``REPRO_NO_STEADY_STATE`` (iteration fast path off) and
-``REPRO_NO_CHARGE_MEMO`` (per-(task, core) charge memo off).  Both
-switches are documented bit-identical; here that promise is pinned on
-random DAGs rather than the fixed paper problems of
-``test_engine_bounds.py``.
+do so with the engine's equivalence switch ``REPRO_NO_STEADY_STATE``
+(iteration fast path off) both set and unset.  The switch is
+documented bit-identical; here that promise is pinned on random DAGs
+rather than the fixed paper problems of ``test_engine_bounds.py``.
 """
 
 import os
@@ -39,15 +37,13 @@ _SCHEDULERS = {
     "regent": RegentScheduler,
 }
 
-#: Both engine switches are read at call time, so toggling the
+#: The engine switch is read at call time, so toggling the
 #: environment between runs is enough — no re-import needed.
-_FLAGS = ("REPRO_NO_STEADY_STATE", "REPRO_NO_CHARGE_MEMO")
+_FLAGS = ("REPRO_NO_STEADY_STATE",)
 
 FLAG_COMBOS = (
     {},
     {"REPRO_NO_STEADY_STATE": "1"},
-    {"REPRO_NO_CHARGE_MEMO": "1"},
-    {"REPRO_NO_STEADY_STATE": "1", "REPRO_NO_CHARGE_MEMO": "1"},
 )
 
 
@@ -121,11 +117,11 @@ def test_makespan_between_span_and_serial_sum(dag, policy, seed):
 @given(random_problem(), st.sampled_from(POLICIES))
 @settings(max_examples=15, deadline=None)
 def test_flag_combos_are_bit_identical(dag, policy):
-    """The fast-path and memo switches never change a single bit.
+    """The steady-state switch never changes a single bit.
 
     Six iterations so the steady-state detector has room to arm (it
-    needs ≥ 4); every combination of the two switches must reproduce
-    the plain double-loop exactly — total, per-iteration times, and
+    needs ≥ 4); the replay must reproduce the plain double-loop
+    exactly — total, per-iteration times, and
     the full counter block.
     """
     baseline = None

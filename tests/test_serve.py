@@ -101,6 +101,21 @@ def test_read_request_rejects_malformed(raw, status):
     assert e.value.status == status
 
 
+@pytest.mark.parametrize("value,status", [
+    (b"+10", 400), (b"1_0", 400), (b"-0", 400), (b"", 400),
+    (b"10", None),
+])
+def test_read_request_content_length_is_digits_only(value, status):
+    raw = (b"POST /x HTTP/1.1\r\nContent-Length: " + value
+           + b"\r\n\r\n0123456789")
+    if status is None:
+        assert _parse(raw).body == b"0123456789"
+        return
+    with pytest.raises(HttpError) as e:
+        _parse(raw)
+    assert e.value.status == status
+
+
 def test_normalize_cell_rejects_garbage():
     for doc, needle in [
         ({}, "matrix"),
@@ -547,6 +562,23 @@ def test_http_errors_from_service(tmp_path):
             # malformed JSON straight onto the wire
             status, payload = c.request("POST", "/v1/cell", None)
             assert status == 400
+
+
+def test_deeply_nested_json_body_is_400_not_500(tmp_path):
+    import http.client
+
+    with BackgroundService(_config(tmp_path)) as bg:
+        conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/cell", body=b"[" * 100000,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
+        with ServiceClient(port=bg.port) as c:
+            assert c.healthz()["status"] == "ok"
 
 
 def test_cli_submit_against_daemon(tmp_path, capsys):
