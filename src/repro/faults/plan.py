@@ -159,9 +159,9 @@ class FaultPlan:
     def state(self, machine) -> Optional["FaultState"]:  # noqa: F821
         """Resolve the plan against a machine into a per-run FaultState.
 
-        Returns ``None`` for an empty plan so callers can guard the
-        whole fault path behind ``if fs is not None`` and keep the
-        healthy hot loop untouched (bit-identical by construction).
+        Returns ``None`` for an empty plan: the engines then bind their
+        fault locals to neutral values (no derates, zero fault rate)
+        and execute exactly the healthy float operations.
         """
         if self.is_empty:
             return None

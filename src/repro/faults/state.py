@@ -127,6 +127,25 @@ class FaultState:
                 return c
         raise AssertionError("unreachable: validated at construction")
 
+    def derate(self, core: int, dur: float, compute: float,
+               overhead: float) -> Tuple[float, float, float]:
+        """Stretch one task charge on the derated ``core``.
+
+        A derate slows the core clock, which stretches the *compute*
+        component and the core-clock-bound ``overhead`` (scheduler
+        dispatch, BSP loop overhead); the memory component is set by
+        uncore/DRAM transfer rates and is unchanged.  Books the added
+        seconds in :attr:`slow_time` and returns the derated
+        ``(dur, compute, overhead)``; ``dur`` excludes the overhead,
+        which the engines add afterwards.  Kept out of the cost model
+        so the fault layer never perturbs healthy pricing.
+        """
+        f = self._factors[core]
+        extra = compute * (f - 1.0)
+        ovh_extra = overhead * (f - 1.0)
+        self.slow_time += extra + ovh_extra
+        return dur + extra, compute + extra, overhead + ovh_extra
+
     # ------------------------------------------------------------------
     # Task-fault protocol
     # ------------------------------------------------------------------

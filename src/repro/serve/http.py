@@ -120,11 +120,19 @@ async def read_request(reader: asyncio.StreamReader
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            # Which copy frames the body is ambiguous (request
+            # smuggling): refuse rather than let the last one win.
+            raise HttpError(400, "repeated Content-Length")
+        headers[name] = value.strip()
 
     split = urlsplit(target)
     query = parse_qs(split.query) if split.query else {}
 
+    if "transfer-encoding" in headers:
+        # Also with a Content-Length: the two framings disagree.
+        raise HttpError(400, "Transfer-Encoding bodies not supported")
     length = 0
     if "content-length" in headers:
         # 1*DIGIT only: int() would also take "+10", "1_0", "-0" and
@@ -135,8 +143,6 @@ async def read_request(reader: asyncio.StreamReader
         length = int(value)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes refused")
-    elif headers.get("transfer-encoding"):
-        raise HttpError(400, "chunked bodies not supported")
     body = await reader.readexactly(length) if length else b""
 
     # HTTP/1.1 defaults to keep-alive; 1.0 to close.

@@ -20,7 +20,6 @@ from repro.machine.topology import MachineSpec
 
 __all__ = [
     "CostModel", "COST_MODEL_VERSION", "KIND_EFFICIENCY", "TaskCharge",
-    "apply_core_derate",
 ]
 
 #: Semantic fingerprint of the pricing model.  Bump whenever a change
@@ -759,17 +758,3 @@ class CostModel:
             TaskCharge,
             (compute + memory_t, compute, memory_t, (lt1, lt2, lt3)),
         )
-
-
-def apply_core_derate(dur: float, compute: float, factor: float):
-    """Scale a task charge for a frequency-derated core.
-
-    A derate slows the core clock, which stretches the *compute*
-    component; the memory component is set by uncore/DRAM transfer
-    rates and is unchanged.  Returns ``(dur, compute, extra)`` with
-    the derated totals and the added seconds — kept outside
-    :class:`CostModel` so the fault layer never perturbs the healthy
-    pricing path (COST_MODEL_VERSION stays put).
-    """
-    extra = compute * (factor - 1.0)
-    return dur + extra, compute + extra, extra

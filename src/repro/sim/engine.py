@@ -29,7 +29,7 @@ from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.machine.perf import PerfCounters
 from repro.machine.topology import MachineSpec
-from repro.sim.cost import CostModel, apply_core_derate
+from repro.sim.cost import CostModel
 from repro.sim.flowgraph import FlowGraph, FlowSummary
 from repro.sim.schedulers import Scheduler
 
@@ -314,29 +314,8 @@ class SimulationEngine:
                     for c in newly_slow:
                         tracer.fault(t0, c, "slow-onset",
                                      detail=fs.factor(c))
-                end = self._run_iteration_faulted(
-                    dag, scheduler, counters, flow, it, t0, ttask, fs
-                )
-                clock = end + barrier_cost
-                iteration_times.append(clock - t0)
-                if tracer is not None:
-                    tracer.sample_machine(it, end, self.cache, self.memory)
-                    tracer.barrier(it, t0, end, clock)
-                it += 1
-                continue
-            if not armed:
-                end = self._run_iteration(
-                    dag, scheduler, counters, flow, it, t0, ttask
-                )
-                clock = end + barrier_cost
-                iteration_times.append(clock - t0)
-                if tracer is not None:
-                    tracer.sample_machine(it, end, self.cache, self.memory)
-                    tracer.barrier(it, t0, end, clock)
-                it += 1
-                continue
-            end, tape = self._run_iteration_taped(
-                dag, scheduler, counters, flow, it, t0, ttask
+            end, tape = self._run_iteration(
+                dag, scheduler, counters, flow, it, t0, ttask, fs, armed
             )
             clock = end + barrier_cost
             iteration_times.append(clock - t0)
@@ -344,6 +323,8 @@ class SimulationEngine:
                 tracer.sample_machine(it, end, self.cache, self.memory)
                 tracer.barrier(it, t0, end, clock)
             it += 1
+            if not armed:
+                continue
             sched_fp = scheduler.state_fingerprint()
             if sched_fp is None:
                 # Scheduler opted out: stop taping, plain loop onward.
@@ -396,27 +377,80 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def _run_iteration(self, dag, scheduler, counters, flow, it, t0,
-                       ttask=None) -> float:
+                       ttask, fs, taped):
+        """Simulate one iteration; return ``(end_time, (ops, end_node))``.
+
+        ``fs`` (an active :class:`~repro.faults.FaultState`, or
+        ``None``) adds the fault semantics: dead cores never enter the
+        idle scan, derates stretch each charge, and a completion may be
+        poisoned and re-executed instead of releasing its successors.
+
+        ``taped`` additionally records a *value tape* of the iteration
+        for :meth:`_replay_iterations`.  Every timestamp the loop
+        produces is a node of a small value graph anchored at ``t0``
+        (node 0); ``ops`` records, in creation order, how each node is
+        computed:
+
+        * ``(0, tid)`` — initial release: ``release_time(tid, t0)``;
+        * ``(1, tid, j)`` — dependence-satisfied release, clamped to
+          the enabling event: ``max(release_time(tid, t0), vals[j])``;
+        * ``(2, j, dur, tid, core, overhead, compute, memory_t,
+          m1, m2, m3)`` — task assignment at time node ``j``, finishing
+          at ``vals[j] + dur``, with the full charge decomposition for
+          counter/flow replay.
+
+        Heap entries carry the node id as a trailing element; tuple
+        ordering is untouched because ``(time, tid)`` / ``(time,
+        core)`` are already unique within their heaps.  Fault retries
+        push arbitrary node ids: an active plan disarms taping.
+        ``ops`` is ``None`` when not taped.  Taping and the ``fs is
+        None`` checks only add bookkeeping; they never change an
+        arithmetic operation.
+        """
         n = len(dag)
+        ops = [] if taped else None
         if n == 0:
-            return t0
+            return t0, (ops, 0)
+        tape_op = ops.append if taped else None
         indeg = dag.in_degrees()
-        # (time, tid, enabler_core): dep-free, waiting on the runtime.
+        nv = 1  # node 0 is t0; each op appends exactly one value node
+        # (time, tid, enabler_core, node): dep-free, waiting on the
+        # runtime.
         release_heap = []
         for tid, d in enumerate(indeg):
             if d == 0:
+                if tape_op is not None:
+                    tape_op((0, tid))
                 heapq.heappush(
-                    release_heap, (scheduler.release_time(tid, t0), tid, -1)
+                    release_heap,
+                    (scheduler.release_time(tid, t0), tid, -1, nv),
                 )
-        finish_heap = []  # (time, core, tid)
+                nv += 1
+        finish_heap = []  # (time, core, tid, node)
         n_cores = self.machine.n_cores
         # Idle cores as a flag array scanned in ascending id order —
         # same assignment order as the historical ``sorted(idle)``
-        # without re-sorting a set on every scheduling round.
-        idle = bytearray([1]) * n_cores
-        n_idle = n_cores
+        # without re-sorting a set on every scheduling round.  Dead
+        # lanes start (and stay) busy: they are simply never scanned
+        # for work, which is the engine half of every policy's
+        # recovery story.
+        if fs is None:
+            idle = bytearray([1]) * n_cores
+            derates = None
+            rate = 0.0
+        else:
+            idle = bytearray(0 if fs.dead(c) else 1
+                             for c in range(n_cores))
+            derates = fs.derates
+            derate = fs.derate
+            rate = fs.rate
+            budget = fs.budget
+            attempts: dict = {}  # tid -> failed attempts this iteration
+            tracer = scheduler.tracer
+        n_idle = sum(idle)
         completed = 0
         time = t0
+        time_node = 0
         tasks = dag.tasks
         succ = dag.succ
         charge = self.cost.charge
@@ -446,7 +480,7 @@ class SimulationEngine:
         ktasks_get = ktasks.get
         while completed < n:
             while release_heap and release_heap[0][0] <= time + _EPS:
-                _, tid, enabler = heappop(release_heap)
+                _, tid, enabler, _node = heappop(release_heap)
                 scheduler.on_ready(tid, time,
                                    enabler if enabler >= 0 else None)
             # Hand ready tasks to idle cores (policy picks per core).
@@ -461,8 +495,16 @@ class SimulationEngine:
                     task = tasks[tid]
                     overhead = overhead_of(tid)
                     dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
+                    if derates is not None and derates[core] != 1.0:
+                        dur, compute, overhead = derate(
+                            core, dur, compute, overhead
+                        )
                     dur += overhead
-                    heappush(finish_heap, (time + dur, core, tid))
+                    if tape_op is not None:
+                        tape_op((2, time_node, dur, tid, core, overhead,
+                                 compute, memory_t, m1, m2, m3))
+                    heappush(finish_heap, (time + dur, core, tid, nv))
+                    nv += 1
                     kernel = task.kernel
                     n_exec += 1
                     busy_t += dur
@@ -489,160 +531,19 @@ class SimulationEngine:
                 continue
             # Nothing assignable now: advance to the next event.
             if finish_heap:
-                time = finish_heap[0][0]
-                if n_idle and release_heap and release_heap[0][0] < time:
-                    time = release_heap[0][0]
+                head = finish_heap[0]
+                if n_idle and release_heap and release_heap[0][0] < head[0]:
+                    head = release_heap[0]
             elif n_idle and release_heap:
-                time = release_heap[0][0]
+                head = release_heap[0]
             else:
                 raise RuntimeError(
                     "simulation deadlock: tasks remain but no events pending"
                 )
+            time = head[0]
+            time_node = head[3]
             while finish_heap and finish_heap[0][0] <= time + _EPS:
-                _, core, tid = heappop(finish_heap)
-                idle[core] = 1
-                n_idle += 1
-                completed += 1
-                scheduler.on_complete(tid, core)
-                for v in succ[tid]:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        rt = release_time(v, t0)
-                        if rt < time:
-                            rt = time
-                        heappush(release_heap, (rt, v, core))
-        counters.tasks_executed = n_exec
-        counters.busy_time = busy_t
-        counters.overhead_time = ovh_t
-        counters.compute_time = comp_t
-        counters.memory_time = mem_t
-        counters.l1_misses = l1m
-        counters.l2_misses = l2m
-        counters.l3_misses = l3m
-        return time
-
-    # ------------------------------------------------------------------
-    def _run_iteration_faulted(self, dag, scheduler, counters, flow, it,
-                               t0, ttask, fs) -> float:
-        """:meth:`_run_iteration` under an active :class:`FaultState`.
-
-        A separate twin rather than flags in the hot loop: the healthy
-        path must stay byte-for-byte untouched (the bit-identity
-        contract), and the faulted path wants its own structure — dead
-        cores never enter the idle scan, derates stretch each charge's
-        compute component, and a completion may be poisoned and
-        re-queued instead of releasing its successors.
-        """
-        n = len(dag)
-        if n == 0:
-            return t0
-        indeg = dag.in_degrees()
-        release_heap = []
-        for tid, d in enumerate(indeg):
-            if d == 0:
-                heapq.heappush(
-                    release_heap, (scheduler.release_time(tid, t0), tid, -1)
-                )
-        finish_heap = []  # (time, core, tid)
-        n_cores = self.machine.n_cores
-        # Dead lanes start (and stay) busy: they are simply never
-        # scanned for work, which is the engine half of every policy's
-        # recovery story.
-        idle = bytearray(
-            0 if fs.dead(c) else 1 for c in range(n_cores)
-        )
-        n_idle = sum(idle)
-        derates = fs.derates
-        rate = fs.rate
-        budget = fs.budget
-        attempts: dict = {}  # tid -> failed attempts this iteration
-        tracer = scheduler.tracer
-        completed = 0
-        time = t0
-        tasks = dag.tasks
-        succ = dag.succ
-        charge = self.cost.charge
-        pick = scheduler.pick
-        overhead_of = scheduler.overhead
-        has_ready = scheduler.has_ready
-        release_time = scheduler.release_time
-        record_flow = flow.record if flow is not None else None
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        n_exec = counters.tasks_executed
-        busy_t = counters.busy_time
-        ovh_t = counters.overhead_time
-        comp_t = counters.compute_time
-        mem_t = counters.memory_time
-        l1m = counters.l1_misses
-        l2m = counters.l2_misses
-        l3m = counters.l3_misses
-        ktime = counters.kernel_time
-        ktasks = counters.kernel_tasks
-        ktime_get = ktime.get
-        ktasks_get = ktasks.get
-        while completed < n:
-            while release_heap and release_heap[0][0] <= time + _EPS:
-                _, tid, enabler = heappop(release_heap)
-                scheduler.on_ready(tid, time,
-                                   enabler if enabler >= 0 else None)
-            assigned = False
-            if n_idle and has_ready():
-                for core in range(n_cores):
-                    if not idle[core]:
-                        continue
-                    tid = pick(core, time)
-                    if tid is None:
-                        continue
-                    task = tasks[tid]
-                    overhead = overhead_of(tid)
-                    dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
-                    if derates is not None and derates[core] != 1.0:
-                        f = derates[core]
-                        dur, compute, extra = apply_core_derate(
-                            dur, compute, f
-                        )
-                        ovh_extra = overhead * (f - 1.0)
-                        overhead += ovh_extra
-                        fs.slow_time += extra + ovh_extra
-                    dur += overhead
-                    heappush(finish_heap, (time + dur, core, tid))
-                    kernel = task.kernel
-                    n_exec += 1
-                    busy_t += dur
-                    ovh_t += overhead
-                    comp_t += compute
-                    mem_t += memory_t
-                    l1m += m1
-                    l2m += m2
-                    l3m += m3
-                    ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                    ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                    if record_flow is not None:
-                        record_flow(tid, kernel, core, time,
-                                    time + dur, it)
-                    if ttask is not None:
-                        ttask(tid, kernel, core, time, time + dur, it,
-                              overhead, compute, memory_t, m1, m2, m3)
-                    idle[core] = 0
-                    n_idle -= 1
-                    assigned = True
-                    if not has_ready():
-                        break
-            if assigned:
-                continue
-            if finish_heap:
-                time = finish_heap[0][0]
-                if n_idle and release_heap and release_heap[0][0] < time:
-                    time = release_heap[0][0]
-            elif n_idle and release_heap:
-                time = release_heap[0][0]
-            else:
-                raise RuntimeError(
-                    "simulation deadlock: tasks remain but no events pending"
-                )
-            while finish_heap and finish_heap[0][0] <= time + _EPS:
-                ftime, core, tid = heappop(finish_heap)
+                ftime, core, tid, _node = heappop(finish_heap)
                 if rate > 0.0:
                     a = attempts.get(tid, 0)
                     if fs.task_fails(it, tid, a):
@@ -660,17 +561,13 @@ class SimulationEngine:
                             )
                             if (derates is not None
                                     and derates[core] != 1.0):
-                                f = derates[core]
-                                dur, compute, extra = apply_core_derate(
-                                    dur, compute, f
+                                dur, compute, overhead = derate(
+                                    core, dur, compute, overhead
                                 )
-                                ovh_extra = overhead * (f - 1.0)
-                                overhead += ovh_extra
-                                fs.slow_time += extra + ovh_extra
                             dur += overhead
                             start2 = ftime + backoff
                             heappush(finish_heap,
-                                     (start2 + dur, core, tid))
+                                     (start2 + dur, core, tid, nv))
                             kernel = task.kernel
                             n_exec += 1
                             busy_t += dur
@@ -713,160 +610,8 @@ class SimulationEngine:
                         rt = release_time(v, t0)
                         if rt < time:
                             rt = time
-                        heappush(release_heap, (rt, v, core))
-        counters.tasks_executed = n_exec
-        counters.busy_time = busy_t
-        counters.overhead_time = ovh_t
-        counters.compute_time = comp_t
-        counters.memory_time = mem_t
-        counters.l1_misses = l1m
-        counters.l2_misses = l2m
-        counters.l3_misses = l3m
-        return time
-
-    # ------------------------------------------------------------------
-    def _run_iteration_taped(self, dag, scheduler, counters, flow, it, t0,
-                             ttask=None):
-        """:meth:`_run_iteration` plus a *value tape* of the iteration.
-
-        Every timestamp the event loop produces is a node of a small
-        value graph anchored at ``t0`` (node 0); the tape records, in
-        creation order, how each node is computed:
-
-        * ``(0, tid)`` — initial release: ``release_time(tid, t0)``;
-        * ``(1, tid, j)`` — dependence-satisfied release, clamped to
-          the enabling event: ``max(release_time(tid, t0), vals[j])``;
-        * ``(2, j, dur, tid, core, overhead, compute, memory_t,
-          m1, m2, m3)`` — task assignment at time node ``j``, finishing
-          at ``vals[j] + dur``, with the full charge decomposition for
-          counter/flow replay.
-
-        Heap entries gain the node id as a trailing element; tuple
-        ordering is untouched because ``(time, tid)`` / ``(time,
-        core)`` are already unique within their heaps.  Returns
-        ``(end_time, (ops, end_node))``.  The simulated numbers are
-        bit-identical to :meth:`_run_iteration` — taping only appends
-        bookkeeping, it never changes an arithmetic operation.
-        """
-        n = len(dag)
-        if n == 0:
-            return t0, ([], 0)
-        indeg = dag.in_degrees()
-        ops: list = []
-        tape_op = ops.append
-        nv = 1  # node 0 is t0; each op appends exactly one value node
-        release_heap = []
-        for tid, d in enumerate(indeg):
-            if d == 0:
-                tape_op((0, tid))
-                heapq.heappush(
-                    release_heap,
-                    (scheduler.release_time(tid, t0), tid, -1, nv),
-                )
-                nv += 1
-        finish_heap = []  # (time, core, tid, node)
-        n_cores = self.machine.n_cores
-        idle = bytearray([1]) * n_cores
-        n_idle = n_cores
-        completed = 0
-        time = t0
-        time_node = 0
-        tasks = dag.tasks
-        succ = dag.succ
-        charge = self.cost.charge
-        pick = scheduler.pick
-        overhead_of = scheduler.overhead
-        has_ready = scheduler.has_ready
-        release_time = scheduler.release_time
-        record_flow = flow.record if flow is not None else None
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        n_exec = counters.tasks_executed
-        busy_t = counters.busy_time
-        ovh_t = counters.overhead_time
-        comp_t = counters.compute_time
-        mem_t = counters.memory_time
-        l1m = counters.l1_misses
-        l2m = counters.l2_misses
-        l3m = counters.l3_misses
-        ktime = counters.kernel_time
-        ktasks = counters.kernel_tasks
-        ktime_get = ktime.get
-        ktasks_get = ktasks.get
-        while completed < n:
-            while release_heap and release_heap[0][0] <= time + _EPS:
-                _, tid, enabler, _node = heappop(release_heap)
-                scheduler.on_ready(tid, time,
-                                   enabler if enabler >= 0 else None)
-            assigned = False
-            if n_idle and has_ready():
-                for core in range(n_cores):
-                    if not idle[core]:
-                        continue
-                    tid = pick(core, time)
-                    if tid is None:
-                        continue
-                    task = tasks[tid]
-                    overhead = overhead_of(tid)
-                    dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
-                    dur += overhead
-                    tape_op((2, time_node, dur, tid, core, overhead,
-                             compute, memory_t, m1, m2, m3))
-                    heappush(finish_heap, (time + dur, core, tid, nv))
-                    nv += 1
-                    kernel = task.kernel
-                    n_exec += 1
-                    busy_t += dur
-                    ovh_t += overhead
-                    comp_t += compute
-                    mem_t += memory_t
-                    l1m += m1
-                    l2m += m2
-                    l3m += m3
-                    ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                    ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                    if record_flow is not None:
-                        record_flow(tid, kernel, core, time,
-                                    time + dur, it)
-                    if ttask is not None:
-                        ttask(tid, kernel, core, time, time + dur, it,
-                              overhead, compute, memory_t, m1, m2, m3)
-                    idle[core] = 0
-                    n_idle -= 1
-                    assigned = True
-                    if not has_ready():
-                        break
-            if assigned:
-                continue
-            if finish_heap:
-                head = finish_heap[0]
-                time = head[0]
-                time_node = head[3]
-                if n_idle and release_heap and release_heap[0][0] < time:
-                    head = release_heap[0]
-                    time = head[0]
-                    time_node = head[3]
-            elif n_idle and release_heap:
-                head = release_heap[0]
-                time = head[0]
-                time_node = head[3]
-            else:
-                raise RuntimeError(
-                    "simulation deadlock: tasks remain but no events pending"
-                )
-            while finish_heap and finish_heap[0][0] <= time + _EPS:
-                _, core, tid, _node = heappop(finish_heap)
-                idle[core] = 1
-                n_idle += 1
-                completed += 1
-                scheduler.on_complete(tid, core)
-                for v in succ[tid]:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        rt = release_time(v, t0)
-                        if rt < time:
-                            rt = time
-                        tape_op((1, v, time_node))
+                        if tape_op is not None:
+                            tape_op((1, v, time_node))
                         heappush(release_heap, (rt, v, core, nv))
                         nv += 1
         counters.tasks_executed = n_exec
@@ -1099,6 +844,30 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
     return phase_assignments
 
 
+def _defer_dead_lanes(assignment, dead, pred, rcore):
+    """Split one BSP phase around its dead lanes: ``(live, deferred)``.
+
+    BSP has no runtime to recover a dead lane, so its statically
+    assigned share never reaches the barrier on time.  That share, plus
+    any live-lane task transitively depending on it (the cascade: a
+    producer stuck behind the dead lane stalls its consumers), is
+    deferred to a serial re-run on the recovery core ``rcore`` — the
+    paper's worst-case no-recovery model.  Both lists keep program
+    order.
+    """
+    live: List[tuple] = []
+    deferred: List[tuple] = []
+    stalled: set = set()
+    for tid, core in assignment:
+        if core in dead or (stalled
+                            and any(p in stalled for p in pred[tid])):
+            deferred.append((tid, rcore))
+            stalled.add(tid)
+        else:
+            live.append((tid, core))
+    return live, deferred
+
+
 def run_bsp(
     machine: MachineSpec,
     dag: TaskDAG,
@@ -1174,126 +943,77 @@ def run_bsp(
         steady_state = _steady_state_enabled()
     fs = faults.state(machine) if faults is not None else None
     armed = bool(steady_state) and iterations >= 4 and fs is None
-    steady_state_at = None
-    prev_fp = None
-    prev_charges = None
-    clock = 0.0
-    iteration_times = []
-    it = 0
-    while fs is not None and it < iterations:
-        # Faulted BSP iteration: there is no runtime to recover a dead
-        # lane, so its statically-assigned share never reaches the
-        # barrier on time — the phase stalls, and the share (plus any
-        # live-lane task transitively depending on it) is re-run
-        # serially on the lowest surviving core, the paper's worst-case
-        # no-recovery model.  A separate loop so the healthy path below
-        # stays byte-for-byte untouched.
-        t0 = clock
-        newly_dead, newly_slow = fs.begin_iteration(it)
-        if tracer is not None:
-            for c in newly_dead:
-                tracer.fault(t0, c, "core-loss")
-            for c in newly_slow:
-                tracer.fault(t0, c, "slow-onset", detail=fs.factor(c))
-        derates = fs.derates
+    derates = dead = None
+    rate = 0.0
+    if fs is not None:
+        derate = fs.derate
         rate = fs.rate
         budget = fs.budget
         rcore = fs.recovery_core
+    steady_state_at = None
+    prev_fp = None
+    prev_charges = None
+    replay = None  # certified charge tape, once steady state is reached
+    clock = 0.0
+    iteration_times = []
+    it = 0
+    while it < iterations:
+        t0 = clock
+        if fs is not None:
+            newly_dead, newly_slow = fs.begin_iteration(it)
+            if tracer is not None:
+                for c in newly_dead:
+                    tracer.fault(t0, c, "core-loss")
+                for c in newly_slow:
+                    tracer.fault(t0, c, "slow-onset", detail=fs.factor(c))
+            derates = fs.derates
+            dead = fs.dead_cores
+        charges = [] if armed else None
+        tape_charge = charges.append if armed else None
+        synthesized = replay is not None
+        ci = 0
         for assignment in phase_assignments:
             core_clock = [clock] * n_cores
             phase_end: dict = {}
-            deferred: List[int] = []
-            deferred_set: set = set()
-            for tid, core in assignment:
-                if fs.dead(core) or (
-                    deferred_set
-                    and any(p in deferred_set for p in pred[tid])
-                ):
-                    # Cascade: a live lane's task whose producer is
-                    # stuck behind the dead lane stalls with it.
-                    deferred.append(tid)
-                    deferred_set.add(tid)
-                    continue
-                task = tasks[tid]
-                start = core_clock[core]
-                for p in pred[tid]:
-                    e = phase_end.get(p)
-                    if e is not None and e > start:
-                        start = e
-                attempt = 0
-                while True:
-                    dur, compute, memory_t, (m1, m2, m3) = charge(
-                        task, core
-                    )
-                    lo = loop_overhead
-                    if derates is not None and derates[core] != 1.0:
-                        f = derates[core]
-                        dur, compute, extra = apply_core_derate(
-                            dur, compute, f
-                        )
-                        lo_extra = lo * (f - 1.0)
-                        lo += lo_extra
-                        fs.slow_time += extra + lo_extra
-                    dur += lo
-                    end = start + dur
-                    kernel = task.kernel
-                    n_exec += 1
-                    busy_t += dur
-                    ovh_t += lo
-                    comp_t += compute
-                    mem_t += memory_t
-                    l1m += m1
-                    l2m += m2
-                    l3m += m3
-                    ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                    ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                    if frecord is not None:
-                        frecord(tid, kernel, core, start, end, it)
-                    if ttask is not None:
-                        ttask(tid, kernel, core, start, end, it,
-                              lo, compute, memory_t, m1, m2, m3)
-                    if attempt > 0:
-                        fs.re_executed_time += dur
-                    if rate > 0.0 and fs.task_fails(it, tid, attempt):
-                        if attempt < budget:
-                            backoff = fs.backoff_seconds(attempt)
-                            fs.retries += 1
-                            fs.backoff_time += backoff
-                            if tracer is not None:
-                                tracer.fault(end, core, "task-retry",
-                                             tid, float(attempt + 1))
-                            start = end + backoff
-                            attempt += 1
-                            continue
-                        fs.abandoned += 1
-                        if tracer is not None:
-                            tracer.fault(end, core, "task-abandoned",
-                                         tid, float(attempt))
-                    break
-                core_clock[core] = end
-                phase_end[tid] = end
-            phase_close = max(core_clock)
-            if deferred:
-                # Serial catch-up on the recovery core after everyone
-                # else has hit the barrier.
-                start = phase_close
-                for tid in deferred:
+            deferred = ()
+            if dead:
+                assignment, deferred = _defer_dead_lanes(
+                    assignment, dead, pred, rcore
+                )
+            for work in (assignment, deferred):
+                if work is deferred and deferred:
+                    # Serial catch-up on the recovery core after
+                    # everyone else has hit the barrier.
+                    phase_close = core_clock[rcore] = max(core_clock)
+                for tid, core in work:
                     task = tasks[tid]
+                    # Intra-phase dependences (row chains stay on one
+                    # core; reduce tasks read partials from other
+                    # cores) delay the start beyond the core's own
+                    # availability.
+                    start = core_clock[core]
+                    for p in pred[tid]:
+                        e = phase_end.get(p)
+                        if e is not None and e > start:
+                            start = e
                     attempt = 0
                     while True:
-                        dur, compute, memory_t, (m1, m2, m3) = charge(
-                            task, rcore
-                        )
                         lo = loop_overhead
-                        if derates is not None and derates[rcore] != 1.0:
-                            f = derates[rcore]
-                            dur, compute, extra = apply_core_derate(
-                                dur, compute, f
+                        if replay is not None:
+                            dur, compute, memory_t, m1, m2, m3 = replay[ci]
+                            ci += 1
+                        else:
+                            dur, compute, memory_t, (m1, m2, m3) = charge(
+                                task, core
                             )
-                            lo_extra = lo * (f - 1.0)
-                            lo += lo_extra
-                            fs.slow_time += extra + lo_extra
-                        dur += lo
+                            if derates is not None and derates[core] != 1.0:
+                                dur, compute, lo = derate(
+                                    core, dur, compute, lo
+                                )
+                            dur += lo
+                            if tape_charge is not None:
+                                tape_charge((dur, compute, memory_t,
+                                             m1, m2, m3))
                         end = start + dur
                         kernel = task.kernel
                         n_exec += 1
@@ -1307,85 +1027,43 @@ def run_bsp(
                         ktime[kernel] = ktime_get(kernel, 0.0) + dur
                         ktasks[kernel] = ktasks_get(kernel, 0) + 1
                         if frecord is not None:
-                            frecord(tid, kernel, rcore, start, end, it)
+                            frecord(tid, kernel, core, start, end, it)
                         if ttask is not None:
-                            ttask(tid, kernel, rcore, start, end, it,
-                                  lo, compute, memory_t, m1, m2, m3)
-                        if attempt > 0:
-                            fs.re_executed_time += dur
-                        if rate > 0.0 and fs.task_fails(it, tid, attempt):
-                            if attempt < budget:
-                                backoff = fs.backoff_seconds(attempt)
-                                fs.retries += 1
-                                fs.backoff_time += backoff
+                            ttask(tid, kernel, core, start, end, it, lo,
+                                  compute, memory_t, m1, m2, m3,
+                                  synthesized)
+                        if rate > 0.0:
+                            if attempt > 0:
+                                fs.re_executed_time += dur
+                            if fs.task_fails(it, tid, attempt):
+                                if attempt < budget:
+                                    backoff = fs.backoff_seconds(attempt)
+                                    fs.retries += 1
+                                    fs.backoff_time += backoff
+                                    if tracer is not None:
+                                        tracer.fault(end, core, "task-retry",
+                                                     tid, float(attempt + 1))
+                                    start = end + backoff
+                                    attempt += 1
+                                    continue
+                                fs.abandoned += 1
                                 if tracer is not None:
-                                    tracer.fault(end, rcore,
-                                                 "task-retry", tid,
-                                                 float(attempt + 1))
-                                start = end + backoff
-                                attempt += 1
-                                continue
-                            fs.abandoned += 1
-                            if tracer is not None:
-                                tracer.fault(end, rcore,
-                                             "task-abandoned", tid,
-                                             float(attempt))
+                                    tracer.fault(end, core,
+                                                 "task-abandoned", tid,
+                                                 float(attempt))
                         break
+                    core_clock[core] = end
                     phase_end[tid] = end
-                    start = end
-                fs.stall_time += start - phase_close
-                phase_close = start
-            clock = phase_close + barrier_cost
-        iteration_times.append(clock - t0)
-        if tracer is not None:
-            tracer.sample_machine(it, clock - barrier_cost, cache, memory)
-            tracer.barrier(it, t0, clock - barrier_cost, clock)
-        it += 1
-    while it < iterations:
-        t0 = clock
-        charges = [] if armed else None
-        tape_charge = charges.append if armed else None
-        for assignment in phase_assignments:
-            core_clock = [clock] * n_cores
-            phase_end: dict = {}
-            for tid, core in assignment:
-                task = tasks[tid]
-                dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
-                dur += loop_overhead
-                if tape_charge is not None:
-                    tape_charge((dur, compute, memory_t, m1, m2, m3))
-                # Intra-phase dependences (row chains stay on one core;
-                # reduce tasks read partials from other cores) delay
-                # the start beyond the core's own availability.
-                start = core_clock[core]
-                for p in pred[tid]:
-                    e = phase_end.get(p)
-                    if e is not None and e > start:
-                        start = e
-                end = start + dur
-                core_clock[core] = end
-                phase_end[tid] = end
-                kernel = task.kernel
-                n_exec += 1
-                busy_t += dur
-                ovh_t += loop_overhead
-                comp_t += compute
-                mem_t += memory_t
-                l1m += m1
-                l2m += m2
-                l3m += m3
-                ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                if frecord is not None:
-                    frecord(tid, kernel, core, start, end, it)
-                if ttask is not None:
-                    ttask(tid, kernel, core, start, end, it,
-                          loop_overhead, compute, memory_t, m1, m2, m3)
+            if deferred:
+                fs.stall_time += core_clock[rcore] - phase_close
             clock = max(core_clock) + barrier_cost
         iteration_times.append(clock - t0)
         if tracer is not None:
+            # During replay the machine state is at its fixed point, so
+            # barrier-interval samples legitimately repeat it.
             tracer.sample_machine(it, clock - barrier_cost, cache, memory)
-            tracer.barrier(it, t0, clock - barrier_cost, clock)
+            tracer.barrier(it, t0, clock - barrier_cost, clock,
+                           synthesized=synthesized)
         it += 1
         if not armed:
             continue
@@ -1397,50 +1075,9 @@ def run_bsp(
             # arithmetic (identical float ops, so bit-identical) with
             # the expensive cache simulation elided.
             steady_state_at = it
-            while it < iterations:
-                t0 = clock
-                ci = 0
-                for assignment in phase_assignments:
-                    core_clock = [clock] * n_cores
-                    phase_end = {}
-                    for tid, core in assignment:
-                        dur, compute, memory_t, m1, m2, m3 = charges[ci]
-                        ci += 1
-                        start = core_clock[core]
-                        for p in pred[tid]:
-                            e = phase_end.get(p)
-                            if e is not None and e > start:
-                                start = e
-                        end = start + dur
-                        core_clock[core] = end
-                        phase_end[tid] = end
-                        kernel = tasks[tid].kernel
-                        n_exec += 1
-                        busy_t += dur
-                        ovh_t += loop_overhead
-                        comp_t += compute
-                        mem_t += memory_t
-                        l1m += m1
-                        l2m += m2
-                        l3m += m3
-                        ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                        ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                        if frecord is not None:
-                            frecord(tid, kernel, core, start, end, it)
-                        if ttask is not None:
-                            ttask(tid, kernel, core, start, end, it,
-                                  loop_overhead, compute, memory_t,
-                                  m1, m2, m3, True)
-                    clock = max(core_clock) + barrier_cost
-                iteration_times.append(clock - t0)
-                if tracer is not None:
-                    # Fixed-point machine state: samples repeat it.
-                    tracer.sample_machine(it, clock - barrier_cost,
-                                          cache, memory)
-                    tracer.barrier(it, t0, clock - barrier_cost, clock,
-                                   synthesized=True)
-                it += 1
-            break
+            replay = charges
+            armed = False
+            continue
         prev_fp = fp
         prev_charges = charges
     counters.tasks_executed = n_exec

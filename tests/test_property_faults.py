@@ -1,4 +1,4 @@
-"""Property suite for the fault layer's two load-bearing invariants.
+"""Property suite for the fault layer's load-bearing invariants.
 
 1. **Determinism** — a seeded :class:`~repro.faults.FaultPlan` is the
    *only* source of randomness: two runs of the same plan over the same
@@ -11,6 +11,11 @@
    kill-switch ``REPRO_NO_STEADY_STATE`` set or unset — the fault path
    may not perturb the steady-state replay, and the replay may not
    leak into the fault path.
+
+3. **Model invariants** — under any plan, per-core executions never
+   overlap, a lost core runs nothing from its loss iteration on, and
+   ``tasks_executed`` counts every DAG task once per iteration plus
+   every retry.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from __future__ import annotations
 import json
 import os
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.experiment import run_version
 from repro.faults import CoreLoss, FaultPlan, SlowCore, TaskFaults
+from repro.sim.engine import _EPS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "engine_equivalence.json")
@@ -120,3 +126,39 @@ def test_zero_fault_plan_reproduces_frozen_fixture(
     expected = _CELLS[f"broadwell/inline1/lanczos/{version}/16/12"]
     for field, exp in expected.items():
         assert got[field] == exp, (version, field)
+
+
+@given(plan=fault_plans(), version=st.sampled_from(_VERSIONS))
+# A finish one ulp after the event that frees its core (see below).
+@example(plan=FaultPlan(spec="property", seed=2436329,
+                        slow=(SlowCore("first", 1.5, 0),),
+                        losses=(CoreLoss("random", 2),),
+                        task_faults=TaskFaults(rate=0.05, budget=1,
+                                               backoff=0.0)),
+         version="hpx")
+@settings(max_examples=20, deadline=None)
+def test_faulted_run_invariants(plan, version):
+    """Model invariants every faulted run must satisfy, whatever the
+    plan: a core runs one task at a time (retries included), a lost
+    core executes nothing from its loss iteration on, and every
+    executed task is either a DAG task of some iteration or a retry.
+
+    The event loop folds every finish within ``_EPS`` of the current
+    event into it, so a core freed that way takes its next task at the
+    event time, which may precede its last finish by up to ``_EPS``:
+    records on one core may touch within that reach, never overlap
+    beyond it."""
+    iterations = 4
+    res = run_version("broadwell", "inline1", "lanczos", version,
+                      block_count=16, iterations=iterations, faults=plan)
+    report = res.fault_report
+    last_end: dict = {}
+    for r in sorted(res.flow.records, key=lambda r: (r.core, r.start,
+                                                     r.end)):
+        assert r.start >= last_end.get(r.core, r.start) - _EPS, r
+        last_end[r.core] = r.end
+    for core, at, _latency in report.core_losses:
+        assert not any(r.core == core and r.iteration >= at
+                       for r in res.flow.records), (core, at)
+    assert res.counters.tasks_executed == \
+        res.n_tasks_per_iteration * iterations + report.retries

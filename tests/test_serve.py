@@ -101,6 +101,23 @@ def test_read_request_rejects_malformed(raw, status):
     assert e.value.status == status
 
 
+@pytest.mark.parametrize("headers", [
+    # Last-wins would read a 2-byte body and parse the rest of the
+    # 40-byte body as a second, smuggled request.
+    b"Content-Length: 40\r\nContent-Length: 2\r\n",
+    b"Content-Length: 2\r\ncontent-length: 2\r\n",
+    # Content-Length framing would read "2\r\n" as the body.
+    b"Transfer-Encoding: chunked\r\nContent-Length: 3\r\n",
+    b"Content-Length: 3\r\nTransfer-Encoding: chunked\r\n",
+])
+def test_read_request_rejects_ambiguous_framing(headers):
+    raw = (b"POST /x HTTP/1.1\r\n" + headers + b"\r\n"
+           b"2\r\n{}\r\n0\r\n\r\n" + b"x" * 28)
+    with pytest.raises(HttpError) as e:
+        _parse(raw)
+    assert e.value.status == 400
+
+
 @pytest.mark.parametrize("value,status", [
     (b"+10", 400), (b"1_0", 400), (b"-0", 400), (b"", 400),
     (b"10", None),
