@@ -18,14 +18,23 @@ and only on a store miss builds everything, compiles the prep against
 the target machine, and writes the artifact through.  With the store
 disabled (``REPRO_NO_PREP=1``) it degrades to exactly the old
 in-process ``lru_cache`` behaviour.
+
+Loading or building a DAG allocates hundreds of thousands of small
+objects, and CPython's cyclic collector would rescan them on every
+pass, during prep and for the rest of the sweep, without ever finding
+garbage: the artifacts are acyclic.  :func:`_prepped_dag` therefore
+runs with the collector paused and freezes what it made.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Dict, Sequence
 
 from repro.analysis.metrics import SolverComparison
+from repro.bench.prep import MEMO_ENTRIES, default_prep_store
 from repro.machine.presets import get_machine
 from repro.matrices.census import census_for
 from repro.matrices.suite import SUITE
@@ -135,7 +144,32 @@ def _compile_prep(machine_name: str, dag, first_touch: bool = True):
     _bsp_phase_assignments(dag, machine.n_cores)
 
 
-@lru_cache(maxsize=128)
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector; on success, freeze what was made.
+
+    Only a region that found the collector enabled touches it, so a
+    caller's own ``gc.disable()`` holds, and concurrent regions on
+    service threads always leave it enabled.  Pausing alone would
+    only defer the scans into the sweep; ``gc.freeze()`` (O(1)) takes
+    the finished DAG out of every later pass.  A failed build is not
+    frozen: its debris stays collectable.
+    """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        yield
+    except BaseException:
+        if enabled:
+            gc.enable()
+        raise
+    if enabled:
+        gc.freeze()
+        gc.enable()
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _prepped_dag(machine_name: str, matrix: str, block_size: int,
                  solver: str, width: int, options,
                  first_touch: bool = True):
@@ -147,26 +181,26 @@ def _prepped_dag(machine_name: str, matrix: str, block_size: int,
     for sibling cells.  Store miss (or store disabled): build through
     the in-process memos; on a miss with the store enabled, compile
     the prep and write the artifact through so the *next* process (or
-    pool worker) loads it.
+    pool worker) loads it.  Both paths run under
+    :func:`_collector_paused`.
     """
-    from repro.bench.prep import default_prep_store
-
-    store = default_prep_store()
-    if not store.enabled:
-        return _dag(matrix, block_size, solver, width, options)
-    config = prep_config(machine_name, matrix, block_size, solver,
-                         width, options, first_touch)
-    artifact = store.get(config)
-    if artifact is not None:
-        _census_loaded.setdefault((matrix, block_size),
-                                  artifact["census"])
-        return artifact["dag"]
-    dag = _dag(matrix, block_size, solver, width, options)
-    _compile_prep(machine_name, dag, first_touch)
-    store.put(config, {"config": config,
-                       "census": _census(matrix, block_size),
-                       "dag": dag})
-    return dag
+    with _collector_paused():
+        store = default_prep_store()
+        if not store.enabled:
+            return _dag(matrix, block_size, solver, width, options)
+        config = prep_config(machine_name, matrix, block_size, solver,
+                             width, options, first_touch)
+        artifact = store.get(config)
+        if artifact is not None:
+            _census_loaded.setdefault((matrix, block_size),
+                                      artifact["census"])
+            return artifact["dag"]
+        dag = _dag(matrix, block_size, solver, width, options)
+        _compile_prep(machine_name, dag, first_touch)
+        store.put(config, {"config": config,
+                           "census": _census(matrix, block_size),
+                           "dag": dag})
+        return dag
 
 
 def prebuild_prep(machine_name: str, matrix: str, solver: str,

@@ -17,7 +17,10 @@ Properties the experiment pipeline relies on:
   aside to ``<root>/corrupt/`` for post-mortem), never an exception.
 * **Payload checksums** — every entry embeds the SHA-256 of its
   canonical summary JSON; reads verify it, so silent on-disk
-  corruption that still parses as JSON is caught too.
+  corruption that still parses as JSON is caught too.  The rest of
+  the entry is checked as well: the file must be the exact JSON text
+  ``put`` writes, its key and salt must be the reader's, and its
+  config must hash to its key.
 * **Bit-exact round trip** — floats survive via ``repr`` in JSON, so a
   warm-cache re-run returns byte-identical summaries.
 
@@ -166,12 +169,22 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        path = self.path_for(self.key(config))
+        key = self.key(config)
+        path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as f:
-                entry = json.load(f)
+                text = f.read()
+            entry = json.loads(text)
+            # Every byte is checked: the text must be exactly what
+            # ``put`` writes for the parsed entry, and every field of
+            # that entry must match the key it is stored under.
+            if json.dumps(entry) != text:
+                raise ValueError("entry is not in canonical form")
             if entry.get("format") != ENTRY_FORMAT:
                 raise ValueError(f"entry format {entry.get('format')!r}")
+            if (entry.get("key") != key or entry.get("salt") != self.salt
+                    or cache_key(entry["config"], self.salt) != key):
+                raise ValueError("entry does not match its key")
             payload = entry["summary"]
             if entry.get("checksum") != _payload_checksum(payload):
                 raise ValueError("payload checksum mismatch")
@@ -179,7 +192,7 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, OSError):
+        except Exception:
             # Corrupted entry: quarantine it and report a miss.
             self._quarantine(path)
             self.misses += 1
@@ -207,7 +220,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(entry, f)
+                f.write(json.dumps(entry))
             os.replace(tmp, path)  # atomic on POSIX
         except BaseException:
             try:

@@ -19,7 +19,9 @@ entries (never mis-serve them).
 File format: one JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload.  The checksum is the SHA-256 of the
-payload bytes; reads verify header fields, length, and checksum, and
+payload bytes; reads verify that the header line is exactly the
+canonical JSON ``put`` writes, every header field (the config must
+hash to the key), the length and the checksum, and
 *any* failure (truncation, bad pickle, wrong salt, checksum mismatch)
 quarantines the file to ``<root>/corrupt/`` and reports a miss — a
 broken store must never break an experiment.  The human-readable
@@ -30,7 +32,11 @@ immutable, so a repeat ``get`` of the same key returns the
 already-deserialized artifact after one ``stat`` validation
 (mtime + size) instead of re-reading and re-unpickling megabytes —
 the common case for sweeps that clear their in-process DAG memos
-between rounds but keep the store instance.
+between rounds but keep the store instance.  The memo holds at most
+:data:`MEMO_ENTRIES` artifacts, the same bound as the in-process DAG
+memo in :mod:`repro.analysis.experiment`, and evicts the oldest entry
+first, so a long-lived service worker that meets many distinct prep
+keys keeps a bounded number of artifacts alive.
 
 The payload travels by ``pickle``, which is only safe because this is
 a *local build cache*: every entry is written by this same codebase on
@@ -51,12 +57,15 @@ import json
 import os
 import pickle
 import tempfile
+import threading
+from collections import OrderedDict
 from typing import Iterator, Optional
 
 from repro.bench.cache import DEFAULT_ROOT, cache_key
 from repro.sim.cost import COST_MODEL_VERSION
 
 __all__ = [
+    "MEMO_ENTRIES",
     "PREP_FORMAT",
     "PREP_SALT",
     "PrepStore",
@@ -72,6 +81,10 @@ PREP_FORMAT = 2
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"
 
+#: Artifacts one process keeps deserialized: the bound of both the
+#: store's read memo and the experiment driver's DAG memo.
+MEMO_ENTRIES = 128
+
 
 def _default_root() -> str:
     explicit = os.environ.get("REPRO_PREP_DIR")
@@ -79,6 +92,12 @@ def _default_root() -> str:
         return explicit
     base = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_ROOT
     return os.path.join(base, "prep")
+
+
+def _header_line(header: dict) -> bytes:
+    """The exact first line ``put`` writes, and ``get`` demands."""
+    return json.dumps(header, sort_keys=True,
+                      default=str).encode("utf-8") + b"\n"
 
 
 class PrepStore:
@@ -111,8 +130,10 @@ class PrepStore:
         #: stat validator catches the only legal change (a rewrite by
         #: a concurrent ``put``, which produces identical content, or
         #: external tampering, which must force a real re-read so the
-        #: quarantine path still fires).
-        self._loaded: dict = {}
+        #: quarantine path still fires).  Insertion-ordered and capped
+        #: at :data:`MEMO_ENTRIES`, oldest evicted first.
+        self._loaded: OrderedDict = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def key(self, config: dict) -> str:
@@ -157,13 +178,17 @@ class PrepStore:
             return memo[2]
         try:
             with open(path, "rb") as f:
-                header = json.loads(f.readline().decode("utf-8"))
+                line = f.readline()
+                header = json.loads(line.decode("utf-8"))
+                if _header_line(header) != line:
+                    raise ValueError("artifact header not canonical")
                 if header.get("format") != PREP_FORMAT:
                     raise ValueError(
                         f"artifact format {header.get('format')!r}")
                 if header.get("salt") != self.salt:
                     raise ValueError(f"artifact salt {header.get('salt')!r}")
-                if header.get("key") != key:
+                if (header.get("key") != key
+                        or cache_key(header["config"], self.salt) != key):
                     raise ValueError("artifact key mismatch")
                 nbytes = header["nbytes"]
                 payload = f.read(nbytes + 1)
@@ -184,7 +209,10 @@ class PrepStore:
             self.misses += 1
             return None
         self.hits += 1
-        self._loaded[key] = (st.st_mtime_ns, st.st_size, artifact)
+        with self._memo_lock:           # service threads share a store
+            self._loaded[key] = (st.st_mtime_ns, st.st_size, artifact)
+            if len(self._loaded) > MEMO_ENTRIES:
+                self._loaded.popitem(last=False)
         return artifact
 
     def put(self, config: dict, artifact) -> None:
@@ -207,9 +235,7 @@ class PrepStore:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(json.dumps(header, sort_keys=True,
-                                   default=str).encode("utf-8"))
-                f.write(b"\n")
+                f.write(_header_line(header))
                 f.write(payload)
             os.replace(tmp, path)  # atomic on POSIX
         except BaseException:

@@ -113,6 +113,7 @@ class DAGBuilder:
         self._last_writer: Dict[tuple, int] = {}
         self._readers: Dict[tuple, List[int]] = {}
         self._buf_counter = 0
+        self._handles: Dict[tuple, DataHandle] = {}
         # Per-row lists of non-empty block columns, precomputed once.
         grid = csb.block_nnz_grid()
         self._row_cols = [np.nonzero(grid[i])[0].tolist() for i in range(self.np_)]
@@ -121,18 +122,33 @@ class DAGBuilder:
     # ------------------------------------------------------------------
     # Handle constructors
     # ------------------------------------------------------------------
+    # Each is a pure function of its (name, part) key, and DataHandle
+    # is frozen, so one object per key is shared by every task that
+    # touches it: fewer objects to build, pickle, load and collect.
     def chunk_handle(self, name: str, i: int) -> DataHandle:
-        w = self.chunked[name]
-        return DataHandle(name, i, self._row_sizes[i] * w * _F8)
+        h = self._handles.get((name, i))
+        if h is None:
+            w = self.chunked[name]
+            h = self._handles[name, i] = DataHandle(
+                name, i, self._row_sizes[i] * w * _F8)
+        return h
 
     def small_handle(self, name: str) -> DataHandle:
-        r, c = self.small[name]
-        return DataHandle(name, None, r * c * _F8)
+        h = self._handles.get((name, None))
+        if h is None:
+            r, c = self.small[name]
+            h = self._handles[name, None] = DataHandle(
+                name, None, r * c * _F8)
+        return h
 
     def matrix_handle(self, i: int, j: int) -> DataHandle:
         bid = i * self.csb.nbc + j
-        nnz = int(self._grid[i, j])
-        return DataHandle(self.matrix_name, bid, nnz * (_F8 + 8))
+        h = self._handles.get((self.matrix_name, bid))
+        if h is None:
+            nnz = int(self._grid[i, j])
+            h = self._handles[self.matrix_name, bid] = DataHandle(
+                self.matrix_name, bid, nnz * (_F8 + 8))
+        return h
 
     # ------------------------------------------------------------------
     # Dependence bookkeeping

@@ -7,6 +7,7 @@ from repro.graph.builder import BuildOptions, DAGBuilder
 from repro.graph.trace import PrimitiveCall, TraceRecorder
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import banded_fem
+from repro.solvers import lanczos_trace, lobpcg_trace
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +164,36 @@ def test_builder_deterministic(csb):
 def test_unknown_primitive_rejected():
     with pytest.raises(ValueError, match="unknown primitive"):
         PrimitiveCall("FROBNICATE", (), ())
+
+
+class _Forgetful(dict):
+    """A handle memo that never stores: every call builds afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _handles_by_key(dag):
+    out = {}
+    for t in dag.tasks:
+        for h in t.reads + t.writes:
+            out.setdefault((h.name, h.part), {})[id(h)] = h
+    return out
+
+
+@pytest.mark.parametrize("trace", [lanczos_trace, lobpcg_trace])
+def test_one_shared_handle_per_key(csb, trace):
+    calls, chunked, small = trace(csb)
+    dag = DAGBuilder(csb, "A", chunked, small).build(calls)
+    unshared_builder = DAGBuilder(csb, "A", chunked, small)
+    unshared_builder._handles = _Forgetful()
+    unshared = unshared_builder.build(calls)
+
+    shared = _handles_by_key(dag)
+    fresh = _handles_by_key(unshared)
+    assert shared.keys() == fresh.keys()
+    assert any(len(hs) > 1 for hs in fresh.values())
+    for key, hs in shared.items():
+        assert len(hs) == 1, key
+        (h,) = hs.values()
+        assert {x.nbytes for x in fresh[key].values()} == {h.nbytes}, key

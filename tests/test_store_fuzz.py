@@ -1,0 +1,135 @@
+"""Fuzzed on-disk readers: the prep store and the result cache.
+
+Each example takes one real file written by ``put`` -- a prep artifact
+or a result-cache entry -- flips, truncates or appends bytes, and reads
+it back through a fresh store.  Every damaged file must fail closed:
+``get`` returns ``None``, never raises, quarantines the file to
+``<root>/corrupt/`` and leaves the cyclic collector enabled.
+"""
+
+import gc
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.analysis.experiment as experiment
+from repro.bench.cache import ResultCache
+from repro.bench.prep import PrepStore
+from repro.bench.runner import Cell
+
+CELL = ("broadwell", "inline1", "lobpcg", "deepsparse")
+
+#: Bytes at the head of each file: the prep header line, and the
+#: cache entry's format, key, salt, config and checksum fields.
+_HEAD = 1024
+
+#: (kind, position, in_head, mask or extra bytes).  Half of the flips
+#: and cuts land in the first :data:`_HEAD` bytes, where the metadata
+#: lives; the rest anywhere in the file.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**31), st.booleans(),
+              st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**31), st.booleans(),
+              st.none()),
+    st.tuples(st.just("append"), st.just(0), st.just(False),
+              st.binary(min_size=1, max_size=64)),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    kind, pos, in_head, extra = mutation
+    pos %= min(_HEAD, len(data)) if in_head else len(data)
+    if kind == "flip":
+        return data[:pos] + bytes([data[pos] ^ extra]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:pos]
+    return data + extra
+
+
+class _Files(dict):
+    def __repr__(self):                 # keep Hypothesis reports short
+        return "<pristine store files>"
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """One real prep artifact and one real cache entry, as bytes."""
+    machine, matrix, solver, version = CELL
+    root = str(tmp_path_factory.mktemp("stores"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_PREP_DIR", os.path.join(root, "prep"))
+        mp.delenv("REPRO_NO_PREP", raising=False)
+        experiment._prepped_dag.cache_clear()
+        prep_config = experiment.prebuild_prep(
+            machine, matrix, solver, version, block_count=16)
+        summary = experiment.run_version(
+            machine, matrix, solver, version, block_count=16,
+            iterations=1).summary()
+        experiment._prepped_dag.cache_clear()
+    prep = PrepStore(root=os.path.join(root, "prep"), enabled=True)
+    with open(prep.path_for(prep.key(prep_config)), "rb") as f:
+        prep_bytes = f.read()
+    cell_config = Cell(machine, matrix, solver, version, block_count=16,
+                       iterations=1).config()
+    cache = ResultCache(root=os.path.join(root, "cache"), enabled=True)
+    cache.put(cell_config, summary)
+    with open(cache.path_for(cache.key(cell_config)), "rb") as f:
+        cache_bytes = f.read()
+    return _Files(prep=(PrepStore, prep_config, prep_bytes),
+                  cache=(ResultCache, cell_config, cache_bytes))
+
+
+def _read_back(store_cls, config, data):
+    """A fresh store's ``get`` over ``data`` planted at the key's path:
+    ``(artifact, file still in place, files moved to corrupt/)``."""
+    with tempfile.TemporaryDirectory() as root:
+        store = store_cls(root=root, enabled=True)
+        path = store.path_for(store.key(config))
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as f:
+            f.write(data)
+        got = store.get(config)
+        qdir = store.quarantine_dir()
+        moved = len(os.listdir(qdir)) if os.path.isdir(qdir) else 0
+        assert store.quarantined == moved
+        return got, os.path.exists(path), moved
+
+
+@pytest.mark.parametrize("kind", ["prep", "cache"])
+def test_pristine_file_reads_back(pristine, kind):
+    store_cls, config, data = pristine[kind]
+    got, in_place, moved = _read_back(store_cls, config, data)
+    assert got is not None and in_place and moved == 0
+
+
+@pytest.mark.parametrize("kind", ["prep", "cache"])
+@pytest.mark.parametrize("data", [b"", b"[]", b"null", b"{}", b"[]\n"])
+def test_replaced_file_fails_closed(pristine, kind, data):
+    """Whole-file replacements, including valid JSON of the wrong
+    shape, which no single-byte mutation of a real file produces."""
+    store_cls, config, _ = pristine[kind]
+    assert _read_back(store_cls, config, data) == (None, False, 1)
+
+
+@pytest.mark.parametrize("kind", ["prep", "cache"])
+def test_reformatted_metadata_fails_closed(pristine, kind):
+    """Same values in other JSON text: not what ``put`` wrote.  Random
+    flips rarely land on this, so it is pinned here."""
+    store_cls, config, data = pristine[kind]
+    reformatted = data.replace(b'": ', b'":\t', 1)
+    assert reformatted != data
+    assert _read_back(store_cls, config, reformatted) == (None, False, 1)
+
+
+@pytest.mark.parametrize("kind", ["prep", "cache"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_MUTATIONS)
+def test_damaged_file_fails_closed(pristine, kind, mutation):
+    store_cls, config, data = pristine[kind]
+    damaged = _mutate(data, mutation)
+    assert damaged != data
+    assert _read_back(store_cls, config, damaged) == (None, False, 1)
+    assert gc.isenabled()
