@@ -114,7 +114,7 @@ class TaskDAG:
         invariants on the DAG and share them across runs.
 
         Int keys hash ~2x faster than ``(str, int)`` tuples, and they
-        are what the innermost structures (LRU dicts, sharer maps,
+        are what the innermost structures (LRU dicts, coherence directory,
         NUMA memos) key on during simulation.  The memo is invalidated
         if tasks were appended after interning.
         """

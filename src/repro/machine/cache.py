@@ -15,26 +15,29 @@ behaviour that makes the BSP versions pay coherence misses when the
 next kernel's static schedule lands a chunk on a different core.
 
 Implementation note: this is the innermost loop of the whole simulator
-(one ``CacheHierarchy.access`` per operand per task per iteration), so
-it is written for CPython speed — plain dicts in insertion order
-instead of ``OrderedDict`` (same LRU semantics: pop + reinsert moves a
-key to the MRU end, ``next(iter(d))`` is the LRU end), no per-call
-closures, and a precomputed core→L3-group map.  Semantics are frozen
-by ``tests/test_engine_equivalence.py``: every change here must keep
+(one operand touch per task per iteration), so it is written for
+CPython speed — plain dicts in insertion order instead of
+``OrderedDict`` (same LRU semantics: pop + reinsert moves a key to the
+MRU end, ``next(iter(d))`` is the LRU end), and a precomputed
+core→L3-group map.  Semantics are frozen by
+``tests/test_engine_equivalence.py``: every change here must keep
 simulated numbers bit-identical or bump
 :data:`repro.sim.cost.COST_MODEL_VERSION`.
 
 The compiled-plan charge walk (:meth:`repro.sim.cost.CostModel.
-_charge_bare`) inlines this exact algorithm once more, fused with the
-pricing loop, for untraced runs; traced runs and ad-hoc pricing walk
-through :meth:`CacheHierarchy.access` itself, which is the fused
-walk's oracle.  The fused walk reads and writes ``LRUCache._entries``
-/ ``.used`` and the hierarchy's ``_sharers`` / ``_l3_sharers`` /
-``_group_of`` / ``_invalidate_others`` directly.  Those names are an
-internal contract: any semantic change to :meth:`CacheHierarchy.
-access` must be mirrored there (the equivalence fixture and the
-differential test ``tests/test_property_charge_walk.py``, which runs
-both walks side by side, catch divergence).
+_charge_bare`) inlines :meth:`LRUCache.access` and the directory
+update once more, fused with the pricing loop, for untraced runs;
+traced runs and ad-hoc pricing walk through
+:meth:`CacheHierarchy.access` itself, which is the fused walk's
+oracle.  The fused walk reads and writes ``LRUCache._entries`` /
+``.used`` and the hierarchy's ``_holders`` / ``_holder_limit`` /
+``_group_of`` / ``_invalidate_others`` / ``_compact_holders``
+directly.  Those names are an internal contract: any semantic change
+to :meth:`CacheHierarchy.access` must be mirrored there (the
+equivalence fixture, the differential test
+``tests/test_property_charge_walk.py``, which runs both walks side by
+side, and the no-directory reference in
+``tests/test_coherence_reference.py`` catch divergence).
 """
 
 from __future__ import annotations
@@ -113,10 +116,23 @@ class CacheHierarchy:
     ``access`` models one task-level operand touch and returns missed
     lines per level ``(l1, l2, l3)``; an L3 miss means a DRAM access
     (priced by the memory model, which knows NUMA placement).
+
+    Coherence runs off a lazy directory, ``_holders``: handle key ->
+    core bitmask, always a *superset* of the cores holding the key in
+    L1/L2 plus, for every L3 group holding it, some core of that group.
+    A touch ORs in its core's bit and an eviction does nothing; a write
+    that finds other bits invalidates the key in those cores' private
+    levels and their groups' L3 (never its own group's), then resets
+    the mask to the writer's bit.  Invalidating a non-holder is a no-op,
+    so a superset directory is exact: simulated state depends only on
+    who really holds a key, never on the stale bits.  The map is
+    compacted (rebuilt from residency) when a new key pushes it past
+    ``_holder_limit``: max(2 x keys kept by the last compaction, total
+    cache capacity in lines).
     """
 
-    __slots__ = ("machine", "l1", "l2", "l3", "_group_of",
-                 "_sharers", "_l3_sharers", "trace_hook")
+    __slots__ = ("machine", "l1", "l2", "l3", "_group_of", "_holders",
+                 "_holder_limit", "_capacity_lines", "trace_hook")
 
     def __init__(self, machine: MachineSpec):
         self.machine = machine
@@ -133,10 +149,12 @@ class CacheHierarchy:
         self._group_of = tuple(
             machine.l3_group_of_core(c) for c in range(machine.n_cores)
         )
-        # handle-key -> set of core ids / l3 group ids that may hold it;
-        # bounds the invalidation sweep to actual sharers.
-        self._sharers: Dict[tuple, set] = {}
-        self._l3_sharers: Dict[tuple, set] = {}
+        self._capacity_lines = (
+            sum(c.capacity for c in self.l1) + sum(c.capacity for c in self.l2)
+            + sum(c.capacity for c in self.l3)
+        ) // CACHE_LINE
+        self._holders: Dict[tuple, int] = {}
+        self._holder_limit = self._capacity_lines
 
     # ------------------------------------------------------------------
     def access(
@@ -144,144 +162,28 @@ class CacheHierarchy:
     ) -> Tuple[int, int, int]:
         """Touch ``nbytes`` of ``key`` from ``core``; missed lines/level.
 
-        The three :meth:`LRUCache.access` bodies are inlined here: this
-        method runs once per operand per task per iteration (~300k
-        times for one figure's cell set), and at that call count the
-        three method invocations plus their attribute traffic are a
-        measurable fraction of total simulation time.  The logic is
-        line-for-line the LRUCache algorithm; ``tests/test_cost_model``
-        cross-checks the two and the equivalence fixture pins results.
+        Each level passes its missed bytes on to the next; then the
+        directory registers ``core`` and, on a write, invalidates every
+        other holder.
         """
         if nbytes <= 0:
             return (0, 0, 0)
-        g = self._group_of[core]
-        sharer_map = self._sharers
-        l3_sharer_map = self._l3_sharers
-        # -- L1 (private) ---------------------------------------------
-        level = self.l1[core]
-        entries = level._entries
-        l2_entries = self.l2[core]._entries
-        resident = entries.pop(key, 0)
-        m1 = nbytes - resident if resident < nbytes else 0
-        capacity = level.capacity
-        new_resident = nbytes if nbytes < capacity else capacity
-        used = level.used + new_resident - resident
-        entries[key] = new_resident
-        if used > capacity:
-            if new_resident == capacity:
-                # Whole-cache clobber: the inserted extent fills the
-                # level, so every other entry must go.  Same victims in
-                # the same LRU order as the loop below — the dominant
-                # case for cold streaming touches, without the per-
-                # victim iterator churn.
-                victims = list(entries)
-                victims.pop()  # the just-inserted key (MRU end)
-                entries.clear()
-                entries[key] = new_resident
-                used = new_resident
-            else:
-                victims = []
-                while used > capacity and entries:
-                    k = next(iter(entries))
-                    used -= entries.pop(k)
-                    victims.append(k)
-            for k in victims:
-                if k not in l2_entries:
-                    # Evicted from every private level of this core:
-                    # prune the stale sharer so the invalidation sweep
-                    # and the sharer maps stay bounded by actual
-                    # residency.  Bit-exact: invalidating a non-holder
-                    # is a no-op, so membership of non-holders never
-                    # affected state.
-                    s = sharer_map.get(k)
-                    if s is not None:
-                        s.discard(core)
-                        if not s:
-                            del sharer_map[k]
-        level.used = used
-        m2 = m3 = 0
-        if m1:
-            # -- L2 (private) -----------------------------------------
-            level = self.l2[core]
-            entries = l2_entries
-            l1_entries = self.l1[core]._entries
-            resident = entries.pop(key, 0)
-            m2 = m1 - resident if resident < m1 else 0
-            capacity = level.capacity
-            new_resident = m1 if m1 < capacity else capacity
-            used = level.used + new_resident - resident
-            entries[key] = new_resident
-            if used > capacity:
-                if new_resident == capacity:
-                    victims = list(entries)
-                    victims.pop()
-                    entries.clear()
-                    entries[key] = new_resident
-                    used = new_resident
-                else:
-                    victims = []
-                    while used > capacity and entries:
-                        k = next(iter(entries))
-                        used -= entries.pop(k)
-                        victims.append(k)
-                for k in victims:
-                    if k not in l1_entries:
-                        s = sharer_map.get(k)
-                        if s is not None:
-                            s.discard(core)
-                            if not s:
-                                del sharer_map[k]
-            level.used = used
-            if m2:
-                # -- L3 (shared per group) ----------------------------
-                level = self.l3[g]
-                entries = level._entries
-                resident = entries.pop(key, 0)
-                m3 = m2 - resident if resident < m2 else 0
-                capacity = level.capacity
-                new_resident = m2 if m2 < capacity else capacity
-                used = level.used + new_resident - resident
-                entries[key] = new_resident
-                if used > capacity:
-                    if new_resident == capacity:
-                        victims = list(entries)
-                        victims.pop()
-                        entries.clear()
-                        entries[key] = new_resident
-                        used = new_resident
-                    else:
-                        victims = []
-                        while used > capacity and entries:
-                            k = next(iter(entries))
-                            used -= entries.pop(k)
-                            victims.append(k)
-                    for k in victims:
-                        s = l3_sharer_map.get(k)
-                        if s is not None:
-                            s.discard(g)
-                            if not s:
-                                del l3_sharer_map[k]
-                level.used = used
-        # Sharer maps are maintained independently (pruning may have
-        # emptied one but not the other for this key).
-        sharers = sharer_map.get(key)
-        if sharers is None:
-            sharer_map[key] = {core}
-            n_sharers = 1
-        else:
-            sharers.add(core)
-            n_sharers = len(sharers)
-        l3s = l3_sharer_map.get(key)
-        if l3s is None:
-            l3_sharer_map[key] = {g}
-            n_l3s = 1
-        else:
-            l3s.add(g)
-            n_l3s = len(l3s)
-        # Common case: we are the only sharer at both levels —
-        # _invalidate_others would no-op, so don't pay the call.
-        if write and (n_sharers > 1 or n_l3s > 1):
-            self._invalidate_others(core, g, key)
+        m1 = self.l1[core].access(key, nbytes)
+        m2 = self.l2[core].access(key, m1)
+        m3 = self.l3[self._group_of[core]].access(key, m2)
+        bit = 1 << core
+        holders = self._holders
+        mask = holders.get(key)
+        if mask is None:
+            holders[key] = bit
+            if len(holders) > self._holder_limit:
+                self._compact_holders()
+        elif write:
+            if mask != bit:
+                self._invalidate_others(core, key, mask & ~bit)
+                holders[key] = bit
+        elif not mask & bit:
+            holders[key] = mask | bit
         # ceil-divide missed bytes into 64-byte lines ((0+63)//64 == 0).
         lines = (
             (m1 + 63) // CACHE_LINE,
@@ -293,23 +195,47 @@ class CacheHierarchy:
             hook(lines)
         return lines
 
-    def _invalidate_others(self, core: int, group: int, key: tuple) -> None:
-        sharers = self._sharers.get(key)
-        if sharers and (len(sharers) > 1 or core not in sharers):
-            l1 = self.l1
-            l2 = self.l2
-            for c in sharers:
-                if c != core:
-                    l1[c].invalidate(key)
-                    l2[c].invalidate(key)
-            sharers.intersection_update({core})
-        l3s = self._l3_sharers.get(key)
-        if l3s and (len(l3s) > 1 or group not in l3s):
-            l3 = self.l3
-            for gg in l3s:
-                if gg != group:
-                    l3[gg].invalidate(key)
-            l3s.intersection_update({group})
+    def _invalidate_others(self, core: int, key: tuple, others: int) -> None:
+        """Drop ``key`` from the cores in bitmask ``others`` (never
+        ``core``): their L1/L2, and the L3 of every group but ``core``'s.
+        Walks the set bits only."""
+        l1 = self.l1
+        l2 = self.l2
+        l3 = self.l3
+        group_of = self._group_of
+        g = group_of[core]
+        while others:
+            low = others & -others
+            others ^= low
+            c = low.bit_length() - 1
+            l1[c].invalidate(key)
+            l2[c].invalidate(key)
+            gc = group_of[c]
+            if gc != g:
+                l3[gc].invalidate(key)
+
+    def _compact_holders(self) -> None:
+        """Rebuild the directory from residency, dropping stale bits and
+        keys no cache holds (in place: the charge walk holds the dict)."""
+        holders = self._holders
+        holders.clear()
+        get = holders.get
+        for c, (a, b) in enumerate(zip(self.l1, self.l2)):
+            bit = 1 << c
+            for k in a._entries:
+                holders[k] = get(k, 0) | bit
+            for k in b._entries:
+                holders[k] = get(k, 0) | bit
+        # An L3 holder none of whose cores holds the key privately is
+        # recorded as its group's lowest core.
+        group_bit = {}
+        for c, g in enumerate(self._group_of):
+            group_bit.setdefault(g, 1 << c)
+        for g, level in enumerate(self.l3):
+            bit = group_bit[g]
+            for k in level._entries:
+                holders[k] = get(k, 0) | bit
+        self._holder_limit = max(2 * len(holders), self._capacity_lines)
 
     # ------------------------------------------------------------------
     def occupancy_sample(self) -> Dict[str, Tuple[int, int]]:
@@ -345,5 +271,5 @@ class CacheHierarchy:
             c.flush()
         for c in self.l3:
             c.flush()
-        self._sharers.clear()
-        self._l3_sharers.clear()
+        self._holders.clear()
+        self._holder_limit = self._capacity_lines

@@ -232,10 +232,10 @@ class CostModel:
         ``key_of`` is the DAG's handle-interning map (see
         :meth:`repro.graph.dag.TaskDAG.handle_interning`): when given,
         handle keys are emitted as small ints instead of
-        ``(name, part)`` tuples, which is what the LRU dicts, sharer
-        maps, and NUMA memos hash on in the innermost loop.  Interning
-        is a pure key-space change — hit/miss amounts, eviction order,
-        and NUMA domains are identical either way.
+        ``(name, part)`` tuples, which is what the LRU dicts, the
+        coherence directory, and NUMA memos hash on in the innermost
+        loop.  Interning is a pure key-space change — hit/miss amounts,
+        eviction order, and NUMA domains are identical either way.
         """
         compute = self.compute_seconds(task)
         # Tasks write one or two handles, so a tuple membership scan
@@ -466,9 +466,7 @@ class CostModel:
         # context is unreachable because the compiled walk is only
         # entered under the same ``state_epoch`` guard that validated
         # these.
-        cache = self.cache
         self._bare_common = (
-            cache._sharers, cache._l3_sharers, cache._invalidate_others,
             self._l2c, self._l3c, homes, haspart,
             mem._local_cost, mem._remote_cost, mem._scattered_cost,
             mem.scattered,
@@ -478,13 +476,12 @@ class CostModel:
     def _bare_core_ctx(self, core: int):
         """Resolve (and cache) one core's invariant charge context."""
         cache = self.cache
-        g = cache._group_of[core]
         L1 = cache.l1[core]
         L2 = cache.l2[core]
-        L3 = cache.l3[g]
+        L3 = cache.l3[cache._group_of[core]]
         ctx = (L1, L2, L3, L1._entries, L2._entries, L3._entries,
-               L1.capacity, L2.capacity, L3.capacity, g,
-               self.memory._core_domain[core])
+               L1.capacity, L2.capacity, L3.capacity, 1 << core,
+               cache._holders, cache, self.memory._core_domain[core])
         self._bare_ctx[core] = ctx
         return ctx
 
@@ -570,19 +567,23 @@ class CostModel:
         attribute lookup hoisted, the DRAM leg priced from the
         epoch-stamped home arrays, and a whole-cache-clobber eviction
         fast path (an inserted extent that fills the level evicts
-        every other entry — the dominant cold-cache case).  Any
-        semantic change to the walk must be mirrored in
-        :meth:`CacheHierarchy.access` (see machine/cache.py);
-        ``tests/test_property_charge_walk.py`` checks the two walks
-        against each other.
+        every other entry — the dominant cold-cache case).  Evictions
+        leave the lazy coherence directory alone.  Any semantic change
+        to the walk must be mirrored in :meth:`CacheHierarchy.access`
+        (see machine/cache.py); ``tests/test_property_charge_walk.py``
+        checks the two walks against each other and
+        ``tests/test_coherence_reference.py`` both against a
+        no-directory reference.
         """
         compute, touches, gather = plan
         ctx = self._bare_ctx[core]
         if ctx is None:
             ctx = self._bare_core_ctx(core)
-        (L1, L2, L3, e1, e2, e3, cap1, cap2, cap3, g, cdom) = ctx
-        (sharer_map, l3_sharer_map, inval, l2c, l3c, homes, haspart,
-         local, remote, scat, scat_mode) = self._bare_common
+        (L1, L2, L3, e1, e2, e3, cap1, cap2, cap3, bit, holders, cache,
+         cdom) = ctx
+        (l2c, l3c, homes, haspart, local, remote, scat,
+         scat_mode) = self._bare_common
+        hold_get = holders.get
         u1 = L1.used
         u2 = L2.used
         u3 = L3.used
@@ -595,17 +596,7 @@ class CostModel:
             if n1 == cap1:
                 resident = e1.get(key, 0)
                 mb1 = nbytes - resident if resident < nbytes else 0
-                if len(e1) > 1 or (not resident and e1):
-                    for v in e1:
-                        if v == key:
-                            continue
-                        if v not in e2:
-                            s = sharer_map.get(v)
-                            if s is not None:
-                                s.discard(core)
-                                if not s:
-                                    del sharer_map[v]
-                    e1.clear()
+                e1.clear()
                 e1[key] = cap1
                 u1 = cap1
             else:
@@ -613,16 +604,8 @@ class CostModel:
                 mb1 = nbytes - resident if resident < nbytes else 0
                 u1 += n1 - resident
                 e1[key] = n1
-                if u1 > cap1:
-                    while u1 > cap1 and e1:
-                        v = next(iter(e1))
-                        u1 -= e1.pop(v)
-                        if v not in e2:
-                            s = sharer_map.get(v)
-                            if s is not None:
-                                s.discard(core)
-                                if not s:
-                                    del sharer_map[v]
+                while u1 > cap1 and e1:
+                    u1 -= e1.pop(next(iter(e1)))
             mb2 = mb3 = 0
             if mb1:
                 # -- L2 (private) ------------------------------------
@@ -630,17 +613,7 @@ class CostModel:
                 if mb1 >= cap2:
                     resident = e2.get(key, 0)
                     mb2 = mb1 - resident if resident < mb1 else 0
-                    if len(e2) > 1 or (not resident and e2):
-                        for v in e2:
-                            if v == key:
-                                continue
-                            if v not in e1:
-                                s = sharer_map.get(v)
-                                if s is not None:
-                                    s.discard(core)
-                                    if not s:
-                                        del sharer_map[v]
-                        e2.clear()
+                    e2.clear()
                     e2[key] = cap2
                     u2 = cap2
                 else:
@@ -648,16 +621,8 @@ class CostModel:
                     mb2 = mb1 - resident if resident < mb1 else 0
                     u2 += mb1 - resident
                     e2[key] = mb1
-                    if u2 > cap2:
-                        while u2 > cap2 and e2:
-                            v = next(iter(e2))
-                            u2 -= e2.pop(v)
-                            if v not in e1:
-                                s = sharer_map.get(v)
-                                if s is not None:
-                                    s.discard(core)
-                                    if not s:
-                                        del sharer_map[v]
+                    while u2 > cap2 and e2:
+                        u2 -= e2.pop(next(iter(e2)))
                 if mb2:
                     # -- L3 (shared per group) -----------------------
                     l3_touched = True
@@ -666,44 +631,21 @@ class CostModel:
                     n3 = mb2 if mb2 < cap3 else cap3
                     u3 += n3 - resident
                     e3[key] = n3
-                    if u3 > cap3:
-                        while u3 > cap3 and e3:
-                            v = next(iter(e3))
-                            u3 -= e3.pop(v)
-                            s = l3_sharer_map.get(v)
-                            if s is not None:
-                                s.discard(g)
-                                if not s:
-                                    del l3_sharer_map[v]
-            if write:
-                s = sharer_map.get(key)
-                if s is None:
-                    sharer_map[key] = {core}
-                    n_sharers = 1
-                else:
-                    s.add(core)
-                    n_sharers = len(s)
-                s = l3_sharer_map.get(key)
-                if s is None:
-                    l3_sharer_map[key] = {g}
-                    n_l3s = 1
-                else:
-                    s.add(g)
-                    n_l3s = len(s)
-                if n_sharers > 1 or n_l3s > 1:
-                    inval(core, g, key)
-            else:
-                if mb1:
-                    s = sharer_map.get(key)
-                    if s is None:
-                        sharer_map[key] = {core}
-                    else:
-                        s.add(core)
-                s = l3_sharer_map.get(key)
-                if s is None:
-                    l3_sharer_map[key] = {g}
-                else:
-                    s.add(g)
+                    while u3 > cap3 and e3:
+                        u3 -= e3.pop(next(iter(e3)))
+            # -- directory (an L1 hit's bit is already set) ----------
+            if write or mb1:
+                m = hold_get(key)
+                if m is None:
+                    holders[key] = bit
+                    if len(holders) > cache._holder_limit:
+                        cache._compact_holders()
+                elif write:
+                    if m != bit:
+                        cache._invalidate_others(core, key, m & ~bit)
+                        holders[key] = bit
+                elif not m & bit:
+                    holders[key] = m | bit
             if mb1:
                 if mb3 == nbytes:
                     lt1 += lmf

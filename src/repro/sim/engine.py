@@ -49,18 +49,18 @@ def _machine_state_fingerprint(cache: CacheHierarchy,
     """Hashable snapshot of every piece of mutable machine state.
 
     Taken at iteration barriers by the steady-state detector: per-level
-    LRU contents *in LRU order* (eviction order is state), the
-    coherence sharer maps, and any explicit NUMA placement pins.  The
-    memoization dicts (``MemoryModel._domain_memo`` etc.) are excluded
-    on purpose — they are pure caches that cannot change simulated
-    values.
+    LRU contents *in LRU order* (eviction order is state) and any
+    explicit NUMA placement pins.  The coherence directory
+    (``CacheHierarchy._holders``) and the memoization dicts
+    (``MemoryModel._domain_memo`` etc.) are excluded on purpose: the
+    directory is a superset of the real holders, which the LRU contents
+    already determine, and the memos are pure caches; neither can
+    change a simulated value.
     """
     return (
         tuple(tuple(c._entries.items()) for c in cache.l1),
         tuple(tuple(c._entries.items()) for c in cache.l2),
         tuple(tuple(c._entries.items()) for c in cache.l3),
-        tuple((k, tuple(sorted(v))) for k, v in cache._sharers.items()),
-        tuple((k, tuple(sorted(v))) for k, v in cache._l3_sharers.items()),
         tuple(memory._placement.items()),
     )
 

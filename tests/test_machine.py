@@ -132,13 +132,14 @@ def test_flush(bw):
 
 
 def test_sharer_maps_stay_bounded_by_residency(bw):
-    """Evicted handles must be pruned from the coherence sharer maps.
+    """The lazy sharer directory ``_holders`` must stay bounded by residency.
 
-    Streaming a long sequence of distinct handles through one core
-    historically grew ``_sharers`` monotonically (one entry per handle
-    ever touched); after pruning, a fully-evicted handle drops out, so
-    the map size is bounded by what the caches can actually hold.
-    (A small synthetic machine keeps the stream short.)
+    Evictions leave ``_holders`` alone, so streaming a long sequence of
+    distinct handles through one core would grow it by one entry per
+    handle ever touched; compaction rebuilds it from residency whenever
+    a new key pushes it past its limit, so the map size stays bounded
+    by what the caches can actually hold.  (A small synthetic machine
+    keeps the stream short.)
     """
     from repro.machine.topology import MachineSpec
 
@@ -156,11 +157,15 @@ def test_sharer_maps_stay_bounded_by_residency(bw):
         h.access(0, ("s", i), CACHE_LINE)
     resident = sum(len(c) for c in h.l1) + sum(len(c) for c in h.l2) \
         + sum(len(c) for c in h.l3)
-    assert len(h._sharers) + len(h._l3_sharers) <= 2 * resident
-    assert len(h._sharers) < n // 2
-    assert len(h._l3_sharers) < n // 2
-    # Pruning must not change coherence semantics: a still-resident
-    # handle written elsewhere is invalidated exactly as before.
+    assert len(h._holders) <= 2 * resident
+    assert len(h._holders) < n // 2
+    # Compaction must not change coherence semantics: a still-resident
+    # handle written elsewhere is invalidated exactly as before, both
+    # on the compacted tiny directory and on a fresh one.
+    last = ("s", n - 1)
+    assert h._holders[last] == 0b01
+    h.access(1, last, CACHE_LINE, write=True)
+    assert h.access(0, last, CACHE_LINE) == (1, 1, 0)  # shared L3 kept
     h2 = CacheHierarchy(bw)
     h2.access(0, ("hot", 0), 10 * CACHE_LINE)
     h2.access(1, ("hot", 0), 10 * CACHE_LINE, write=True)

@@ -11,8 +11,9 @@ between the two, and these tests pin that it switches nothing else:
   several rounds must produce bit-identical
   :class:`~repro.sim.cost.TaskCharge` values *and* leave the
   :class:`~repro.machine.cache.CacheHierarchy` in bit-identical state
-  (LRU insertion order and sharer sets — the steady-state fingerprint
-  hashes them) after every round, untraced vs traced;
+  (LRU insertion order, which the steady-state fingerprint hashes, and
+  the lazy coherence directory ``_holders`` exactly, compaction
+  included) after every round, untraced vs traced;
 
 * engine level — full simulated runs of every task-parallel scheduler
   (deepsparse / hpx / regent) must report identical numbers traced and
@@ -37,15 +38,13 @@ _ROUNDS = 6
 
 
 def _fingerprint(cache: CacheHierarchy):
-    """Exact hierarchy state: entries in insertion order + sharers."""
+    """Exact hierarchy state: entries in insertion order + directory."""
     return (
         tuple((tuple(l._entries.items()), l.used) for l in cache.l1),
         tuple((tuple(l._entries.items()), l.used) for l in cache.l2),
         tuple((tuple(l._entries.items()), l.used) for l in cache.l3),
-        tuple(sorted((k, tuple(sorted(v)))
-                     for k, v in cache._sharers.items() if v)),
-        tuple(sorted((k, tuple(sorted(v)))
-                     for k, v in cache._l3_sharers.items() if v)),
+        tuple(cache._holders.items()),
+        cache._holder_limit,
     )
 
 
