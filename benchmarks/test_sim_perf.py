@@ -167,8 +167,8 @@ def test_charge_microbench(benchmark):
 
     def charge_all():
         charge = cost.charge
-        for i, t in enumerate(tasks):
-            charge(t, i % n_cores)
+        for tid in range(len(tasks)):
+            charge(tid, tid % n_cores)
         return len(tasks)
 
     n = benchmark(charge_all)

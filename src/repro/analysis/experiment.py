@@ -7,8 +7,9 @@ process: a sweep over versions or block counts regenerates nothing,
 and versions that share a decomposition policy (deepsparse/hpx/regent/
 libcsb all default to the same :class:`BuildOptions`) share one DAG
 object.  Sharing is safe because execution never mutates a DAG — the
-engines read tasks/succ/pred and keep all mutable state (cache
-hierarchy, cost prep, flow records) on their own side.
+engines read the frozen arrays, ``succ``/``pred`` and the compiled
+prep, and keep all mutable state (cache hierarchy, flow records) on
+their own side.
 
 Layered over the in-process memos is the cross-process *prep store*
 (:mod:`repro.bench.prep`): :func:`_prepped_dag` first tries to load a

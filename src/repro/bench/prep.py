@@ -16,10 +16,18 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format: one JSON header line —
+File format (:data:`PREP_FORMAT` 3): one JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
-``nbytes`` of pickled payload.  The checksum is the SHA-256 of the
-payload bytes; reads verify that the header line is exactly the
+``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  Inside
+the payload the DAG's ``Task`` list is one opaque pickled section
+(:meth:`repro.graph.dag.TaskDAG.__getstate__`): loading keeps it as
+bytes, and only a consumer outside the simulation run path (trace
+export, Gantt, the threaded runtime, analysis) decodes it, at its
+first ``dag.tasks``.  A run reads the frozen arrays, the compiled
+plans, the domain tables and the BSP phases.  The checksum is the
+SHA-256 of the whole payload bytes, task section included, so damage
+anywhere is caught at ``get`` and never deferred to a later decode;
+reads verify that the header line is exactly the
 canonical JSON ``put`` writes, every header field (the config must
 hash to the key), the length and the checksum, and
 *any* failure (truncation, bad pickle, wrong salt, checksum mismatch)
@@ -76,7 +84,7 @@ __all__ = [
 #: the payload layout *or* to the pickled structures it carries (plan
 #: tuple shape, GraphArrays fields, …): old artifacts are orphaned by
 #: the salt, not migrated.
-PREP_FORMAT = 2
+PREP_FORMAT = 3
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

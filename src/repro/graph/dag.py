@@ -27,18 +27,33 @@ Any mutation (``add_task``/``add_edge``) invalidates the frozen view;
 bit-identical results — pinned by ``tests/test_property_dag.py``
 against the retained reference implementations in
 :mod:`repro.graph.analyze`.
+
+A pickled DAG carries its ``Task`` list as one opaque pickled section
+(bytes) next to the frozen view.  Unpickling keeps the section as
+bytes; ``dag.tasks`` decodes it on first access.  The simulation run
+path never asks: the engines, the cost model and the schedulers price
+and schedule by tid off the frozen view, the compiled plans and
+:meth:`TaskDAG.kernel_of`, so a loaded prep artifact runs without ever
+building its ``Task`` objects.  Trace and Gantt export, the threaded
+runtime, analysis code and :meth:`TaskDAG.add_task` decode.
 """
 
 from __future__ import annotations
 
+import pickle
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
 from repro.graph.task import Task
 
 __all__ = ["GraphArrays", "TaskDAG"]
+
+#: Serializes first decodes of a task section: service threads share
+#: loaded DAGs, and every reader must see the same ``Task`` objects.
+_DECODE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -90,15 +105,50 @@ class TaskDAG:
     insertion order, which for DAGs built by the
     :class:`~repro.graph.builder.DAGBuilder` coincides with the
     depth-first program order DeepSparse spawns tasks in.
+
+    ``tasks`` is decoded lazily on a DAG that came out of a pickle (see
+    the module docstring); ``len``, ``sources``, ``in_degrees``,
+    ``handle_interning``, ``by_kernel`` and :meth:`kernel_of` of a
+    frozen DAG answer without decoding.
     """
 
     def __init__(self):
-        self.tasks: List[Task] = []
+        self._tasks: Optional[List[Task]] = []
+        #: Pickled task list of an unpickled, not yet decoded DAG.
+        self._task_section: Optional[bytes] = None
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
         self._edge_set = set()
         self._handle_intern = None
         self._soa: Optional[GraphArrays] = None
+        self._kernel_of: Optional[List[str]] = None
+
+    @property
+    def tasks(self) -> List[Task]:
+        """The task list, decoded from the pickled section on first use."""
+        tasks = self._tasks
+        if tasks is None:
+            with _DECODE_LOCK:
+                tasks = self._tasks
+                if tasks is None:
+                    tasks = pickle.loads(self._task_section)
+                    self._tasks = tasks
+                    self._task_section = None
+        return tasks
+
+    def kernel_of(self) -> List[str]:
+        """Kernel name of every task, by tid (derived, never pickled).
+
+        Read off the frozen ``kernel_names``/``kernel_codes`` tables,
+        so the engines' per-task kernel lookups never touch a ``Task``.
+        """
+        kernels = self._kernel_of
+        if kernels is None:
+            soa = self.freeze()
+            names = soa.kernel_names
+            kernels = [names[c] for c in soa.kernel_codes.tolist()]
+            self._kernel_of = kernels
+        return kernels
 
     # ------------------------------------------------------------------
     def handle_interning(self):
@@ -119,7 +169,7 @@ class TaskDAG:
         if tasks were appended after interning.
         """
         memo = self._handle_intern
-        if memo is not None and memo[2] == len(self.tasks):
+        if memo is not None and memo[2] == len(self):
             return memo[0], memo[1]
         key_to_id = {}
         id_to_key = []
@@ -257,24 +307,27 @@ class TaskDAG:
 
     def _invalidate(self) -> None:
         self._soa = None
+        self._kernel_of = None
 
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> int:
         """Insert a task; assigns and returns its dense id."""
-        tid = len(self.tasks)
+        tasks = self.tasks
+        tid = len(tasks)
         task.tid = tid
-        self.tasks.append(task)
+        tasks.append(task)
         self.succ.append([])
         self.pred.append([])
         if self._soa is not None:
-            self._soa = None
+            self._invalidate()
         return tid
 
     def add_edge(self, u: int, v: int) -> None:
         """Add precedence ``u before v``; duplicate and self edges are no-ops."""
         if u == v:
             return
-        if not (0 <= u < len(self.tasks) and 0 <= v < len(self.tasks)):
+        n_tasks = len(self.succ)
+        if not (0 <= u < n_tasks and 0 <= v < n_tasks):
             raise IndexError(f"edge ({u}, {v}) references unknown task")
         es = self._edge_pairs()
         n = len(es)
@@ -284,7 +337,7 @@ class TaskDAG:
         self.succ[u].append(v)
         self.pred[v].append(u)
         if self._soa is not None:
-            self._soa = None
+            self._invalidate()
 
     def _edge_pairs(self) -> set:
         """The ``(u, v)`` edge set, rebuilt from adjacency if dropped.
@@ -300,13 +353,28 @@ class TaskDAG:
         return es
 
     def __getstate__(self):
+        """Pickle the task list as one opaque section.
+
+        A section that was never decoded passes through as the same
+        bytes; a decoded (or built) list is pickled afresh.
+        """
         state = self.__dict__.copy()
         state["_edge_set"] = None
+        state["_kernel_of"] = None
+        tasks = state.pop("_tasks")
+        if tasks is not None:
+            state["_task_section"] = pickle.dumps(
+                tasks, protocol=pickle.HIGHEST_PROTOCOL)
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._tasks = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.tasks)
+        # One adjacency list per task, built or loaded: never decodes.
+        return len(self.succ)
 
     @property
     def n_edges(self) -> int:
@@ -320,7 +388,7 @@ class TaskDAG:
         soa = self._soa
         if soa is not None:
             return np.flatnonzero(soa.indegree == 0).tolist()
-        return [t.tid for t in self.tasks if not self.pred[t.tid]]
+        return [tid for tid, p in enumerate(self.pred) if not p]
 
     def in_degrees(self) -> List[int]:
         soa = self._soa
@@ -349,10 +417,10 @@ class TaskDAG:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     heapq.heappush(heap, v)
-        if len(order) != len(self.tasks):
+        if len(order) != len(self):
             raise ValueError(
                 f"task graph has a cycle: only {len(order)} of "
-                f"{len(self.tasks)} tasks are orderable"
+                f"{len(self)} tasks are orderable"
             )
         return order
 
@@ -370,9 +438,9 @@ class TaskDAG:
             if tid in pos:
                 raise ValueError(f"task {tid} executed twice")
             pos[tid] = rank
-        if len(pos) != len(self.tasks):
+        if len(pos) != len(self):
             raise ValueError(
-                f"schedule covers {len(pos)} of {len(self.tasks)} tasks"
+                f"schedule covers {len(pos)} of {len(self)} tasks"
             )
         for (u, v) in self._edge_pairs():
             if pos[u] > pos[v]:
@@ -437,7 +505,7 @@ class TaskDAG:
         is bit-identical to :func:`repro.graph.analyze.
         critical_path_reference`.
         """
-        n = len(self.tasks)
+        n = len(self)
         if n == 0:
             return 0.0
         soa = self.freeze()
@@ -472,7 +540,7 @@ class TaskDAG:
         :meth:`critical_path`; bit-identical to
         :func:`repro.graph.analyze.levels_reference`.
         """
-        n = len(self.tasks)
+        n = len(self)
         lvl = np.zeros(n, dtype=np.int64)
         for r, frontier in enumerate(self._peel_rounds()):
             lvl[frontier] = r
@@ -483,7 +551,16 @@ class TaskDAG:
         return sum(t.flops for t in self.tasks)
 
     def by_kernel(self) -> dict:
-        """Task counts per kernel name (census used in logs and tests)."""
+        """Task counts per kernel name (census used in logs and tests).
+
+        In first-appearance order; a frozen DAG counts its kernel codes
+        (``kernel_names`` is already in that order) without decoding.
+        """
+        soa = self._soa
+        if soa is not None:
+            counts = np.bincount(soa.kernel_codes,
+                                 minlength=len(soa.kernel_names))
+            return dict(zip(soa.kernel_names, counts.tolist()))
         out = {}
         for t in self.tasks:
             out[t.kernel] = out.get(t.kernel, 0) + 1
@@ -491,6 +568,6 @@ class TaskDAG:
 
     def __repr__(self):
         return (
-            f"TaskDAG({len(self.tasks)} tasks, {self.n_edges} edges, "
+            f"TaskDAG({len(self)} tasks, {self.n_edges} edges, "
             f"kernels={self.by_kernel()})"
         )

@@ -79,7 +79,7 @@ class CostModel:
 
     __slots__ = (
         "machine", "cache", "memory", "gather_intensity", "_peak_core",
-        "_l2c", "_l3c", "_prep", "_prep_tasks", "_lazy_info",
+        "_l2c", "_l3c", "_prep",
         # -- compiled access plans (see prepare) -----------------------
         "_plan_epoch", "_bare_ctx", "_bare_common",
     )
@@ -99,12 +99,9 @@ class CostModel:
         self._l2c = machine.l2_line_cost
         self._l3c = machine.l3_line_cost
         # Per-task pricing invariants (everything in charge() that does
-        # not depend on core or on mutable cache state).  ``prepare``
-        # fills a tid-indexed list for a whole DAG; ad-hoc charges fall
-        # back to a lazy per-object memo.
+        # not depend on core or on mutable cache state): ``prepare``
+        # fills a tid-indexed list for a whole DAG.
         self._prep = None
-        self._prep_tasks = None
-        self._lazy_info = {}
         # Fast-path state: armed by ``prepare`` when the DAG interns
         # its handle keys (dense ints index the home-domain arrays).
         # ``_plan_epoch`` is the memory model's ``state_epoch`` the
@@ -297,9 +294,10 @@ class CostModel:
     def prepare(self, dag) -> None:
         """Precompute pricing invariants for every task of one DAG.
 
-        Called by the engines before their hot loop; ``charge`` falls
-        back to a lazy per-task memo for tasks outside the prepared
-        DAG (ad-hoc pricing in tests and analysis code).
+        Called by the engines before their hot loop; ``charge(tid,
+        core)`` then prices that DAG's tasks by tid.  Tasks outside a
+        prepared DAG (ad-hoc pricing in tests and analysis code) go
+        through :meth:`charge_task`.
 
         The invariants depend only on the task and on *immutable*
         pricing inputs (machine constants, ``gather_intensity``) —
@@ -315,9 +313,11 @@ class CostModel:
         into arrays stamped with the memory model's ``state_epoch``;
         ``charge`` re-validates the epoch per call and falls back to
         the live pricing path on any mismatch.
+
+        ``dag.tasks`` is read only when plans must be compiled: a
+        loaded prep artifact carries its plans and never decodes its
+        task section here.
         """
-        tasks = dag.tasks
-        self._prep_tasks = tasks
         # Handle-key interning: the DAG numbers its operand handles
         # once; prepared touches/gathers below carry those int keys, so
         # every structure hashed in the hot loop hashes small ints.
@@ -337,12 +337,12 @@ class CostModel:
             try:
                 dag._cost_prep = store
             except AttributeError:  # slotted/foreign DAG type
-                self._prep = self._compile_plans(tasks, key_of, soa)
+                self._prep = self._compile_plans(dag.tasks, key_of, soa)
                 self._arm_fast_path(key_of, dag)
                 return
         prep = store.get(key)
-        if prep is None or len(prep) != len(tasks):
-            prep = self._compile_plans(tasks, key_of, soa)
+        if prep is None or len(prep) != len(dag):
+            prep = self._compile_plans(dag.tasks, key_of, soa)
             store[key] = prep
         self._prep = prep
         self._arm_fast_path(key_of, dag)
@@ -485,32 +485,34 @@ class CostModel:
         self._bare_ctx[core] = ctx
         return ctx
 
-    def charge(self, task: Task, core: int) -> TaskCharge:
-        """Execute the task's memory behaviour on ``core`` and price it.
+    def charge(self, tid: int, core: int) -> TaskCharge:
+        """Execute task ``tid`` of the prepared DAG on ``core``; price it.
 
         Mutates the cache hierarchy (this run's state); returns the
         task's duration decomposition and per-level missed lines.
         """
-        tid = task.tid
-        prep = self._prep
-        if (prep is not None and 0 <= tid < len(prep)
-                and self._prep_tasks[tid] is task):
-            plan = prep[tid]
-            # The compiled walk needs home arrays valid for the current
-            # placement (an unarmed prepare stamps epoch -1, which never
-            # matches) and no trace hook; everything else — traced runs,
-            # epoch mismatches, ad-hoc tasks — walks through
-            # CacheHierarchy.access below, the walk's oracle.
-            if (self.memory.state_epoch == self._plan_epoch
-                    and self.cache.trace_hook is None):
-                return self._charge_bare(plan, core)
-            compute, touches, gather = plan
-        else:
-            memo = self._lazy_info.get(id(task))
-            if memo is None or memo[0] is not task:
-                memo = (task, self._task_info(task))
-                self._lazy_info[id(task)] = memo
-            compute, touches, gather = memo[1]
+        plan = self._prep[tid]
+        # The compiled walk needs home arrays valid for the current
+        # placement (an unarmed prepare stamps epoch -1, which never
+        # matches) and no trace hook; traced runs and epoch mismatches
+        # walk through CacheHierarchy.access, the walk's oracle.
+        if (self.memory.state_epoch == self._plan_epoch
+                and self.cache.trace_hook is None):
+            return self._charge_bare(plan, core)
+        return self._charge_access(plan, core)
+
+    def charge_task(self, task: Task, core: int) -> TaskCharge:
+        """Price a ``Task`` outside any prepared DAG (tests, analysis).
+
+        Compiles the task's plan with :meth:`_task_info` (handle keys
+        stay ``(name, part)`` tuples) and walks it through
+        :meth:`CacheHierarchy.access`, as traced runs do.
+        """
+        return self._charge_access(self._task_info(task), core)
+
+    def _charge_access(self, plan, core: int) -> TaskCharge:
+        """Price one plan through :meth:`CacheHierarchy.access` (oracle)."""
+        compute, touches, gather = plan
         cache_access = self.cache.access
         dram_cost = self.memory.dram_line_cost
         l2c = self._l2c
@@ -560,7 +562,7 @@ class CostModel:
     def _charge_bare(self, plan, core: int) -> TaskCharge:
         """Compiled-plan charge: the fused walk of untraced runs.
 
-        Executes the same per-touch algorithm as ``charge`` +
+        Executes the same per-touch algorithm as :meth:`_charge_access` +
         :meth:`CacheHierarchy.access`, term-for-term and in the same
         order (the equivalence fixture pins the numbers), but fused
         into one loop over the compiled plan with every per-call

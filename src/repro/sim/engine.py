@@ -451,7 +451,7 @@ class SimulationEngine:
         completed = 0
         time = t0
         time_node = 0
-        tasks = dag.tasks
+        kernels = dag.kernel_of()
         succ = dag.succ
         charge = self.cost.charge
         pick = scheduler.pick
@@ -492,9 +492,8 @@ class SimulationEngine:
                     tid = pick(core, time)
                     if tid is None:
                         continue
-                    task = tasks[tid]
                     overhead = overhead_of(tid)
-                    dur, compute, memory_t, (m1, m2, m3) = charge(task, core)
+                    dur, compute, memory_t, (m1, m2, m3) = charge(tid, core)
                     if derates is not None and derates[core] != 1.0:
                         dur, compute, overhead = derate(
                             core, dur, compute, overhead
@@ -505,7 +504,7 @@ class SimulationEngine:
                                  compute, memory_t, m1, m2, m3))
                     heappush(finish_heap, (time + dur, core, tid, nv))
                     nv += 1
-                    kernel = task.kernel
+                    kernel = kernels[tid]
                     n_exec += 1
                     busy_t += dur
                     ovh_t += overhead
@@ -554,10 +553,9 @@ class SimulationEngine:
                             # unreleased until a clean attempt lands.
                             attempts[tid] = a + 1
                             backoff = fs.backoff_seconds(a)
-                            task = tasks[tid]
                             overhead = overhead_of(tid)
                             dur, compute, memory_t, (m1, m2, m3) = charge(
-                                task, core
+                                tid, core
                             )
                             if (derates is not None
                                     and derates[core] != 1.0):
@@ -568,7 +566,7 @@ class SimulationEngine:
                             start2 = ftime + backoff
                             heappush(finish_heap,
                                      (start2 + dur, core, tid, nv))
-                            kernel = task.kernel
+                            kernel = kernels[tid]
                             n_exec += 1
                             busy_t += dur
                             ovh_t += overhead
@@ -658,7 +656,7 @@ class SimulationEngine:
         # (node id of op i is i + 1).
         assign_ops = [(i + 1, op) for i, op in enumerate(ops)
                       if op[0] == 2]
-        tasks = dag.tasks
+        kernels = dag.kernel_of()
         release_time = scheduler.release_time
         record_flow = flow.record if flow is not None else None
         ttask = tracer.task if tracer is not None else None
@@ -713,7 +711,7 @@ class SimulationEngine:
             for node, op in assign_ops:
                 dur = op[2]
                 tid = op[3]
-                kernel = tasks[tid].kernel
+                kernel = kernels[tid]
                 n_exec += 1
                 busy_t += dur
                 ovh_t += op[5]
@@ -920,7 +918,7 @@ def run_bsp(
     counters = PerfCounters()
     flow = FlowGraph()
     n_cores = machine.n_cores
-    tasks = dag.tasks
+    kernels = dag.kernel_of()
     pred = dag.pred
     phase_assignments = _bsp_phase_assignments(dag, n_cores, nnz_balanced)
 
@@ -986,7 +984,6 @@ def run_bsp(
                     # everyone else has hit the barrier.
                     phase_close = core_clock[rcore] = max(core_clock)
                 for tid, core in work:
-                    task = tasks[tid]
                     # Intra-phase dependences (row chains stay on one
                     # core; reduce tasks read partials from other
                     # cores) delay the start beyond the core's own
@@ -1004,7 +1001,7 @@ def run_bsp(
                             ci += 1
                         else:
                             dur, compute, memory_t, (m1, m2, m3) = charge(
-                                task, core
+                                tid, core
                             )
                             if derates is not None and derates[core] != 1.0:
                                 dur, compute, lo = derate(
@@ -1015,7 +1012,7 @@ def run_bsp(
                                 tape_charge((dur, compute, memory_t,
                                              m1, m2, m3))
                         end = start + dur
-                        kernel = task.kernel
+                        kernel = kernels[tid]
                         n_exec += 1
                         busy_t += dur
                         ovh_t += lo

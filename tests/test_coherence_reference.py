@@ -159,10 +159,9 @@ def run_three(machine, tasks, schedule):
         for r in range(_ROUNDS):
             got = []
             for ti, core in schedule:
-                task = dag.tasks[ti]
-                got.append((tuple(fused.charge(task, core)),
-                            tuple(oracle.charge(task, core)),
-                            tuple(ref.charge(task, core))))
+                got.append((tuple(fused.charge(ti, core)),
+                            tuple(oracle.charge(ti, core)),
+                            tuple(ref.charge(ti, core))))
                 assert_holders_covered(fused_cache)
             for a, b, c in got:
                 assert a == b == c, r

@@ -45,8 +45,8 @@ def test_compute_seconds_kernel_efficiency(bw):
 def test_charge_cold_then_warm(bw):
     cm = make_cost(bw)
     t = xy_task(rows=500)
-    cold = cm.charge(t, 0)
-    warm = cm.charge(t, 0)
+    cold = cm.charge_task(t, 0)
+    warm = cm.charge_task(t, 0)
     assert warm.memory < cold.memory
     assert warm.misses[0] <= cold.misses[0]
     assert cold.duration == pytest.approx(cold.compute + cold.memory)
@@ -56,7 +56,7 @@ def test_sparse_effective_bytes_capped_by_nnz(bw):
     """A nearly-empty block must not be charged the whole chunk."""
     cm = make_cost(bw)
     sparse = spmm_task(nnz=10, rows=10**6, cols=10**6)
-    charge = cm.charge(sparse, 0)
+    charge = cm.charge_task(sparse, 0)
     # 10 nonzeros touch at most ~10 lines of X and a few of Y, plus the
     # tiny matrix block: orders of magnitude below the chunk size.
     assert charge.misses[0] < 1000
@@ -69,8 +69,8 @@ def test_gather_span_penalty_orders_csr_vs_csb(bw):
     nnz = 200_000
     csr = spmm_task(nnz=nnz, span=500 * 2**20)  # 500 MB span
     csb = spmm_task(nnz=nnz, span=256 * 2**10)  # 256 KB span (fits L2)
-    ch_csr = cm_csr.charge(csr, 0)
-    ch_csb = cm_csb.charge(csb, 0)
+    ch_csr = cm_csr.charge_task(csr, 0)
+    ch_csb = cm_csb.charge_task(csb, 0)
     assert ch_csr.misses[2] > ch_csb.misses[2]
     assert ch_csr.memory > ch_csb.memory
 
@@ -92,9 +92,9 @@ def test_gather_numa_penalty(ep):
                     {"i": p, "j": p, "A": "A", "X": "X", "Y": "Y"})
 
     # core 0 lives on domain 0; chunk 0 is local, chunk 63 is remote
-    local = cm.charge(task_reading_part(0), 0)
+    local = cm.charge_task(task_reading_part(0), 0)
     cm2 = CostModel(ep, CacheHierarchy(ep), mem)
-    remote = cm2.charge(task_reading_part(63), 0)
+    remote = cm2.charge_task(task_reading_part(63), 0)
     assert remote.memory > local.memory
 
 

@@ -1,5 +1,11 @@
 """Task DAG structure: tasks, edges, ordering, validation, analyses."""
 
+import dataclasses
+import pickle
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.graph.analyze import (
@@ -8,7 +14,7 @@ from repro.graph.analyze import (
     max_width,
     parallelism_profile,
 )
-from repro.graph.dag import TaskDAG
+from repro.graph.dag import GraphArrays, TaskDAG
 from repro.graph.task import DataHandle, Task
 
 
@@ -124,3 +130,136 @@ def test_empty_dag():
     assert dag.critical_path() == 0.0
     assert parallelism_profile(dag) == []
     assert max_width(dag) == 0
+
+
+def test_by_kernel_reads_kernel_codes_when_frozen():
+    """Frozen census == the Task walk, first-appearance order included."""
+    dag = TaskDAG()
+    for k in ("SPMV", "COPY", "SPMV", "ADD", "COPY", "SPMV"):
+        dag.add_task(mk_task(k))
+    walked = {}
+    for t in dag.tasks:
+        walked[t.kernel] = walked.get(t.kernel, 0) + 1
+    assert list(dag.by_kernel().items()) == list(walked.items())
+    dag.freeze()
+    assert list(dag.by_kernel().items()) == list(walked.items())
+    assert list(TaskDAG().by_kernel().items()) == []
+
+
+# ----------------------------------------------------------------------
+# Pickled DAGs carry their Task list as one lazily decoded section
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prepped_dag():
+    """A freshly built LOBPCG DAG with every prep table compiled on it."""
+    from repro.analysis.experiment import _compile_prep, _dag
+    from repro.graph.builder import BuildOptions
+    from repro.matrices.suite import SUITE
+    from repro.tuning.blocksize import block_size_for_count
+
+    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
+    dag = _dag.__wrapped__("inline1", bs, "lobpcg", 8,
+                           BuildOptions(skip_empty=True,
+                                        spmm_mode="dependency"))
+    _compile_prep("broadwell", dag)
+    return dag
+
+
+def _loaded(dag):
+    out = pickle.loads(pickle.dumps(dag, protocol=pickle.HIGHEST_PROTOCOL))
+    assert out._tasks is None
+    return out
+
+
+def _task_fields(t):
+    def hs(handles):
+        return [(h.name, h.part, h.nbytes) for h in handles]
+
+    return (t.tid, t.kernel, hs(t.reads), hs(t.writes), t.shape, t.params,
+            t.iteration, t.seq)
+
+
+def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_dag):
+    dag = prepped_dag
+    loaded = _loaded(dag)
+    for f in dataclasses.fields(GraphArrays):
+        a, b = getattr(dag._soa, f.name), getattr(loaded._soa, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    for attr in ("succ", "pred", "_cost_prep", "_home_arrays",
+                 "_sched_domains", "_bsp_phases", "n_partitions",
+                 "matrix_name", "matrix_nbc"):
+        assert getattr(loaded, attr) == getattr(dag, attr), attr
+    assert loaded._tasks is None
+    assert [_task_fields(t) for t in loaded.tasks] == \
+        [_task_fields(t) for t in dag.tasks]
+    assert loaded._task_section is None
+
+
+def test_repickling_an_undecoded_dag_passes_the_section_through(
+        prepped_dag):
+    loaded = _loaded(prepped_dag)
+    section = loaded._task_section
+    again = _loaded(loaded)
+    assert loaded._tasks is None
+    assert again._task_section == section
+    assert [_task_fields(t) for t in again.tasks] == \
+        [_task_fields(t) for t in prepped_dag.tasks]
+
+
+def test_structural_queries_do_not_decode(prepped_dag):
+    dag = prepped_dag
+    loaded = _loaded(dag)
+    assert len(loaded) == len(dag)
+    assert loaded.sources() == dag.sources()
+    assert loaded.in_degrees() == dag.in_degrees()
+    assert loaded.handle_interning() == dag.handle_interning()
+    assert loaded.n_edges == dag.n_edges
+    assert list(loaded.by_kernel().items()) == list(dag.by_kernel().items())
+    assert repr(loaded) == repr(dag)
+    assert loaded.kernel_of() == [t.kernel for t in dag.tasks]
+    assert loaded._tasks is None
+
+
+def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_dag):
+    loaded = _loaded(prepped_dag)
+    n = len(loaded)
+    kernels = loaded.kernel_of()
+    tid = loaded.add_task(mk_task("ADD"))
+    assert tid == n and loaded._tasks is not None
+    assert not loaded.frozen
+    assert loaded.kernel_of() == kernels + ["ADD"]
+    assert loaded.freeze().n_tasks == n + 1
+    key_to_id, _ = loaded.handle_interning()
+    assert len(key_to_id) == len(prepped_dag.handle_interning()[0])
+
+
+def test_concurrent_first_decodes_share_one_task_list(prepped_dag):
+    """Service threads share loaded DAGs: racing first reads of
+    ``tasks`` must all get the same list, decoded once."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            loaded = _loaded(prepped_dag)
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(loaded.tasks)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8
+            assert all(s is loaded.tasks for s in seen)
+            assert loaded._task_section is None
+    finally:
+        sys.setswitchinterval(old)

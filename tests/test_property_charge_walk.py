@@ -69,7 +69,7 @@ def _charge_rounds(tasks, schedule, traced: bool):
         cache.trace_hook = events.append
     rounds = []
     for _ in range(_ROUNDS):
-        charges = [tuple(cm.charge(dag.tasks[ti], core))
+        charges = [tuple(cm.charge(ti, core))
                    for ti, core in schedule]
         rounds.append((charges, _fingerprint(cache)))
     return rounds, events

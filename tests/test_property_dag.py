@@ -146,7 +146,7 @@ def test_charges_are_finite_positive(dag):
     mem = MemoryModel(bw, n_parts=16)
     cm = CostModel(bw, cache, mem)
     for t in dag.tasks:
-        ch = cm.charge(t, 0)
+        ch = cm.charge_task(t, 0)
         assert np.isfinite(ch.duration) and ch.duration >= 0
         assert all(m >= 0 for m in ch.misses)
 

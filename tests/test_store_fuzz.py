@@ -5,10 +5,17 @@ or a result-cache entry -- flips, truncates or appends bytes, and reads
 it back through a fresh store.  Every damaged file must fail closed:
 ``get`` returns ``None``, never raises, quarantines the file to
 ``<root>/corrupt/`` and leaves the cyclic collector enabled.
+
+A prep artifact's DAG carries its ``Task`` list as a pickled section
+that is decoded only at the first ``dag.tasks``, long after ``get``.
+Damage inside that section must still fail at ``get`` (the checksum
+covers it), so it never surfaces at a later decode.
 """
 
 import gc
+import json
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -16,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.analysis.experiment as experiment
 from repro.bench.cache import ResultCache
-from repro.bench.prep import PrepStore
+from repro.bench.prep import PREP_FORMAT, PrepStore, _header_line
 from repro.bench.runner import Cell
 
 CELL = ("broadwell", "inline1", "lobpcg", "deepsparse")
@@ -51,6 +58,15 @@ def _mutate(data: bytes, mutation) -> bytes:
 class _Files(dict):
     def __repr__(self):                 # keep Hypothesis reports short
         return "<pristine store files>"
+
+
+def _task_section_span(data: bytes):
+    """``(offset, length)`` of the DAG's task section in a prep file."""
+    payload = data.split(b"\n", 1)[1]
+    section = pickle.loads(payload)["dag"]._task_section
+    start = data.find(section)
+    assert start > 0 and data.find(section, start + 1) == -1
+    return start, len(section)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +118,12 @@ def test_pristine_file_reads_back(pristine, kind):
     store_cls, config, data = pristine[kind]
     got, in_place, moved = _read_back(store_cls, config, data)
     assert got is not None and in_place and moved == 0
+    if kind == "prep":
+        header = json.loads(data.split(b"\n", 1)[0])
+        assert header["format"] == PREP_FORMAT
+        dag = got["dag"]
+        assert dag._tasks is None       # loaded, not decoded
+        assert [t.kernel for t in dag.tasks] == dag.kernel_of()
 
 
 @pytest.mark.parametrize("kind", ["prep", "cache"])
@@ -133,3 +155,49 @@ def test_damaged_file_fails_closed(pristine, kind, mutation):
     assert damaged != data
     assert _read_back(store_cls, config, damaged) == (None, False, 1)
     assert gc.isenabled()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["flip", "truncate"]),
+       offset=st.integers(0, 2**31), mask=st.integers(1, 255))
+def test_damaged_task_section_fails_closed_at_get(pristine, kind, offset,
+                                                  mask):
+    """Flips and cuts inside the task section quarantine at ``get``."""
+    store_cls, config, data = pristine["prep"]
+    start, length = _task_section_span(data)
+    pos = start + offset % length
+    if kind == "flip":
+        damaged = data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
+    else:
+        damaged = data[:pos]
+    assert _read_back(store_cls, config, damaged) == (None, False, 1)
+    assert gc.isenabled()
+
+
+def test_prep_gc_drops_a_format_2_orphan(pristine, tmp_path, monkeypatch):
+    """An artifact of the previous layout is stale: ``repro prep gc``
+    removes it and keeps the live one."""
+    from repro.cli import main
+    from repro.sim.cost import COST_MODEL_VERSION
+
+    _, config, data = pristine["prep"]
+    root = str(tmp_path / "prep")
+    live = PrepStore(root=root, enabled=True)
+    live_path = live.path_for(live.key(config))
+    old = PrepStore(root=root, enabled=True,
+                    salt=f"cost-v{COST_MODEL_VERSION}/prep-v2")
+    old_path = old.path_for(old.key(config))
+    header, payload = data.split(b"\n", 1)
+    header = json.loads(header)
+    header.update(format=2, salt=old.salt, key=old.key(config))
+    for path, blob in ((live_path, data),
+                       (old_path, _header_line(header) + payload)):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as f:
+            f.write(blob)
+    monkeypatch.setenv("REPRO_PREP_DIR", root)
+    monkeypatch.delenv("REPRO_NO_PREP", raising=False)
+    assert main(["prep", "gc"]) == 0
+    assert not os.path.exists(old_path)
+    assert os.path.exists(live_path)
