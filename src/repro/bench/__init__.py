@@ -13,6 +13,11 @@ the substrate all of them run through:
   specs, dedupes cells, serves hits from the cache, prebuilds prep
   artifacts, and fans misses out over a process pool with
   deterministic result ordering.
+* :mod:`repro.bench.pool` — :class:`~repro.bench.pool.WarmPool`, the one
+  failure policy (charged retries, per-cell timeouts, uncharged pool
+  rebuilds, inline degradation) shared by the runner, ``repro bench
+  --trace`` and ``repro serve``.  ``repro.bench`` never imports
+  ``repro.serve``: it is the lower layer.
 
 Environment knobs (read at cache construction):
 

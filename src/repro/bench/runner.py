@@ -5,9 +5,9 @@
 1. expand a grid spec into cells (:func:`expand_grid`),
 2. dedupe identical cells,
 3. serve what the on-disk cache already has,
-4. fan the misses out over a ``ProcessPoolExecutor`` (the simulator is
-   pure Python and CPU-bound, so *processes*, not threads, are the
-   right parallelism — the GIL serializes threads),
+4. fan the misses out over a :class:`~repro.bench.pool.WarmPool` (the
+   simulator is pure Python and CPU-bound, so *processes*, not
+   threads, are the right parallelism — the GIL serializes threads),
 5. persist fresh summaries and return results in input order.
 
 Result ordering is deterministic and independent of ``jobs``: cells
@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import contextlib
 import io
-import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -41,6 +38,8 @@ __all__ = [
     "SweepError",
     "WorkerFailure",
     "expand_grid",
+    "prebuild_cell_config",
+    "run_captured",
     "run_cell_config",
 ]
 
@@ -115,6 +114,25 @@ def run_cell_config(config: dict) -> RunResultSummary:
     ).summary()
 
 
+def prebuild_cell_config(config: dict) -> dict:
+    """Build (or load) the prep artifact one cell will run on.
+
+    The one mapping from a cell config to
+    :func:`~repro.analysis.experiment.prebuild_prep`; returns the prep
+    config, whose :meth:`~repro.bench.prep.PrepStore.key` names the
+    artifact.
+    """
+    from repro.analysis.experiment import prebuild_prep
+
+    return prebuild_prep(
+        config["machine"], config["matrix"], config["solver"],
+        config["version"],
+        block_count=int(config.get("block_count") or 64),
+        width=config.get("width"),
+        first_touch=bool(config.get("first_touch", True)),
+    )
+
+
 #: Stderr-tail capture budget: what a failure record retains of the
 #: worker's stderr stream (warnings, native-library chatter, and the
 #: formatted traceback).  Bounded so a chatty cell can't bloat the
@@ -134,7 +152,7 @@ def stderr_tail(text: str, lines: int = STDERR_TAIL_LINES,
 class WorkerFailure(RuntimeError):
     """A cell failed in a worker; carries the captured stderr tail.
 
-    Raised by :func:`_pool_worker` instead of the original exception so
+    Raised by :func:`run_captured` instead of the original exception so
     the parent's failure table (and the serve layer's audit log) can
     show *what the worker printed* — warnings and the full traceback —
     not just the exception repr.  Both fields sit in ``args`` so the
@@ -150,23 +168,28 @@ class WorkerFailure(RuntimeError):
         return self.error
 
 
-def _pool_worker(config: dict) -> tuple:
-    """Child-process entry: plain dicts in, plain dicts out (picklable).
+def run_captured(fn: Callable, *args):
+    """``fn(*args)`` under stderr capture, for pool workers.
 
-    The cell runs under stderr capture; on failure the exception is
-    re-raised as a :class:`WorkerFailure` whose tail holds whatever the
-    cell wrote to stderr plus the formatted traceback — the parent
-    process cannot see a pool child's stderr otherwise.
+    On failure the exception is re-raised as a :class:`WorkerFailure`
+    whose tail holds whatever the call wrote to stderr plus the
+    formatted traceback — the parent process cannot see a pool child's
+    stderr otherwise.
     """
-    t0 = time.perf_counter()
     buf = io.StringIO()
     try:
         with contextlib.redirect_stderr(buf):
-            summary = run_cell_config(config)
+            return fn(*args)
     except Exception as e:
         traceback.print_exc(file=buf)
         raise WorkerFailure(f"{type(e).__name__}: {e}",
                             stderr_tail(buf.getvalue())) from None
+
+
+def _pool_worker(config: dict) -> tuple:
+    """Pool-worker entry: plain dicts in, plain dicts out (picklable)."""
+    t0 = time.perf_counter()
+    summary = run_captured(run_cell_config, config)
     return summary.to_dict(), time.perf_counter() - t0
 
 
@@ -203,15 +226,16 @@ class ExperimentRunner:
         Pass ``ResultCache(enabled=False)`` to force cold runs.
     jobs:
         Worker processes for cache misses.  ``1`` (default, or
-        ``$REPRO_BENCH_JOBS``) runs inline — no pool, no pickling.
+        ``$REPRO_BENCH_JOBS``) runs inline, on one worker thread of
+        this process — no pool, no pickling.
         ``0`` auto-detects: one worker per available CPU
         (``os.cpu_count()``).
     progress:
         Optional callable invoked with one line per completed cell.
     timeout:
         Per-cell wall-clock budget in seconds for pool execution
-        (``None`` = unlimited).  Scaled by the batch size per worker,
-        it bounds how long a wedged worker can hold the sweep; expired
+        (``None`` = unlimited), counted from the cell's dispatch; it
+        bounds how long a wedged worker can hold the sweep.  Expired
         cells are retried, then reported in the failure table.  Inline
         execution cannot preempt a cell, so the timeout only applies
         when a pool is used.
@@ -227,12 +251,6 @@ class ExperimentRunner:
         against crashing/hanging workers; everything else should keep
         the default.
     """
-
-    #: A crashed pool (a worker died, poisoning every queued future) is
-    #: rebuilt and the affected cells resubmitted — without charging
-    #: them a retry, since the crash cannot be attributed to one cell —
-    #: at most this many times before degrading to inline execution.
-    max_pool_rebuilds = 3
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  jobs: Optional[int] = None,
@@ -315,7 +333,6 @@ class ExperimentRunner:
         swallowed — the cell's ordinary run will surface it with the
         full retry machinery.
         """
-        from repro.analysis.experiment import prebuild_prep
         from repro.bench.prep import default_prep_store
 
         store = default_prep_store()
@@ -324,14 +341,8 @@ class ExperimentRunner:
         t0 = time.perf_counter()
         built = set()
         for key in miss_keys:
-            c = configs[key]
             try:
-                pc = prebuild_prep(
-                    c["machine"], c["matrix"], c["solver"], c["version"],
-                    block_count=int(c.get("block_count") or 64),
-                    width=c.get("width"),
-                    first_touch=bool(c.get("first_touch", True)),
-                )
+                pc = prebuild_cell_config(configs[key])
             except Exception as e:
                 self._note(f"[prep]  skipped ({type(e).__name__}: {e})")
                 continue
@@ -345,187 +356,26 @@ class ExperimentRunner:
     def _run_misses(self, miss_keys, configs, labels, results) -> None:
         """Simulate the cache misses, surviving sick workers.
 
-        Three layers of degradation, so one bad cell or one dead
-        worker never loses a whole sweep:
-
-        1. cells whose worker raised or timed out are retried with
-           exponential backoff, up to ``attempts`` tries each;
-        2. a crashed pool (``BrokenProcessPool``) is rebuilt and the
-           poisoned cells resubmitted, up to ``max_pool_rebuilds``;
-        3. if the pool stays unhealthy, the leftovers run inline,
-           sequentially, in this process.
-
-        Only cells that exhaust their attempts end up in the
-        :class:`SweepError` failure table — everything else was
+        The misses go through one :class:`~repro.bench.pool.WarmPool`
+        with ``jobs`` lanes (:func:`~repro.bench.pool.fan_out`), whose
+        failure policy — charged retries, per-cell timeouts, uncharged
+        pool rebuilds, inline degradation — is the one every process
+        fan-out shares.  Only cells that exhaust their attempts end up
+        in the :class:`SweepError` failure table; everything else was
         simulated and cached before the raise.
         """
-        attempt_count: Dict[str, int] = {k: 0 for k in miss_keys}
-        failures: Dict[str, tuple] = {}  # key -> (error, stderr tail)
-        pending = list(miss_keys)
-        if self.jobs > 1 and len(pending) > 1:
-            pending = self._run_pool(pending, attempt_count, failures,
-                                     configs, labels, results)
-        self._run_inline(pending, attempt_count, failures,
-                         configs, labels, results)
-        if failures:
-            raise SweepError([
-                {"cell": labels[k], "key": k,
-                 "attempts": attempt_count[k],
-                 "error": failures[k][0], "stderr": failures[k][1]}
-                for k in miss_keys if k in failures
-            ])
+        from repro.bench.pool import fan_out
 
-    @staticmethod
-    def _failure_fields(exc: BaseException) -> tuple:
-        """(error text, stderr tail) of a worker exception.
+        def finish(index: int, outcome) -> None:
+            summary_dict, dt = outcome
+            self._finish_miss(miss_keys[index], configs, labels, results,
+                              RunResultSummary.from_dict(summary_dict), dt)
 
-        :class:`WorkerFailure` carries its own captured tail; anything
-        else (injected test workers, pickling errors) degrades to the
-        plain exception repr with an empty tail.
-        """
-        if isinstance(exc, WorkerFailure):
-            return exc.error, exc.stderr_tail
-        return f"{type(exc).__name__}: {exc}", ""
-
-    def _fail_or_requeue(self, key, exc_text, attempt_count, failures,
-                         next_pending, stderr: str = "") -> None:
-        attempt_count[key] += 1
-        if attempt_count[key] >= self.attempts:
-            failures[key] = (exc_text, stderr)
-        else:
-            next_pending.append(key)
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Tear a pool down even if its workers are wedged.
-
-        ``shutdown`` alone waits for running tasks; a cell stuck in an
-        infinite loop would hold the sweep forever, so the worker
-        processes are terminated first (``_processes`` is private API,
-        but the stdlib offers no public kill switch).
-        """
-        procs = getattr(pool, "_processes", None) or {}
-        for p in list(procs.values()):
-            try:
-                p.terminate()
-            except OSError:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _run_pool(self, pending, attempt_count, failures,
-                  configs, labels, results) -> List[str]:
-        """Pool execution rounds; returns cells left for inline."""
-        rebuilds = 0
-        rounds = 0
-        pool = None
-        try:
-            while pending:
-                if pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    except OSError:
-                        return pending  # can't fork: degrade to inline
-                if rounds and self.backoff:
-                    time.sleep(self.backoff * 2 ** min(rounds - 1, 4))
-                rounds += 1
-                futs = {
-                    pool.submit(self.pool_worker, configs[k]): k
-                    for k in pending
-                }
-                next_pending: List[str] = []
-                deadline = None
-                if self.timeout is not None:
-                    # Per-cell budget scaled by queue depth per worker:
-                    # a full batch legitimately takes n/jobs cell-times.
-                    batches = max(1, math.ceil(len(pending) / self.jobs))
-                    deadline = time.monotonic() + self.timeout * batches
-                not_done = set(futs)
-                broken = False
-                while not_done:
-                    budget = None
-                    if deadline is not None:
-                        budget = max(0.0, deadline - time.monotonic())
-                    done, not_done = wait(not_done, timeout=budget)
-                    if not done:
-                        # Batch deadline expired: whatever is still
-                        # running is wedged.  Kill the pool, charge the
-                        # unfinished cells one attempt each.
-                        for f in not_done:
-                            f.cancel()
-                            self._fail_or_requeue(
-                                futs[f],
-                                f"timed out (> {self.timeout:.1f} s/cell)",
-                                attempt_count, failures, next_pending,
-                            )
-                        self._kill_pool(pool)
-                        pool = None
-                        broken = True
-                        break
-                    for f in done:
-                        key = futs[f]
-                        try:
-                            summary_dict, dt = f.result()
-                        except BrokenProcessPool:
-                            # A worker died; every queued future is
-                            # poisoned and none of them is to blame.
-                            # Requeue without charging an attempt.
-                            next_pending.append(key)
-                            broken = True
-                        except Exception as e:  # clean worker failure
-                            text, tail = self._failure_fields(e)
-                            self._fail_or_requeue(
-                                key, text, attempt_count, failures,
-                                next_pending, stderr=tail,
-                            )
-                        else:
-                            summary = RunResultSummary.from_dict(
-                                summary_dict
-                            )
-                            self._finish_miss(key, configs, labels,
-                                              results, summary, dt)
-                if broken and pool is not None:
-                    self._kill_pool(pool)
-                    pool = None
-                if broken:
-                    rebuilds += 1
-                    if rebuilds > self.max_pool_rebuilds:
-                        self._note(
-                            "[pool]  unhealthy after "
-                            f"{rebuilds - 1} rebuilds; degrading to "
-                            "inline execution"
-                        )
-                        return next_pending
-                pending = next_pending
-            return []
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _run_inline(self, pending, attempt_count, failures,
-                    configs, labels, results) -> None:
-        """Sequential in-process execution with the same retry rules."""
-        for key in pending:
-            while True:
-                try:
-                    summary_dict, dt = self.pool_worker(configs[key])
-                    summary = RunResultSummary.from_dict(summary_dict)
-                except Exception as e:
-                    attempt_count[key] += 1
-                    if attempt_count[key] >= self.attempts:
-                        failures[key] = self._failure_fields(e)
-                        break
-                    if self.backoff:
-                        time.sleep(
-                            self.backoff
-                            * 2 ** min(attempt_count[key] - 1, 4)
-                        )
-                    continue
-                self._finish_miss(key, configs, labels, results,
-                                  summary, dt)
-                break
+        fan_out([configs[k] for k in miss_keys], self.jobs,
+                labels=[labels[k] for k in miss_keys], keys=miss_keys,
+                timeout=self.timeout, attempts=self.attempts,
+                backoff=self.backoff, worker=self.pool_worker,
+                on_result=finish, note=self._note)
 
     def _finish_miss(self, key, configs, labels, results, summary,
                      dt) -> None:

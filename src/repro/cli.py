@@ -114,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace", metavar="DIR", default=None,
                    help="run every cell with the observability layer "
                         "attached and write a Chrome trace + metrics "
-                        "CSV per cell into DIR (runs in-process and "
-                        "bypasses the result cache; simulated numbers "
-                        "are bit-identical to untraced runs)")
+                        "CSV per cell into DIR (bypasses the result "
+                        "cache; --jobs, --timeout and --retries apply; "
+                        "simulated numbers are bit-identical to "
+                        "untraced runs)")
 
     s = sub.add_parser(
         "chaos",
@@ -406,25 +407,28 @@ def _trace_cell_artifacts(out_dir, label, tracer, events=None):
     return trace_path, metrics_path, table
 
 
-def _traced_bench_cell(cell_fields: dict, label: str, out_dir: str):
+def _trace_label(cell) -> str:
+    """Artifact file stem of one bench cell."""
+    return cell.label().replace("/", "-").replace("@", "-bc")
+
+
+def _traced_bench_cell(out_dir: str, cell):
     """Run one traced bench cell and write its artifacts.
 
     Module-level so ``bench --trace --jobs N`` can ship it to a
-    :class:`~concurrent.futures.ProcessPoolExecutor` worker; artifacts
-    are written in the worker (they can be large), and only the
-    serializable run summary travels back for the results table.
+    :class:`~repro.bench.pool.WarmPool` worker; artifacts are written
+    in the worker (they can be large), and only the serializable run
+    summary travels back for the results table.
     """
     from repro.analysis.experiment import run_version
     from repro.trace import Tracer
 
     tracer = Tracer()
-    res = run_version(
-        cell_fields["machine"], cell_fields["matrix"],
-        cell_fields["solver"], cell_fields["version"],
-        block_count=cell_fields["block_count"],
-        iterations=cell_fields["iterations"], tracer=tracer,
-    )
-    trace_path, _, _ = _trace_cell_artifacts(out_dir, label, tracer)
+    res = run_version(cell.machine, cell.matrix, cell.solver, cell.version,
+                      block_count=cell.block_count,
+                      iterations=cell.iterations, tracer=tracer)
+    trace_path, _, _ = _trace_cell_artifacts(out_dir, _trace_label(cell),
+                                             tracer)
     return res.summary(), trace_path
 
 
@@ -536,6 +540,35 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
+def _run_traced_cells(cells, runner, out_dir: str, profile: bool) -> list:
+    """Traced grid: one Chrome trace + metrics CSV per expanded cell.
+
+    The result cache is bypassed (a trace needs a live simulation).
+    Cells fan out over the runner's failure policy
+    (:func:`~repro.bench.pool.fan_out`: ``--jobs`` lanes, ``--timeout``,
+    ``--retries``); each worker writes its own artifacts, and trace
+    content is simulated time, so the output is byte-identical to a
+    sequential run.  Raises :class:`~repro.bench.SweepError` listing
+    the cells that failed every attempt.
+    """
+    import functools
+
+    from repro.bench.pool import fan_out
+    from repro.bench.runner import run_captured
+
+    traced = fan_out(cells, runner.jobs,
+                     labels=[cell.label() for cell in cells],
+                     keys=[_trace_label(cell) for cell in cells],
+                     timeout=runner.timeout, attempts=runner.attempts,
+                     backoff=runner.backoff,
+                     worker=functools.partial(run_captured,
+                                              _traced_bench_cell, out_dir))
+    if profile:
+        for cell, (_, trace_path) in zip(cells, traced):
+            print(f"traced {cell.label()} -> {trace_path}")
+    return [summary for summary, _ in traced]
+
+
 def _cmd_bench(args) -> int:
     from repro.bench import (
         DEFAULT_MATRICES,
@@ -558,49 +591,19 @@ def _cmd_bench(args) -> int:
         block_counts=args.block_count,
         iterations=args.iterations,
     )
-    if args.trace:
-        # Traced grid: cache bypassed (a trace needs a live simulation),
-        # one Chrome trace + metrics CSV per cell.  With --jobs > 1 the
-        # cells fan out across a process pool; each worker writes its
-        # own artifacts (trace content is simulated time, so the output
-        # is byte-identical to a sequential run).
-        work = [
-            ({"machine": cell.machine, "matrix": cell.matrix,
-              "solver": cell.solver, "version": cell.version,
-              "block_count": cell.block_count,
-              "iterations": cell.iterations},
-             cell.label().replace("/", "-").replace("@", "-bc"))
-            for cell in cells
-        ]
-        if runner.jobs > 1 and len(cells) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            n_workers = min(runner.jobs, len(cells))
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = [
-                    pool.submit(_traced_bench_cell, fields, label,
-                                args.trace)
-                    for fields, label in work
-                ]
-                traced = [f.result() for f in futures]
+    try:
+        if args.trace:
+            results = _run_traced_cells(cells, runner, args.trace,
+                                        args.profile)
         else:
-            traced = [_traced_bench_cell(fields, label, args.trace)
-                      for fields, label in work]
-        results = []
-        for cell, (summary, trace_path) in zip(cells, traced):
-            if args.profile:
-                print(f"traced {cell.label()} -> {trace_path}")
-            results.append(summary)
-    else:
-        try:
             results = runner.run_cells(cells)
-        except SweepError as e:
-            # Partial failure: everything that did simulate is cached;
-            # print the failure table and exit non-zero so CI notices.
-            print(str(e), file=sys.stderr)
-            if args.profile:
-                print(runner.format_report(), file=sys.stderr)
-            return 1
+    except SweepError as e:
+        # Partial failure: everything that did simulate is cached;
+        # print the failure table and exit non-zero so CI notices.
+        print(str(e), file=sys.stderr)
+        if args.profile and not args.trace:
+            print(runner.format_report(), file=sys.stderr)
+        return 1
 
     # Results table: per (machine, matrix, solver) group, speedup over
     # the libcsr baseline when it is part of the grid.

@@ -13,11 +13,10 @@ Layers (dependency order):
   streams (the stdlib has no asyncio HTTP server; zero new deps).
 * :mod:`repro.serve.metrics` — counters + latency windows behind
   ``/metrics``.
-* :mod:`repro.serve.pool` — the warm ``ProcessPoolExecutor`` with
-  :class:`~repro.bench.runner.ExperimentRunner`'s retry/timeout/
-  rebuild policy.
 * :mod:`repro.serve.service` — the daemon itself: routes, admission,
-  single-flight table, batching dispatcher, drain contract.
+  single-flight table, batching dispatcher, drain contract.  Its cells
+  run on one :class:`~repro.bench.pool.WarmPool`, the failure policy
+  (retries, timeouts, pool rebuilds) every process fan-out shares.
 * :mod:`repro.serve.client` — blocking stdlib client
   (``repro submit``, tests).
 * :mod:`repro.serve.load` — loopback load harness (tests, CI smoke),

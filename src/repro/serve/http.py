@@ -75,7 +75,9 @@ class Request(NamedTuple):
             raise HttpError(400, "request body required")
         try:
             doc = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:
+            # Undecodable bytes, bad JSON, or an integer literal past
+            # the interpreter's int-string conversion limit.
             raise HttpError(400, f"malformed JSON body: {e}") from None
         except RecursionError:
             # Arrays/objects nested past the interpreter's recursion
@@ -127,7 +129,11 @@ async def read_request(reader: asyncio.StreamReader
             raise HttpError(400, "repeated Content-Length")
         headers[name] = value.strip()
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed "[" IPv6 literal
+        raise HttpError(400, f"malformed request target: "
+                             f"{target!r}") from None
     query = parse_qs(split.query) if split.query else {}
 
     if "transfer-encoding" in headers:
@@ -140,10 +146,19 @@ async def read_request(reader: asyncio.StreamReader
         value = headers["content-length"]
         if not (value.isascii() and value.isdigit()):
             raise HttpError(400, "malformed Content-Length")
-        length = int(value)
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)):
+            # Refused before int(), which rejects strings past 4300
+            # digits with a ValueError.
+            raise HttpError(413, f"body of {len(digits)}-digit length "
+                                 f"refused")
+        length = int(digits)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes refused")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise HttpError(400, "truncated request body") from None
 
     # HTTP/1.1 defaults to keep-alive; 1.0 to close.
     connection = headers.get("connection", "").lower()

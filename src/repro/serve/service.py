@@ -49,18 +49,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import reprlib
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.bench.cache import ResultCache
+from repro.bench.pool import WarmPool
 from repro.bench.runner import (
     Cell,
     DEFAULT_BLOCK_COUNT,
     REGENT_BLOCK_COUNT,
     WorkerFailure,
+    _pool_worker,
     expand_grid,
+    prebuild_cell_config,
 )
 from repro.serve.http import (
     HttpError,
@@ -69,7 +74,6 @@ from repro.serve.http import (
     json_response,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import WarmPool, serve_worker
 from repro.sim.cost import COST_MODEL_VERSION
 from repro.sim.engine import RunResultSummary
 from repro.trace.events import EVENT_KINDS
@@ -82,6 +86,7 @@ __all__ = [
     "SimulationService",
     "cell_to_doc",
     "normalize_cell",
+    "serve_worker",
     "sweep_cells_from_doc",
 ]
 
@@ -140,7 +145,8 @@ def normalize_cell(doc: dict) -> Cell:
 
     Every reachable failure is an :class:`HttpError` 400 with a
     message naming the offending field — a typo must never reach a
-    worker process as an exception.
+    worker process as an exception.  Offending values are echoed
+    through :func:`reprlib.repr`, which bounds their depth and length.
     """
     from repro.matrices.suite import SUITE
 
@@ -151,19 +157,19 @@ def normalize_cell(doc: dict) -> Cell:
     matrix = doc.get("matrix")
     if not isinstance(matrix, str) or matrix not in SUITE:
         raise HttpError(400, f"'matrix' must be one of the Table 1 "
-                             f"suite, got {matrix!r}")
+                             f"suite, got {reprlib.repr(matrix)}")
     machine = doc.get("machine", "broadwell")
     if machine not in _MACHINES:
         raise HttpError(400, f"'machine' must be one of {_MACHINES}, "
-                             f"got {machine!r}")
+                             f"got {reprlib.repr(machine)}")
     solver = doc.get("solver", "lanczos")
     if solver not in _SOLVERS:
         raise HttpError(400, f"'solver' must be one of {_SOLVERS}, "
-                             f"got {solver!r}")
+                             f"got {reprlib.repr(solver)}")
     version = doc.get("version", "deepsparse")
     if version not in _VERSIONS:
         raise HttpError(400, f"'version' must be one of {_VERSIONS}, "
-                             f"got {version!r}")
+                             f"got {reprlib.repr(version)}")
     block_count = _require_int(doc, "block_count", None, 1, 1 << 20)
     if block_count is None:
         table = (REGENT_BLOCK_COUNT if version == "regent"
@@ -197,25 +203,36 @@ def sweep_cells_from_doc(doc: dict, max_cells: int):
                              f"{', '.join(sorted(unknown))}")
     if not doc.get("matrices"):
         raise HttpError(400, "'matrices' (non-empty list) required")
+    axes = {
+        "machines": doc.get("machines", ["broadwell"]),
+        "matrices": doc["matrices"],
+        "solvers": doc.get("solvers", ["lanczos"]),
+        "versions": doc.get("versions", list(_VERSIONS)),
+        "block_counts": doc.get("block_counts"),  # None: rule of thumb
+    }
+    # Sized before expansion: five long axes would otherwise multiply
+    # into billions of cells before the limit check could refuse them.
+    n_cells = 1
+    for name, axis in axes.items():
+        if axis is None and name == "block_counts":
+            continue
+        if not isinstance(axis, list):
+            raise HttpError(400, f"{name!r} must be a list")
+        n_cells *= len(axis)
+    if n_cells > max_cells:
+        raise HttpError(400, f"sweep of {n_cells} cells exceeds "
+                             f"the {max_cells}-cell limit")
     try:
         cells = expand_grid(
-            machines=doc.get("machines", ("broadwell",)),
-            matrices=doc["matrices"],
-            solvers=doc.get("solvers", ("lanczos",)),
-            versions=doc.get("versions",
-                             ("libcsr", "libcsb", "deepsparse",
-                              "hpx", "regent")),
-            block_counts=doc.get("block_counts"),
+            **axes,
             iterations=int(doc.get("iterations", 2)),
             width=doc.get("width"),
             first_touch=bool(doc.get("first_touch", True)),
             seed=int(doc.get("seed", 0)),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
+        # OverflowError: int() of a JSON 1e400 (infinity).
         raise HttpError(400, f"bad sweep grid: {e}") from None
-    if len(cells) > max_cells:
-        raise HttpError(400, f"sweep of {len(cells)} cells exceeds "
-                             f"the {max_cells}-cell limit")
     return cells
 
 
@@ -229,6 +246,21 @@ def cell_to_doc(cell: Cell) -> dict:
         **({"width": cell.width} if cell.width is not None else {}),
         "first_touch": cell.first_touch, "seed": cell.seed,
     }
+
+
+def serve_worker(config: dict) -> tuple:
+    """Per-request worker entry (module-level: must pickle).
+
+    Delegates to the bench pool worker — same stderr capture, same
+    :class:`WorkerFailure` contract — after an optional artificial
+    delay.  ``REPRO_SERVE_TEST_DELAY`` (seconds) exists so the
+    concurrency tests and the drain test can hold a request in flight
+    deterministically; it is never set in production.
+    """
+    delay = float(os.environ.get("REPRO_SERVE_TEST_DELAY", "0") or 0.0)
+    if delay > 0:
+        time.sleep(delay)
+    return _pool_worker(config)
 
 
 @dataclass
@@ -554,7 +586,6 @@ class SimulationService(JsonDaemonBase):
         """
         if self.config.jobs <= 0:
             return
-        from repro.analysis.experiment import prebuild_prep
         from repro.bench.prep import default_prep_store
 
         if not default_prep_store().enabled:
@@ -568,13 +599,7 @@ class SimulationService(JsonDaemonBase):
                 continue
             self._prebuilt.add(sig)
             try:
-                await asyncio.to_thread(
-                    prebuild_prep, c["machine"], c["matrix"],
-                    c["solver"], c["version"],
-                    block_count=int(c.get("block_count") or 64),
-                    width=c.get("width"),
-                    first_touch=bool(c.get("first_touch", True)),
-                )
+                await asyncio.to_thread(prebuild_cell_config, c)
             except Exception:
                 self._prebuilt.discard(sig)
 
@@ -687,7 +712,7 @@ async def serve_main(config: ServeConfig,
         announce(f"repro serve: listening on "
                  f"http://{config.host}:{service.port} "
                  f"(jobs={config.jobs}, backlog={config.backlog}, "
-                 f"pid={__import__('os').getpid()})")
+                 f"pid={os.getpid()})")
     await service.serve_until_stopped()
     return 0
 
@@ -758,15 +783,27 @@ class BackgroundService:
             return  # already drained (idempotent, like SIGTERM twice)
         import concurrent.futures
 
+        coro = self.service.drain()
         try:
-            fut = asyncio.run_coroutine_threadsafe(
-                self.service.drain(), self._loop)
-            fut.result(timeout=timeout)
+            fut = asyncio.run_coroutine_threadsafe(coro, self._loop)
+            # A loop that shuts down before running the coroutine (a
+            # concurrent drain won the race) never resolves ``fut``;
+            # the loop thread exiting says the same thing.
+            deadline = time.monotonic() + timeout
+            while not fut.done() and self._thread.is_alive():
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"drain did not finish within {timeout} s")
+                self._thread.join(0.05)
+            if fut.done():
+                fut.result()
+            else:
+                coro.close()  # never run: no "never awaited" warning
         except (RuntimeError, concurrent.futures.CancelledError):
             # Loop stopped between the check and the call, or a
             # concurrent drain won the race and shut it down first —
             # either way the service is down, which is what we wanted.
-            pass
+            coro.close()
 
     def stop(self, timeout: float = 30.0) -> None:
         self.drain(timeout=timeout)

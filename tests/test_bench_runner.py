@@ -352,6 +352,131 @@ def test_pool_timeout_kills_wedged_workers(tmp_path):
     assert all("timed out" in f["error"] for f in ei.value.failures)
 
 
+def _hang_in_every_child(config):
+    """Hangs in every pool child; fails fast in the parent, so a cell
+    that slipped into (unpreemptible) inline execution shows up as a
+    wrong error instead of wedging the test."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        time.sleep(3600)
+    raise RuntimeError("ran inline")
+
+
+def test_timeout_kills_never_degrade_to_inline(tmp_path):
+    """Ten timeout kills (five wedged cells, two attempts each) replace
+    the pool every time but never count as crash rebuilds: every cell
+    keeps its deadline, and the sweep ends with the failure table."""
+    cells = [Cell(machine="broadwell", matrix="inline1", solver="lanczos",
+                  version="deepsparse", block_count=16, iterations=i)
+             for i in range(1, 6)]
+    runner = _runner(tmp_path, jobs=2, timeout=0.3, attempts=2,
+                     backoff=0.0, pool_worker=_hang_in_every_child)
+    t0 = time.monotonic()
+    with pytest.raises(SweepError) as ei:
+        runner.run_cells(cells)
+    assert time.monotonic() - t0 < 60
+    assert [f["cell"] for f in ei.value.failures] == \
+        [c.label() for c in cells]
+    assert all(f["attempts"] == 2 for f in ei.value.failures)
+    assert all("timed out (> 0.3 s/cell)" in f["error"]
+               for f in ei.value.failures)
+
+
+def _exit_in_every_child(config):
+    """Dies with os._exit in every pool child; healthy in the parent,
+    so only inline execution can finish the sweep."""
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return _pool_worker(config)
+
+
+def test_pool_degrades_to_inline_when_every_child_dies(tmp_path):
+    """A pool that keeps crashing is rebuilt max_pool_rebuilds times,
+    then the sweep finishes inline with the healthy serial results."""
+    notes = []
+    sick = ExperimentRunner(
+        cache=ResultCache(root=str(tmp_path / "a")), jobs=2,
+        backoff=0.0, pool_worker=_exit_in_every_child,
+        progress=notes.append)
+    got = sick.run_cells(CELLS)
+    healthy = ExperimentRunner(
+        cache=ResultCache(root=str(tmp_path / "b")), jobs=1)
+    want = healthy.run_cells(CELLS)
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+    assert sum("degrading to inline execution" in n for n in notes) == 1
+
+
+def test_warm_pool_degrades_after_max_pool_rebuilds():
+    import asyncio
+
+    from repro.bench.pool import WarmPool
+
+    pool = WarmPool(jobs=2, backoff=0.0, worker=_exit_in_every_child)
+    try:
+        summary_dict, _ = asyncio.run(
+            asyncio.wait_for(pool.run(CELLS[0].config()), 120))
+    finally:
+        pool.close()
+    assert pool.stats() == {"jobs": 2, "mode": "inline",
+                            "rebuilds": WarmPool.max_pool_rebuilds + 1}
+    assert summary_dict == _pool_worker(CELLS[0].config())[0]
+
+
+def test_bench_layer_does_not_import_serve():
+    """repro.bench is the lower layer: the service builds on its pool,
+    never the other way round."""
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.bench, repro.bench.pool; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.serve')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
+
+
+def _hang_hpx_and_first_deepsparse(config):
+    """hpx hangs forever.  deepsparse hangs on its first run only (the
+    marker file makes "first" hold across processes), so it is still in
+    flight on the pool that hpx's timeout kills; libcsr pauses first,
+    so deepsparse is dispatched well after hpx and its own deadline
+    falls later."""
+    if config["version"] == "hpx":
+        time.sleep(3600)
+    if config["version"] == "libcsr":
+        time.sleep(0.2)
+    marker = os.environ["REPRO_TEST_HANG_MARKER"]
+    if config["version"] == "deepsparse" and not os.path.exists(marker):
+        open(marker, "w").close()
+        time.sleep(3600)
+    return _pool_worker(config)
+
+
+def test_timeout_kill_does_not_charge_healthy_siblings(tmp_path,
+                                                       monkeypatch):
+    """Killing a wedged pool takes its healthy siblings down with it;
+    they are resubmitted without being charged an attempt, so only the
+    wedged cell lands in the failure table."""
+    monkeypatch.setenv("REPRO_TEST_HANG_MARKER",
+                       str(tmp_path / "hung.marker"))
+    runner = _runner(tmp_path, jobs=2, timeout=0.5, attempts=1,
+                     backoff=0.0,
+                     pool_worker=_hang_hpx_and_first_deepsparse)
+    with pytest.raises(SweepError) as ei:
+        runner.run_cells([CELLS[2], CELLS[0], CELLS[1]])
+    assert [f["cell"] for f in ei.value.failures] == [CELLS[2].label()]
+    assert "timed out (> 0.5 s/cell)" in ei.value.failures[0]["error"]
+    assert os.path.exists(str(tmp_path / "hung.marker"))
+    assert {r["cell"] for r in runner.report} == {CELLS[0].label(),
+                                                  CELLS[1].label()}
+
+
 def test_quarantine_counter_surfaces_in_report(tmp_path):
     runner = _runner(tmp_path)
     runner.run_cells(CELLS[:1])

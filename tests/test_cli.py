@@ -85,6 +85,35 @@ def test_bench_trace_jobs_fanout_matches_sequential(tmp_path, capsys):
     assert seq_table == par_table
 
 
+def test_bench_trace_failing_cell_prints_failure_table(tmp_path, capsys,
+                                                      monkeypatch):
+    """A traced cell that fails every attempt (--retries honoured)
+    prints the sweep failure table and exits 1; the healthy cell still
+    writes its artifact pair."""
+    import repro.cli as cli
+
+    real = cli._traced_bench_cell
+    calls = []
+
+    def failing(out_dir, cell):
+        calls.append(cell.version)
+        if cell.version == "deepsparse":
+            raise ValueError("injected traced failure")
+        return real(out_dir, cell)
+
+    monkeypatch.setattr(cli, "_traced_bench_cell", failing)
+    out = tmp_path / "t"
+    assert main(_bench_trace_args(out, 1) + ["--retries", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "1 cell(s) failed after retries:" in err
+    assert ("broadwell/inline1/lanczos/deepsparse@48x2  attempts=2  "
+            "ValueError: injected traced failure") in err
+    assert "stderr| Traceback (most recent call last)" in err
+    assert calls.count("deepsparse") == 2
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 2 and all("libcsr" in n for n in names)
+
+
 def test_chaos_command_table_and_artifact(tmp_path, capsys):
     import json
 

@@ -16,7 +16,7 @@ concurrency (threaded clients against a live loopback server):
   the worker's captured stderr tail.
 
 ``REPRO_SERVE_TEST_DELAY`` (an artificial per-cell delay honored by
-:func:`repro.serve.pool.serve_worker`) makes "while a request is in
+:func:`repro.serve.service.serve_worker`) makes "while a request is in
 flight" a deterministic state instead of a ~30 ms race window.
 """
 
