@@ -257,6 +257,7 @@ def run_version(
     options=None,
     tracer=None,
     faults=None,
+    record_flow: bool = True,
     **runtime_overrides,
 ):
     """Run one solver version and return its :class:`RunResult`.
@@ -269,6 +270,8 @@ def run_version(
     bit-identical with or without it.  ``faults`` (optional
     :class:`repro.faults.FaultPlan`) attaches deterministic fault
     injection; an empty plan is bit-identical to ``faults=None``.
+    ``record_flow=False`` drops the per-task flow records (the flow
+    summary is folded either way).
     """
     machine = get_machine(machine_name)
     spec = SUITE[matrix]
@@ -286,7 +289,7 @@ def run_version(
     dag = _prepped_dag(machine_name, matrix, bs, solver, width,
                        rt.options, first_touch)
     return rt.execute(dag, iterations=iterations, tracer=tracer,
-                      faults=faults)
+                      faults=faults, record_flow=record_flow)
 
 
 def run_cell(

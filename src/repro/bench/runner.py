@@ -111,6 +111,7 @@ def run_cell_config(config: dict) -> RunResultSummary:
         width=config.get("width"),
         first_touch=bool(config.get("first_touch", True)),
         seed=int(config.get("seed", 0)),
+        record_flow=False,
     ).summary()
 
 

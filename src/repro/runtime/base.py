@@ -76,14 +76,16 @@ class Runtime:
         )
 
     def execute(self, dag: TaskDAG, iterations: int = 1,
-                tracer=None, faults=None) -> RunResult:
+                tracer=None, faults=None,
+                record_flow: bool = True) -> RunResult:
         """Run the DAG for ``iterations`` barriered repetitions.
 
         ``tracer`` (optional :class:`repro.trace.Tracer`) attaches the
         observability layer; results are bit-identical either way.
         ``faults`` (optional :class:`repro.faults.FaultPlan`) attaches
         deterministic fault injection; an empty plan is bit-identical
-        to ``faults=None``.
+        to ``faults=None``.  ``record_flow=False`` drops the per-task
+        flow records; the flow summary is the same either way.
         """
         raise NotImplementedError
 

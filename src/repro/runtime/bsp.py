@@ -60,13 +60,14 @@ class BSPRuntime(Runtime):
         self.name = flavor
 
     def execute(self, dag, iterations: int = 1, tracer=None,
-                faults=None) -> RunResult:
+                faults=None, record_flow: bool = True) -> RunResult:
         return run_bsp(
             self.machine,
             dag,
             iterations=iterations,
             first_touch=self.first_touch,
             flavor=self.flavor,
+            record_flow=record_flow,
             tracer=tracer,
             faults=faults,
         )

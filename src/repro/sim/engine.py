@@ -255,6 +255,10 @@ class SimulationEngine:
         (``synthesized=True``) carrying the exact times the full
         simulation would have produced.
 
+        ``record_flow`` keeps the per-task :class:`FlowRecord` list on
+        ``RunResult.flow`` (Gantt rendering, tests); the flow summary
+        is folded as tasks record either way.
+
         ``steady_state`` arms the iteration fast path (default: on,
         unless ``REPRO_NO_STEADY_STATE`` is set).  Iterative solvers
         replay the same DAG against machine state that converges to a
@@ -280,9 +284,9 @@ class SimulationEngine:
         scheduler.prepare(dag, self.machine, self.memory, seed=self.seed)
         self.cost.prepare(dag)
         counters = PerfCounters()
-        # record_flow=False must actually skip recording, not record
-        # every task and throw the trace away afterwards.
-        flow = FlowGraph() if record_flow else None
+        # The flow summary is folded either way; record_flow only
+        # decides whether the per-task records are kept as well.
+        flow = FlowGraph(keep=record_flow)
         if steady_state is None:
             steady_state = _steady_state_enabled()
         if tracer is not None:
@@ -368,7 +372,7 @@ class SimulationEngine:
             total_time=clock,
             iteration_times=iteration_times,
             counters=counters,
-            flow=flow if record_flow else FlowGraph(),
+            flow=flow,
             n_cores=self.machine.n_cores,
             n_tasks_per_iteration=len(dag),
             steady_state_at=steady_state_at,
@@ -382,7 +386,7 @@ class SimulationEngine:
 
         ``fs`` (an active :class:`~repro.faults.FaultState`, or
         ``None``) adds the fault semantics: dead cores never enter the
-        idle scan, derates stretch each charge, and a completion may be
+        idle mask, derates stretch each charge, and a completion may be
         poisoned and re-executed instead of releasing its successors.
 
         ``taped`` additionally records a *value tape* of the iteration
@@ -428,26 +432,24 @@ class SimulationEngine:
                 nv += 1
         finish_heap = []  # (time, core, tid, node)
         n_cores = self.machine.n_cores
-        # Idle cores as a flag array scanned in ascending id order —
-        # same assignment order as the historical ``sorted(idle)``
-        # without re-sorting a set on every scheduling round.  Dead
-        # lanes start (and stay) busy: they are simply never scanned
-        # for work, which is the engine half of every policy's
-        # recovery story.
+        # Idle cores as an int bitmask (bit c = core c) whose set bits
+        # are visited in ascending core order — the assignment order of
+        # the historical ``sorted(idle)`` — so a scheduling round costs
+        # one step per idle core, not one per core.  Dead lanes start
+        # (and stay) busy: they are simply never offered work, which is
+        # the engine half of every policy's recovery story.
         if fs is None:
-            idle = bytearray([1]) * n_cores
+            idle = (1 << n_cores) - 1
             derates = None
             rate = 0.0
         else:
-            idle = bytearray(0 if fs.dead(c) else 1
-                             for c in range(n_cores))
+            idle = sum(1 << c for c in range(n_cores) if not fs.dead(c))
             derates = fs.derates
             derate = fs.derate
             rate = fs.rate
             budget = fs.budget
             attempts: dict = {}  # tid -> failed attempts this iteration
             tracer = scheduler.tracer
-        n_idle = sum(idle)
         completed = 0
         time = t0
         time_node = 0
@@ -455,10 +457,10 @@ class SimulationEngine:
         succ = dag.succ
         charge = self.cost.charge
         pick = scheduler.pick
-        overhead_of = scheduler.overhead
+        task_overhead = scheduler.overhead_per_task
         has_ready = scheduler.has_ready
         release_time = scheduler.release_time
-        record_flow = flow.record if flow is not None else None
+        record_flow = flow.record
         heappush = heapq.heappush
         heappop = heapq.heappop
         # Counter accumulation in locals, seeded from the running values
@@ -485,14 +487,16 @@ class SimulationEngine:
                                    enabler if enabler >= 0 else None)
             # Hand ready tasks to idle cores (policy picks per core).
             assigned = False
-            if n_idle and has_ready():
-                for core in range(n_cores):
-                    if not idle[core]:
-                        continue
+            if idle and has_ready():
+                scan = idle
+                while scan:
+                    bit = scan & -scan
+                    scan ^= bit
+                    core = bit.bit_length() - 1
                     tid = pick(core, time)
                     if tid is None:
                         continue
-                    overhead = overhead_of(tid)
+                    overhead = task_overhead
                     dur, compute, memory_t, (m1, m2, m3) = charge(tid, core)
                     if derates is not None and derates[core] != 1.0:
                         dur, compute, overhead = derate(
@@ -515,14 +519,11 @@ class SimulationEngine:
                     l3m += m3
                     ktime[kernel] = ktime_get(kernel, 0.0) + dur
                     ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                    if record_flow is not None:
-                        record_flow(tid, kernel, core, time,
-                                    time + dur, it)
+                    record_flow(tid, kernel, core, time, time + dur, it)
                     if ttask is not None:
                         ttask(tid, kernel, core, time, time + dur, it,
                               overhead, compute, memory_t, m1, m2, m3)
-                    idle[core] = 0
-                    n_idle -= 1
+                    idle ^= bit
                     assigned = True
                     if not has_ready():
                         break
@@ -531,9 +532,9 @@ class SimulationEngine:
             # Nothing assignable now: advance to the next event.
             if finish_heap:
                 head = finish_heap[0]
-                if n_idle and release_heap and release_heap[0][0] < head[0]:
+                if idle and release_heap and release_heap[0][0] < head[0]:
                     head = release_heap[0]
-            elif n_idle and release_heap:
+            elif idle and release_heap:
                 head = release_heap[0]
             else:
                 raise RuntimeError(
@@ -553,7 +554,7 @@ class SimulationEngine:
                             # unreleased until a clean attempt lands.
                             attempts[tid] = a + 1
                             backoff = fs.backoff_seconds(a)
-                            overhead = overhead_of(tid)
+                            overhead = task_overhead
                             dur, compute, memory_t, (m1, m2, m3) = charge(
                                 tid, core
                             )
@@ -580,9 +581,8 @@ class SimulationEngine:
                             fs.retries += 1
                             fs.re_executed_time += dur
                             fs.backoff_time += backoff
-                            if record_flow is not None:
-                                record_flow(tid, kernel, core, start2,
-                                            start2 + dur, it)
+                            record_flow(tid, kernel, core, start2,
+                                        start2 + dur, it)
                             if ttask is not None:
                                 ttask(tid, kernel, core, start2,
                                       start2 + dur, it, overhead,
@@ -598,10 +598,8 @@ class SimulationEngine:
                         if tracer is not None:
                             tracer.fault(ftime, core, "task-abandoned",
                                          tid, float(a))
-                idle[core] = 1
-                n_idle += 1
+                idle |= 1 << core
                 completed += 1
-                scheduler.on_complete(tid, core)
                 for v in succ[tid]:
                     indeg[v] -= 1
                     if indeg[v] == 0:
@@ -658,7 +656,7 @@ class SimulationEngine:
                       if op[0] == 2]
         kernels = dag.kernel_of()
         release_time = scheduler.release_time
-        record_flow = flow.record if flow is not None else None
+        record_flow = flow.record
         ttask = tracer.task if tracer is not None else None
         eps = _EPS
 
@@ -722,9 +720,7 @@ class SimulationEngine:
                 l3m += op[10]
                 ktime[kernel] = ktime_get(kernel, 0.0) + dur
                 ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                if record_flow is not None:
-                    record_flow(tid, kernel, op[4], vals[op[1]],
-                                vals[node], it)
+                record_flow(tid, kernel, op[4], vals[op[1]], vals[node], it)
                 if ttask is not None:
                     # Synthesized event: not re-simulated, but carries
                     # the exact anchored times/charges full simulation
@@ -897,6 +893,9 @@ def run_bsp(
     per-iteration computation minus the ``charge`` calls, and results
     are bit-identical by construction.
 
+    ``record_flow`` keeps the per-task flow records, as in
+    :meth:`SimulationEngine.run`; the flow summary is folded either way.
+
     ``faults`` attaches a :class:`repro.faults.FaultPlan`.  BSP has no
     runtime to recover a lost lane: the dead lane's share (and any live
     task transitively depending on it) misses the barrier and is re-run
@@ -916,14 +915,14 @@ def run_bsp(
     cost = CostModel(machine, cache, memory)
     cost.prepare(dag)
     counters = PerfCounters()
-    flow = FlowGraph()
+    flow = FlowGraph(keep=record_flow)
     n_cores = machine.n_cores
     kernels = dag.kernel_of()
     pred = dag.pred
     phase_assignments = _bsp_phase_assignments(dag, n_cores, nnz_balanced)
 
     charge = cost.charge
-    frecord = flow.record if record_flow else None
+    frecord = flow.record
     if tracer is not None:
         tracer.begin_run(machine.name, flavor, n_cores, dag)
         cache.trace_hook = tracer._on_cache_access
@@ -1023,8 +1022,7 @@ def run_bsp(
                         l3m += m3
                         ktime[kernel] = ktime_get(kernel, 0.0) + dur
                         ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                        if frecord is not None:
-                            frecord(tid, kernel, core, start, end, it)
+                        frecord(tid, kernel, core, start, end, it)
                         if ttask is not None:
                             ttask(tid, kernel, core, start, end, it, lo,
                                   compute, memory_t, m1, m2, m3,

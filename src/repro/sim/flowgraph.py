@@ -1,8 +1,9 @@
 """Execution flow graphs — the data behind Figs. 10 and 13.
 
-Every executed task leaves a :class:`FlowRecord` (kernel, core, start,
-end, iteration).  :class:`FlowGraph` offers the reductions the paper's
-flow-graph discussion uses: per-kernel start/finish envelopes (to see
+Every executed task is recorded (kernel, core, start, end, iteration)
+into a :class:`FlowGraph`, which keeps the :class:`FlowRecord` tuples
+only on request and offers the reductions the paper's flow-graph
+discussion uses: per-kernel start/finish envelopes (to see
 pipelining — kernels overlapping in time — versus BSP's disjoint
 phases), per-core utilization, and an ASCII Gantt rendering.
 """
@@ -18,11 +19,12 @@ __all__ = ["FlowRecord", "FlowGraph", "FlowSummary"]
 class FlowRecord(NamedTuple):
     """One task execution.
 
-    A ``NamedTuple`` rather than a dataclass: one record is appended
-    per executed task, so construction cost is on the simulator's hot
-    path (tuple construction is several times cheaper than a frozen
-    dataclass ``__init__``), and :meth:`FlowGraph.record` builds it with
-    ``tuple.__new__``, skipping the generated Python-level ``__new__``.
+    A ``NamedTuple`` rather than a dataclass: when records are kept,
+    one is appended per executed task, so construction cost is on the
+    simulator's hot path (tuple construction is several times cheaper
+    than a frozen dataclass ``__init__``), and :meth:`FlowGraph.record`
+    builds it with ``tuple.__new__``, skipping the generated
+    Python-level ``__new__``.
     """
 
     tid: int
@@ -53,56 +55,66 @@ def _overlap_fraction(envelopes: Dict[str, Tuple[float, float]]) -> float:
 
 
 class FlowGraph:
-    """Append-only trace of task executions for one run."""
+    """Trace of task executions for one run, folded as it records.
 
-    __slots__ = ("records",)
+    :meth:`record` updates the per-kernel start/finish envelopes,
+    per-core busy time and per-iteration spans on every call, in
+    first-seen key order; min and max replace only on a strict
+    ``<``/``>``, and busy time adds ``end - start`` in record order.
+    The :class:`FlowRecord` list itself is kept only when ``keep`` is
+    set (Gantt rendering, tests): the summaries the figures and the
+    result cache read never need it.
+    """
 
-    def __init__(self):
+    __slots__ = ("records", "keep", "n_records", "_env", "_busy",
+                 "_spans")
+
+    def __init__(self, keep: bool = True):
+        self.keep = keep
         self.records: List[FlowRecord] = []
+        self.n_records = 0
+        self._env: Dict[str, list] = {}
+        self._busy: Dict[int, float] = {}
+        self._spans: Dict[int, list] = {}
 
     def record(self, tid, kernel, core, start, end, iteration) -> None:
-        self.records.append(tuple.__new__(
-            FlowRecord, (tid, kernel, core, start, end, iteration)))
-
-    def __len__(self):
-        return len(self.records)
-
-    # ------------------------------------------------------------------
-    def summary(self) -> "FlowSummary":
-        """Aggregate view of this trace (serializable, records dropped).
-
-        One fold builds the per-kernel start/finish envelopes, per-core
-        busy time and per-iteration spans in first-seen key order; min
-        and max replace only on a strict ``<``/``>``.
-        """
-        env: Dict[str, list] = {}
-        busy: Dict[int, float] = {}
-        spans: Dict[int, list] = {}
-        env_get, busy_get, spans_get = env.get, busy.get, spans.get
-        for _tid, kernel, core, start, end, it in self.records:
-            e = env_get(kernel)
-            if e is None:
-                env[kernel] = e = [start, end]
+        self.n_records += 1
+        e = self._env.get(kernel)
+        if e is None:
+            self._env[kernel] = [start, end]
+        else:
             if start < e[0]:
                 e[0] = start
             if end > e[1]:
                 e[1] = end
-            busy[core] = busy_get(core, 0.0) + (end - start)
-            s = spans_get(it)
-            if s is None:
-                spans[it] = s = [start, end]
+        busy = self._busy
+        busy[core] = busy.get(core, 0.0) + (end - start)
+        s = self._spans.get(iteration)
+        if s is None:
+            self._spans[iteration] = [start, end]
+        else:
             if start < s[0]:
                 s[0] = start
             if end > s[1]:
                 s[1] = end
-        envelopes = {k: (lo, hi) for k, (lo, hi) in env.items()}
+        if self.keep:
+            self.records.append(tuple.__new__(
+                FlowRecord, (tid, kernel, core, start, end, iteration)))
+
+    def __len__(self):
+        return self.n_records
+
+    # ------------------------------------------------------------------
+    def summary(self) -> "FlowSummary":
+        """Aggregate view of this trace (serializable, records dropped)."""
+        envelopes = {k: (lo, hi) for k, (lo, hi) in self._env.items()}
         return FlowSummary(
-            n_records=len(self.records),
+            n_records=self.n_records,
             makespan=max((hi for _lo, hi in envelopes.values()), default=0.0),
             envelopes=envelopes,
             overlap_fraction=_overlap_fraction(envelopes),
-            core_busy=busy,
-            spans={i: (lo, hi) for i, (lo, hi) in spans.items()},
+            core_busy=dict(self._busy),
+            spans={i: (lo, hi) for i, (lo, hi) in self._spans.items()},
         )
 
     @property
@@ -128,7 +140,9 @@ class FlowGraph:
     def to_gantt(self, width: int = 100, max_cores: int = 32) -> str:
         """ASCII Gantt chart: one row per core, one letter per kernel."""
         if not self.records:
-            return "(empty flow graph)"
+            return ("(flow records not kept; run with record_flow=True "
+                    "for a Gantt rendering)" if self.n_records
+                    else "(empty flow graph)")
         span = self.makespan
         kernels = sorted({r.kernel for r in self.records})
         letters = {k: chr(ord("A") + i % 26) for i, k in enumerate(kernels)}

@@ -103,12 +103,61 @@ def _domain_tables(dag, memory):
     return tables
 
 
+class _BoundedDraws:
+    """Uniform draws from ``range(k)`` on a PCG64 raw stream.
+
+    Bit-exact with ``np.random.default_rng(seed).integers(0, k)`` for
+    ``1 <= k < 2**32`` when built on that generator's bit generator:
+    numpy's rule is Lemire's multiply-shift with rejection on 32-bit
+    words, each 64-bit raw output split low half first, then high half
+    (the high half buffered for the next word), and no draw at all for
+    ``k == 1``.  The rule lives here rather than behind
+    ``Generator.integers`` for two reasons.  NumPy documents the bit
+    generators' raw streams as stable across versions but makes no such
+    promise for ``Generator.integers``, so with the rule in the repo
+    the simulated numbers depend only on PCG64.  And a draw costs a
+    third or less of a ``Generator.integers`` call, which HPX pays per
+    task.
+    """
+
+    __slots__ = ("bit_generator", "_raw", "_half")
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self._raw = bit_generator.random_raw
+        self._half = -1  # buffered high half of the last raw word
+
+    def index(self, k: int) -> int:
+        if k == 1:
+            return 0
+        threshold = (0x100000000 - k) % k
+        while True:
+            word = self._half
+            if word < 0:
+                raw = self._raw()
+                self._half = raw >> 32
+                word = raw & 0xFFFFFFFF
+            else:
+                self._half = -1
+            m = word * k
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def position(self) -> tuple:
+        """Hashable stream position: bit generator state and buffer."""
+        state = self.bit_generator.state
+        return (repr(sorted(state.items(), key=lambda kv: kv[0])),
+                self._half)
+
+
 class Scheduler:
     """Base policy: global FIFO, no release serialization, no overhead."""
 
     name = "base"
 
     def __init__(self, overhead_per_task: float = 0.0):
+        #: Runtime overhead charged on the executing core for every
+        #: task; the engine reads it once per iteration.
         self.overhead_per_task = overhead_per_task
         self.dag: Optional[TaskDAG] = None
         self.machine: Optional[MachineSpec] = None
@@ -179,10 +228,6 @@ class Scheduler:
         return (tuple(self._queue),)
 
     # -- policy surface ---------------------------------------------------
-    def overhead(self, tid: int) -> float:
-        """Per-task runtime overhead charged on the executing core."""
-        return self.overhead_per_task
-
     def release_time(self, tid: int, iter_start: float) -> float:
         """Earliest time the runtime itself can hand this task to a worker."""
         return iter_start
@@ -198,9 +243,6 @@ class Scheduler:
         tr = self.tracer
         if tr is not None:
             tr.queue_depth(time, len(self._queue))
-
-    def on_complete(self, tid: int, core: int) -> None:
-        """Completion callback (affinity tracking hooks)."""
 
     def pick(self, core: int, time: float) -> Optional[int]:
         tr = self.tracer
@@ -369,6 +411,7 @@ class HPXScheduler(Scheduler):
 
     def prepare(self, dag, machine, memory, seed=0):
         super().prepare(dag, machine, memory, seed)
+        self._draws = _BoundedDraws(self.rng.bit_generator)
         n_dom = machine.n_numa_domains if self.numa_aware else 1
         self._queues: List[List[int]] = [[] for _ in range(n_dom)]
         self._n_ready = 0
@@ -456,16 +499,15 @@ class HPXScheduler(Scheduler):
             tr.queue_depth(time, self._n_ready)
 
     def state_fingerprint(self):
-        # Window picks draw from the RNG, so the generator state is
+        # Window picks draw from the RNG, so the stream position is
         # scheduling state.  It advances every iteration — HPX never
         # reaches a fingerprint fixed point, i.e. it always simulates
         # every iteration in full (the honest outcome for a policy
         # whose schedule genuinely differs between iterations).
-        rng_state = self.rng.bit_generator.state
         return (
             tuple(tuple(q) for q in self._queues),
             self._n_ready,
-            repr(sorted(rng_state.items(), key=lambda kv: kv[0])),
+            self._draws.position(),
         )
 
     def pick(self, core, time):
@@ -499,7 +541,7 @@ class HPXScheduler(Scheduler):
             return tid
         # HPX places "less value on prioritization of tasks launched
         # earlier": draw from a small window at the front.
-        idx = int(self.rng.integers(0, min(len(q), self.shuffle_window)))
+        idx = self._draws.index(min(len(q), self.shuffle_window))
         self._n_ready -= 1
         tid = q.pop(idx)
         if tr is not None:

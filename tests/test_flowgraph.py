@@ -1,9 +1,11 @@
 """Flow graph reductions: envelopes, overlap, utilization, Gantt text.
 
-The production aggregates come from one fold over the records
-(:meth:`FlowGraph.summary`).  The naive reference below is the
+The production aggregates are folded as tasks record
+(:meth:`FlowGraph.record`).  The naive reference below is the
 one-walk-per-aggregate implementation the fold replaced; the fold must
-equal it bit for bit, dict key order included.
+equal it bit for bit, dict key order included, on synthetic records and
+on real simulated cells (every version, replayed iterations, fault
+retries, traced runs, records kept or not).
 """
 
 import json
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.experiment import run_version
+from repro.faults import FaultPlan
 from repro.sim.flowgraph import FlowGraph, FlowRecord, FlowSummary
+from repro.trace import InMemorySink, Tracer
 
 
 # -- naive reference: one walk per aggregate ---------------------------
@@ -175,6 +179,12 @@ def test_fold_matches_reference_bit_for_bit(rows):
     assert repr(f.makespan) == repr(want.makespan)
     assert repr(f.kernel_overlap_fraction()) == repr(want.overlap_fraction)
     assert repr(f.utilization(4)) == repr(want.utilization(4))
+    # Records dropped: the same fold, the same summary.
+    lean = FlowGraph(keep=False)
+    for r in f.records:
+        lean.record(*r)
+    assert lean.records == [] and len(lean) == len(f)
+    assert_bit_identical(lean.summary(), want)
 
 
 @pytest.mark.parametrize("rows", [
@@ -190,11 +200,58 @@ def test_fold_edge_cases(rows):
     assert_bit_identical(f.summary(), reference_summary(f.records))
 
 
-def test_engine_cell_summary_matches_reference():
-    """A real simulated cell: the fold and the reference agree on the
-    serialized summary the result cache and the service hand out."""
-    res = run_version("broadwell", "inline1", "lanczos", "deepsparse",
-                      block_count=32, iterations=4)
-    assert len(res.flow.records) == 4 * res.n_tasks_per_iteration
+# -- fold battery: real simulated cells --------------------------------
+VERSIONS = ("libcsr", "libcsb", "deepsparse", "hpx", "regent")
+
+
+def _cell(version, **kw):
+    kw.setdefault("iterations", 6)
+    return run_version("broadwell", "inline1", "lanczos", version,
+                       block_count=16, **kw)
+
+
+def test_engine_cell_summary_matches_reference(monkeypatch):
+    """Real simulated cells, steady-state replay armed: the fold and the
+    reference agree on the serialized summary the result cache and the
+    service hand out, replayed records included (BSP's charge-tape
+    replay, the engine's ``_replay_iterations``; HPX never replays)."""
+    monkeypatch.delenv("REPRO_NO_STEADY_STATE", raising=False)
+    for version in VERSIONS:
+        res = _cell(version)
+        assert (res.steady_state_at is None) == (version == "hpx"), version
+        assert len(res.flow.records) == 6 * res.n_tasks_per_iteration
+        assert_bit_identical(res.summary().flow,
+                             reference_summary(res.flow.records))
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_fold_matches_reference_under_faults(version):
+    """Retried executions are recorded (and folded) like any other."""
+    plan = FaultPlan.from_spec("chaos", seed=0)
+    res = _cell(version, iterations=5, faults=plan)
+    assert res.fault_report.retries > 0
+    assert len(res.flow.records) == res.counters.tasks_executed
     assert_bit_identical(res.summary().flow,
                          reference_summary(res.flow.records))
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_fold_traced_matches_untraced(version, monkeypatch):
+    monkeypatch.delenv("REPRO_NO_STEADY_STATE", raising=False)
+    plain = _cell(version)
+    traced = _cell(version, tracer=Tracer(InMemorySink()))
+    assert_bit_identical(traced.summary().flow, plain.summary().flow)
+    assert_bit_identical(traced.summary().flow,
+                         reference_summary(traced.flow.records))
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_summary_independent_of_record_flow(version):
+    """``record_flow=False`` drops the records, never the summary."""
+    kept = _cell(version)
+    dropped = _cell(version, record_flow=False)
+    assert dropped.flow.records == []
+    assert len(dropped.flow) == len(kept.flow) > 0
+    assert dropped.summary().flow.makespan > 0.0
+    assert json.dumps(dropped.summary().to_dict()) == \
+        json.dumps(kept.summary().to_dict())
