@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Dict, Sequence
 
 from repro.analysis.metrics import SolverComparison
-from repro.bench.prep import MEMO_ENTRIES, default_prep_store
+from repro.bench.prep import default_prep_store
 from repro.machine.presets import get_machine
 from repro.matrices.census import census_for
 from repro.matrices.suite import SUITE
@@ -59,6 +59,9 @@ ALL_VERSIONS = ("libcsr", "libcsb", "deepsparse", "hpx", "regent")
 
 #: Paper vector-block widths: LOBPCG blocks have 8–16 columns.
 DEFAULT_WIDTHS = {"lobpcg": 8, "lanczos": 20}  # lanczos: Krylov basis size
+
+#: Prepped DAGs one process keeps alive (the bound of :func:`_prepped_dag`).
+MEMO_ENTRIES = 128
 
 
 #: Censuses adopted from loaded prep artifacts, consulted before

@@ -35,16 +35,10 @@ quarantines the file to ``<root>/corrupt/`` and reports a miss — a
 broken store must never break an experiment.  The human-readable
 header makes ``repro prep list`` a one-line read per artifact.
 
-Reads are memoized per process: entries are content-addressed and
-immutable, so a repeat ``get`` of the same key returns the
-already-deserialized artifact after one ``stat`` validation
-(mtime + size) instead of re-reading and re-unpickling megabytes —
-the common case for sweeps that clear their in-process DAG memos
-between rounds but keep the store instance.  The memo holds at most
-:data:`MEMO_ENTRIES` artifacts, the same bound as the in-process DAG
-memo in :mod:`repro.analysis.experiment`, and evicts the oldest entry
-first, so a long-lived service worker that meets many distinct prep
-keys keeps a bounded number of artifacts alive.
+Reads are not memoized: every ``get`` re-reads, re-validates and
+unpickles.  The in-process memo is the experiment driver's DAG memo
+(:func:`repro.analysis.experiment._prepped_dag`), which asks the store
+once per cell subkey.
 
 The payload travels by ``pickle``, which is only safe because this is
 a *local build cache*: every entry is written by this same codebase on
@@ -65,15 +59,12 @@ import json
 import os
 import pickle
 import tempfile
-import threading
-from collections import OrderedDict
 from typing import Iterator, Optional
 
 from repro.bench.cache import DEFAULT_ROOT, cache_key
 from repro.sim.cost import COST_MODEL_VERSION
 
 __all__ = [
-    "MEMO_ENTRIES",
     "PREP_FORMAT",
     "PREP_SALT",
     "PrepStore",
@@ -88,10 +79,6 @@ PREP_FORMAT = 3
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"
-
-#: Artifacts one process keeps deserialized: the bound of both the
-#: store's read memo and the experiment driver's DAG memo.
-MEMO_ENTRIES = 128
 
 
 def _default_root() -> str:
@@ -132,16 +119,6 @@ class PrepStore:
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        #: Per-process deserialization memo: key -> (mtime_ns, size,
-        #: artifact).  Sound because entries are content-addressed —
-        #: same key, same bytes — and immutable once written; the
-        #: stat validator catches the only legal change (a rewrite by
-        #: a concurrent ``put``, which produces identical content, or
-        #: external tampering, which must force a real re-read so the
-        #: quarantine path still fires).  Insertion-ordered and capped
-        #: at :data:`MEMO_ENTRIES`, oldest evicted first.
-        self._loaded: OrderedDict = OrderedDict()
-        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def key(self, config: dict) -> str:
@@ -175,16 +152,6 @@ class PrepStore:
         key = self.key(config)
         path = self.path_for(key)
         try:
-            st = os.stat(path)
-        except OSError:
-            self.misses += 1
-            return None
-        memo = self._loaded.get(key)
-        if (memo is not None and memo[0] == st.st_mtime_ns
-                and memo[1] == st.st_size):
-            self.hits += 1
-            return memo[2]
-        try:
             with open(path, "rb") as f:
                 line = f.readline()
                 header = json.loads(line.decode("utf-8"))
@@ -213,14 +180,9 @@ class PrepStore:
             # Any decode failure — bad JSON header, short read, pickle
             # error, missing field — quarantines the file and misses.
             self._quarantine(path)
-            self._loaded.pop(key, None)
             self.misses += 1
             return None
         self.hits += 1
-        with self._memo_lock:           # service threads share a store
-            self._loaded[key] = (st.st_mtime_ns, st.st_size, artifact)
-            if len(self._loaded) > MEMO_ENTRIES:
-                self._loaded.popitem(last=False)
         return artifact
 
     def put(self, config: dict, artifact) -> None:
@@ -252,7 +214,6 @@ class PrepStore:
             except OSError:
                 pass
             raise
-        self._loaded.pop(key, None)
         self.writes += 1
 
     def __contains__(self, config: dict) -> bool:
@@ -338,7 +299,6 @@ class PrepStore:
 
     def clear(self) -> int:
         """Remove every artifact; returns the number removed."""
-        self._loaded.clear()
         removed = 0
         for path in list(self._entry_paths()):
             try:

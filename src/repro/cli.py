@@ -440,12 +440,19 @@ def _cmd_trace(args) -> int:
     from repro.analysis.gantt import render_trace
     from repro.trace import Tracer, event_to_dict
 
+    saved = os.environ.get("REPRO_NO_STEADY_STATE")
     if args.no_steady_state:
         os.environ["REPRO_NO_STEADY_STATE"] = "1"
     tracer = Tracer()
-    res = run_version(args.machine, args.matrix, args.solver,
-                      args.version, block_count=args.block_count,
-                      iterations=args.iterations, tracer=tracer)
+    try:
+        res = run_version(args.machine, args.matrix, args.solver,
+                          args.version, block_count=args.block_count,
+                          iterations=args.iterations, tracer=tracer)
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_STEADY_STATE", None)
+        else:
+            os.environ["REPRO_NO_STEADY_STATE"] = saved
     label = (f"{args.machine}-{args.matrix}-{args.solver}-{args.version}"
              f"-bc{args.block_count}-it{args.iterations}")
     trace_path, metrics_path, _ = _trace_cell_artifacts(

@@ -2,9 +2,10 @@
 
 A spec is a reusable recipe; combined with an integer seed it yields a
 fully reproducible :class:`~repro.faults.plan.FaultPlan`.  The names
-here are the vocabulary of ``repro chaos --spec`` and of the
-fault-sweep cell in the perf guard, so changing a recipe changes
-recorded numbers — add new names instead of editing existing ones.
+here are the vocabulary of ``repro chaos --spec`` and of the frozen
+faulted cells in ``tests/fixtures/fault_equivalence.json``, so
+changing a recipe changes recorded numbers — add new names instead of
+editing existing ones.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """CLI: every subcommand runs and prints the expected tables."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -45,6 +47,18 @@ def test_compare_command(capsys):
     out = capsys.readouterr().out
     for v in ("libcsr", "libcsb", "deepsparse", "hpx", "regent"):
         assert v in out
+
+
+def test_trace_command_self_checks_and_restores_environment(
+        tmp_path, capsys, monkeypatch):
+    """``--no-steady-state`` applies to the traced cell only: later
+    runs in the same process must replay again."""
+    monkeypatch.delenv("REPRO_NO_STEADY_STATE", raising=False)
+    env = dict(os.environ)
+    assert main(["trace", "--matrix", "inline1", "--iterations", "3",
+                 "--no-steady-state", "--out", str(tmp_path)]) == 0
+    assert "trace/counter consistency: OK" in capsys.readouterr().out
+    assert dict(os.environ) == env
 
 
 def _bench_trace_args(out_dir, jobs):

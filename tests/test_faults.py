@@ -237,14 +237,15 @@ def test_empty_plan_is_observationally_free(version):
 
 @pytest.mark.parametrize("version", ["libcsb", "deepsparse", "hpx"])
 def test_seeded_plan_is_bit_identical_across_runs(version):
-    plan = FaultPlan.from_spec("chaos", seed=0)
-    a = run_version("broadwell", "inline1", "lanczos", version,
-                    block_count=16, iterations=5, faults=plan)
-    b = run_version("broadwell", "inline1", "lanczos", version,
-                    block_count=16, iterations=5, faults=plan)
-    assert _observed(a) == _observed(b)
-    assert a.fault_report is not None
-    assert a.fault_report.to_dict() == b.fault_report.to_dict()
+    for spec in ("chaos", "core-loss"):
+        plan = FaultPlan.from_spec(spec, seed=0)
+        a = run_version("broadwell", "inline1", "lanczos", version,
+                        block_count=16, iterations=5, faults=plan)
+        b = run_version("broadwell", "inline1", "lanczos", version,
+                        block_count=16, iterations=5, faults=plan)
+        assert _observed(a) == _observed(b), spec
+        assert a.fault_report is not None
+        assert a.fault_report.to_dict() == b.fault_report.to_dict(), spec
 
 
 def test_seeded_plan_is_bit_identical_across_processes():

@@ -16,7 +16,7 @@ import weakref
 import pytest
 
 import repro.analysis.experiment as experiment
-from repro.bench.prep import MEMO_ENTRIES, default_prep_store
+from repro.bench.prep import default_prep_store
 from repro.machine.presets import get_machine
 from repro.trace import Tracer
 from tests.test_prep_store import _clear_experiment_memos
@@ -132,19 +132,12 @@ def test_concurrent_threads_leave_collector_enabled(store):
 # ----------------------------------------------------------------------
 
 def test_memo_bound_frees_evicted_frozen_dag(store):
-    """The read memo keeps at most MEMO_ENTRIES artifacts; an evicted,
-    frozen DAG dies by refcount once the DAG memo lets go of it."""
+    """A loaded, frozen DAG dies by refcount once the DAG memo lets go
+    of it."""
     config = _prepped()
     _clear_experiment_memos()
     ref = weakref.ref(_dag_for(config))     # store hit, frozen
     assert store.hits == 1 and ref() is not None
-    for i in range(MEMO_ENTRIES + 1):       # 130 distinct keys in all
-        key = {"kind": "filler", "i": i}
-        store.put(key, {"i": i})
-        assert store.get(key) == {"i": i}
-    assert len(store._loaded) <= MEMO_ENTRIES
-    assert store.key(config) not in store._loaded
-    assert ref() is not None                # still held by _prepped_dag
     experiment._prepped_dag.cache_clear()
     assert ref() is None
 
@@ -159,7 +152,6 @@ def test_dropped_dag_leaves_no_cyclic_garbage(store, collector_paused,
         assert store.hits == 1
     ref = weakref.ref(_dag_for(config))
     _clear_experiment_memos()
-    store._loaded.clear()
     assert ref() is None
     assert gc.collect() == 0
 

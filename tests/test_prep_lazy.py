@@ -5,7 +5,10 @@ loaded DAG may decode its ``Task`` list, and every summary must equal
 a build with the store disabled.  Two 8-iteration cells cover the
 steady-state replay of the event engine and of the BSP loop.  A traced
 run may decode (trace export reads task parameters) but must report
-the same numbers as the untraced one.
+the same numbers as the untraced one.  The Fig. 9 Broadwell Lanczos
+grid (every default matrix x every version at the default block
+counts) holds the same loaded-equals-built and lazy-decode contract
+at paper scale.
 """
 
 import json
@@ -13,7 +16,8 @@ import json
 import pytest
 
 import repro.analysis.experiment as experiment
-from repro.bench.prep import default_prep_store
+from repro.bench.prep import PrepStore, default_prep_store
+from repro.bench.runner import DEFAULT_MATRICES, expand_grid
 from repro.trace import Tracer
 from tests.test_prep_store import _clear_experiment_memos
 
@@ -26,10 +30,55 @@ CELLS = [(s, v, 2) for s in ("lanczos", "lobpcg")
     ("lanczos", "deepsparse", 8), ("lobpcg", "libcsb", 8)]
 
 
+#: (matrix, version, block_count): the Fig. 9 Broadwell Lanczos grid,
+#: each version at its rule-of-thumb block count, 2 iterations.
+FIG9_CELLS = [(c.matrix, c.version, c.block_count)
+              for c in expand_grid(matrices=DEFAULT_MATRICES)]
+
+
 def _summary(solver, version, iterations, tracer=None):
     return experiment.run_version(
         MACHINE, MATRIX, solver, version, block_count=BLOCKS,
         iterations=iterations, tracer=tracer).summary().to_dict()
+
+
+def _fig9_summary(matrix, version, block_count):
+    return experiment.run_version(
+        MACHINE, matrix, "lanczos", version, block_count=block_count,
+        iterations=2).summary().to_dict()
+
+
+def _built_then_loaded(mp, root, cells, summary, prebuild):
+    """Summaries of ``cells`` built with the store off, then loaded
+    from a store that ``prebuild`` filled, plus the DAGs the loaded
+    sweep got from the store and, per DAG, whether its task section
+    was still undecoded after that sweep."""
+    mp.setenv("REPRO_PREP_DIR", root)
+    mp.setenv("REPRO_NO_PREP", "1")
+    _clear_experiment_memos()
+    built = {c: summary(*c) for c in cells}
+    mp.delenv("REPRO_NO_PREP")
+    _clear_experiment_memos()
+    store = default_prep_store()
+    configs = {json.dumps(prebuild(*c), sort_keys=True) for c in cells}
+    _clear_experiment_memos()
+    dags = []
+    get = PrepStore.get
+
+    def spy(self, config):
+        artifact = get(self, config)
+        if artifact is not None:
+            dags.append(artifact["dag"])
+        return artifact
+
+    writes = store.writes
+    with pytest.MonkeyPatch.context() as spying:
+        spying.setattr(PrepStore, "get", spy)
+        loaded = {c: summary(*c) for c in cells}
+    assert store.writes == writes          # served, never rebuilt
+    assert len(dags) == len(configs)
+    undecoded = [d._tasks is None for d in dags]
+    return built, loaded, dags, undecoded
 
 
 @pytest.fixture(scope="module")
@@ -39,30 +88,28 @@ def sweeps(tmp_path_factory):
     its task section was still undecoded after the untraced sweep."""
     root = str(tmp_path_factory.mktemp("prep"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_PREP_DIR", root)
-        mp.setenv("REPRO_NO_PREP", "1")
-        _clear_experiment_memos()
-        built = {c: _summary(*c) for c in CELLS}
-        mp.delenv("REPRO_NO_PREP")
-        _clear_experiment_memos()
-        store = default_prep_store()
-        configs = {
-            json.dumps(experiment.prebuild_prep(
-                MACHINE, MATRIX, solver, version, block_count=BLOCKS),
-                sort_keys=True)
-            for solver, version, _ in CELLS
-        }
-        _clear_experiment_memos()
-        store._loaded.clear()
-        writes = store.writes
-        loaded = {c: _summary(*c) for c in CELLS}
-        assert store.writes == writes          # served, never rebuilt
-        dags = [memo[2]["dag"] for memo in store._loaded.values()]
-        assert len(dags) == len(configs)
-        undecoded = [d._tasks is None for d in dags]
+        built, loaded, dags, undecoded = _built_then_loaded(
+            mp, root, CELLS, _summary,
+            lambda solver, version, _: experiment.prebuild_prep(
+                MACHINE, MATRIX, solver, version, block_count=BLOCKS))
         traced = {c: _summary(*c, tracer=Tracer()) for c in CELLS}
         _clear_experiment_memos()
     return built, loaded, traced, dags, undecoded
+
+
+@pytest.fixture(scope="module")
+def fig9_sweeps(tmp_path_factory):
+    """The Fig. 9 grid built with the store off and loaded from a full
+    store, with the loaded DAGs' undecoded flags."""
+    root = str(tmp_path_factory.mktemp("prep-fig9"))
+    with pytest.MonkeyPatch.context() as mp:
+        built, loaded, _, undecoded = _built_then_loaded(
+            mp, root, FIG9_CELLS, _fig9_summary,
+            lambda matrix, version, block_count: experiment.prebuild_prep(
+                MACHINE, matrix, "lanczos", version,
+                block_count=block_count))
+        _clear_experiment_memos()
+    return built, loaded, undecoded
 
 
 def test_loaded_sweep_never_decodes_a_task_section(sweeps):
@@ -87,3 +134,15 @@ def test_loaded_summary_equals_store_disabled_build(sweeps, cell):
 def test_traced_run_matches_untraced(sweeps, cell):
     _, loaded, traced, _, _ = sweeps
     assert traced[cell] == loaded[cell]
+
+
+def test_fig9_loaded_sweep_never_decodes_a_task_section(fig9_sweeps):
+    _, _, undecoded = fig9_sweeps
+    assert undecoded and all(undecoded)
+
+
+@pytest.mark.parametrize("cell", FIG9_CELLS,
+                         ids=lambda c: "-".join(map(str, c)))
+def test_fig9_loaded_summary_equals_store_disabled_build(fig9_sweeps, cell):
+    built, loaded, _ = fig9_sweeps
+    assert loaded[cell] == built[cell]

@@ -1,7 +1,7 @@
 """Behavior suite for the cross-cell prep store (repro.bench.prep).
 
 Covers the durability contract (atomic writes, quarantine-on-corruption
-reads, salt orphaning, gc), the per-process deserialization memo, the
+reads, salt orphaning, gc), re-validation on every read, the
 environment knobs, and the end-to-end guarantee that matters most: a
 ``run_version`` served from a loaded artifact is bit-identical to one
 built from scratch.
@@ -140,32 +140,24 @@ def test_wrong_salt_quarantined(store, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Deserialization memo
+# Every read re-validates: rewrites and tampering are always seen
 # ----------------------------------------------------------------------
-
-def test_memo_serves_same_object_after_stat(store):
-    store.put(CONFIG, _artifact())
-    first = store.get(CONFIG)
-    second = store.get(CONFIG)
-    assert second is first                 # memo hit, no re-unpickle
-    assert store.hits == 2
-
 
 def test_memo_invalidated_by_rewrite(store):
     store.put(CONFIG, _artifact("v1"))
     assert store.get(CONFIG)["tag"] == "v1"
-    store.put(CONFIG, _artifact("v2"))     # put drops the memo entry
+    store.put(CONFIG, _artifact("v2"))
     assert store.get(CONFIG)["tag"] == "v2"
 
 
 def test_memo_does_not_mask_tampering(store):
     store.put(CONFIG, _artifact())
-    store.get(CONFIG)                      # memoized
+    store.get(CONFIG)
     path = store.path_for(store.key(CONFIG))
-    _flip_payload_byte(path)               # changes mtime -> stat differs
+    _flip_payload_byte(path)
     assert store.get(CONFIG) is None       # re-read, quarantined
     assert store.quarantined == 1
-    # And the memo entry is gone too: a fresh file is re-read cleanly.
+    # A fresh file is re-read cleanly.
     store.put(CONFIG, _artifact("clean"))
     assert store.get(CONFIG)["tag"] == "clean"
 
@@ -371,8 +363,7 @@ def test_parallel_writers_same_key_one_valid_artifact(tmp_path):
 def test_concurrent_readers_during_quarantine_never_torn(tmp_path):
     """Readers racing over a corrupt artifact each get a clean miss
     (or a valid re-published artifact) while one of them moves the
-    evidence to ``corrupt/`` — nobody crashes, nobody loads garbage,
-    and the shared per-process memo never resurrects the bad bytes."""
+    evidence to ``corrupt/`` — nobody crashes, nobody loads garbage."""
     import threading
 
     root = str(tmp_path / "prep")
@@ -384,7 +375,7 @@ def test_concurrent_readers_during_quarantine_never_torn(tmp_path):
     first_read = threading.Event()
     failures = []
     lock = threading.Lock()
-    shared = PrepStore(root=root, enabled=True)  # one memo, many threads
+    shared = PrepStore(root=root, enabled=True)  # one store, many threads
 
     def reader():
         barrier.wait()
