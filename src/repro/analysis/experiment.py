@@ -14,11 +14,12 @@ their own side.
 Layered over the in-process memos is the cross-process *prep store*
 (:mod:`repro.bench.prep`): :func:`_prepped_dag` first tries to load a
 persisted artifact — census + built DAG with frozen
-structure-of-arrays view, interned tables, and compiled access plans —
-and only on a store miss builds everything, compiles the prep against
-the target machine, and writes the artifact through.  With the store
-disabled (``REPRO_NO_PREP=1``) it degrades to exactly the old
-in-process ``lru_cache`` behaviour.
+structure-of-arrays view, interned tables, compiled access plans and
+a rebuild recipe in place of its ``Task`` list — and only on a store
+miss builds everything, compiles the prep against the target machine,
+and writes the artifact through.  With the store disabled
+(``REPRO_NO_PREP=1``) it degrades to exactly the old in-process
+``lru_cache`` behaviour.
 
 Loading or building a DAG allocates hundreds of thousands of small
 objects, and CPython's cyclic collector would rescan them on every
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Sequence
 
 from repro.analysis.metrics import SolverComparison
@@ -95,10 +96,27 @@ def _dag(matrix: str, block_size: int, solver: str, width: int, options):
     ``BuildOptions`` is a frozen dataclass, hence hashable; versions
     with identical decomposition policies get the *same* DAG object,
     which also lets the cost model reuse its per-task pricing
-    invariants (see :meth:`repro.sim.cost.CostModel.prepare`).
+    invariants (see :meth:`repro.sim.cost.CostModel.prepare`).  Each
+    carries its :func:`_rebuild_dag` recipe, so a prep artifact can
+    persist it without the ``Task`` list.
     """
     cen, calls, chunked, small = _trace(matrix, block_size, solver, width)
-    return build_solver_dag(cen, calls, chunked, small, "A", options)
+    dag = build_solver_dag(cen, calls, chunked, small, "A", options)
+    dag.recipe = partial(_rebuild_dag, matrix, block_size, solver, width,
+                         options)
+    return dag
+
+
+def _rebuild_dag(matrix: str, block_size: int, solver: str, width: int,
+                 options):
+    """A newly built DAG for one subkey: the recipe a prep artifact
+    persists instead of its ``Task`` list (see :mod:`repro.graph.dag`).
+
+    Built past the :func:`_dag` memo, so the loaded DAG that adopts
+    this list never shares it with the memo's DAG, which a later
+    ``add_task`` would otherwise reach.
+    """
+    return _dag.__wrapped__(matrix, block_size, solver, width, options)
 
 
 def prep_config(machine_name: str, matrix: str, block_size: int,
@@ -180,13 +198,13 @@ def _prepped_dag(machine_name: str, matrix: str, block_size: int,
     """One executable DAG per cell subkey, via the prep store.
 
     Store hit: the loaded DAG arrives with its frozen SoA view,
-    interned tables, and compiled plans — no trace, no builder, no
-    plan compile; the artifact's census also primes :func:`_census`
-    for sibling cells.  Store miss (or store disabled): build through
-    the in-process memos; on a miss with the store enabled, compile
-    the prep and write the artifact through so the *next* process (or
-    pool worker) loads it.  Both paths run under
-    :func:`_collector_paused`.
+    interned tables, compiled plans and rebuild recipe, but no
+    ``Task`` list — no trace, no builder, no plan compile; the
+    artifact's census also primes :func:`_census` for sibling cells.
+    Store miss (or store disabled): build through the in-process
+    memos; on a miss with the store enabled, compile the prep and write
+    the artifact through so the *next* process (or pool worker) loads
+    it.  Both paths run under :func:`_collector_paused`.
     """
     with _collector_paused():
         store = default_prep_store()

@@ -16,23 +16,24 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 3): one JSON header line —
+File format (:data:`PREP_FORMAT` 4): one JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
-``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  Inside
-the payload the DAG's ``Task`` list is one opaque pickled section
-(:meth:`repro.graph.dag.TaskDAG.__getstate__`): loading keeps it as
-bytes, and only a consumer outside the simulation run path (trace
-export, Gantt, the threaded runtime, analysis) decodes it, at its
-first ``dag.tasks``.  A run reads the frozen arrays, the compiled
-plans, the domain tables and the BSP phases.  The checksum is the
-SHA-256 of the whole payload bytes, task section included, so damage
-anywhere is caught at ``get`` and never deferred to a later decode;
-reads verify that the header line is exactly the
-canonical JSON ``put`` writes, every header field (the config must
-hash to the key), the length and the checksum, and
-*any* failure (truncation, bad pickle, wrong salt, checksum mismatch)
-quarantines the file to ``<root>/corrupt/`` and reports a miss — a
-broken store must never break an experiment.  The human-readable
+``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
+DAG is pickled without its ``Task`` list: it carries its frozen
+arrays, interned tables, compiled plans, domain tables and BSP phases,
+plus a rebuild recipe (:meth:`repro.graph.dag.TaskDAG.__getstate__`).
+A run reads only the former; a consumer outside the simulation run
+path (trace export, Gantt, the threaded runtime, analysis) rebuilds
+the list through the DAG builder at its first ``dag.tasks``, which
+fails closed if the rebuilt graph differs from the loaded arrays.
+The checksum is the SHA-256 of the whole payload bytes, recipe
+included, so damage anywhere is caught at ``get``, never at a later
+rebuild.  Reads verify that the header line is exactly the canonical
+JSON ``put`` writes, every header field (the config must hash to the
+key), the length and the checksum, and *any* failure (truncation, bad
+pickle, wrong salt, checksum mismatch) quarantines the file to
+``<root>/corrupt/`` and reports a miss — a broken store must never
+break an experiment.  The human-readable
 header makes ``repro prep list`` a one-line read per artifact.
 
 Reads are not memoized: every ``get`` re-reads, re-validates and
@@ -73,9 +74,9 @@ __all__ = [
 
 #: Storage-schema version of one prep artifact.  Bump on any change to
 #: the payload layout *or* to the pickled structures it carries (plan
-#: tuple shape, GraphArrays fields, …): old artifacts are orphaned by
-#: the salt, not migrated.
-PREP_FORMAT = 3
+#: tuple shape, GraphArrays fields, …) *or* to what a DAG's recipe
+#: rebuilds: old artifacts are orphaned by the salt, not migrated.
+PREP_FORMAT = 4
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

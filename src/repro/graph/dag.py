@@ -28,19 +28,24 @@ bit-identical results — pinned by ``tests/test_property_dag.py``
 against the retained reference implementations in
 :mod:`repro.graph.analyze`.
 
-A pickled DAG carries its ``Task`` list as one opaque pickled section
-(bytes) next to the frozen view.  Unpickling keeps the section as
-bytes; ``dag.tasks`` decodes it on first access.  The simulation run
-path never asks: the engines, the cost model and the schedulers price
-and schedule by tid off the frozen view, the compiled plans and
+A DAG built for a prep artifact carries a rebuild **recipe**: a
+picklable zero-argument callable (a ``functools.partial`` over
+:func:`repro.analysis.experiment._rebuild_dag`) that builds the same
+graph afresh.  The DAG builder expands a solver trace into tasks
+deterministically, so the recipe stands in for the ``Task`` list:
+pickling a frozen DAG that has one leaves the list out.  A loaded DAG
+rebuilds its list on the first ``dag.tasks``, checks the rebuilt
+frozen arrays against its own, and adopts the list.  The simulation
+run path never asks: the engines, the cost model and the schedulers
+price and schedule by tid off the frozen view, the compiled plans and
 :meth:`TaskDAG.kernel_of`, so a loaded prep artifact runs without ever
 building its ``Task`` objects.  Trace and Gantt export, the threaded
-runtime, analysis code and :meth:`TaskDAG.add_task` decode.
+runtime, analysis code and :meth:`TaskDAG.add_task` rebuild.  A DAG
+without a recipe (hand-built in tests) pickles its list the plain way.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
@@ -51,9 +56,15 @@ from repro.graph.task import Task
 
 __all__ = ["GraphArrays", "TaskDAG"]
 
-#: Serializes first decodes of a task section: service threads share
-#: loaded DAGs, and every reader must see the same ``Task`` objects.
-_DECODE_LOCK = threading.Lock()
+#: Serializes first rebuilds of a loaded task list: service threads
+#: share loaded DAGs, and every reader must see the same ``Task`` objects.
+_REBUILD_LOCK = threading.Lock()
+
+#: Frozen fields a rebuilt DAG must reproduce before a loaded DAG adopts
+#: its task list.
+_RECIPE_CHECKS = ("n_tasks", "n_edges", "kernel_names", "kernel_codes",
+                  "touch_ids", "touch_nbytes", "succ_indptr",
+                  "succ_indices")
 
 
 @dataclass
@@ -106,35 +117,64 @@ class TaskDAG:
     :class:`~repro.graph.builder.DAGBuilder` coincides with the
     depth-first program order DeepSparse spawns tasks in.
 
-    ``tasks`` is decoded lazily on a DAG that came out of a pickle (see
-    the module docstring); ``len``, ``sources``, ``in_degrees``,
-    ``handle_interning``, ``by_kernel`` and :meth:`kernel_of` of a
-    frozen DAG answer without decoding.
+    ``tasks`` of a DAG that came out of a pickle without its list is
+    rebuilt from ``recipe`` on first use (see the module docstring);
+    ``len``, ``sources``, ``in_degrees``, ``handle_interning``,
+    ``by_kernel`` and :meth:`kernel_of` of a frozen DAG answer without
+    rebuilding.  Any mutation drops the recipe along with the frozen
+    view: it no longer describes the graph.
+
+    ``_cost_prep``, ``_home_arrays``, ``_sched_domains`` and
+    ``_bsp_phases`` are the run invariants the cost model, the
+    schedulers and BSP memoize on the DAG (and a prep artifact
+    persists), keyed by their pricing/placement inputs.
     """
 
     def __init__(self):
         self._tasks: Optional[List[Task]] = []
-        #: Pickled task list of an unpickled, not yet decoded DAG.
-        self._task_section: Optional[bytes] = None
+        #: Zero-argument callable that builds this graph afresh, or None.
+        self.recipe: Optional[Callable[[], "TaskDAG"]] = None
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
         self._edge_set = set()
         self._handle_intern = None
         self._soa: Optional[GraphArrays] = None
         self._kernel_of: Optional[List[str]] = None
+        self._cost_prep: dict = {}
+        self._home_arrays: dict = {}
+        self._sched_domains: dict = {}
+        self._bsp_phases: dict = {}
 
     @property
     def tasks(self) -> List[Task]:
-        """The task list, decoded from the pickled section on first use."""
+        """The task list, rebuilt from the recipe on first use."""
         tasks = self._tasks
         if tasks is None:
-            with _DECODE_LOCK:
+            with _REBUILD_LOCK:
                 tasks = self._tasks
                 if tasks is None:
-                    tasks = pickle.loads(self._task_section)
+                    tasks = self._rebuilt_tasks()
                     self._tasks = tasks
-                    self._task_section = None
         return tasks
+
+    def _rebuilt_tasks(self) -> List[Task]:
+        """Build the graph afresh; its list, if it matches this DAG.
+
+        A recipe that no longer reproduces the persisted arrays (the
+        builder changed, the artifact layout did not) fails closed
+        rather than hand out tasks that disagree with the plans.
+        """
+        fresh = self.recipe()
+        ours, theirs = self._soa, fresh.freeze()
+        for name in _RECIPE_CHECKS:
+            if not np.array_equal(getattr(ours, name),
+                                  getattr(theirs, name)):
+                raise RuntimeError(
+                    f"rebuilt DAG differs from the loaded one in {name}: "
+                    "the prep artifact's recipe no longer reproduces its "
+                    "task list; bump PREP_FORMAT in repro.bench.prep and "
+                    "run `repro prep gc`")
+        return fresh.tasks
 
     def kernel_of(self) -> List[str]:
         """Kernel name of every task, by tid (derived, never pickled).
@@ -308,6 +348,7 @@ class TaskDAG:
     def _invalidate(self) -> None:
         self._soa = None
         self._kernel_of = None
+        self.recipe = None
 
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> int:
@@ -353,27 +394,17 @@ class TaskDAG:
         return es
 
     def __getstate__(self):
-        """Pickle the task list as one opaque section.
-
-        A section that was never decoded passes through as the same
-        bytes; a decoded (or built) list is pickled afresh.
-        """
+        """Leave the task list out of a frozen DAG that has a recipe."""
         state = self.__dict__.copy()
         state["_edge_set"] = None
         state["_kernel_of"] = None
-        tasks = state.pop("_tasks")
-        if tasks is not None:
-            state["_task_section"] = pickle.dumps(
-                tasks, protocol=pickle.HIGHEST_PROTOCOL)
+        if self.recipe is not None and self._soa is not None:
+            state["_tasks"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._tasks = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        # One adjacency list per task, built or loaded: never decodes.
+        # One adjacency list per task, built or loaded: never rebuilds.
         return len(self.succ)
 
     @property
@@ -554,7 +585,7 @@ class TaskDAG:
         """Task counts per kernel name (census used in logs and tests).
 
         In first-appearance order; a frozen DAG counts its kernel codes
-        (``kernel_names`` is already in that order) without decoding.
+        (``kernel_names`` is already in that order) without rebuilding.
         """
         soa = self._soa
         if soa is not None:

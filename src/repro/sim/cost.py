@@ -102,8 +102,8 @@ class CostModel:
         # not depend on core or on mutable cache state): ``prepare``
         # fills a tid-indexed list for a whole DAG.
         self._prep = None
-        # Fast-path state: armed by ``prepare`` when the DAG interns
-        # its handle keys (dense ints index the home-domain arrays).
+        # Fast-path state: armed by ``prepare`` (the DAG's interned
+        # handle ids index the home-domain arrays).
         # ``_plan_epoch`` is the memory model's ``state_epoch`` the
         # arrays were resolved at, -1 when unarmed — one comparison
         # decides the dispatch in ``charge``.
@@ -260,7 +260,7 @@ class CostModel:
         """The precompiled gather tuple of :meth:`_task_info`, or None.
 
         Factored out so the structure-of-arrays compile path
-        (:meth:`_compile_plans_soa`) shares the exact arithmetic."""
+        (:meth:`_compile_plans`) shares the exact arithmetic."""
         span = task.shape.get("gather_span", 0)
         if span <= 0:
             return None
@@ -315,60 +315,26 @@ class CostModel:
         the live pricing path on any mismatch.
 
         ``dag.tasks`` is read only when plans must be compiled: a
-        loaded prep artifact carries its plans and never decodes its
-        task section here.
+        loaded prep artifact carries its plans and never rebuilds its
+        task list here.
         """
         # Handle-key interning: the DAG numbers its operand handles
         # once; prepared touches/gathers below carry those int keys, so
         # every structure hashed in the hot loop hashes small ints.
-        key_of = None
-        soa = None
-        interning = getattr(dag, "handle_interning", None)
-        if interning is not None:
-            key_of, id_to_key = interning()
-            self.memory.adopt_interning(id_to_key)
-            freeze = getattr(dag, "freeze", None)
-            if freeze is not None:
-                soa = freeze()
+        key_of, id_to_key = dag.handle_interning()
+        self.memory.adopt_interning(id_to_key)
+        soa = dag.freeze()
         key = (self.machine, self.gather_intensity)
-        store = getattr(dag, "_cost_prep", None)
-        if store is None:
-            store = {}
-            try:
-                dag._cost_prep = store
-            except AttributeError:  # slotted/foreign DAG type
-                self._prep = self._compile_plans(dag.tasks, key_of, soa)
-                self._arm_fast_path(key_of, dag)
-                return
+        store = dag._cost_prep
         prep = store.get(key)
         if prep is None or len(prep) != len(dag):
-            prep = self._compile_plans(dag.tasks, key_of, soa)
+            prep = self._compile_plans(dag.tasks, soa, key_of)
             store[key] = prep
         self._prep = prep
-        self._arm_fast_path(key_of, dag)
+        self._arm_fast_path(dag)
 
-    def _compile_plans(self, tasks, key_of, soa=None):
+    def _compile_plans(self, tasks, soa, key_of):
         """Flatten every task into its access plan.
-
-        When the DAG is frozen (``soa`` given, interned keys active)
-        the touch tuples are read off the flat structure-of-arrays
-        tables instead of re-walking ``reads``/``writes`` handle
-        objects per task — same values, compiled in one pass over
-        preconverted Python-int lists.
-        """
-        if soa is not None and key_of is not None:
-            return self._compile_plans_soa(tasks, soa, key_of)
-        plans = []
-        info = self._task_info
-        for t in tasks:
-            compute, touches, gather = info(t, key_of)
-            plans.append((compute,
-                          tuple(tt for tt in touches if tt[1] > 0),
-                          gather))
-        return plans
-
-    def _compile_plans_soa(self, tasks, soa, key_of):
-        """Structure-of-arrays twin of the plan compiler.
 
         Touch ids/bytes/write-flags come from the DAG's frozen flat
         tables (:class:`repro.graph.dag.GraphArrays`), converted to
@@ -376,8 +342,9 @@ class CostModel:
         scalars into the hot charge walk.  The effective-byte override
         of sparse kernels is applied by operand *name* via the interned
         id tables — byte-for-byte the rule :meth:`_task_info` applies
-        to handle objects, pinned by the equivalence fixture and the
-        plan-equality property test.
+        to handle objects, pinned by the equivalence fixture and by
+        ``tests/test_property_dag.py``, whose reference compiles every
+        plan with :meth:`_task_info`.  Zero-byte touches are dropped.
         """
         indptr = soa.touch_indptr.tolist()
         t_ids = soa.touch_ids.tolist()
@@ -417,7 +384,7 @@ class CostModel:
             plans.append((compute, tuple(touches), gather))
         return plans
 
-    def _arm_fast_path(self, key_of, dag) -> None:
+    def _arm_fast_path(self, dag) -> None:
         """Snapshot NUMA homes for the compiled-plan walk.
 
         The fast walk prices DRAM legs from per-key arrays instead of
@@ -432,27 +399,19 @@ class CostModel:
         """
         mem = self.memory
         arrays = None
-        if key_of is not None:
-            astore = None
-            if not mem._placement:
-                akey = (self.machine, mem.first_touch, mem._n_parts,
-                        mem.matrix_geometry)
-                astore = getattr(dag, "_home_arrays", None)
-                if astore is None:
-                    astore = {}
-                    try:
-                        dag._home_arrays = astore
-                    except AttributeError:  # slotted/foreign DAG type
-                        astore = None
-                if astore is not None:
-                    arrays = astore.get(akey)
-                    if arrays is not None and \
-                            len(arrays[0]) != len(mem._intern_keys):
-                        arrays = None
-            if arrays is None:
-                arrays = mem.home_arrays()
-                if arrays is not None and astore is not None:
-                    astore[akey] = arrays
+        astore = None
+        if not mem._placement:
+            akey = (self.machine, mem.first_touch, mem._n_parts,
+                    mem.matrix_geometry)
+            astore = dag._home_arrays
+            arrays = astore.get(akey)
+            if arrays is not None and \
+                    len(arrays[0]) != len(mem._intern_keys):
+                arrays = None
+        if arrays is None:
+            arrays = mem.home_arrays()
+            if arrays is not None and astore is not None:
+                astore[akey] = arrays
         if arrays is None:
             self._plan_epoch = -1
             self._bare_common = None

@@ -764,18 +764,11 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
     skewed matrices (the cross-kernel locality loss inherent to the
     fork-join model).
     """
-    memo = getattr(dag, "_bsp_phases", None)
-    if memo is None:
-        memo = {}
-        try:
-            dag._bsp_phases = memo
-        except AttributeError:  # slotted/foreign DAG type
-            memo = None
+    memo = dag._bsp_phases
     mkey = (n_cores, bool(nnz_balanced))
-    if memo is not None:
-        cached = memo.get(mkey)
-        if cached is not None:
-            return cached
+    cached = memo.get(mkey)
+    if cached is not None:
+        return cached
     tasks = dag.tasks
     phases: List[List[int]] = []
     last_seq = None
@@ -833,8 +826,7 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
             for k, g in enumerate(groups)
             for tid in g
         ])
-    if memo is not None:
-        memo[mkey] = phase_assignments
+    memo[mkey] = phase_assignments
     return phase_assignments
 
 

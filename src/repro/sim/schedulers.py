@@ -55,8 +55,8 @@ def _domain_tables(dag, memory):
     Returns ``(first_write_dom, write_doms)`` — the home domain of each
     task's first write (``-1`` for write-less tasks) and the tuple of
     all its writes' domains — or ``None`` when they cannot be derived
-    (no frozen view, explicit placement pins, or the memory model's
-    interning is not this DAG's).  The tables are a pure function of
+    (explicit placement pins, or the memory model's interning is not
+    this DAG's).  The tables are a pure function of
     the DAG and the striping inputs, so they are cached on the DAG
     under the same key shape the cost model uses for its home arrays:
     five runtimes scheduling the same memoized DAG resolve every
@@ -64,30 +64,22 @@ def _domain_tables(dag, memory):
     the tables and re-validate per use — a placement mutation bumps
     the epoch, and the live ``domain_of`` path takes over.
     """
-    freeze = getattr(dag, "freeze", None)
-    if freeze is None or memory._placement:
+    if memory._placement:
         return None
     _, id_to_key = dag.handle_interning()
     if memory._intern_keys is not id_to_key:
         return None
     key = (memory.machine, memory.first_touch, memory._n_parts,
            memory.matrix_geometry)
-    store = getattr(dag, "_sched_domains", None)
-    if store is None:
-        store = {}
-        try:
-            dag._sched_domains = store
-        except AttributeError:  # slotted/foreign DAG type
-            store = None
-    if store is not None:
-        tables = store.get(key)
-        if tables is not None:
-            return tables
+    store = dag._sched_domains
+    tables = store.get(key)
+    if tables is not None:
+        return tables
     arrays = memory.home_arrays()
     if arrays is None:
         return None
     homes = arrays[0]
-    soa = freeze()
+    soa = dag.freeze()
     indptr = soa.write_indptr.tolist()
     wids = soa.write_ids.tolist()
     first_write_dom = [
@@ -98,8 +90,7 @@ def _domain_tables(dag, memory):
         for t in range(soa.n_tasks)
     ]
     tables = (first_write_dom, write_doms)
-    if store is not None:
-        store[key] = tables
+    store[key] = tables
     return tables
 
 

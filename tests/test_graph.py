@@ -147,12 +147,12 @@ def test_by_kernel_reads_kernel_codes_when_frozen():
 
 
 # ----------------------------------------------------------------------
-# Pickled DAGs carry their Task list as one lazily decoded section
-# ----------------------------------------------------------------------
+# Pickled DAGs with a rebuild recipe leave their Task list out
 
 @pytest.fixture(scope="module")
 def prepped_dag():
-    """A freshly built LOBPCG DAG with every prep table compiled on it."""
+    """A freshly built LOBPCG DAG with every prep table compiled on it;
+    the builder gave it its rebuild recipe."""
     from repro.analysis.experiment import _compile_prep, _dag
     from repro.graph.builder import BuildOptions
     from repro.matrices.suite import SUITE
@@ -193,24 +193,38 @@ def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_dag):
                  "_sched_domains", "_bsp_phases", "n_partitions",
                  "matrix_name", "matrix_nbc"):
         assert getattr(loaded, attr) == getattr(dag, attr), attr
+    assert loaded.recipe.func is dag.recipe.func
+    assert loaded.recipe.args == dag.recipe.args
     assert loaded._tasks is None
     assert [_task_fields(t) for t in loaded.tasks] == \
         [_task_fields(t) for t in dag.tasks]
-    assert loaded._task_section is None
+    # A rebuilt list of its own: no Task object is shared.
+    assert not {id(t) for t in loaded.tasks} & {id(t) for t in dag.tasks}
 
 
-def test_repickling_an_undecoded_dag_passes_the_section_through(
-        prepped_dag):
+def test_recipe_less_dag_pickles_its_tasks():
+    dag = chain_dag(3)
+    dag.freeze()
+    out = pickle.loads(pickle.dumps(dag))
+    assert out.recipe is None and out._tasks is not None
+    assert [_task_fields(t) for t in out.tasks] == \
+        [_task_fields(t) for t in dag.tasks]
+
+
+def test_repickling_an_unrebuilt_dag_stays_task_free(prepped_dag):
     loaded = _loaded(prepped_dag)
-    section = loaded._task_section
-    again = _loaded(loaded)
+    blob = pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL)
     assert loaded._tasks is None
-    assert again._task_section == section
+    assert b"repro.graph.task" not in blob      # no Task, no DataHandle
+    assert b"repro.graph.task" in pickle.dumps(
+        prepped_dag.tasks, protocol=pickle.HIGHEST_PROTOCOL)
+    again = _loaded(loaded)
     assert [_task_fields(t) for t in again.tasks] == \
         [_task_fields(t) for t in prepped_dag.tasks]
 
 
 def test_structural_queries_do_not_decode(prepped_dag):
+    """Nothing but the task list itself rebuilds a loaded DAG."""
     dag = prepped_dag
     loaded = _loaded(dag)
     assert len(loaded) == len(dag)
@@ -221,30 +235,44 @@ def test_structural_queries_do_not_decode(prepped_dag):
     assert list(loaded.by_kernel().items()) == list(dag.by_kernel().items())
     assert repr(loaded) == repr(dag)
     assert loaded.kernel_of() == [t.kernel for t in dag.tasks]
+    assert loaded.levels() == dag.levels()
+    assert loaded.critical_path() == dag.critical_path()
     assert loaded._tasks is None
 
 
 def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_dag):
+    """``add_task`` rebuilds the list, then drops the frozen view and
+    the recipe, which no longer describes the graph."""
     loaded = _loaded(prepped_dag)
     n = len(loaded)
     kernels = loaded.kernel_of()
     tid = loaded.add_task(mk_task("ADD"))
     assert tid == n and loaded._tasks is not None
-    assert not loaded.frozen
+    assert not loaded.frozen and loaded.recipe is None
+    assert len(prepped_dag.tasks) == n
     assert loaded.kernel_of() == kernels + ["ADD"]
     assert loaded.freeze().n_tasks == n + 1
     key_to_id, _ = loaded.handle_interning()
     assert len(key_to_id) == len(prepped_dag.handle_interning()[0])
+    again = pickle.loads(pickle.dumps(loaded))
+    assert [t.kernel for t in again.tasks] == kernels + ["ADD"]
 
 
 def test_concurrent_first_decodes_share_one_task_list(prepped_dag):
     """Service threads share loaded DAGs: racing first reads of
-    ``tasks`` must all get the same list, decoded once."""
+    ``tasks`` must all get the same list, rebuilt once."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             loaded = _loaded(prepped_dag)
+            recipe, rebuilds = loaded.recipe, []
+
+            def counting():
+                rebuilds.append(1)
+                return recipe()
+
+            loaded.recipe = counting
             barrier = threading.Barrier(8)
             seen = []
 
@@ -260,6 +288,32 @@ def test_concurrent_first_decodes_share_one_task_list(prepped_dag):
             assert not any(t.is_alive() for t in threads)
             assert len(seen) == 8
             assert all(s is loaded.tasks for s in seen)
-            assert loaded._task_section is None
+            assert len(rebuilds) == 1
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("field,value", [("width", 16),
+                                         ("block_size", 2**14)])
+def test_drifted_recipe_fails_closed(prepped_dag, tmp_path, field, value):
+    """An artifact whose recipe builds another graph never hands out
+    the rebuilt list: the first ``tasks`` raises, naming the fix."""
+    from functools import partial
+
+    from repro.bench.prep import PrepStore
+
+    matrix, block_size, solver, width, options = prepped_dag.recipe.args
+    args = dict(matrix=matrix, block_size=block_size, solver=solver,
+                width=width, options=options)
+    args[field] = value
+    drifted = _loaded(prepped_dag)
+    drifted.recipe = partial(prepped_dag.recipe.func, **args)
+    store = PrepStore(root=str(tmp_path), enabled=True)
+    config = {"kind": "test", "field": field}
+    store.put(config, {"config": config, "dag": drifted})
+    dag = store.get(config)["dag"]
+    for _ in range(2):
+        with pytest.raises(RuntimeError,
+                           match=r"PREP_FORMAT.*`repro prep gc`"):
+            dag.tasks
+        assert dag._tasks is None

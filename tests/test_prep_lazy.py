@@ -1,14 +1,15 @@
-"""A loaded prep artifact runs without decoding its task section.
+"""A loaded prep artifact runs without rebuilding its task list.
 
 Every version of both solvers runs from artifacts loaded off disk; no
-loaded DAG may decode its ``Task`` list, and every summary must equal
-a build with the store disabled.  Two 8-iteration cells cover the
-steady-state replay of the event engine and of the BSP loop.  A traced
-run may decode (trace export reads task parameters) but must report
-the same numbers as the untraced one.  The Fig. 9 Broadwell Lanczos
-grid (every default matrix x every version at the default block
-counts) holds the same loaded-equals-built and lazy-decode contract
-at paper scale.
+loaded DAG may rebuild its ``Task`` list from its recipe, and every
+summary must equal a build with the store disabled.  Two 8-iteration
+cells cover the steady-state replay of the event engine and of the BSP
+loop.  A traced run may rebuild (trace export reads task parameters)
+but must report the same numbers as the untraced one, and a rebuilt
+list must equal the store-disabled build's.  The Fig. 9 Broadwell
+Lanczos grid (every default matrix x every version at the default
+block counts) holds the same loaded-equals-built and task-free
+contract at paper scale.
 """
 
 import json
@@ -19,6 +20,7 @@ import repro.analysis.experiment as experiment
 from repro.bench.prep import PrepStore, default_prep_store
 from repro.bench.runner import DEFAULT_MATRICES, expand_grid
 from repro.trace import Tracer
+from tests.test_graph import _task_fields
 from tests.test_prep_store import _clear_experiment_memos
 
 MACHINE, MATRIX, BLOCKS = "broadwell", "inline1", 16
@@ -51,8 +53,8 @@ def _fig9_summary(matrix, version, block_count):
 def _built_then_loaded(mp, root, cells, summary, prebuild):
     """Summaries of ``cells`` built with the store off, then loaded
     from a store that ``prebuild`` filled, plus the DAGs the loaded
-    sweep got from the store and, per DAG, whether its task section
-    was still undecoded after that sweep."""
+    sweep got from the store and, per DAG, whether it was still
+    task-free (never rebuilt) after that sweep."""
     mp.setenv("REPRO_PREP_DIR", root)
     mp.setenv("REPRO_NO_PREP", "1")
     _clear_experiment_memos()
@@ -77,45 +79,62 @@ def _built_then_loaded(mp, root, cells, summary, prebuild):
         loaded = {c: summary(*c) for c in cells}
     assert store.writes == writes          # served, never rebuilt
     assert len(dags) == len(configs)
-    undecoded = [d._tasks is None for d in dags]
-    return built, loaded, dags, undecoded
+    task_free = [d._tasks is None for d in dags]
+    return built, loaded, dags, task_free
 
 
 @pytest.fixture(scope="module")
 def sweeps(tmp_path_factory):
     """Summaries built with the store off, loaded from a full store and
     traced over loaded DAGs, plus the loaded DAGs and, per DAG, whether
-    its task section was still undecoded after the untraced sweep."""
+    it was still task-free after the untraced sweep."""
     root = str(tmp_path_factory.mktemp("prep"))
     with pytest.MonkeyPatch.context() as mp:
-        built, loaded, dags, undecoded = _built_then_loaded(
+        built, loaded, dags, task_free = _built_then_loaded(
             mp, root, CELLS, _summary,
             lambda solver, version, _: experiment.prebuild_prep(
                 MACHINE, MATRIX, solver, version, block_count=BLOCKS))
         traced = {c: _summary(*c, tracer=Tracer()) for c in CELLS}
         _clear_experiment_memos()
-    return built, loaded, traced, dags, undecoded
+    return built, loaded, traced, dags, task_free
 
 
 @pytest.fixture(scope="module")
 def fig9_sweeps(tmp_path_factory):
     """The Fig. 9 grid built with the store off and loaded from a full
-    store, with the loaded DAGs' undecoded flags."""
+    store, with the loaded DAGs' task-free flags."""
     root = str(tmp_path_factory.mktemp("prep-fig9"))
     with pytest.MonkeyPatch.context() as mp:
-        built, loaded, _, undecoded = _built_then_loaded(
+        built, loaded, _, task_free = _built_then_loaded(
             mp, root, FIG9_CELLS, _fig9_summary,
             lambda matrix, version, block_count: experiment.prebuild_prep(
                 MACHINE, matrix, "lanczos", version,
                 block_count=block_count))
         _clear_experiment_memos()
-    return built, loaded, undecoded
+    return built, loaded, task_free
 
 
-def test_loaded_sweep_never_decodes_a_task_section(sweeps):
-    _, _, _, dags, undecoded = sweeps
+def test_loaded_sweep_never_rebuilds_tasks(sweeps):
+    _, _, _, dags, task_free = sweeps
     assert len(dags) == 4          # 2 solvers x {libcsr, shared policy}
-    assert all(undecoded)
+    assert all(task_free)
+
+
+def test_rebuilt_tasks_equal_store_disabled_build(sweeps, monkeypatch):
+    """A loaded DAG's first ``tasks`` rebuilds a list equal, field by
+    field, to the list a store-disabled run builds for its subkey."""
+    dags = sweeps[3]
+    monkeypatch.setenv("REPRO_NO_PREP", "1")
+    _clear_experiment_memos()
+    try:
+        for dag in dags:
+            built = experiment._prepped_dag(MACHINE, *dag.recipe.args)
+            assert built is not dag and built._tasks is not None
+            assert [_task_fields(t) for t in dag.tasks] == \
+                [_task_fields(t) for t in built.tasks]
+            assert dag.tasks is not built.tasks
+    finally:
+        _clear_experiment_memos()
 
 
 def test_replay_cells_replayed(sweeps):
@@ -136,9 +155,9 @@ def test_traced_run_matches_untraced(sweeps, cell):
     assert traced[cell] == loaded[cell]
 
 
-def test_fig9_loaded_sweep_never_decodes_a_task_section(fig9_sweeps):
-    _, _, undecoded = fig9_sweeps
-    assert undecoded and all(undecoded)
+def test_fig9_loaded_sweep_never_rebuilds_tasks(fig9_sweeps):
+    _, _, task_free = fig9_sweeps
+    assert task_free and all(task_free)
 
 
 @pytest.mark.parametrize("cell", FIG9_CELLS,

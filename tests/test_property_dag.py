@@ -240,13 +240,20 @@ def test_soa_operand_tables_match_tasks(dag):
 @given(random_problem())
 @settings(max_examples=15, deadline=None)
 def test_soa_compiled_plans_match_reference(dag):
-    """SoA plan compiler == handle-object plan compiler, tuple-exact."""
+    """SoA plan compiler == a handle-object walk, tuple-exact.
+
+    The reference compiles each task with ``_task_info`` (its
+    ``reads``/``writes`` handle objects, interned keys) and drops
+    zero-byte touches, as a plan does."""
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
     key_to_id, _ = dag.handle_interning()
-    soa = dag.freeze()
-    via_soa = cm._compile_plans(dag.tasks, key_to_id, soa)
-    via_ref = cm._compile_plans(dag.tasks, key_to_id, None)
+    via_soa = cm._compile_plans(dag.tasks, dag.freeze(), key_to_id)
+    via_ref = []
+    for t in dag.tasks:
+        compute, touches, gather = cm._task_info(t, key_to_id)
+        via_ref.append((compute, tuple(tt for tt in touches if tt[1] > 0),
+                        gather))
     assert via_soa == via_ref
 
 

@@ -6,16 +6,16 @@ it back through a fresh store.  Every damaged file must fail closed:
 ``get`` returns ``None``, never raises, quarantines the file to
 ``<root>/corrupt/`` and leaves the cyclic collector enabled.
 
-A prep artifact's DAG carries its ``Task`` list as a pickled section
-that is decoded only at the first ``dag.tasks``, long after ``get``.
-Damage inside that section must still fail at ``get`` (the checksum
-covers it), so it never surfaces at a later decode.
+A prep artifact's DAG carries a rebuild recipe instead of its ``Task``
+list, and runs it only at the first ``dag.tasks``, long after ``get``.
+Damage inside the recipe must still fail at ``get`` (the checksum
+covers it), so it never surfaces at a later rebuild.
 """
 
 import gc
 import json
 import os
-import pickle
+import pickletools
 import tempfile
 
 import pytest
@@ -60,13 +60,15 @@ class _Files(dict):
         return "<pristine store files>"
 
 
-def _task_section_span(data: bytes):
-    """``(offset, length)`` of the DAG's task section in a prep file."""
-    payload = data.split(b"\n", 1)[1]
-    section = pickle.loads(payload)["dag"]._task_section
-    start = data.find(section)
-    assert start > 0 and data.find(section, start + 1) == -1
-    return start, len(section)
+def _recipe_span(data: bytes):
+    """``(offset, length)`` of the DAG's pickled recipe in a prep file:
+    its ``recipe`` attribute key and value, up to the next key."""
+    head = data.index(b"\n") + 1
+    ops = pickletools.genops(data[head:])
+    start = next(pos for _, arg, pos in ops if arg == "recipe")
+    end = next(pos for _, arg, pos in ops if arg == "succ")
+    assert b"_rebuild_dag" in data[head + start:head + end]
+    return head + start, end - start
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +124,7 @@ def test_pristine_file_reads_back(pristine, kind):
         header = json.loads(data.split(b"\n", 1)[0])
         assert header["format"] == PREP_FORMAT
         dag = got["dag"]
-        assert dag._tasks is None       # loaded, not decoded
+        assert dag._tasks is None       # loaded, not rebuilt
         assert [t.kernel for t in dag.tasks] == dag.kernel_of()
 
 
@@ -161,11 +163,10 @@ def test_damaged_file_fails_closed(pristine, kind, mutation):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(["flip", "truncate"]),
        offset=st.integers(0, 2**31), mask=st.integers(1, 255))
-def test_damaged_task_section_fails_closed_at_get(pristine, kind, offset,
-                                                  mask):
-    """Flips and cuts inside the task section quarantine at ``get``."""
+def test_damaged_recipe_fails_closed_at_get(pristine, kind, offset, mask):
+    """Flips and cuts inside the recipe quarantine at ``get``."""
     store_cls, config, data = pristine["prep"]
-    start, length = _task_section_span(data)
+    start, length = _recipe_span(data)
     pos = start + offset % length
     if kind == "flip":
         damaged = data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
@@ -176,7 +177,7 @@ def test_damaged_task_section_fails_closed_at_get(pristine, kind, offset,
 
 
 def test_prep_gc_drops_a_format_2_orphan(pristine, tmp_path, monkeypatch):
-    """An artifact of the previous layout is stale: ``repro prep gc``
+    """An artifact of an older layout is stale: ``repro prep gc``
     removes it and keeps the live one."""
     from repro.cli import main
     from repro.sim.cost import COST_MODEL_VERSION
