@@ -24,9 +24,6 @@ reproduced tables and figures.
 
 __version__ = "1.0.0"
 
-from repro import (matrices, kernels, graph, machine, faults, sim, runtime,
-                   solvers, tuning, analysis)
-
 __all__ = [
     "matrices",
     "kernels",

@@ -109,7 +109,13 @@ class WarmPool:
         return "inline" if self._inline_only else "process"
 
     def start(self) -> None:
-        """Spin the workers up ahead of the first cell."""
+        """Spin the workers up ahead of the first cell.
+
+        The caller pays the import bill here too, so workers forked on
+        the first cell inherit the modules instead of importing them
+        while that cell waits.
+        """
+        _warm_init()
         if not self._inline_only:
             self._ensure_pool()
 

@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="eagerly solve one suite matrix")
     s.add_argument("--matrix", required=True)
-    s.add_argument("--solver", choices=["lanczos", "lobpcg", "cg"],
+    s.add_argument("--solver", choices=["lanczos", "lobpcg"],
                    default="lobpcg")
     s.add_argument("--scale", type=int, default=8192,
                    help="suite reduction factor (default 8192)")
@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nev", type=int, default=4,
                    help="eigenpairs (lobpcg) / basis size (lanczos)")
     s.add_argument("--maxiter", type=int, default=80)
-    s.add_argument("--precondition", action="store_true")
 
     s = sub.add_parser("compare",
                        help="simulate the five solver versions at "
@@ -320,7 +319,7 @@ def _cmd_suite(_args) -> int:
 
 def _cmd_solve(args) -> int:
     from repro.matrices import CSBMatrix, load_matrix
-    from repro.solvers import cg, lanczos, lobpcg
+    from repro.solvers import lanczos, lobpcg
 
     coo = load_matrix(args.matrix, scale=args.scale)
     csb = CSBMatrix.from_coo(coo, args.block_size)
@@ -331,20 +330,11 @@ def _cmd_solve(args) -> int:
         print("extreme eigenvalues:",
               np.round([res.eigenvalues[0], res.eigenvalues[-1]], 8))
         print(f"iterations: {res.iterations}")
-    elif args.solver == "lobpcg":
-        res = lobpcg(csb, n=args.nev, maxiter=args.maxiter,
-                     precondition=args.precondition)
+    else:
+        res = lobpcg(csb, n=args.nev, maxiter=args.maxiter)
         print("smallest eigenvalues:", np.round(res.eigenvalues, 8))
         print(f"iterations: {res.iterations}, converged: {res.converged}, "
               f"residual: {res.history.final_residual:.3e}")
-    else:
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(csb.shape[0])
-        res = cg(csb, b, maxiter=args.maxiter)
-        x = res.x[:, 0]
-        rr = np.linalg.norm(csb.spmv(x) - b) / np.linalg.norm(b)
-        print(f"CG: {res.iterations} iterations, converged: "
-              f"{res.converged}, relative residual {rr:.3e}")
     return 0
 
 

@@ -419,20 +419,6 @@ class DAGBuilder:
                 (self.chunk_handle(oname, i),), shape, params, call, seq,
             )
 
-    def _op_diagscale(self, dag, call, seq) -> None:
-        """OUT_i = dinv_i ∘ X_i: row-wise diagonal preconditioner."""
-        dname, xname = call.reads
-        (oname,) = call.writes
-        w = self.chunked[oname]
-        for i in range(self.np_):
-            shape = {"rows": self._row_sizes[i], "width": w, "streams": 3}
-            params = {"i": i, "D": dname, "X": xname, "OUT": oname}
-            self._emit(
-                dag, "DIAGSCALE",
-                (self.chunk_handle(dname, i), self.chunk_handle(xname, i)),
-                (self.chunk_handle(oname, i),), shape, params, call, seq,
-            )
-
     def _op_add(self, dag, call, seq):
         self._binary_chunk_op(dag, call, seq, "ADD")
 

@@ -28,7 +28,6 @@ OPS = frozenset(
         "ADD",    # OUT = X + Y
         "SUB",    # OUT = X − Y
         "DOT",    # s = <X, Y> (chunked partials + reduce)
-        "DIAGSCALE",  # OUT = D^{-1} ∘ X (row-wise preconditioner apply)
         "SMALL",  # unpartitioned dense op on small matrices / scalars
     }
 )

@@ -149,7 +149,6 @@ register_kernel("COPY", _blas1_flops, _blas1_bytes, "blas1")
 register_kernel("ADD", _blas1_flops, _blas1_bytes, "blas1")
 register_kernel("SUB", _blas1_flops, _blas1_bytes, "blas1")
 register_kernel("DOT", _blas1_flops, _blas1_bytes, "blas1")
-register_kernel("DIAGSCALE", _blas1_flops, _blas1_bytes, "blas1")
 register_kernel("DOT_REDUCE", _dot_reduce_flops, _dot_reduce_bytes, "blas1")
 register_kernel("RAYLEIGH_RITZ", _dense_small_flops, _dense_small_bytes,
                 "dense-small")

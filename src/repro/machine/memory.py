@@ -108,9 +108,7 @@ class MemoryModel:
         nbc = getattr(dag, "matrix_nbc", None)
         if name and nbc:
             self.matrix_geometry = (name, nbc)
-        interning = getattr(dag, "handle_interning", None)
-        if interning is not None:
-            self.adopt_interning(interning()[1])
+        self.adopt_interning(dag.handle_interning()[1])
         self._domain_memo.clear()
         self.state_epoch += 1
 

@@ -173,16 +173,6 @@ class CSBMatrix:
             i, j, self.local_rows[s:e], self.local_cols[s:e], self.vals[s:e]
         )
 
-    def diagonal(self) -> "np.ndarray":
-        """Main diagonal (zeros where no entry is stored)."""
-        d = np.zeros(min(self.shape))
-        for i in range(min(self.nbr, self.nbc)):
-            blk = self.block(i, i)
-            on = blk.rows == blk.cols
-            s0 = i * self.block_size
-            np.add.at(d, s0 + blk.rows[on], blk.vals[on])
-        return d
-
     # ------------------------------------------------------------------
     # Row-block geometry shared with vector partitioning
     # ------------------------------------------------------------------

@@ -14,12 +14,10 @@ Each runtime takes the same task DAG (or builds it with its preferred
 options) and executes it on a simulated machine, returning a
 :class:`~repro.sim.engine.RunResult`.
 
-Two additional modules reproduce the paper's *programming models* on
-real threads: :mod:`repro.runtime.futures` is an HPX-style
-``async``/``dataflow`` API (Listing 2) and :mod:`repro.runtime.regions`
-is a Regent-style region/privilege API (Listing 3); both are exercised
-by the examples and by :class:`~repro.runtime.threaded.ThreadedRuntime`
-tests for numerical equivalence with the eager solvers.
+:class:`~repro.runtime.threaded.ThreadedRuntime` and
+:func:`~repro.runtime.threaded.execute_dag_serial` run the same DAG's
+task bodies for real, on NumPy data; the equivalence tests use them to
+check that every DAG computes what the eager solvers compute.
 """
 
 from repro.runtime.base import Runtime, build_solver_dag
@@ -27,8 +25,6 @@ from repro.runtime.bsp import BSPRuntime, libcsr_partitions
 from repro.runtime.deepsparse import DeepSparseRuntime
 from repro.runtime.hpx import HPXRuntime
 from repro.runtime.regent import RegentRuntime
-from repro.runtime.futures import Future, async_run, dataflow, unwrapping
-from repro.runtime.regions import Region, Partition, task, RegionRuntime
 from repro.runtime.threaded import ThreadedRuntime, execute_dag_serial
 
 __all__ = [
@@ -39,14 +35,6 @@ __all__ = [
     "DeepSparseRuntime",
     "HPXRuntime",
     "RegentRuntime",
-    "Future",
-    "async_run",
-    "dataflow",
-    "unwrapping",
-    "Region",
-    "Partition",
-    "task",
-    "RegionRuntime",
     "ThreadedRuntime",
     "execute_dag_serial",
 ]

@@ -104,10 +104,6 @@ def execute_task(task, ws: Workspace) -> None:
             dst[:] = src
         else:
             dst[:, int(col)] = src[:, int(p.get("src_col", 0))]
-    elif k == "DIAGSCALE":
-        i = p["i"]
-        np.multiply(ws.chunk(p["D"], i), ws.chunk(p["X"], i),
-                    out=ws.chunk(p["OUT"], i))
     elif k == "ADD":
         i = p["i"]
         np.add(ws.chunk(p["X"], i), ws.chunk(p["Y"], i),

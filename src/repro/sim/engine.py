@@ -190,15 +190,7 @@ def _default_barrier_cost(n_cores: int) -> float:
 
 def _max_partitions(dag: TaskDAG) -> int:
     """Highest chunk partition count in the DAG (NUMA placement input)."""
-    soa = getattr(dag, "_soa", None)
-    if soa is not None:
-        return max(1, soa.max_part)
-    best = 0
-    for t in dag.tasks:
-        for h in t.reads + t.writes:
-            if h.part is not None:
-                best = max(best, h.part + 1)
-    return max(1, best)
+    return max(1, dag.freeze().max_part)
 
 
 class SimulationEngine:

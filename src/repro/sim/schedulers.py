@@ -577,34 +577,21 @@ class RegentScheduler(Scheduler):
         self.n_util = max(1, int(round(machine.n_cores * self.util_fraction)))
         self.n_workers = machine.n_cores - self.n_util
         # Serial analysis pipeline: prefix-sum of per-task analysis cost
-        # in program order gives each task's visibility time.  Over a
-        # frozen DAG the per-task cost is selected by indexing a tiny
-        # per-kernel table with the interned kernel codes (same values,
-        # same dtype, same cumsum — bit-identical prefix sums).
-        soa = dag.freeze() if hasattr(dag, "freeze") else None
-        if soa is not None:
-            kernel_cost = np.fromiter(
-                (
-                    self.index_launch_cost
-                    if k in INDEX_LAUNCH_KERNELS
-                    else self.analysis_cost
-                    for k in soa.kernel_names
-                ),
-                dtype=np.float64,
-                count=len(soa.kernel_names),
-            )
-            costs = kernel_cost[soa.kernel_codes]
-        else:
-            costs = np.fromiter(
-                (
-                    self.index_launch_cost
-                    if t.kernel in INDEX_LAUNCH_KERNELS
-                    else self.analysis_cost
-                    for t in dag.tasks
-                ),
-                dtype=np.float64,
-                count=len(dag),
-            )
+        # in program order gives each task's visibility time.  The
+        # per-task cost is selected by indexing a tiny per-kernel table
+        # with the frozen DAG's interned kernel codes.
+        soa = dag.freeze()
+        kernel_cost = np.fromiter(
+            (
+                self.index_launch_cost
+                if k in INDEX_LAUNCH_KERNELS
+                else self.analysis_cost
+                for k in soa.kernel_names
+            ),
+            dtype=np.float64,
+            count=len(soa.kernel_names),
+        )
+        costs = kernel_cost[soa.kernel_codes]
         self._visible = np.cumsum(costs)
         self._visible_replay = np.cumsum(
             np.full(len(dag), self.replay_cost)

@@ -25,7 +25,6 @@ from repro.solvers.lobpcg import (
     lobpcg_operands,
     LOBPCGResult,
 )
-from repro.solvers.cg import cg, cg_trace, cg_operands, CGResult
 from repro.solvers.convergence import ConvergenceHistory
 
 __all__ = [
@@ -40,9 +39,5 @@ __all__ = [
     "lobpcg_trace",
     "lobpcg_operands",
     "LOBPCGResult",
-    "cg",
-    "cg_trace",
-    "cg_operands",
-    "CGResult",
     "ConvergenceHistory",
 ]

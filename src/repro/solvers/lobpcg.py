@@ -29,22 +29,17 @@ __all__ = [
     "LOBPCGResult",
 ]
 
-def _gram_pairs(resid: str):
-    """The 12 Gram blocks of span{Ψ, W, Q}; ``resid`` is R or the
-    preconditioned W."""
-    return [
-        ("gA_PP", "Psi", "HPsi"), ("gA_PR", "Psi", "HR"),
-        ("gA_PQ", "Psi", "HQ"),
-        ("gA_RR", resid, "HR"), ("gA_RQ", resid, "HQ"),
-        ("gA_QQ", "Qd", "HQ"),
-        ("gB_PP", "Psi", "Psi"), ("gB_PR", "Psi", resid),
-        ("gB_PQ", "Psi", "Qd"),
-        ("gB_RR", resid, resid), ("gB_RQ", resid, "Qd"),
-        ("gB_QQ", "Qd", "Qd"),
-    ]
-
-
-_GRAM_PAIRS = _gram_pairs("R")
+#: The 12 Gram blocks of span{Ψ, R, Q}.
+_GRAM_PAIRS = [
+    ("gA_PP", "Psi", "HPsi"), ("gA_PR", "Psi", "HR"),
+    ("gA_PQ", "Psi", "HQ"),
+    ("gA_RR", "R", "HR"), ("gA_RQ", "R", "HQ"),
+    ("gA_QQ", "Qd", "HQ"),
+    ("gB_PP", "Psi", "Psi"), ("gB_PR", "Psi", "R"),
+    ("gB_PQ", "Psi", "Qd"),
+    ("gB_RR", "R", "R"), ("gB_RQ", "R", "Qd"),
+    ("gB_QQ", "Qd", "Qd"),
+]
 
 
 def lobpcg_operands(n: int) -> tuple:
@@ -52,7 +47,6 @@ def lobpcg_operands(n: int) -> tuple:
     chunked = {
         "Psi": n, "HPsi": n, "R": n, "HR": n, "Qd": n, "HQ": n,
         "T1": n, "T2": n, "T3": n, "PsiNew": n,
-        "W": n, "dinv": 1,
     }
     small = {"M": (n, n), "evals": (n, 1), "rnorm": (1, 1), "conv": (1, 1)}
     for gname, _x, _y in _GRAM_PAIRS:
@@ -62,14 +56,11 @@ def lobpcg_operands(n: int) -> tuple:
     return chunked, small
 
 
-def lobpcg_iteration(eng, n: int, tol: float = 1e-8,
-                     precondition: bool = False) -> None:
+def lobpcg_iteration(eng, n: int, tol: float = 1e-8) -> None:
     """One LOBPCG step against either engine (eager or tracing).
 
-    With ``precondition=True`` the search direction is the Jacobi-
-    preconditioned residual ``W = D⁻¹R`` (the "P" of LOBPCG; the
-    unpreconditioned variant uses R directly, as the paper's
-    implementations do).
+    As in the paper's implementations, the new search direction is the
+    residual R itself.
     """
     # Residual: R = HΨ − Ψ·(Ψᵀ H Ψ)
     eng.spmm("Psi", "HPsi")
@@ -79,16 +70,11 @@ def lobpcg_iteration(eng, n: int, tol: float = 1e-8,
     eng.dot("R", "R", "rnorm", post="sqrt")
     eng.small("CONV_CHECK", reads=("rnorm",), writes=("conv",), k=1,
               rnorm="rnorm", flag="conv", tol=tol)
-    if precondition:
-        eng.diagscale("dinv", "R", "W")
-        resid = "W"
-    else:
-        resid = "R"
     # Operator applications for the new directions.
-    eng.spmm(resid, "HR")
+    eng.spmm("R", "HR")
     eng.spmm("Qd", "HQ")
-    # Gram blocks of span{Ψ, W, Q} — 12 XTY kernels.
-    for gname, x, y in _gram_pairs(resid):
+    # Gram blocks of span{Ψ, R, Q} — 12 XTY kernels.
+    for gname, x, y in _GRAM_PAIRS:
         eng.xty(x, y, gname)
     # Rayleigh–Ritz on the 3n×3n pencil.
     eng.small(
@@ -99,9 +85,9 @@ def lobpcg_iteration(eng, n: int, tol: float = 1e-8,
         **{g: g for g, _x, _y in _GRAM_PAIRS},
         cp_p="cp_p", cp_r="cp_r", cp_q="cp_q", evals="evals",
     )
-    # Ψ_{i+1} = Ψ·C_P + W·C_R + Q·C_Q ;  Q_{i+1} = Ψ_{i+1} − Ψ_i
+    # Ψ_{i+1} = Ψ·C_P + R·C_R + Q·C_Q ;  Q_{i+1} = Ψ_{i+1} − Ψ_i
     eng.xy("Psi", "cp_p", "T1")
-    eng.xy(resid, "cp_r", "T2")
+    eng.xy("R", "cp_r", "T2")
     eng.xy("Qd", "cp_q", "T3")
     eng.add("T1", "T2", "PsiNew")
     eng.add("PsiNew", "T3", "PsiNew")
@@ -126,14 +112,11 @@ def lobpcg(
     maxiter: int = 60,
     tol: float = 1e-6,
     seed: int = 0,
-    precondition: bool = False,
 ) -> LOBPCGResult:
     """Eager LOBPCG for the ``n`` smallest eigenpairs.
 
     ``tol`` is on the Frobenius norm of the block residual
     ``HΨ − Ψ(ΨᵀHΨ)`` relative to the initial residual.
-    ``precondition=True`` enables the Jacobi (inverse-diagonal)
-    preconditioner.
     """
     if n < 1:
         raise ValueError("block width n must be positive")
@@ -141,16 +124,12 @@ def lobpcg(
     eng = EagerEngine(ws)
     rng = np.random.default_rng(seed)
     ws.full("Psi")[:] = orthonormalize(rng.standard_normal((ws.m, n)))
-    if precondition:
-        d = matrix.diagonal()
-        safe = np.where(np.abs(d) > 1e-300, d, 1.0)
-        ws.full("dinv")[:, 0] = 1.0 / safe
     history = ConvergenceHistory()
     first_rnorm = None
     converged = False
     it = 0
     for it in range(1, maxiter + 1):
-        lobpcg_iteration(eng, n, tol=tol, precondition=precondition)
+        lobpcg_iteration(eng, n, tol=tol)
         rnorm = ws.scalar("rnorm")
         history.record(rnorm, ws.full("evals")[:, 0].copy())
         if first_rnorm is None:
@@ -174,8 +153,7 @@ def lobpcg(
     )
 
 
-def lobpcg_trace(matrix, n: int = 8, matrix_name: str = "A",
-                 precondition: bool = False):
+def lobpcg_trace(matrix, n: int = 8, matrix_name: str = "A"):
     """One iteration's primitive trace plus the operand spec.
 
     Returns ``(calls, chunked, small)`` for the TDGG.  Width ``n``
@@ -185,6 +163,6 @@ def lobpcg_trace(matrix, n: int = 8, matrix_name: str = "A",
     ws = Workspace(matrix, chunked, small, allocate=False,
                    matrix_name=matrix_name)
     eng = TracingEngine(ws)
-    lobpcg_iteration(eng, n, precondition=precondition)
+    lobpcg_iteration(eng, n)
     calls: List = eng.calls
     return calls, chunked, small

@@ -100,10 +100,6 @@ class EagerEngine(_EngineBase):
     def sub(self, X: str, Y: str, OUT: str) -> None:
         np.subtract(self.ws.full(X), self.ws.full(Y), out=self.ws.full(OUT))
 
-    def diagscale(self, D: str, X: str, OUT: str) -> None:
-        """OUT = D ∘ X: apply a (inverse-)diagonal preconditioner."""
-        np.multiply(self.ws.full(D), self.ws.full(X), out=self.ws.full(OUT))
-
     def dot(self, X: str, Y: str, out: str, post: str = "identity") -> None:
         """out = ⟨X, Y⟩ (flattened), optionally √ of it."""
         s = float(
@@ -160,9 +156,6 @@ class TracingEngine(_EngineBase):
 
     def sub(self, X, Y, OUT):
         self.trace.record("SUB", (X, Y), (OUT,))
-
-    def diagscale(self, D, X, OUT):
-        self.trace.record("DIAGSCALE", (D, X), (OUT,))
 
     def dot(self, X, Y, out, post="identity"):
         self.trace.record("DOT", (X, Y), (out,), post=post)

@@ -91,20 +91,3 @@ def _conv_check(ws, p) -> None:
     """Write 1.0 into the flag if the residual norm is below tol."""
     r = ws.scalar(p["rnorm"])
     ws.set_scalar(p["flag"], 1.0 if r < float(p["tol"]) else 0.0)
-
-
-@register_small_op("SCALAR_DIV")
-def _scalar_div(ws, p) -> None:
-    """out = num / den (0 when the denominator vanishes)."""
-    den = ws.scalar(p["den"])
-    ws.set_scalar(p["out"], ws.scalar(p["num"]) / den if den else 0.0)
-
-
-@register_small_op("SCALAR_COPY")
-def _scalar_copy(ws, p) -> None:
-    ws.set_scalar(p["dst"], ws.scalar(p["src"]))
-
-
-@register_small_op("SCALAR_SQRT")
-def _scalar_sqrt(ws, p) -> None:
-    ws.set_scalar(p["dst"], float(np.sqrt(max(ws.scalar(p["src"]), 0.0))))

@@ -33,11 +33,18 @@ def test_solve_lanczos(capsys):
     assert "extreme eigenvalues" in capsys.readouterr().out
 
 
-def test_solve_cg(capsys):
-    assert main(["solve", "--matrix", "inline1", "--scale", "16384",
-                 "--solver", "cg"]) == 0
-    out = capsys.readouterr().out
-    assert "converged: True" in out
+def test_solve_rejects_removed_options(capsys):
+    """CG and Jacobi preconditioning are gone: argparse rejects both
+    with its usage error (exit status 2) before anything runs."""
+    for removed, message in (
+            (["--solver", "cg"], "invalid choice: 'cg'"),
+            (["--precondition"], "unrecognized arguments: --precondition")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--matrix", "inline1", "--scale", "16384"]
+                 + removed)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro") and message in err
 
 
 def test_compare_command(capsys):

@@ -17,7 +17,7 @@ from repro.solvers.workspace import Workspace
 @pytest.fixture
 def ws():
     csb = CSBMatrix.from_coo(banded_fem(90, 6, seed=2), 30)
-    return Workspace(csb, {"x": 2, "y": 2, "q": 2, "d": 1},
+    return Workspace(csb, {"x": 2, "y": 2, "q": 2},
                      {"Z": (2, 2), "P": (2, 2), "s": (1, 1)})
 
 
@@ -55,15 +55,6 @@ def test_eager_ops_match_numpy(ws, rng):
     e.dot("x", "x", "s", post="sqrt")
     assert ws.scalar("s") == pytest.approx(
         np.linalg.norm(ws.full("x")))
-
-
-def test_eager_diagscale(ws, rng):
-    e = EagerEngine(ws)
-    ws.full("d")[:] = rng.standard_normal((ws.m, 1))
-    ws.full("x")[:] = rng.standard_normal((ws.m, 2))
-    e.diagscale("d", "x", "y")
-    np.testing.assert_allclose(ws.full("y"),
-                               ws.full("d") * ws.full("x"), atol=1e-12)
 
 
 def test_tracing_engine_records_in_order(ws):

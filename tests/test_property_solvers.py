@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import random_symmetric
 from repro.runtime import build_solver_dag, execute_dag_serial
-from repro.solvers import Workspace, cg, lanczos, lobpcg_trace
+from repro.solvers import Workspace, lanczos, lobpcg_trace
 
 
 @st.composite
@@ -16,19 +16,6 @@ def spd_csb(draw):
     seed = draw(st.integers(0, 10_000))
     nnzpr = draw(st.integers(4, 12))
     return CSBMatrix.from_coo(random_symmetric(n, nnzpr, seed=seed), b)
-
-
-@given(spd_csb(), st.integers(0, 1000))
-@settings(max_examples=12, deadline=None)
-def test_cg_always_converges_on_spd(csb, bseed):
-    """CG on a diagonally dominant SPD matrix always converges."""
-    rng = np.random.default_rng(bseed)
-    b = rng.standard_normal(csb.shape[0])
-    res = cg(csb, b, maxiter=3 * csb.shape[0], tol=1e-10)
-    assert res.converged
-    x = res.x[:, 0]
-    assert np.linalg.norm(csb.spmv(x) - b) <= 1e-7 * max(
-        1.0, np.linalg.norm(b))
 
 
 @given(spd_csb())
