@@ -150,9 +150,9 @@ def render_flow(result: RunResult, width: int = 90,
 
     Kept as the :class:`RunResult`-facing façade; internally the flow
     records are adapted into trace task events and rendered by the
-    same code path as :func:`render_trace`.  Cached results
-    (:class:`FlowSummary`, no records) degrade to the summary's own
-    placeholder text.
+    same code path as :func:`render_trace`.  Runs without records
+    (cached :class:`FlowSummary`, ``record_flow=False``) draw the
+    summary's kernel-envelope chart instead of per-core lanes.
     """
     flow = result.flow
     tasks = flow_to_task_events(flow)

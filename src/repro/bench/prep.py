@@ -16,7 +16,7 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 4): one JSON header line —
+File format (:data:`PREP_FORMAT` 5): one JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
 DAG is pickled without its ``Task`` list: it carries its frozen
@@ -76,7 +76,7 @@ __all__ = [
 #: the payload layout *or* to the pickled structures it carries (plan
 #: tuple shape, GraphArrays fields, …) *or* to what a DAG's recipe
 #: rebuilds: old artifacts are orphaned by the salt, not migrated.
-PREP_FORMAT = 4
+PREP_FORMAT = 5
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

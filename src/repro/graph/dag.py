@@ -12,21 +12,27 @@ Two representations coexist:
   list-of-lists, which is what :class:`~repro.graph.builder.DAGBuilder`
   appends into and what the event engine's inner loop iterates (Python
   lists of small ints beat NumPy scalar iteration there);
-* the **frozen structure-of-arrays view** (:class:`GraphArrays`, built
-  once by :meth:`TaskDAG.freeze`) — CSR-style successor/predecessor
-  index arrays, dense interned operand-id tables with per-task
-  read/write/touch spans, kernel codes, and cached indegrees.  The
-  vectorized analyses (levels, critical path), the cost model's access
-  -plan compiler, and the scheduler ``prepare`` paths all consume these
-  flat arrays instead of re-deriving interning and adjacency per
-  engine instance — and the cross-cell prep store persists them
-  (:mod:`repro.bench.prep`).
+* the **frozen structure-of-arrays view** (:class:`GraphArrays`) —
+  CSR-style successor index arrays, indegrees, dense interned
+  operand-id tables with per-task write/touch spans, kernel codes and
+  the SpMV/SpMM pricing inputs.  The vectorized analyses (levels,
+  critical path), the cost model's access-plan compiler, and the
+  scheduler ``prepare`` paths all consume these flat arrays instead of
+  re-deriving interning and adjacency per engine instance — and the
+  cross-cell prep store persists them (:mod:`repro.bench.prep`).
 
-Any mutation (``add_task``/``add_edge``) invalidates the frozen view;
-``freeze`` rebuilds it on demand.  Both views answer every query with
-bit-identical results — pinned by ``tests/test_property_dag.py``
-against the retained reference implementations in
-:mod:`repro.graph.analyze`.
+The frozen columns are recorded as tasks arrive, in one pass:
+:meth:`TaskDAG.add_task` runs each task through ``_Columns.add``
+(interning, touch table, per-task scalars, sparse inputs), and
+:meth:`TaskDAG.freeze` only converts the lists to arrays and builds
+the successor CSR.  Any mutation (``add_task``/``add_edge``)
+invalidates the frozen view; ``freeze`` rebuilds it on demand, and a
+DAG whose lists were dropped (frozen, pickled, loaded) re-derives them
+from its task list at the next ``add_task``.  Both views answer every
+query with bit-identical results — pinned by
+``tests/test_property_dag.py`` against the retained reference
+implementations in :mod:`repro.graph.analyze` and the per-task walk
+``freeze`` used to make.
 
 A DAG built for a prep artifact carries a rebuild **recipe**: a
 picklable zero-argument callable (a ``functools.partial`` over
@@ -48,13 +54,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
 from repro.graph.task import Task
 
-__all__ = ["GraphArrays", "TaskDAG"]
+__all__ = ["GraphArrays", "SPARSE_KERNELS", "TaskDAG"]
 
 #: Serializes first rebuilds of a loaded task list: service threads
 #: share loaded DAGs, and every reader must see the same ``Task`` objects.
@@ -76,7 +83,8 @@ class GraphArrays:
     array (CSR convention).  Operand ids are the DAG's handle
     interning (:meth:`TaskDAG.handle_interning`): dense small ints in
     first-appearance order, resolved back to ``(name, part)`` by
-    ``id_to_key``.
+    ``id_to_key``.  Predecessor lists and per-task reads are not
+    repeated here: ``dag.pred`` and ``Task.reads`` hold them.
     """
 
     n_tasks: int
@@ -84,15 +92,9 @@ class GraphArrays:
     # -- adjacency (CSR) ------------------------------------------------
     succ_indptr: np.ndarray
     succ_indices: np.ndarray
-    pred_indptr: np.ndarray
-    pred_indices: np.ndarray
     indegree: np.ndarray
     # -- interned operand tables ---------------------------------------
     id_to_key: list            # id -> (name, part)
-    id_name: list              # id -> name
-    id_part: list              # id -> part (None for unpartitioned)
-    read_indptr: np.ndarray    # per-task reads, in reads order
-    read_ids: np.ndarray
     write_indptr: np.ndarray   # per-task writes, in writes order
     write_ids: np.ndarray
     # -- per-task touch table (Task.touched() order, deduplicated) -----
@@ -100,6 +102,10 @@ class GraphArrays:
     touch_ids: np.ndarray
     touch_nbytes: np.ndarray   # first-kept handle's nbytes (dedup rule)
     touch_is_write: np.ndarray
+    #: SpMV/SpMM effective-byte override of each touch: 0 none, 1 the
+    #: task's ``params["X"]`` input, 2 its ``params["Y"]`` output (by
+    #: operand name, Y winning, as ``CostModel._effective_bytes``)
+    touch_role: np.ndarray
     # -- scalar per-task attributes ------------------------------------
     kernel_names: list         # kernel interning, first-appearance order
     kernel_codes: np.ndarray   # per-task index into kernel_names
@@ -107,6 +113,152 @@ class GraphArrays:
     first_write_id: np.ndarray  # interned id of writes[0], -1 if none
     #: highest partition index + 1 over every handle (NUMA geometry)
     max_part: int
+    # -- SpMV/SpMM pricing inputs, one entry per sparse task -----------
+    sparse_tids: np.ndarray    # tids of the SPMV/SPMM tasks, ascending
+    sparse_nnz: np.ndarray     # shape "nnz" (0 if absent)
+    sparse_rows: np.ndarray    # shape "rows"
+    sparse_cols: np.ndarray    # shape "cols"
+    sparse_width: np.ndarray   # shape "width" (1 if absent)
+    sparse_span: np.ndarray    # shape "gather_span" (0 if absent)
+    sparse_buffer: np.ndarray  # params["buffer"]: a reduction buffer
+    #: interned id of the gather's input chunk (first partitioned read
+    #: not named ``params["A"]``), -1 if none
+    sparse_x: np.ndarray
+
+
+#: Kernels whose plans carry effective-byte overrides and a gather.
+SPARSE_KERNELS = ("SPMV", "SPMM")
+
+
+class _Columns:
+    """The frozen view's per-task columns as plain lists.
+
+    :meth:`TaskDAG.add_task` feeds every task through :meth:`add`, so
+    the columns grow with the graph and :meth:`TaskDAG.freeze` only
+    converts them to arrays.  ``add`` is the one per-task derivation:
+    a frozen, loaded or unpickled DAG that gets another task re-derives
+    the lists by running its whole task list through it.  Per task it
+    appends one row tuple of scalars (and one of SpMV/SpMM inputs);
+    ``freeze`` splits the rows into columns.
+    """
+
+    __slots__ = ("key_to_id", "id_to_key", "kernel_code", "kernel_names",
+                 "max_part", "rows", "write_ids", "touch_ids",
+                 "touch_nbytes", "sparse", "sparse_roles")
+
+    def __init__(self):
+        self.key_to_id = {}
+        self.id_to_key = []
+        self.kernel_code = {}
+        self.kernel_names = []
+        self.max_part = 0
+        #: per task: (kernel code, param_i, first write id, writes, touches)
+        self.rows = []
+        self.write_ids = []
+        self.touch_ids = []
+        self.touch_nbytes = []
+        #: per SpMV/SpMM task: (tid, nnz, rows, cols, width, gather
+        #: span, reduction buffer, gather input id)
+        self.sparse = []
+        #: touch_role of every SpMV/SpMM task's touches, in order
+        self.sparse_roles = []
+
+    def _intern(self, key) -> int:
+        hid = self.key_to_id[key] = len(self.id_to_key)
+        self.id_to_key.append(key)
+        part = key[1]
+        if part is not None and part >= self.max_part:
+            self.max_part = part + 1
+        return hid
+
+    def add(self, tid: int, t: Task) -> None:
+        kernel = t.kernel
+        code = self.kernel_code.get(kernel)
+        if code is None:
+            code = self.kernel_code[kernel] = len(self.kernel_names)
+            self.kernel_names.append(kernel)
+        params = t.params
+        # Handle interning in first-appearance order over reads then
+        # writes, and the touch table with Task.touched()'s dedup rule:
+        # first occurrence kept, with that handle's nbytes.
+        key_to_id = self.key_to_id
+        ids = []
+        wids = []
+        nbytes = self.touch_nbytes
+        if kernel not in SPARSE_KERNELS:
+            for h in t.reads:
+                key = (h.name, h.part)
+                hid = key_to_id.get(key)
+                if hid is None:
+                    hid = self._intern(key)
+                if hid not in ids:
+                    ids.append(hid)
+                    nbytes.append(h.nbytes)
+            for h in t.writes:
+                key = (h.name, h.part)
+                hid = key_to_id.get(key)
+                if hid is None:
+                    hid = self._intern(key)
+                wids.append(hid)
+                if hid not in ids:
+                    ids.append(hid)
+                    nbytes.append(h.nbytes)
+        else:
+            # The same walk, also recording the inputs of
+            # CostModel._effective_bytes and _gather_bundle, with their
+            # defaults and KeyErrors: each touch's override role (by
+            # operand name, Y before X) and the gather's input chunk
+            # (first partitioned read not named A).
+            xname = params.get("X")
+            yname = params.get("Y")
+            aname = params.get("A")
+            roles = self.sparse_roles
+            gx = -1
+            for h in t.reads:
+                name = h.name
+                part = h.part
+                key = (name, part)
+                hid = key_to_id.get(key)
+                if hid is None:
+                    hid = self._intern(key)
+                if gx < 0 and part is not None and name != aname:
+                    gx = hid
+                if hid not in ids:
+                    ids.append(hid)
+                    nbytes.append(h.nbytes)
+                    roles.append(2 if name == yname else
+                                 1 if name == xname else 0)
+            for h in t.writes:
+                name = h.name
+                key = (name, h.part)
+                hid = key_to_id.get(key)
+                if hid is None:
+                    hid = self._intern(key)
+                wids.append(hid)
+                if hid not in ids:
+                    ids.append(hid)
+                    nbytes.append(h.nbytes)
+                    roles.append(2 if name == yname else
+                                 1 if name == xname else 0)
+            shape = t.shape
+            self.sparse.append((
+                tid, shape.get("nnz", 0),
+                shape["rows"] if yname is not None else shape.get("rows", 0),
+                shape["cols"] if xname is not None else shape.get("cols", 0),
+                shape.get("width", 1), shape.get("gather_span", 0),
+                1 if params.get("buffer") else 0, gx,
+            ))
+        self.write_ids += wids
+        self.touch_ids += ids
+        i = params.get("i")
+        self.rows.append((code, -1 if i is None else int(i),
+                          wids[0] if wids else -1, len(wids), len(ids)))
+
+
+def _unzip(rows: list, width: int):
+    """The columns of a list of equal-length tuples (``width`` empty
+    ones for no rows)."""
+    return zip(*rows) if rows else [()] * width
 
 
 class TaskDAG:
@@ -137,7 +289,10 @@ class TaskDAG:
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
         self._edge_set = set()
-        self._handle_intern = None
+        #: Per-task columns :meth:`add_task` fills; None once frozen,
+        #: pickled or loaded (re-derived by the next ``add_task``).
+        self._cols: Optional[_Columns] = _Columns()
+        self._key_to_id = None
         self._soa: Optional[GraphArrays] = None
         self._kernel_of: Optional[List[str]] = None
         self._cost_prep: dict = {}
@@ -197,30 +352,25 @@ class TaskDAG:
         Returns ``(key_to_id, id_to_key)`` where ``key_to_id`` maps
         ``(name, part)`` tuples to ids assigned in first-appearance
         order over tasks (tid order) and their ``reads + writes``
-        handles, and ``id_to_key`` is the inverse list.  The numbering
-        is a pure function of the DAG, so every engine/cost-model/
-        memory-model instance that executes this DAG agrees on the ids
-        — which is what lets the cost model stash int-keyed pricing
-        invariants on the DAG and share them across runs.
+        handles, and ``id_to_key`` is the inverse list, the frozen
+        view's ``id_to_key``.  The numbering is a pure function of the
+        DAG, so every engine/cost-model/memory-model instance that
+        executes this DAG agrees on the ids — which is what lets the
+        cost model stash int-keyed pricing invariants on the DAG and
+        share them across runs.
 
         Int keys hash ~2x faster than ``(str, int)`` tuples, and they
         are what the innermost structures (LRU dicts, coherence directory,
-        NUMA memos) key on during simulation.  The memo is invalidated
-        if tasks were appended after interning.
+        NUMA memos) key on during simulation.  The run path reads
+        ``freeze().id_to_key`` alone; the inverse dict is derived on
+        demand and never pickled.
         """
-        memo = self._handle_intern
-        if memo is not None and memo[2] == len(self):
-            return memo[0], memo[1]
-        key_to_id = {}
-        id_to_key = []
-        for t in self.tasks:
-            for h in t.reads + t.writes:
-                k = (h.name, h.part)
-                if k not in key_to_id:
-                    key_to_id[k] = len(id_to_key)
-                    id_to_key.append(k)
-        self._handle_intern = (key_to_id, id_to_key, len(self.tasks))
-        return key_to_id, id_to_key
+        id_to_key = self.freeze().id_to_key
+        memo = self._key_to_id
+        if memo is None or memo[1] is not id_to_key:
+            memo = ({k: i for i, k in enumerate(id_to_key)}, id_to_key)
+            self._key_to_id = memo
+        return memo
 
     # ------------------------------------------------------------------
     def freeze(self) -> GraphArrays:
@@ -228,118 +378,92 @@ class TaskDAG:
 
         Idempotent and cached; any later :meth:`add_task` /
         :meth:`add_edge` invalidates the cache and the next ``freeze``
-        rebuilds.  The arrays are a pure function of the DAG — two
-        processes freezing the same graph produce identical tables,
+        rebuilds.  The per-task columns were recorded by ``add_task``;
+        this converts them to arrays, builds the CSR successor table and
+        drops the lists.  The arrays are a pure function of the DAG —
+        two processes freezing the same graph produce identical tables,
         which is what lets the prep store persist them.
         """
         soa = self._soa
         if soa is not None:
             return soa
-        tasks = self.tasks
-        n = len(tasks)
-        key_to_id, id_to_key = self.handle_interning()
+        cols = self._columns()
+        succ = self.succ
+        n = len(succ)
+        i64, i32 = np.int64, np.int32
 
-        def _csr(adj, count):
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            if n:
-                np.cumsum([len(a) for a in adj], out=indptr[1:])
-            indices = np.fromiter(
-                (v for a in adj for v in a), dtype=np.int32, count=count
-            )
-            return indptr, indices
-
-        n_edges = self.n_edges
-        succ_indptr, succ_indices = _csr(self.succ, n_edges)
-        pred_indptr, pred_indices = _csr(self.pred, n_edges)
-        indegree = np.diff(pred_indptr).astype(np.int32)
-
-        read_counts = np.zeros(n, dtype=np.int64)
-        write_counts = np.zeros(n, dtype=np.int64)
-        touch_counts = np.zeros(n, dtype=np.int64)
-        read_ids: List[int] = []
-        write_ids: List[int] = []
-        touch_ids: List[int] = []
-        touch_nbytes: List[int] = []
-        touch_is_write: List[bool] = []
-        kernel_code = {}
-        kernel_names: List[str] = []
-        kernel_codes = np.zeros(n, dtype=np.int32)
-        param_i = np.full(n, -1, dtype=np.int64)
-        first_write = np.full(n, -1, dtype=np.int32)
-        max_part = 0
-        for tid, t in enumerate(tasks):
-            code = kernel_code.get(t.kernel)
-            if code is None:
-                code = kernel_code[t.kernel] = len(kernel_names)
-                kernel_names.append(t.kernel)
-            kernel_codes[tid] = code
-            i = t.params.get("i")
-            if i is not None:
-                param_i[tid] = int(i)
-            for h in t.reads:
-                read_ids.append(key_to_id[(h.name, h.part)])
-            read_counts[tid] = len(t.reads)
-            wkeys = set()
-            for h in t.writes:
-                k = (h.name, h.part)
-                write_ids.append(key_to_id[k])
-                wkeys.add(k)
-            write_counts[tid] = len(t.writes)
-            if t.writes:
-                first_write[tid] = write_ids[-len(t.writes)]
-            # Touch table: reads then writes, first occurrence kept —
-            # exactly Task.touched(), including its nbytes-of-the-
-            # first-kept-handle dedup rule.
-            seen = {}
-            for h in t.reads + t.writes:
-                k = (h.name, h.part)
-                if k not in seen:
-                    seen[k] = h
-                if h.part is not None and h.part >= max_part:
-                    max_part = h.part + 1
-            touch_counts[tid] = len(seen)
-            for k, h in seen.items():
-                touch_ids.append(key_to_id[k])
-                touch_nbytes.append(h.nbytes)
-                touch_is_write.append(k in wkeys)
-
-        def _spans(counts, values, dtype=np.int32):
-            indptr = np.zeros(n + 1, dtype=np.int64)
+        def _indptr(counts):
+            indptr = np.zeros(n + 1, dtype=i64)
             np.cumsum(counts, out=indptr[1:])
-            return indptr, np.asarray(values, dtype=dtype).reshape(-1)
+            return indptr
 
-        read_indptr, read_arr = _spans(read_counts, read_ids)
-        write_indptr, write_arr = _spans(write_counts, write_ids)
-        touch_indptr, touch_arr = _spans(touch_counts, touch_ids)
+        succ_indptr = _indptr(np.fromiter(map(len, succ), i64, n))
+        n_edges = int(succ_indptr[-1])
+        kernel_codes, param_i, first_write, n_writes, n_touches = (
+            np.array(c, dtype=i64) for c in _unzip(cols.rows, 5))
+        write_indptr = _indptr(n_writes)
+        write_ids = np.array(cols.write_ids, dtype=i32)
+        touch_indptr = _indptr(n_touches)
+        touch_ids = np.array(cols.touch_ids, dtype=i32)
+        # A touch writes if it is its task's first write, or any write
+        # of the few tasks with more than one.
+        touch_is_write = touch_ids == first_write.repeat(n_touches)
+        for t in np.flatnonzero(n_writes > 1).tolist():
+            a, b = touch_indptr[t], touch_indptr[t + 1]
+            writes = write_ids[write_indptr[t]:write_indptr[t + 1]]
+            touch_is_write[a:b] = np.isin(touch_ids[a:b], writes)
+        sparse = [np.array(c, dtype=i64) for c in _unzip(cols.sparse, 8)]
+        sparse_tids = sparse[0].astype(i32)
+        touch_role = np.zeros(touch_ids.size, dtype=np.int8)
+        if sparse_tids.size:
+            starts = touch_indptr[sparse_tids]
+            counts = n_touches[sparse_tids]
+            at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            touch_role[at + np.arange(at.size)] = cols.sparse_roles
         soa = GraphArrays(
             n_tasks=n,
             n_edges=n_edges,
             succ_indptr=succ_indptr,
-            succ_indices=succ_indices,
-            pred_indptr=pred_indptr,
-            pred_indices=pred_indices,
-            indegree=indegree,
-            id_to_key=id_to_key,
-            id_name=[k[0] for k in id_to_key],
-            id_part=[k[1] for k in id_to_key],
-            read_indptr=read_indptr,
-            read_ids=read_arr,
+            succ_indices=np.fromiter(chain.from_iterable(succ), i32,
+                                     n_edges),
+            indegree=np.fromiter(map(len, self.pred), i32, n),
+            id_to_key=cols.id_to_key,
             write_indptr=write_indptr,
-            write_ids=write_arr,
+            write_ids=write_ids,
             touch_indptr=touch_indptr,
-            touch_ids=touch_arr,
-            touch_nbytes=np.asarray(touch_nbytes, dtype=np.int64)
-            .reshape(-1),
-            touch_is_write=np.asarray(touch_is_write, dtype=bool)
-            .reshape(-1),
-            kernel_names=kernel_names,
-            kernel_codes=kernel_codes,
+            touch_ids=touch_ids,
+            touch_nbytes=np.array(cols.touch_nbytes, dtype=i64),
+            touch_is_write=touch_is_write,
+            touch_role=touch_role,
+            kernel_names=cols.kernel_names,
+            kernel_codes=kernel_codes.astype(i32),
             param_i=param_i,
-            first_write_id=first_write,
-            max_part=max_part,
+            first_write_id=first_write.astype(i32),
+            max_part=cols.max_part,
+            sparse_tids=sparse_tids,
+            sparse_nnz=sparse[1],
+            sparse_rows=sparse[2],
+            sparse_cols=sparse[3],
+            sparse_width=sparse[4],
+            sparse_span=sparse[5],
+            sparse_buffer=sparse[6].astype(bool),
+            sparse_x=sparse[7].astype(i32),
         )
         self._soa = soa
+        self._cols = None
         return soa
+
+    def _columns(self) -> _Columns:
+        """The live per-task columns, re-derived from the task list if
+        freezing, pickling or loading dropped them."""
+        cols = self._cols
+        if cols is None:
+            cols = _Columns()
+            add = cols.add
+            for tid, t in enumerate(self.tasks):
+                add(tid, t)
+            self._cols = cols
+        return cols
 
     @property
     def frozen(self) -> bool:
@@ -352,9 +476,19 @@ class TaskDAG:
 
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> int:
-        """Insert a task; assigns and returns its dense id."""
+        """Insert a task; assigns and returns its dense id.
+
+        Records the task's frozen-view columns as it goes, so
+        :meth:`freeze` never walks the task list again.
+        """
         tasks = self.tasks
+        cols = self._columns()
         tid = len(tasks)
+        try:
+            cols.add(tid, task)
+        except BaseException:
+            self._cols = None  # half a row recorded: re-derive next time
+            raise
         task.tid = tid
         tasks.append(task)
         self.succ.append([])
@@ -398,6 +532,8 @@ class TaskDAG:
         state = self.__dict__.copy()
         state["_edge_set"] = None
         state["_kernel_of"] = None
+        state["_cols"] = None
+        state["_key_to_id"] = None
         if self.recipe is not None and self._soa is not None:
             state["_tasks"] = None
         return state

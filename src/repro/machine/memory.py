@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.machine.topology import MachineSpec
 
 __all__ = ["MemoryModel"]
@@ -108,7 +110,7 @@ class MemoryModel:
         nbc = getattr(dag, "matrix_nbc", None)
         if name and nbc:
             self.matrix_geometry = (name, nbc)
-        self.adopt_interning(dag.handle_interning()[1])
+        self.adopt_interning(dag.freeze().id_to_key)
         self._domain_memo.clear()
         self.state_epoch += 1
 
@@ -207,12 +209,36 @@ class MemoryModel:
         the arrays and re-validate it per charge — any placement
         mutation bumps the epoch and invalidates them.
         """
-        if self._intern_keys is None:
+        keys = self._intern_keys
+        if keys is None:
             return None
-        domain_of = self.domain_of
-        homes = [domain_of(k) for k in range(len(self._intern_keys))]
-        has_part = [p is not None for p in self._intern_parts]
+        parts = self._intern_parts
+        has_part = [p is not None for p in parts]
+        if self._placement:
+            domain_of = self.domain_of
+            homes = [domain_of(k) for k in range(len(keys))]
+        elif not self.first_touch:
+            homes = [0] * len(keys)
+        else:
+            homes = self._striped_homes(keys, parts, has_part)
         return homes, has_part
+
+    def _striped_homes(self, keys, parts, has_part) -> list:
+        """:meth:`domain_of` of every interned key without placement
+        pins, in bulk: the same integer block-row and striping
+        arithmetic, over one array of parts."""
+        part = np.array([0 if p is None else p for p in parts],
+                        dtype=np.int64)
+        if self.matrix_geometry:
+            name, nbc = self.matrix_geometry
+            matrix = np.array([k[0] == name for k in keys], dtype=bool)
+            part = np.where(matrix, part // nbc, part)
+        d = self.machine.n_numa_domains
+        if self.n_parts:
+            dom = np.minimum(d - 1, part * d // self.n_parts)
+        else:
+            dom = part % d
+        return np.where(has_part, dom, 0).tolist()
 
     # ------------------------------------------------------------------
     def dram_line_cost(self, core: int, key: Optional[tuple]) -> float:

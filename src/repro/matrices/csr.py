@@ -132,11 +132,3 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         return CSRMatrix.from_coo(self.to_coo().transpose())
-
-    def diagonal(self) -> np.ndarray:
-        """Extract the main diagonal (zeros where no entry is stored)."""
-        coo = self.to_coo()
-        d = np.zeros(min(self.shape))
-        on_diag = coo.rows == coo.cols
-        d[coo.rows[on_diag]] = coo.vals[on_diag]
-        return d

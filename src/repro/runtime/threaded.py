@@ -21,6 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.graph.dag import TaskDAG
+from repro.solvers.primitives import apply_alpha_op
 from repro.solvers.smallops import run_small_op
 from repro.solvers.workspace import Workspace
 
@@ -32,17 +33,7 @@ def _alpha_value(p: dict, ws: Workspace) -> float:
     name = p.get("alpha_name")
     if name is None:
         return float(p.get("alpha", 1.0))
-    v = ws.scalar(name)
-    op = p.get("alpha_op", "identity")
-    if op == "identity":
-        return v
-    if op == "neg":
-        return -v
-    if op == "inv":
-        return 1.0 / v if v != 0.0 else 0.0
-    if op == "neg_inv":
-        return -1.0 / v if v != 0.0 else 0.0
-    raise ValueError(f"unknown alpha_op {op!r}")
+    return apply_alpha_op(ws.scalar(name), p.get("alpha_op", "identity"))
 
 
 def execute_task(task, ws: Workspace) -> None:

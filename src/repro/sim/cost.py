@@ -13,7 +13,11 @@ placement, and per-task overheads differ between the frameworks.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.graph.dag import SPARSE_KERNELS
 from repro.graph.task import Task
+from repro.kernels.registry import kernel_spec
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.machine.topology import MachineSpec
@@ -37,6 +41,32 @@ KIND_EFFICIENCY = {
     "blas3": 0.80,       # small dgemm on chunks
     "dense-small": 0.30, # tiny LAPACK, latency bound
 }
+
+
+def _effective_touch_bytes(soa) -> np.ndarray:
+    """Every touch's bytes with the SpMV/SpMM overrides applied.
+
+    :meth:`CostModel._effective_bytes` over the frozen columns: a
+    touch whose ``touch_role`` names the task's input vector (1) or
+    output vector (2) is charged the lines the task's nonzeros reach,
+    by the same integer products and minimums.
+    """
+    nbytes = soa.touch_nbytes
+    sel = np.flatnonzero(soa.touch_role)
+    if not sel.size:
+        return nbytes
+    nbytes = nbytes.copy()
+    tid = np.searchsorted(soa.touch_indptr, sel, side="right") - 1
+    k = np.searchsorted(soa.sparse_tids, tid)
+    nnz = soa.sparse_nnz[k]
+    w = soa.sparse_width[k]
+    chunk = soa.sparse_cols[k] * w * 8
+    x_bytes = np.minimum(chunk, np.minimum(-(-chunk // 64), nnz) * 64)
+    chunk = soa.sparse_rows[k] * w * 8
+    y_bytes = np.where(soa.sparse_buffer[k], chunk,
+                       np.minimum(chunk, nnz * np.maximum(w * 8, 64)))
+    nbytes[sel] = np.where(soa.touch_role[sel] == 1, x_bytes, y_bytes)
+    return nbytes
 
 
 class TaskCharge(tuple):
@@ -127,7 +157,7 @@ class CostModel:
         non-empty but nearly empty).  Dense kernels touch operands
         fully — the handle size stands.
         """
-        if task.kernel not in ("SPMV", "SPMM"):
+        if task.kernel not in SPARSE_KERNELS:
             return {}
         s = task.shape
         nnz = s.get("nnz", 0)
@@ -259,8 +289,8 @@ class CostModel:
     def _gather_bundle(self, task: Task, key_of=None):
         """The precompiled gather tuple of :meth:`_task_info`, or None.
 
-        Factored out so the structure-of-arrays compile path
-        (:meth:`_compile_plans`) shares the exact arithmetic."""
+        The per-task reference of :meth:`_gather_bundles`, which
+        compiles the same tuples for a whole DAG."""
         span = task.shape.get("gather_span", 0)
         if span <= 0:
             return None
@@ -321,68 +351,94 @@ class CostModel:
         # Handle-key interning: the DAG numbers its operand handles
         # once; prepared touches/gathers below carry those int keys, so
         # every structure hashed in the hot loop hashes small ints.
-        key_of, id_to_key = dag.handle_interning()
-        self.memory.adopt_interning(id_to_key)
         soa = dag.freeze()
+        self.memory.adopt_interning(soa.id_to_key)
         key = (self.machine, self.gather_intensity)
         store = dag._cost_prep
         prep = store.get(key)
         if prep is None or len(prep) != len(dag):
-            prep = self._compile_plans(dag.tasks, soa, key_of)
+            prep = self._compile_plans(dag.tasks, soa)
             store[key] = prep
         self._prep = prep
         self._arm_fast_path(dag)
 
-    def _compile_plans(self, tasks, soa, key_of):
-        """Flatten every task into its access plan.
+    def _compile_plans(self, tasks, soa):
+        """Flatten every task into its access plan, from the frozen columns.
 
-        Touch ids/bytes/write-flags come from the DAG's frozen flat
-        tables (:class:`repro.graph.dag.GraphArrays`), converted to
-        Python ints once (`.tolist()`) so plan tuples never carry NumPy
-        scalars into the hot charge walk.  The effective-byte override
-        of sparse kernels is applied by operand *name* via the interned
-        id tables — byte-for-byte the rule :meth:`_task_info` applies
-        to handle objects, pinned by the equivalence fixture and by
-        ``tests/test_property_dag.py``, whose reference compiles every
-        plan with :meth:`_task_info`.  Zero-byte touches are dropped.
+        The plans equal what :meth:`_task_info` compiles from each
+        task's handle objects, with zero-byte touches dropped —
+        tuple-exact, pinned by the equivalence fixture and by
+        ``tests/test_property_dag.py``.  Everything but the compute
+        term is computed over the DAG's flat tables
+        (:class:`repro.graph.dag.GraphArrays`) in bulk: the sparse
+        effective-byte overrides (:func:`_effective_touch_bytes`) and
+        gather bundles (:meth:`_gather_bundles`) in NumPy, with the
+        same integer products and IEEE float operations as the
+        per-task code; the touch tuples are sliced out of one zipped
+        list.  ``.tolist()`` turns every value into a Python scalar,
+        so plans never carry NumPy scalars into the hot charge walk.
         """
-        indptr = soa.touch_indptr.tolist()
-        t_ids = soa.touch_ids.tolist()
-        t_nbytes = soa.touch_nbytes.tolist()
-        t_write = soa.touch_is_write.tolist()
-        names = soa.id_name
+        nbytes = _effective_touch_bytes(soa)
+        keep = nbytes > 0
+        nbytes = nbytes[keep]
+        kept = np.zeros(soa.touch_ids.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        bounds = kept[soa.touch_indptr].tolist()
         l1 = self.machine.l1_size
-        peak = self._peak_core
-        eff = KIND_EFFICIENCY
-        gather_of = self._gather_bundle
-        plans = []
-        for tid, t in enumerate(tasks):
-            compute = t.flops / (peak * eff.get(t.kind, 0.3))
-            a, b = indptr[tid], indptr[tid + 1]
-            gather = None
-            if t.kernel in ("SPMV", "SPMM"):
-                tb = self._effective_bytes(t)
-                tb_get = tb.get
-                touches = []
-                for j in range(a, b):
-                    oid = t_ids[j]
-                    nbytes = tb_get(names[oid], t_nbytes[j])
-                    if nbytes > 0:
-                        touches.append((
-                            oid, nbytes, t_write[j],
-                            nbytes if nbytes < l1 else l1,
-                            (nbytes + 63) // 64,
-                        ))
-                gather = gather_of(t, key_of)
-            else:
-                touches = [
-                    (t_ids[j], t_nbytes[j], t_write[j],
-                     t_nbytes[j] if t_nbytes[j] < l1 else l1,
-                     (t_nbytes[j] + 63) // 64)
-                    for j in range(a, b) if t_nbytes[j] > 0
-                ]
-            plans.append((compute, tuple(touches), gather))
-        return plans
+        nb = nbytes.tolist()
+        # ``n if n < l1 else l1`` reuses the nbytes objects as the
+        # per-task compiler does; a NumPy minimum would allocate one
+        # more int per touch for the life of the plans.
+        rows = list(zip(
+            soa.touch_ids[keep].tolist(),
+            nb,
+            soa.touch_is_write[keep].tolist(),
+            [n if n < l1 else l1 for n in nb],
+            ((nbytes + 63) // 64).tolist(),
+        ))
+        touches = [tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+        gathers = [None] * soa.n_tasks
+        for tid, bundle in self._gather_bundles(soa):
+            gathers[tid] = bundle
+        # Compute seconds, ``t.flops / (peak * efficiency)`` with the
+        # registry lookups resolved once per kernel.
+        specs = [kernel_spec(name) for name in soa.kernel_names]
+        flops = [spec.flops for spec in specs]
+        denom = [self._peak_core * KIND_EFFICIENCY.get(spec.kind, 0.3)
+                 for spec in specs]
+        compute = [flops[c](t.shape) / denom[c] for t, c in
+                   zip(tasks, soa.kernel_codes.tolist())]
+        return list(zip(compute, touches, gathers))
+
+    def _gather_bundles(self, soa):
+        """``(tid, gather bundle)`` of every sparse task that has one.
+
+        :meth:`_gather_bundle` over the frozen sparse columns: the
+        same products, the same ``int()`` truncation (``astype`` of a
+        non-negative float) and the same ``1.5 ×`` scattered test, so
+        every bundle is tuple-exact.
+        """
+        span = soa.sparse_span
+        retouches = soa.sparse_nnz * self.gather_intensity
+        has = np.flatnonzero((span > 0) & (retouches > 0))
+        if not has.size:
+            return []
+        span = span[has]
+        retouches = retouches[has]
+        m = self.machine
+        l3_share = m.l3_size / m.l3_group_cores
+        g1, g2, g3 = (
+            (retouches * np.maximum(0.0, 1.0 - cap / span)).astype(np.int64)
+            for cap in (m.l1_size, m.l2_size, l3_share)
+        )
+        fixed = (g1 - g2) * self._l2c + (g2 - g3) * self._l3c
+        chunk_bytes = soa.sparse_cols[has] * soa.sparse_width[has] * 8
+        scattered = span > 1.5 * np.maximum(1, chunk_bytes)
+        xkey = [None if s or x < 0 else x for s, x in
+                zip(scattered.tolist(), soa.sparse_x[has].tolist())]
+        return zip(soa.sparse_tids[has].tolist(),
+                   zip(g1.tolist(), g2.tolist(), g3.tolist(),
+                       fixed.tolist(), scattered.tolist(), xkey))
 
     def _arm_fast_path(self, dag) -> None:
         """Snapshot NUMA homes for the compiled-plan walk.

@@ -140,9 +140,7 @@ class FlowGraph:
     def to_gantt(self, width: int = 100, max_cores: int = 32) -> str:
         """ASCII Gantt chart: one row per core, one letter per kernel."""
         if not self.records:
-            return ("(flow records not kept; run with record_flow=True "
-                    "for a Gantt rendering)" if self.n_records
-                    else "(empty flow graph)")
+            return self.summary().to_gantt(width, max_cores)
         span = self.makespan
         kernels = sorted({r.kernel for r in self.records})
         letters = {k: chr(ord("A") + i % 26) for i, k in enumerate(kernels)}
@@ -204,8 +202,26 @@ class FlowSummary:
         return dict(self.spans)
 
     def to_gantt(self, width: int = 100, max_cores: int = 32) -> str:
-        return ("(flow records not retained in cached summary; "
-                "re-run with a cold cache for a Gantt rendering)")
+        """ASCII envelope chart: one bar per kernel, first start to
+        last end, across the makespan (``max_cores`` is unused: the
+        summary has no per-core lanes)."""
+        if not self.envelopes:
+            return "(empty flow graph)"
+        span = self.makespan
+        scale = (width - 1) / span if span > 0 else 0.0
+        kernels = sorted(self.envelopes)
+        letters = {k: chr(ord("A") + i % 26) for i, k in enumerate(kernels)}
+        label = max(len(k) for k in kernels)
+        lines = [f"makespan {span * 1e3:.3f} ms   kernel envelopes"]
+        for k, (lo, hi) in sorted(self.envelopes.items(),
+                                  key=lambda kv: kv[1]):
+            a = int(lo * scale)
+            b = max(a + 1, int(hi * scale) + 1)
+            row = " " * a + letters[k] * (min(b, width) - a)
+            lines.append(f"{k:>{label}s} |{row:<{width}s}|")
+        lines.append(f"kernel overlap fraction: {self.overlap_fraction:.2f}"
+                     "; per-core lanes need record_flow=True")
+        return "\n".join(lines)
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:

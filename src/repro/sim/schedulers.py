@@ -66,8 +66,8 @@ def _domain_tables(dag, memory):
     """
     if memory._placement:
         return None
-    _, id_to_key = dag.handle_interning()
-    if memory._intern_keys is not id_to_key:
+    soa = dag.freeze()
+    if memory._intern_keys is not soa.id_to_key:
         return None
     key = (memory.machine, memory.first_touch, memory._n_parts,
            memory.matrix_geometry)
@@ -78,17 +78,13 @@ def _domain_tables(dag, memory):
     arrays = memory.home_arrays()
     if arrays is None:
         return None
-    homes = arrays[0]
-    soa = dag.freeze()
-    indptr = soa.write_indptr.tolist()
-    wids = soa.write_ids.tolist()
-    first_write_dom = [
-        homes[i] if i >= 0 else -1 for i in soa.first_write_id.tolist()
-    ]
-    write_doms = [
-        tuple(homes[wids[j]] for j in range(indptr[t], indptr[t + 1]))
-        for t in range(soa.n_tasks)
-    ]
+    # Homes with a -1 sentinel last, so a write-less task's id -1
+    # reads -1.
+    homes = np.array(arrays[0] + [-1], dtype=np.int64)
+    first_write_dom = homes[soa.first_write_id].tolist()
+    doms = homes[soa.write_ids].tolist()
+    bounds = soa.write_indptr.tolist()
+    write_doms = [tuple(doms[a:b]) for a, b in zip(bounds, bounds[1:])]
     tables = (first_write_dom, write_doms)
     store[key] = tables
     return tables

@@ -30,12 +30,8 @@ def apply_alpha_op(value: float, op: str) -> float:
     """Transform a named scalar coefficient (``1/β`` etc.)."""
     if op == "identity":
         return value
-    if op == "neg":
-        return -value
     if op == "inv":
         return 1.0 / value if value != 0.0 else 0.0
-    if op == "neg_inv":
-        return -1.0 / value if value != 0.0 else 0.0
     raise ValueError(f"unknown alpha_op {op!r}")
 
 

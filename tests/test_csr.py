@@ -77,12 +77,6 @@ def test_transpose_matches_dense(small_csr):
     )
 
 
-def test_diagonal(small_csr):
-    np.testing.assert_allclose(
-        small_csr.diagonal(), np.diag(small_csr.to_dense())
-    )
-
-
 def test_row_nnz_and_nbytes(small_csr):
     assert small_csr.row_nnz().sum() == small_csr.nnz
     assert small_csr.nbytes() > small_csr.nnz * 8

@@ -149,6 +149,26 @@ def test_gantt_renders_all_cores_and_legend():
     assert "A" in text.splitlines()[1]
 
 
+def test_summary_gantt_draws_kernel_envelopes():
+    """Without records (cached summary, ``record_flow=False``) the chart
+    draws one bar per kernel envelope across the makespan."""
+    recs = [(0, "SPMM", 0, 0.0, 1.0, 0), (1, "XY", 3, 1.0, 2.0, 0)]
+    summary = make_flow(recs).summary()
+    text = summary.to_gantt(width=21)
+    lines = text.splitlines()
+    assert lines[0].startswith("makespan 2000.000 ms")
+    assert lines[1] == "SPMM |" + "A" * 11 + " " * 10 + "|"
+    assert lines[2] == "  XY |" + " " * 10 + "B" * 11 + "|"
+    assert "record_flow=True" in lines[-1]
+    assert "cold cache" not in text
+    dropped = FlowGraph(keep=False)
+    for r in recs:
+        dropped.record(*r)
+    assert dropped.to_gantt(width=21) == text
+    assert FlowSummary.from_dict(summary.to_dict()).to_gantt(21) == text
+    assert FlowSummary().to_gantt() == "(empty flow graph)"
+
+
 # -- differential: fold vs reference -----------------------------------
 # Small pools make ties (equal starts/ends, repeated keys) common, and
 # -0.0 vs 0.0 is the one tie whose winner shows in the output, which

@@ -23,12 +23,12 @@ def ws():
 
 def test_apply_alpha_op_table():
     assert apply_alpha_op(4.0, "identity") == 4.0
-    assert apply_alpha_op(4.0, "neg") == -4.0
     assert apply_alpha_op(4.0, "inv") == 0.25
-    assert apply_alpha_op(4.0, "neg_inv") == -0.25
     assert apply_alpha_op(0.0, "inv") == 0.0
     with pytest.raises(ValueError):
         apply_alpha_op(1.0, "exp")
+    with pytest.raises(ValueError):
+        apply_alpha_op(1.0, "neg")  # retired: no solver emits it
 
 
 def test_eager_ops_match_numpy(ws, rng):

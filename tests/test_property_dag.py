@@ -4,12 +4,17 @@ Includes the structure-of-arrays equivalence suite: the frozen
 :class:`~repro.graph.dag.GraphArrays` view (vectorized levels,
 critical path, CSR adjacency, compiled access plans) is pinned equal —
 bit-identical, not approximately — to the retained per-node reference
-implementations in :mod:`repro.graph.analyze` on random DAGs.
+implementations in :mod:`repro.graph.analyze` on random DAGs, and
+every frozen column (recorded by ``add_task``, converted by ``freeze``)
+to :func:`reference_columns`, the per-``Task`` walk ``freeze`` used to
+make, on random DAGs and on real builder DAGs.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.analyze import critical_path_reference, levels_reference
@@ -17,7 +22,7 @@ from repro.graph.builder import BuildOptions, DAGBuilder
 from repro.graph.dag import TaskDAG
 from repro.graph.task import DataHandle, Task
 from repro.graph.trace import TraceRecorder
-from repro.machine import broadwell
+from repro.machine import broadwell, epyc
 from repro.matrices.coo import COOMatrix
 from repro.matrices.csb import CSBMatrix
 from repro.sim.cost import CostModel
@@ -80,6 +85,7 @@ def random_problem(draw):
     opts = BuildOptions(
         skip_empty=draw(st.booleans()),
         spmm_mode=draw(st.sampled_from(["dependency", "reduction"])),
+        csr_storage=draw(st.booleans()),
     )
     builder = DAGBuilder(csb, "A", chunked, small, opts)
     return builder.build(t.calls)
@@ -207,11 +213,13 @@ def test_soa_adjacency_matches_lists(dag):
     assert soa.n_tasks == n
     assert soa.n_edges == sum(len(vs) for vs in dag.succ) == dag.n_edges
     sp, si = soa.succ_indptr, soa.succ_indices
-    pp, pi = soa.pred_indptr, soa.pred_indices
     for u in range(n):
         assert si[sp[u]:sp[u + 1]].tolist() == dag.succ[u]
-        assert pi[pp[u]:pp[u + 1]].tolist() == dag.pred[u]
         assert int(soa.indegree[u]) == len(dag.pred[u])
+    # The predecessor view the frozen arrays no longer carry: every
+    # edge appears once in each direction.
+    assert sorted((u, v) for v, us in enumerate(dag.pred) for u in us) \
+        == sorted((u, v) for u, vs in enumerate(dag.succ) for v in vs)
 
 
 @given(_dag_strategies)
@@ -219,12 +227,13 @@ def test_soa_adjacency_matches_lists(dag):
 def test_soa_operand_tables_match_tasks(dag):
     soa = dag.freeze()
     key_to_id, id_to_key = dag.handle_interning()
-    assert soa.id_to_key == id_to_key
+    assert soa.id_to_key is id_to_key
     for t in dag.tasks:
         tid = t.tid
-        a, b = soa.read_indptr[tid], soa.read_indptr[tid + 1]
-        assert [id_to_key[i] for i in soa.read_ids[a:b]] == \
-            [(h.name, h.part) for h in t.reads]
+        # Reads are not repeated in the frozen view; interning covers
+        # them in reads-then-writes order.
+        assert all(key_to_id[(h.name, h.part)] < len(id_to_key)
+                   for h in t.reads)
         a, b = soa.write_indptr[tid], soa.write_indptr[tid + 1]
         assert [id_to_key[i] for i in soa.write_ids[a:b]] == \
             [(h.name, h.part) for h in t.writes]
@@ -237,24 +246,269 @@ def test_soa_operand_tables_match_tasks(dag):
         assert soa.kernel_names[soa.kernel_codes[tid]] == t.kernel
 
 
+# ----------------------------------------------------------------------
+# Frozen columns against the per-Task walk.  ``add_task`` records the
+# columns and ``freeze`` converts them; this is the loop ``freeze`` ran
+# over the task list before, extended to the SpMV/SpMM pricing inputs.
+# ----------------------------------------------------------------------
+
+def reference_columns(dag) -> dict:
+    """Every :class:`GraphArrays` field, from ``dag.tasks`` and the
+    adjacency lists, one task at a time."""
+    tasks = dag.tasks
+    n = len(tasks)
+    key_to_id, id_to_key = {}, []
+    for t in tasks:
+        for h in t.reads + t.writes:
+            k = (h.name, h.part)
+            if k not in key_to_id:
+                key_to_id[k] = len(id_to_key)
+                id_to_key.append(k)
+    kernel_code, kernel_names, kernel_codes = {}, [], []
+    param_i, first_write, write_counts, write_ids = [], [], [], []
+    touch_counts, touch_ids, touch_nbytes = [], [], []
+    touch_is_write, touch_role = [], []
+    sparse = []
+    max_part = 0
+    for tid, t in enumerate(tasks):
+        code = kernel_code.setdefault(t.kernel, len(kernel_names))
+        if code == len(kernel_names):
+            kernel_names.append(t.kernel)
+        kernel_codes.append(code)
+        i = t.params.get("i")
+        param_i.append(-1 if i is None else int(i))
+        wkeys = [(h.name, h.part) for h in t.writes]
+        write_ids += [key_to_id[k] for k in wkeys]
+        write_counts.append(len(wkeys))
+        first_write.append(key_to_id[wkeys[0]] if wkeys else -1)
+        # Touch table: reads then writes, first occurrence kept, with
+        # the first-kept handle's nbytes (Task.touched()).
+        seen = {}
+        for h in t.reads + t.writes:
+            seen.setdefault((h.name, h.part), h)
+            if h.part is not None:
+                max_part = max(max_part, h.part + 1)
+        touch_counts.append(len(seen))
+        sparse_task = t.kernel in ("SPMV", "SPMM")
+        for k, h in seen.items():
+            touch_ids.append(key_to_id[k])
+            touch_nbytes.append(h.nbytes)
+            touch_is_write.append(k in wkeys)
+            # CostModel._effective_bytes keys its overrides by operand
+            # name, the output's last.
+            role = 0
+            if sparse_task and h.name == t.params.get("Y"):
+                role = 2
+            elif sparse_task and h.name == t.params.get("X"):
+                role = 1
+            touch_role.append(role)
+        if sparse_task:
+            gx = -1
+            for h in t.reads:
+                if h.part is not None and h.name != t.params.get("A"):
+                    gx = key_to_id[(h.name, h.part)]
+                    break
+            s = t.shape
+            sparse.append((tid, s.get("nnz", 0), s.get("rows", 0),
+                           s.get("cols", 0), s.get("width", 1),
+                           s.get("gather_span", 0),
+                           bool(t.params.get("buffer")), gx))
+
+    def indptr(counts):
+        return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+    def col(j, dtype):
+        return np.array([row[j] for row in sparse], dtype=dtype)
+
+    i32, i64 = np.int32, np.int64
+    return dict(
+        n_tasks=n,
+        n_edges=sum(len(vs) for vs in dag.succ),
+        succ_indptr=indptr([len(vs) for vs in dag.succ]),
+        succ_indices=np.array([v for vs in dag.succ for v in vs],
+                              dtype=i32),
+        indegree=np.array([len(us) for us in dag.pred], dtype=i32),
+        id_to_key=id_to_key,
+        write_indptr=indptr(write_counts),
+        write_ids=np.array(write_ids, dtype=i32),
+        touch_indptr=indptr(touch_counts),
+        touch_ids=np.array(touch_ids, dtype=i32),
+        touch_nbytes=np.array(touch_nbytes, dtype=i64),
+        touch_is_write=np.array(touch_is_write, dtype=bool),
+        touch_role=np.array(touch_role, dtype=np.int8),
+        kernel_names=kernel_names,
+        kernel_codes=np.array(kernel_codes, dtype=i32),
+        param_i=np.array(param_i, dtype=i64),
+        first_write_id=np.array(first_write, dtype=i32),
+        max_part=max_part,
+        sparse_tids=col(0, i32),
+        sparse_nnz=col(1, i64),
+        sparse_rows=col(2, i64),
+        sparse_cols=col(3, i64),
+        sparse_width=col(4, i64),
+        sparse_span=col(5, i64),
+        sparse_buffer=col(6, bool),
+        sparse_x=col(7, i32),
+    )
+
+
+def assert_columns_match_reference(dag):
+    soa = dag.freeze()
+    want = reference_columns(dag)
+    fields = [f.name for f in dataclasses.fields(soa)]
+    assert fields == list(want)
+    for name in fields:
+        got, ref = getattr(soa, name), want[name]
+        if isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype, name
+            assert np.array_equal(got, ref), name
+        else:
+            assert got == ref, name
+
+
+@given(_dag_strategies)
+@settings(max_examples=30, deadline=None)
+def test_frozen_columns_match_reference(dag):
+    assert_columns_match_reference(dag)
+
+
+def _builder_dag(solver, **options):
+    """A real solver DAG, built as `repro.analysis.experiment._dag` does."""
+    from repro.analysis.experiment import _dag
+    from repro.matrices.suite import SUITE
+    from repro.tuning.blocksize import block_size_for_count
+
+    width = {"lanczos": 20, "lobpcg": 8}[solver]
+    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
+    return _dag.__wrapped__("inline1", bs, solver, width,
+                            BuildOptions(**options))
+
+
+_BUILDER_CASES = {
+    "lanczos": ("lanczos", {}),
+    "lobpcg": ("lobpcg", {}),
+    "lanczos-reduction": ("lanczos", {"spmm_mode": "reduction"}),
+    "lobpcg-reduction": ("lobpcg", {"spmm_mode": "reduction"}),
+    "lanczos-csr": ("lanczos", {"csr_storage": True}),
+    "lobpcg-csr": ("lobpcg", {"csr_storage": True}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BUILDER_CASES))
+def builder_dag(request):
+    solver, options = _BUILDER_CASES[request.param]
+    return request.param, _builder_dag(solver, **options)
+
+
+def test_builder_dag_columns_match_reference(builder_dag):
+    _, dag = builder_dag
+    assert_columns_match_reference(dag)
+
+
+def _extra_spmv(dag):
+    """One more SpMV task over the DAG's own operands."""
+    a = next(k for k in dag.freeze().id_to_key if k[0] == "A")
+    return Task(-1, "SPMV",
+                (DataHandle("A", a[1], 96), DataHandle("x", 0, 160)),
+                (DataHandle("y", 0, 160),),
+                {"nnz": 3, "rows": 20, "cols": 20, "width": 1,
+                 "gather_span": 160},
+                {"i": 0, "j": 0, "A": "A", "X": "x", "Y": "y"})
+
+
+def test_add_task_after_freeze_rederives_columns(builder_dag):
+    """A frozen DAG re-derives its columns at the next ``add_task``; a
+    loaded one rebuilds its tasks first.  Both then match the walk."""
+    name, dag = builder_dag
+    solver, options = _BUILDER_CASES[name]
+    fresh = _builder_dag(solver, **options)   # frozen, tasks in hand
+    loaded = pickle.loads(pickle.dumps(dag))  # no tasks, no columns
+    assert loaded._tasks is None
+    for d in (fresh, loaded):
+        before = d.freeze()
+        assert d._cols is None
+        d.add_task(_extra_spmv(d))
+        assert not d.frozen
+        assert_columns_match_reference(d)
+        after = d.freeze()
+        assert after.n_tasks == before.n_tasks + 1
+        assert after.id_to_key[:len(before.id_to_key)] == \
+            before.id_to_key
+
+
+def test_hand_built_add_task_after_freeze():
+    dag = TaskDAG()
+    for i in range(3):
+        dag.add_task(Task(-1, "COPY", (DataHandle("x", i, 64),),
+                          (DataHandle("y", i, 64),), {"rows": 8}, {"i": i}))
+    first = dag.freeze()
+    dag.add_edge(0, 1)
+    dag.add_task(Task(-1, "SPMM",
+                      (DataHandle("A", 4, 32), DataHandle("y", 1, 64),
+                       DataHandle("z", 1, 64)),
+                      (DataHandle("z", 1, 64), DataHandle("w", None, 8)),
+                      {"nnz": 2, "rows": 8, "cols": 8, "width": 2},
+                      {"A": "A", "X": "y", "Y": "z", "buffer": True}))
+    assert_columns_match_reference(dag)
+    soa = dag.freeze()
+    assert soa is not first and soa.max_part == 5
+    assert soa.touch_is_write[-3:].tolist() == [False, True, True]
+    assert soa.touch_role[-4:].tolist() == [0, 1, 2, 0]
+
+
+def test_failed_add_task_leaves_columns_consistent():
+    """A sparse task missing a shape key the cost model needs is
+    refused, and the half-recorded row does not survive."""
+    dag = TaskDAG()
+    dag.add_task(Task(-1, "COPY", (DataHandle("x", 0, 64),),
+                      (DataHandle("y", 0, 64),), {"rows": 8}, {"i": 0}))
+    bad = Task(-1, "SPMV", (DataHandle("x", 0, 64),),
+               (DataHandle("y", 1, 64),), {"nnz": 1}, {"X": "x"})
+    with pytest.raises(KeyError):
+        dag.add_task(bad)
+    assert len(dag) == 1 and len(dag.tasks) == 1
+    assert_columns_match_reference(dag)
+
+
+def _reference_plans(cm, dag):
+    """Each task compiled with ``_task_info`` (its ``reads``/``writes``
+    handle objects, interned keys), zero-byte touches dropped, as a
+    plan does."""
+    key_to_id, _ = dag.handle_interning()
+    plans = []
+    for t in dag.tasks:
+        compute, touches, gather = cm._task_info(t, key_to_id)
+        plans.append((compute, tuple(tt for tt in touches if tt[1] > 0),
+                      gather))
+    return plans
+
+
 @given(random_problem())
 @settings(max_examples=15, deadline=None)
 def test_soa_compiled_plans_match_reference(dag):
-    """SoA plan compiler == a handle-object walk, tuple-exact.
-
-    The reference compiles each task with ``_task_info`` (its
-    ``reads``/``writes`` handle objects, interned keys) and drops
-    zero-byte touches, as a plan does."""
+    """SoA plan compiler == a handle-object walk, tuple-exact."""
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
-    key_to_id, _ = dag.handle_interning()
-    via_soa = cm._compile_plans(dag.tasks, dag.freeze(), key_to_id)
-    via_ref = []
-    for t in dag.tasks:
-        compute, touches, gather = cm._task_info(t, key_to_id)
-        via_ref.append((compute, tuple(tt for tt in touches if tt[1] > 0),
-                        gather))
-    assert via_soa == via_ref
+    assert cm._compile_plans(dag.tasks, dag.freeze()) == \
+        _reference_plans(cm, dag)
+
+
+def test_builder_dag_plans_match_reference(builder_dag):
+    """Tuple-exact on real DAGs, whose reduction buffers (full-chunk
+    output bytes) and CSR gathers (scattered, no input key) the random
+    problems reach only by chance."""
+    name, dag = builder_dag
+    soa = dag.freeze()
+    for machine in (broadwell(), epyc()):
+        cm = CostModel(machine, CacheHierarchy(machine),
+                       MemoryModel(machine, n_parts=16))
+        plans = cm._compile_plans(dag.tasks, soa)
+        assert plans == _reference_plans(cm, dag)
+    gathers = [g for _c, _t, g in plans if g is not None]
+    assert gathers
+    assert all(g[4] for g in gathers) == name.endswith("-csr")
+    assert all(g[5] is None for g in gathers if g[4])
+    assert soa.sparse_buffer.any() == ("reduction" in name)
 
 
 @given(random_problem())
@@ -273,3 +527,40 @@ def test_frozen_dag_pickle_roundtrip(dag):
         v = clone.succ[u][0]
         clone.add_edge(u, v)
         assert clone.n_edges == dag.n_edges
+
+
+@pytest.mark.parametrize("first_touch", [True, False])
+@pytest.mark.parametrize("n_parts", [None, 3])
+def test_home_arrays_and_domain_tables_match_domain_of(
+        builder_dag, first_touch, n_parts):
+    """Bulk homes == ``domain_of`` key by key (matrix block rows,
+    striping with and without a partition count, no first touch), and
+    the schedulers' domain tables index them per write."""
+    from repro.sim.schedulers import _domain_tables
+
+    _, dag = builder_dag
+    dag = pickle.loads(pickle.dumps(dag))  # own memo tables
+    soa = dag.freeze()
+    for machine in (broadwell(), epyc()):
+        mem = MemoryModel(machine, first_touch=first_touch)
+        mem.configure_from_dag(dag)
+        if n_parts is not None:
+            mem.n_parts = n_parts
+        homes, has_part = mem.home_arrays()
+        ref = MemoryModel(machine, first_touch=first_touch)
+        ref.configure_from_dag(dag)
+        ref.n_parts = mem.n_parts
+        assert homes == [ref.domain_of(k) for k in soa.id_to_key]
+        assert has_part == [k[1] is not None for k in soa.id_to_key]
+        dag._sched_domains.clear()
+        first_dom, write_doms = _domain_tables(dag, mem)
+        ids = soa.write_ids.tolist()
+        ip = soa.write_indptr.tolist()
+        assert write_doms == [tuple(homes[i] for i in ids[a:b])
+                              for a, b in zip(ip, ip[1:])]
+        assert first_dom == [d[0] if d else -1 for d in write_doms]
+    pinned = MemoryModel(epyc())
+    pinned.configure_from_dag(dag)
+    key = soa.id_to_key[-1]
+    pinned.place(key, 5)
+    assert pinned.home_arrays()[0][-1] == 5

@@ -53,9 +53,7 @@ def test_execute_task_axpy_named_alpha(ws):
 
 @pytest.mark.parametrize("op,val,expected", [
     ("identity", 2.0, 2.0),
-    ("neg", 2.0, -2.0),
     ("inv", 4.0, 0.25),
-    ("neg_inv", 4.0, -0.25),
     ("inv", 0.0, 0.0),  # guarded division
 ])
 def test_alpha_ops(ws, op, val, expected):
@@ -70,6 +68,15 @@ def test_alpha_ops(ws, op, val, expected):
 def test_unknown_alpha_op(ws):
     t = Task(0, "SCALE", (), (), {"rows": 25, "width": 2},
              {"i": 0, "X": "u", "alpha_name": "s", "alpha_op": "log"})
+    ws.set_scalar("s", 1.0)
+    with pytest.raises(ValueError, match="alpha_op"):
+        execute_task(t, ws)
+
+
+def test_retired_neg_alpha_op_raises(ws):
+    """``neg``/``neg_inv`` went with the solver that emitted them."""
+    t = Task(0, "SCALE", (), (), {"rows": 25, "width": 2},
+             {"i": 0, "X": "u", "alpha_name": "s", "alpha_op": "neg"})
     ws.set_scalar("s", 1.0)
     with pytest.raises(ValueError, match="alpha_op"):
         execute_task(t, ws)
