@@ -47,7 +47,6 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "default_cache",
-    "placement_key",
 ]
 
 #: Storage-schema version of one cache entry (bump on layout changes).
@@ -73,20 +72,6 @@ def cache_key(config: dict, salt: str = CACHE_SALT) -> str:
     """Content address of one cell config (stable across processes)."""
     payload = salt + "\n" + _canonical(config)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def placement_key(config: dict, salt: str = CACHE_SALT) -> str:
-    """The cluster's shard-placement key for one cell config.
-
-    Deliberately *the same value* as :func:`cache_key`: the router
-    places a cell on the consistent-hash ring by the exact identity
-    the result cache stores it under, so a cell's cache entry, its
-    single-flight table entry, and its home shard all agree.  That
-    shared identity is what makes cluster-wide coalescing exactly-once
-    and failover idempotent — a replayed request can only ever
-    recompute the same content-addressed result.
-    """
-    return cache_key(config, salt)
 
 
 def _payload_checksum(summary_dict: dict) -> str:

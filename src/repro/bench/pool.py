@@ -45,9 +45,27 @@ __all__ = ["WarmPool", "fan_out"]
 
 
 def _warm_init() -> None:
-    """Worker initializer: pay the import bill once per process."""
+    """Pay the import bill once per process (parent and workers)."""
     import repro.analysis.experiment  # noqa: F401  (heavy import chain)
     import repro.bench.prep           # noqa: F401
+
+
+def _worker_init() -> None:
+    """Pool-process initializer; runs in the forked worker only.
+
+    A forked worker inherits its parent's signal setup.  In ``repro
+    serve`` that includes the event loop's signal wakeup fd, so the
+    SIGTERM that :func:`_kill_pool` (or the executor's own broken-pool
+    cleanup) sends a worker would be written into the daemon's wakeup
+    socket and start the daemon's drain.  Workers get the default
+    SIGTERM/SIGINT dispositions and no wakeup fd instead.
+    """
+    import signal
+
+    signal.set_wakeup_fd(-1)
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, signal.SIG_DFL)
+    _warm_init()
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -123,7 +141,7 @@ class WarmPool:
         if self._pool is None:
             try:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, initializer=_warm_init)
+                    max_workers=self.jobs, initializer=_worker_init)
             except OSError:
                 # Cannot fork (resource limits): degrade permanently.
                 self._inline_only = True

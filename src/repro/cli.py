@@ -237,55 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
                         ".part file, published atomically on drain)")
 
     s = sub.add_parser(
-        "cluster",
-        help="run the sharded cluster router: consistent-hash "
-             "placement of cells over N repro-serve shards (placement "
-             "key = the result-cache content hash, so single-flight "
-             "coalescing stays exactly-once cluster-wide), health-"
-             "probe membership, bounded failover to ring successors, "
-             "aggregated /healthz + /metrics",
-    )
-    s.add_argument("--host", default="127.0.0.1")
-    s.add_argument("--port", type=int, default=8478,
-                   help="router port (0 = ephemeral, announced on "
-                        "stdout; default 8478)")
-    s.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="spawn and supervise N local repro-serve "
-                        "shards (ephemeral ports, per-shard cache "
-                        "dirs, restart with exponential backoff)")
-    s.add_argument("--member", action="append", default=None,
-                   metavar="HOST:PORT",
-                   help="route to an existing shard instead of "
-                        "supervising (repeatable; mutually exclusive "
-                        "with --shards)")
-    s.add_argument("--jobs", type=int, default=0,
-                   help="worker processes per supervised shard")
-    s.add_argument("--cluster-dir", default=None,
-                   help="supervisor base dir for audit/cache/logs "
-                        "(default: a temp dir)")
-    s.add_argument("--vnodes", type=int, default=128,
-                   help="virtual nodes per shard on the hash ring")
-    s.add_argument("--probe-interval", type=float, default=1.0,
-                   help="seconds between shard health probes")
-    s.add_argument("--max-failover", type=int, default=2,
-                   help="ring successors to try after the home shard "
-                        "fails mid-request")
-    s.add_argument("--audit", metavar="FILE", default=None,
-                   help="router-side JSONL audit log")
-
-    s = sub.add_parser(
         "submit",
         help="submit one cell to a running daemon and print the "
              "summary (bit-identical to running the cell locally)",
     )
     s.add_argument("--host", default="127.0.0.1")
-    s.add_argument("--port", type=int, default=None,
-                   help="daemon port (default 8477, or 8478 with "
-                        "--cluster)")
-    s.add_argument("--cluster", action="store_true",
-                   help="target a cluster router instead of a single "
-                        "daemon (switches the default port to 8478; "
-                        "the payload gains a 'shard' field)")
+    s.add_argument("--port", type=int, default=8477,
+                   help="daemon port")
     s.add_argument("--matrix", required=True)
     s.add_argument("--solver", choices=["lanczos", "lobpcg"],
                    default="lanczos")
@@ -707,81 +665,17 @@ def _cmd_serve(args) -> int:
     return asyncio.run(serve_main(config, announce=announce))
 
 
-def _cmd_cluster(args) -> int:
-    import asyncio
-
-    from repro.serve.router import (
-        RouterConfig,
-        parse_members,
-        router_main,
-    )
-
-    if args.shards and args.member:
-        print("--shards and --member are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if not args.shards and not args.member:
-        print("need --shards N (supervised) or --member HOST:PORT "
-              "(existing shards)", file=sys.stderr)
-        return 2
-
-    sup = None
-    if args.shards:
-        import tempfile
-
-        from repro.serve.supervisor import ClusterSupervisor
-
-        base = args.cluster_dir or tempfile.mkdtemp(
-            prefix="repro-cluster-")
-        sup = ClusterSupervisor(args.shards, base, jobs=args.jobs)
-        sup.start()
-        members = sup.members()
-        print(f"repro cluster: supervising {args.shards} shards "
-              f"under {base}", flush=True)
-    else:
-        members = parse_members(args.member)
-
-    config = RouterConfig(host=args.host, port=args.port,
-                          members=members, vnodes=args.vnodes,
-                          probe_interval=args.probe_interval,
-                          max_failover=args.max_failover,
-                          audit_path=args.audit)
-
-    def on_ready(router) -> None:
-        if sup is not None:
-            sup.on_membership = router.update_members_threadsafe
-
-    def announce(line: str) -> None:
-        print(line, flush=True)
-
-    try:
-        rc = asyncio.run(router_main(config, announce=announce,
-                                     on_ready=on_ready))
-    finally:
-        if sup is not None:
-            codes = sup.stop()
-            bad = {n: c for n, c in codes.items() if c != 0}
-            if bad:
-                print(f"shard drain exit codes (want all 0): {bad}",
-                      file=sys.stderr)
-                rc = 1
-    return rc
-
-
 def _cmd_submit(args) -> int:
     import json as _json
 
     from repro.serve.client import ServiceClient, ServiceError
 
-    port = args.port
-    if port is None:
-        port = 8478 if args.cluster else 8477
     fields = {"machine": args.machine, "matrix": args.matrix,
               "solver": args.solver, "version": args.version,
               "iterations": args.iterations, "seed": args.seed}
     if args.block_count is not None:
         fields["block_count"] = args.block_count
-    with ServiceClient(args.host, port) as client:
+    with ServiceClient(args.host, args.port) as client:
         try:
             payload = client.submit_cell(**fields)
         except ServiceError as e:
@@ -796,16 +690,15 @@ def _cmd_submit(args) -> int:
             return 1
         except OSError as e:
             print(f"error: cannot reach daemon at "
-                  f"{args.host}:{port}: {e}", file=sys.stderr)
+                  f"{args.host}:{args.port}: {e}", file=sys.stderr)
             return 1
     if args.json:
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return 0
     s = payload["summary"]
     per_it = s["total_time"] / max(1, len(s["iteration_times"]))
-    shard = f" @{payload['shard']}" if "shard" in payload else ""
     print(f"{args.machine}/{args.matrix}/{args.solver}/{args.version} "
-          f"[{payload['source']}{shard}] total={s['total_time']:.6f}s "
+          f"[{payload['source']}] total={s['total_time']:.6f}s "
           f"per-iter={per_it:.6f}s cores={s['n_cores']} "
           f"tasks/iter={s['n_tasks_per_iteration']}")
     return 0
@@ -824,7 +717,6 @@ def main(argv=None) -> int:
         "trace": _cmd_trace,
         "prep": _cmd_prep,
         "serve": _cmd_serve,
-        "cluster": _cmd_cluster,
         "submit": _cmd_submit,
     }[args.command]
     try:

@@ -19,19 +19,10 @@ Layers (dependency order):
   (retries, timeouts, pool rebuilds) every process fan-out shares.
 * :mod:`repro.serve.client` — blocking stdlib client
   (``repro submit``, tests).
-* :mod:`repro.serve.load` — loopback load harness (tests, CI smoke),
-  including the supervised-cluster harness.
+* :mod:`repro.serve.load` — loopback load harness (tests, CI smoke).
 
-Cluster layer (``repro cluster``), built on the same framing:
-
-* :mod:`repro.serve.ring` — consistent-hash ring (stable blake2b
-  points, virtual nodes, minimal remapping on membership change).
-* :mod:`repro.serve.router` — the router daemon: places each cell on
-  the ring by its result-cache content hash, so single-flight
-  coalescing stays exactly-once across the whole cluster; failover to
-  ring successors is idempotent by construction.
-* :mod:`repro.serve.supervisor` — local shard supervisor (spawn,
-  monitor, restart with exponential backoff).
+One daemon is the whole service: scale it with ``--jobs N`` (DESIGN.md
+§10 records why there is no sharded cluster in front of it).
 
 Responses are bit-identical to direct
 :func:`repro.analysis.experiment.run_version` calls; the equivalence
@@ -39,8 +30,6 @@ suite pins this against the frozen fixture.
 """
 
 from repro.serve.client import ServiceClient, ServiceError
-from repro.serve.ring import HashRing
-from repro.serve.router import BackgroundRouter, Router, RouterConfig
 from repro.serve.service import (
     AuditEvent,
     BackgroundService,
@@ -48,16 +37,10 @@ from repro.serve.service import (
     SimulationService,
     normalize_cell,
 )
-from repro.serve.supervisor import ClusterSupervisor
 
 __all__ = [
     "AuditEvent",
-    "BackgroundRouter",
     "BackgroundService",
-    "ClusterSupervisor",
-    "HashRing",
-    "Router",
-    "RouterConfig",
     "ServeConfig",
     "ServiceClient",
     "ServiceError",

@@ -35,11 +35,11 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    #: Failure shapes of a *stale keep-alive* socket: the server (or a
-    #: router upstream) closed the idle connection after our previous
-    #: request, and we only find out when the next write/read fails.
-    #: These — and only these — are safe to retry on a fresh
-    #: connection, because the request was never processed.
+    #: Failure shapes of a *stale keep-alive* socket: the server closed
+    #: the idle connection after our previous request, and we only
+    #: find out when the next write/read fails.  These — and only
+    #: these — are safe to retry on a fresh connection, because the
+    #: request was never processed.
     _STALE_ERRORS = (http.client.RemoteDisconnected,
                      http.client.BadStatusLine,
                      ConnectionResetError,

@@ -28,8 +28,6 @@ __all__ = [
     "Request",
     "handle_http_connection",
     "read_request",
-    "read_response",
-    "request_bytes",
     "response_bytes",
     "json_response",
 ]
@@ -168,85 +166,14 @@ async def read_request(reader: asyncio.StreamReader
     return Request(method, split.path, query, headers, body, keep_alive)
 
 
-def request_bytes(method: str, path: str,
-                  doc: Optional[dict] = None,
-                  host: str = "shard") -> bytes:
-    """Serialize one upstream request (the router's client side).
-
-    The JSON encoding matches :class:`~repro.serve.client.ServiceClient`
-    exactly (``sort_keys``, ``repr`` floats), so a forwarded cell body
-    is byte-identical to what a direct client would have sent.
-    """
-    body = (json.dumps(doc, sort_keys=True).encode("utf-8")
-            if doc is not None else b"")
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        f"Host: {host}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        "Connection: keep-alive",
-    ]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-async def read_response(reader: asyncio.StreamReader) -> Tuple[int, dict]:
-    """Parse one HTTP response off the stream (the router's upstream
-    side): ``(status, decoded JSON payload)``.
-
-    Raises :class:`HttpError` 502 on anything that is not a
-    well-formed JSON-over-HTTP response — the router treats that the
-    same as a transport failure and fails over.
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-        raise HttpError(502, "truncated upstream response") from None
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise HttpError(502,
-                        f"malformed upstream status line: {lines[0]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise HttpError(502,
-                        f"malformed upstream status: {parts[1]!r}") from None
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise HttpError(502, "malformed upstream Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise HttpError(502, f"upstream body of {length} bytes refused")
-    try:
-        body = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError:
-        raise HttpError(502, "truncated upstream body") from None
-    try:
-        payload = json.loads(body.decode("utf-8")) if body else {}
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise HttpError(502, f"undecodable upstream body "
-                             f"({len(body)} bytes)") from None
-    if not isinstance(payload, dict):
-        payload = {"value": payload}
-    return status, payload
-
-
 async def handle_http_connection(reader, writer, respond,
                                  conn_tasks: set) -> None:
-    """One connection's serve loop, shared by the daemon and router.
+    """One connection's serve loop.
 
     ``respond`` is an ``async (Request) -> bytes`` callable producing
     wire bytes; everything else — keep-alive, framing-error responses,
     clean handling of clients that vanish, and the drain-time
-    cancellation contract — is identical for every server in this
-    package, so it lives here once.
+    cancellation contract — is framing, and lives here.
     """
     task = asyncio.current_task()
     conn_tasks.add(task)

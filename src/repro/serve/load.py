@@ -31,12 +31,11 @@ import random
 import sys
 import threading
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.serve.client import ServiceClient
 
-__all__ = ["ClusterHarness", "default_cells", "run_load",
-           "spawn_server", "main"]
+__all__ = ["default_cells", "run_load", "spawn_server", "main"]
 
 
 def default_cells(n_distinct: int = 6) -> List[dict]:
@@ -58,7 +57,7 @@ def default_cells(n_distinct: int = 6) -> List[dict]:
 def run_load(port: int, host: str = "127.0.0.1",
              n_requests: int = 48, dup_fraction: float = 0.5,
              threads: int = 16, cells: Optional[List[dict]] = None,
-             seed: int = 0, mid_load=None, strict: bool = True) -> dict:
+             seed: int = 0, mid_load=None) -> dict:
     """Drive the daemon; returns a report dict (see ``ok`` key).
 
     The request stream is built up front: ``dup_fraction`` of the
@@ -69,11 +68,8 @@ def run_load(port: int, host: str = "127.0.0.1",
 
     ``mid_load`` is a zero-arg callable fired exactly once, from a
     worker thread, when a third of the responses have landed — the
-    chaos harness uses it to SIGKILL a shard while traffic is in
-    flight.  ``strict=False`` relaxes the two invariants a mid-load
-    kill legitimately breaks (all-200 statuses and the computations
-    accounting, since a killed shard's counters die with it); answered
-    requests and bit-identical summaries per key are always enforced.
+    fault tests use it to SIGKILL a pool worker while traffic is in
+    flight; every invariant above must still hold.
     """
     rng = random.Random(seed)
     pool = cells if cells is not None else default_cells()
@@ -143,10 +139,10 @@ def run_load(port: int, host: str = "127.0.0.1",
                       f"{sorted(torn)}")
     if len(responses) != n_requests:
         errors.append(f"answered {len(responses)}/{n_requests} requests")
-    if strict and statuses.get(200, 0) != n_requests:
+    if statuses.get(200, 0) != n_requests:
         errors.append(f"non-200 responses: {statuses}")
     computed = after["computations"] - before["computations"]
-    if strict and computed > len(by_key):
+    if computed > len(by_key):
         errors.append(
             f"single-flight violated: {computed} computations for "
             f"{len(by_key)} distinct keys")
@@ -171,105 +167,15 @@ def run_load(port: int, host: str = "127.0.0.1",
 
 
 # ----------------------------------------------------------------------
-class ClusterHarness:
-    """A supervised shard cluster plus an in-process router.
-
-    The cluster analogue of ``--spawn``: boots ``n_shards`` real
-    ``repro serve`` subprocesses through the
-    :class:`~repro.serve.supervisor.ClusterSupervisor`, stands a
-    :class:`~repro.serve.router.BackgroundRouter` in front of them,
-    and wires supervisor membership pushes into the router's ring.
-    ``run_load(harness.port)`` then drives the whole cluster through
-    one port.
-
-    ::
-
-        with ClusterHarness(3, base_dir, jobs=0) as h:
-            report = run_load(h.port, mid_load=h.kill_one,
-                              strict=False)
-        assert all(rc == 0 for rc in h.exit_codes.values())
-    """
-
-    def __init__(self, n_shards: int, base_dir: str, *,
-                 jobs: int = 0, extra_env: Optional[dict] = None):
-        from repro.serve.supervisor import ClusterSupervisor
-
-        self.base_dir = base_dir
-        self.supervisor = ClusterSupervisor(
-            n_shards, base_dir, jobs=jobs, extra_env=extra_env)
-        self.background = None
-        self.killed: List[str] = []
-        self.exit_codes: dict = {}
-
-    @property
-    def port(self) -> int:
-        return self.background.port
-
-    @property
-    def router(self):
-        return self.background.router
-
-    def start(self) -> "ClusterHarness":
-        from repro.serve.router import BackgroundRouter, RouterConfig
-
-        self.supervisor.start()
-        config = RouterConfig(port=0, members=self.supervisor.members(),
-                              probe_interval=0.2)
-        self.background = BackgroundRouter(config).start()
-        self.supervisor.on_membership = \
-            self.background.router.update_members_threadsafe
-        return self
-
-    def kill_one(self) -> str:
-        """SIGKILL one live shard (the chaos ``mid_load`` hook)."""
-        members = self.supervisor.members()
-        name = sorted(members)[0]
-        self.killed.append(name)
-        self.supervisor.kill(name)
-        return name
-
-    def await_recovery(self, timeout: float = 30.0) -> None:
-        """Block until every shard is back in membership.
-
-        After a chaos kill the monitor respawns the victim on a
-        backoff; tearing down before that happens would skip the
-        restart path entirely (and record the SIGKILL, not a drain,
-        as the victim's exit).
-        """
-        deadline = time.monotonic() + timeout
-        want = len(self.supervisor.shards)
-        while time.monotonic() < deadline:
-            if len(self.supervisor.members()) == want:
-                return
-            time.sleep(0.05)
-        raise RuntimeError(
-            f"cluster did not recover to {want} shards within "
-            f"{timeout:.0f}s (members: {sorted(self.supervisor.members())})")
-
-    def stop(self) -> None:
-        if self.killed:
-            self.await_recovery()
-        if self.background is not None:
-            self.background.stop()
-        self.exit_codes = self.supervisor.stop()
-
-    def __enter__(self) -> "ClusterHarness":
-        return self.start()
-
-    def __exit__(self, *exc) -> bool:
-        self.stop()
-        return False
-
-
-# ----------------------------------------------------------------------
 def spawn_server(jobs: int = 0, audit: Optional[str] = None,
                  extra_env: Optional[dict] = None,
-                 timeout: float = 60.0):
+                 timeout: float = 60.0, serve_args: Sequence[str] = ()):
     """Boot ``python -m repro serve`` on an ephemeral port.
 
-    Returns ``(process, port)``; the caller owns shutdown.  The daemon
-    announces its bound port on stdout — parsed here rather than
-    racing a port-scan.
+    ``serve_args`` are appended to the command line (``--timeout``,
+    ``--attempts``, ...).  Returns ``(process, port)``; the caller owns
+    shutdown.  The daemon announces its bound port on stdout — parsed
+    here rather than racing a port-scan.
     """
     import os
     import re
@@ -279,6 +185,7 @@ def spawn_server(jobs: int = 0, audit: Optional[str] = None,
            "--port", "0", "--jobs", str(jobs)]
     if audit:
         cmd += ["--audit", audit]
+    cmd += list(serve_args)
     env = dict(os.environ)
     env.update(extra_env or {})
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
@@ -309,22 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument("--spawn", action="store_true",
                         help="boot a daemon subprocess, load it, "
                              "SIGTERM it, require exit 0")
-    parser.add_argument("--cluster", type=int, default=0, metavar="N",
-                        help="boot N supervised shards plus a "
-                             "consistent-hash router and drive the "
-                             "load through the router")
-    parser.add_argument("--chaos-kill", action="store_true",
-                        help="with --cluster: SIGKILL one shard once "
-                             "a third of the responses have landed "
-                             "(relaxes the all-200 and computations "
-                             "invariants; the supervisor must restart "
-                             "it and every shard must still drain "
-                             "with exit 0)")
-    parser.add_argument("--cluster-dir", default=None,
-                        help="cluster base directory (audit/, cache/, "
-                             "logs/ artifacts; default: a temp dir)")
     parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for --spawn/--cluster")
+                        help="worker processes for --spawn")
     parser.add_argument("--requests", type=int, default=48)
     parser.add_argument("--dup-fraction", type=float, default=0.5)
     parser.add_argument("--threads", type=int, default=16)
@@ -334,9 +227,6 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-out", default=None,
                         help="write the final report JSON here")
     args = parser.parse_args(argv)
-
-    if args.cluster:
-        return _cluster_main(args)
 
     proc = None
     port = args.port
@@ -376,53 +266,6 @@ def main(argv=None) -> int:
             print(f"INVARIANT: {err}", file=sys.stderr)
     drain_failed = proc is not None and proc.returncode != 0
     return 0 if report["ok"] and not drain_failed else 1
-
-
-def _cluster_main(args) -> int:
-    """``--cluster N`` entry: shards + router, load, graceful teardown."""
-    import tempfile
-
-    base = args.cluster_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-    harness = ClusterHarness(args.cluster, base, jobs=args.jobs)
-    with harness:
-        print(f"cluster up: {args.cluster} shards + router "
-              f"on port {harness.port} (base: {base})", flush=True)
-        report = run_load(harness.port, host=args.host,
-                          n_requests=args.requests,
-                          dup_fraction=args.dup_fraction,
-                          threads=args.threads, seed=args.seed,
-                          mid_load=(harness.kill_one if args.chaos_kill
-                                    else None),
-                          strict=not args.chaos_kill)
-    report["cluster"] = {
-        "base_dir": base,
-        "n_shards": args.cluster,
-        "killed": harness.killed,
-        "exit_codes": harness.exit_codes,
-        "restarts": {s.name: s.restarts
-                     for s in harness.supervisor.shards},
-    }
-    bad_exits = {name: rc for name, rc in harness.exit_codes.items()
-                 if rc != 0}
-    if bad_exits:
-        report["ok"] = False
-        report["errors"].append(
-            f"shard drain exit codes (want all 0): {bad_exits}")
-    if args.chaos_kill and not harness.killed:
-        report["ok"] = False
-        report["errors"].append("--chaos-kill never fired (load too "
-                                "small to cross the mid-load mark?)")
-
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-    summary = {k: report[k] for k in
-               ("ok", "elapsed_s", "n_requests", "n_distinct_keys",
-                "computations", "statuses", "cluster")}
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    for err in report["errors"]:
-        print(f"INVARIANT: {err}", file=sys.stderr)
-    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import math
 import time
 from typing import Dict, List, Optional
 
-__all__ = ["LatencyWindow", "RouterMetrics", "ServiceMetrics"]
+__all__ = ["LatencyWindow", "ServiceMetrics"]
 
 
 class LatencyWindow:
@@ -124,76 +124,3 @@ class ServiceMetrics:
             },
         }
 
-
-class RouterMetrics:
-    """Counters for the cluster router (``repro cluster``).
-
-    Router request *sources* (mutually exclusive per request):
-
-    * ``routed`` — forwarded to a shard and answered (whatever the
-      shard said: the shard's own 2xx/4xx/5xx is relayed verbatim);
-    * ``sweep`` — a ``/v1/sweep`` aggregate response;
-    * ``no_shard`` — 503, every candidate shard down or exhausted;
-    * ``invalid`` — router-side 4xx (bad route, malformed cell);
-    * ``rejected_draining`` — 503, the router itself is draining;
-    * ``error`` — unexpected router-side failure (500).
-
-    Routing-path counters, per shard name where it matters:
-
-    * ``forwards[shard]`` — upstream requests sent to that shard;
-    * ``relayed[source]`` — cluster-level view of where answers came
-      from (the shard's ``payload["source"]``: cache / coalesced /
-      computed / ...);
-    * ``retries`` — fresh-connection retries after a stale pooled
-      upstream connection failed;
-    * ``failovers`` — requests moved to a ring successor after a
-      shard failed (or refused while draining);
-    * ``marked_down`` / ``marked_up`` — membership transitions driven
-      by health probes and forward failures.
-    """
-
-    SOURCES = ("routed", "sweep", "no_shard", "invalid",
-               "rejected_draining", "error")
-
-    def __init__(self):
-        self.started_at = time.time()
-        self.requests: Dict[str, int] = {s: 0 for s in self.SOURCES}
-        self.forwards: Dict[str, int] = {}
-        self.relayed: Dict[str, int] = {}
-        self.retries = 0
-        self.failovers = 0
-        self.marked_down = 0
-        self.marked_up = 0
-        self.request_latency = LatencyWindow()
-        self.upstream_latency = LatencyWindow()
-
-    # ------------------------------------------------------------------
-    def count_request(self, source: str, latency_s: float) -> None:
-        self.requests[source] += 1
-        self.request_latency.add(latency_s)
-
-    def count_forward(self, shard: str, latency_s: float) -> None:
-        self.forwards[shard] = self.forwards.get(shard, 0) + 1
-        self.upstream_latency.add(latency_s)
-
-    def count_relayed(self, source: Optional[str]) -> None:
-        source = source or "unknown"
-        self.relayed[source] = self.relayed.get(source, 0) + 1
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "uptime_s": time.time() - self.started_at,
-            "requests_total": sum(self.requests.values()),
-            "requests": dict(self.requests),
-            "forwards": dict(self.forwards),
-            "relayed": dict(self.relayed),
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "marked_down": self.marked_down,
-            "marked_up": self.marked_up,
-            "latency": {
-                "request": self.request_latency.snapshot(),
-                "upstream": self.upstream_latency.snapshot(),
-            },
-        }

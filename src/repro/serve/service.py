@@ -190,9 +190,8 @@ def normalize_cell(doc: dict) -> Cell:
 def sweep_cells_from_doc(doc: dict, max_cells: int):
     """Validate a ``/v1/sweep`` body into a list of :class:`Cell`.
 
-    Shared by the daemon and the cluster router so both endpoints
-    accept the exact same grid vocabulary and enforce the same size
-    limit.  Every reachable failure is an :class:`HttpError` 400.
+    Enforces ``max_cells`` before expanding the grid.  Every reachable
+    failure is an :class:`HttpError` 400.
     """
     grid_fields = {"machines", "matrices", "solvers", "versions",
                    "block_counts", "iterations", "width",
@@ -290,23 +289,23 @@ class _Pending(NamedTuple):
     future: asyncio.Future
 
 
-class JsonDaemonBase:
-    """The HTTP-daemon half shared by the service and cluster router.
+class SimulationService:
+    """The daemon: routes, queue, single-flight table, dispatcher."""
 
-    Owns everything that is identical whether the process *computes*
-    cells or *routes* them: the asyncio server lifecycle, per-
-    connection handling, request accounting (`_respond` wraps the
-    subclass's ``_route``), the Retry-After header contract, and the
-    JSONL audit stream.  Subclasses provide ``config`` (``host`` /
-    ``port`` / ``audit_path`` attributes), ``metrics`` (anything with
-    ``count_request``), and an async ``_route(req)`` returning
-    ``(status, payload, source, key, n_cells)``.
-    """
+    def __init__(self, config: Optional[ServeConfig] = None):
+        self.config = config or ServeConfig()
+        self.cache = self.config.cache
+        if self.cache is None:
+            from repro.bench.cache import default_cache
 
-    config = None
-    metrics = None
-
-    def _init_daemon(self) -> None:
+            self.cache = default_cache()
+        self.metrics = ServiceMetrics()
+        self.pool = WarmPool(jobs=self.config.jobs,
+                             timeout=self.config.timeout,
+                             attempts=self.config.attempts,
+                             backoff=self.config.backoff,
+                             worker=self.config.worker,
+                             metrics=self.metrics)
         self.port: Optional[int] = None      # resolved after start()
         self._active_requests = 0
         self._draining = False
@@ -316,8 +315,19 @@ class JsonDaemonBase:
         self._audit: Optional[JSONLSink] = None
         if self.config.audit_path:
             self._audit = JSONLSink(self.config.audit_path)
+        self._inflight: Dict[str, asyncio.Future] = {}
+        self._queue: asyncio.Queue = asyncio.Queue()
+        self._space = asyncio.Condition()
+        self._pending_compute = 0
+        self._dispatcher: Optional[asyncio.Task] = None
+        self._compute_tasks: set = set()
+        self._sem = asyncio.Semaphore(max(1, self.config.jobs))
+        self._prebuilt: set = set()
 
-    async def _start_server(self) -> None:
+    # -- lifecycle -----------------------------------------------------
+    async def start(self) -> None:
+        self.pool.start()
+        self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -335,93 +345,6 @@ class JsonDaemonBase:
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
-
-    # -- HTTP layer ----------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        await handle_http_connection(reader, writer, self._respond,
-                                     self._conn_tasks)
-
-    async def _respond(self, req: Request) -> bytes:
-        t0 = time.perf_counter()
-        self._active_requests += 1
-        headers = None
-        key = None
-        cells = 1
-        try:
-            try:
-                status, payload, source, key, cells = \
-                    await self._route(req)
-            except HttpError as e:
-                status, payload, source = e.status, \
-                    {"error": e.detail}, "invalid"
-                self.metrics.count_request(
-                    source, time.perf_counter() - t0)
-            except Exception as e:
-                status, payload, source = 500, \
-                    {"error": f"{type(e).__name__}: {e}"}, "error"
-                self.metrics.count_request(
-                    source, time.perf_counter() - t0)
-            if status == 429 and "retry_after_s" in payload:
-                headers = {"Retry-After":
-                           str(max(1, int(payload["retry_after_s"])))}
-            if source is not None and not req.path.startswith(
-                    ("/healthz", "/metrics")):
-                self._audit_emit(req, key, source, status,
-                                 time.perf_counter() - t0,
-                                 payload.get("error"), cells)
-            _, wire = json_response(status, payload,
-                                    extra_headers=headers,
-                                    keep_alive=req.keep_alive)
-            return wire
-        finally:
-            self._active_requests -= 1
-
-    def _audit_emit(self, req: Request, key, source, status, latency,
-                    error, cells) -> None:
-        if self._audit is None:
-            return
-        try:
-            self._audit.emit(AuditEvent(
-                wall=time.time(), method=req.method, path=req.path,
-                key=key, source=source, status=status,
-                latency_s=latency,
-                error=str(error) if error else None, cells=cells))
-        except Exception:
-            pass  # the audit stream must never take a request down
-
-
-class SimulationService(JsonDaemonBase):
-    """The daemon: routes, queue, single-flight table, dispatcher."""
-
-    def __init__(self, config: Optional[ServeConfig] = None):
-        self.config = config or ServeConfig()
-        self.cache = self.config.cache
-        if self.cache is None:
-            from repro.bench.cache import default_cache
-
-            self.cache = default_cache()
-        self.metrics = ServiceMetrics()
-        self.pool = WarmPool(jobs=self.config.jobs,
-                             timeout=self.config.timeout,
-                             attempts=self.config.attempts,
-                             backoff=self.config.backoff,
-                             worker=self.config.worker,
-                             metrics=self.metrics)
-        self._init_daemon()
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._space = asyncio.Condition()
-        self._pending_compute = 0
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._compute_tasks: set = set()
-        self._sem = asyncio.Semaphore(max(1, self.config.jobs))
-        self._prebuilt: set = set()
-
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> None:
-        self.pool.start()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
-        await self._start_server()
 
     async def drain(self) -> None:
         """Graceful shutdown: finish admitted work, refuse the rest.
@@ -622,6 +545,58 @@ class SimulationService(JsonDaemonBase):
             item.future.set_result(summary)
 
     # -- HTTP layer ----------------------------------------------------
+    async def _handle_connection(self, reader, writer) -> None:
+        await handle_http_connection(reader, writer, self._respond,
+                                     self._conn_tasks)
+
+    async def _respond(self, req: Request) -> bytes:
+        t0 = time.perf_counter()
+        self._active_requests += 1
+        headers = None
+        key = None
+        cells = 1
+        try:
+            try:
+                status, payload, source, key, cells = \
+                    await self._route(req)
+            except HttpError as e:
+                status, payload, source = e.status, \
+                    {"error": e.detail}, "invalid"
+                self.metrics.count_request(
+                    source, time.perf_counter() - t0)
+            except Exception as e:
+                status, payload, source = 500, \
+                    {"error": f"{type(e).__name__}: {e}"}, "error"
+                self.metrics.count_request(
+                    source, time.perf_counter() - t0)
+            if status == 429 and "retry_after_s" in payload:
+                headers = {"Retry-After":
+                           str(max(1, int(payload["retry_after_s"])))}
+            if source is not None and not req.path.startswith(
+                    ("/healthz", "/metrics")):
+                self._audit_emit(req, key, source, status,
+                                 time.perf_counter() - t0,
+                                 payload.get("error"), cells)
+            _, wire = json_response(status, payload,
+                                    extra_headers=headers,
+                                    keep_alive=req.keep_alive)
+            return wire
+        finally:
+            self._active_requests -= 1
+
+    def _audit_emit(self, req: Request, key, source, status, latency,
+                    error, cells) -> None:
+        if self._audit is None:
+            return
+        try:
+            self._audit.emit(AuditEvent(
+                wall=time.time(), method=req.method, path=req.path,
+                key=key, source=source, status=status,
+                latency_s=latency,
+                error=str(error) if error else None, cells=cells))
+        except Exception:
+            pass  # the audit stream must never take a request down
+
     async def _route(self, req: Request) -> tuple:
         """-> (status, payload, source, key, n_cells)."""
         if req.path == "/healthz":
@@ -728,14 +703,7 @@ class BackgroundService:
             ...
 
     ``stop()`` performs the same graceful drain as SIGTERM.
-
-    Subclasses point ``daemon_class`` at any object with the same
-    lifecycle protocol (``start`` / ``port`` / ``serve_until_stopped``
-    / ``drain``) — :class:`repro.serve.router.BackgroundRouter` runs
-    the cluster router this way.
     """
-
-    daemon_class = SimulationService
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig(port=0)
@@ -760,7 +728,7 @@ class BackgroundService:
 
     def _run(self) -> None:
         async def main():
-            self.service = self.daemon_class(self.config)
+            self.service = SimulationService(self.config)
             try:
                 await self.service.start()
             except BaseException as e:

@@ -104,7 +104,7 @@ class CostModel:
         accesses that behave as irregular re-touches (the remainder
         coalesce with neighbouring nonzeros — banded structure, sorted
         block entries).  Calibrates the CSR-vs-CSB gap; see
-        :meth:`_gather_misses`.
+        :meth:`_gather_bundle`.
     """
 
     __slots__ = (
@@ -180,58 +180,6 @@ class CostModel:
                 out[yname] = min(chunk, nnz * max(w * 8, 64))
         return out
 
-    def _gather_misses(self, task: Task, core: int):
-        """Irregular input-vector traffic of a SpMV/SpMM task.
-
-        Per nonzero, the kernel gathers one input-vector row.  The
-        first touch of each line is part of the compulsory chunk stream
-        (charged via the cache); *re-touches* hit or miss depending on
-        whether the gather span fits each level: in row-major traversal
-        a line is re-touched one sweep of the span later, so the miss
-        probability at a level of capacity C is ``max(0, 1 − C/span)``.
-        CSB spans one block column; CSR (``csr_storage``) spans the
-        whole vector — this asymmetry is the measured cache advantage
-        of CSB storage (Buluç et al. 2009) and what Fig. 8's L2 column
-        attributes to ``libcsb``.
-
-        Returns ``(l1, l2, l3)`` extra missed lines and their time.
-        """
-        span = task.shape.get("gather_span", 0)
-        if span <= 0:
-            return (0, 0, 0), 0.0
-        nnz = task.shape.get("nnz", 0)
-        retouches = nnz * self.gather_intensity
-        if retouches <= 0:
-            return (0, 0, 0), 0.0
-        m = self.machine
-        p1 = max(0.0, 1.0 - m.l1_size / span)
-        p2 = max(0.0, 1.0 - m.l2_size / span)
-        # The L3 slice is shared: a streaming core holds ~its share.
-        l3_share = m.l3_size / m.l3_group_cores
-        p3 = max(0.0, 1.0 - l3_share / span)
-        g1 = int(retouches * p1)
-        g2 = int(retouches * p2)
-        g3 = int(retouches * p3)
-        # NUMA pricing of the DRAM leg: gathers confined to one block
-        # column hit that chunk's home domain; CSR-style gathers span
-        # the whole (domain-striped) vector and pay the scattered rate.
-        chunk_bytes = task.shape.get("cols", 0) * task.shape.get("width", 1) * 8
-        if span > 1.5 * max(1, chunk_bytes):
-            dram = self.memory.dram_line_cost_scattered(core)
-        else:
-            xkey = None
-            for h in task.reads:
-                if h.part is not None and h.name != task.params.get("A"):
-                    xkey = (h.name, h.part)
-                    break
-            dram = self.memory.dram_line_cost(core, xkey)
-        time = (
-            (g1 - g2) * m.l2_line_cost
-            + (g2 - g3) * m.l3_line_cost
-            + g3 * dram
-        )
-        return (g1, g2, g3), time
-
     # ------------------------------------------------------------------
     # Per-task invariants: everything below is iteration-invariant, so
     # it is computed once per task (per run) instead of once per
@@ -287,7 +235,26 @@ class CostModel:
         return (compute, touches, self._gather_bundle(task, key_of))
 
     def _gather_bundle(self, task: Task, key_of=None):
-        """The precompiled gather tuple of :meth:`_task_info`, or None.
+        """Irregular input-vector traffic of a SpMV/SpMM task: the
+        precompiled gather tuple of :meth:`_task_info`, or None.
+
+        Per nonzero, the kernel gathers one input-vector row.  The
+        first touch of each line is part of the compulsory chunk stream
+        (charged via the cache); *re-touches* hit or miss depending on
+        whether the gather span fits each level: in row-major traversal
+        a line is re-touched one sweep of the span later, so the miss
+        probability at a level of capacity C is ``max(0, 1 − C/span)``
+        (for L3, the core's share of its slice).  CSB spans one block
+        column; CSR (``csr_storage``) spans the whole vector — this
+        asymmetry is the measured cache advantage of CSB storage (Buluç
+        et al. 2009) and what Fig. 8's L2 column attributes to
+        ``libcsb``.
+
+        ``(g1, g2, g3)`` are the extra missed lines per level and
+        ``fixed`` the time of their L2/L3 legs.  The DRAM leg is priced
+        per charge: gathers confined to one block column hit that
+        chunk's home domain (``xkey``), CSR-style gathers span the
+        whole domain-striped vector and pay the ``scattered`` rate.
 
         The per-task reference of :meth:`_gather_bundles`, which
         compiles the same tuples for a whole DAG."""
@@ -556,7 +523,7 @@ class CostModel:
                 memory_t += (m1 - m2) * l2c + m2 * l3c
         if gather is not None:
             g1, g2, g3, fixed, scattered, xkey = gather
-            # NUMA pricing of the gather's DRAM leg (see _gather_misses).
+            # NUMA pricing of the gather's DRAM leg (see _gather_bundle).
             if scattered:
                 dram = self.memory.dram_line_cost_scattered(core)
             else:

@@ -101,14 +101,13 @@ def test_gather_numa_penalty(ep):
 def test_zero_gather_intensity_disables_penalty(bw):
     cm = make_cost(bw, gather_intensity=0.0)
     t = spmm_task(nnz=10**6, span=10**9)
-    misses, time = cm._gather_misses(t, 0)
-    assert misses == (0, 0, 0) and time == 0.0
+    assert cm._gather_bundle(t) is None
 
 
 def test_gather_misses_monotone_in_span(bw):
     cm = make_cost(bw)
     t_small = spmm_task(nnz=10**5, span=10**5)
     t_big = spmm_task(nnz=10**5, span=10**9)
-    (a1, a2, a3), _ = cm._gather_misses(t_small, 0)
-    (b1, b2, b3), _ = cm._gather_misses(t_big, 0)
+    a1, a2, a3 = cm._gather_bundle(t_small)[:3]
+    b1, b2, b3 = cm._gather_bundle(t_big)[:3]
     assert b1 >= a1 and b2 >= a2 and b3 >= a3

@@ -12,6 +12,8 @@ concurrency (threaded clients against a live loopback server):
 * graceful drain — SIGTERM (subprocess) / ``drain()`` (in-process)
   finishes in-flight work, 503s new work, publishes the audit log,
   exits 0;
+* pool faults — a timed-out cell or a SIGKILLed pool worker costs
+  that cell an attempt or a resubmit, never the daemon;
 * failure transparency — a worker failure surfaces as a 500 carrying
   the worker's captured stderr tail.
 
@@ -298,13 +300,17 @@ def test_mixed_hot_cold_duplicate_load(tmp_path):
     exactly once, all responses per key byte-identical, and /metrics
     accounts for every request by source.
     """
-    with BackgroundService(_config(tmp_path)) as bg:
+    audit = str(tmp_path / "audit.jsonl")
+    with BackgroundService(_config(tmp_path, audit_path=audit)) as bg:
         report = run_load(bg.port, n_requests=40, dup_fraction=0.5,
                           threads=16, seed=7)
     assert report["ok"], report["errors"]
     assert report["statuses"] == {200: 40}
-    # Fresh cache: every distinct key is cold, computed exactly once.
+    # Fresh cache: every distinct key is cold, computed exactly once —
+    # by the daemon's counters and by its audit log.
     assert report["computations"] == report["n_distinct_keys"]
+    computed = [e.key for e in read_jsonl(audit) if e.source == "computed"]
+    assert len(computed) == len(set(computed)) == report["n_distinct_keys"]
     src = report["sources"]
     assert src["computed"] == report["n_distinct_keys"]
     assert src["cache"] + src["coalesced"] == 40 - src["computed"]
@@ -420,6 +426,106 @@ def test_sigterm_drains_subprocess_exit_zero(tmp_path, monkeypatch):
     assert not os.path.exists(audit + ".part")
     events = list(read_jsonl(audit))
     assert any(e.path == "/v1/cell" and e.status == 200 for e in events)
+
+
+# ----------------------------------------------------------------------
+# Pool faults under a real process-pool daemon
+# ----------------------------------------------------------------------
+def _child_pids(pid: int) -> list:
+    """Live child processes of ``pid`` (the daemon's pool workers)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "r") as f:
+                stat = f.read()
+        except OSError:
+            continue   # exited while we looked
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def _stop(proc) -> int:
+    """SIGTERM a spawned daemon and return its exit code."""
+    try:
+        proc.send_signal(signal.SIGTERM)
+        return proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+def test_timeout_kill_leaves_process_pool_daemon_serving(tmp_path):
+    """Regression: killing a timed-out cell's pool must not stop the
+    daemon.  Forked workers inherited the event loop's signal wakeup
+    fd, so the SIGTERM sent to them reached the daemon as its own and
+    began the drain: the next request found the daemon gone.
+
+    HPX never replays an iteration, so 10000 of them run far past the
+    3 s budget while a one-iteration cell fits in it easily.
+    """
+    proc, port = spawn_server(
+        jobs=2, serve_args=["--timeout", "3", "--attempts", "1"],
+        extra_env={"REPRO_CACHE_DIR": str(tmp_path / "cache")})
+    try:
+        with ServiceClient(port=port, timeout=60) as c:
+            status, payload = c.request(
+                "POST", "/v1/cell",
+                dict(CELL, version="hpx", iterations=10000))
+            assert status == 500 and "timed out" in payload["error"]
+            assert c.healthz()["status"] == "ok"
+            assert c.submit_cell(**CELL)["source"] == "computed"
+            m = c.metrics()
+    finally:
+        rc = _stop(proc)
+    assert m["worker_restarts"] == 1
+    assert m["pool"]["mode"] == "process"
+    assert rc == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_worker_sigkill_mid_load_answers_every_request(tmp_path):
+    """SIGKILL one pool worker while traffic is in flight: the pool is
+    rebuilt, the cells it held are resubmitted, and every request is
+    answered 200 with one byte-identical summary per key, equal to a
+    direct run; the daemon still drains with exit 0."""
+    from repro.analysis.experiment import run_version
+    from repro.serve.load import default_cells
+
+    cells = default_cells(10)
+    killed = []
+
+    def kill_worker():
+        victim = _child_pids(proc.pid)[0]
+        os.kill(victim, signal.SIGKILL)
+        killed.append(victim)
+
+    proc, port = spawn_server(jobs=2, extra_env={
+        "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+        "REPRO_SERVE_TEST_DELAY": "0.2",
+    })
+    try:
+        report = run_load(port, n_requests=30, dup_fraction=0.5,
+                          threads=8, cells=cells, seed=3,
+                          mid_load=kill_worker)
+        with ServiceClient(port=port) as c:
+            served = [c.submit_cell(**doc) for doc in cells]
+    finally:
+        rc = _stop(proc)
+    assert killed, "the mid-load kill never fired"
+    assert report["ok"], report["errors"]
+    assert report["metrics"]["worker_restarts"] >= 1
+    for doc, payload in zip(cells, served):
+        direct = run_version(
+            doc["machine"], doc["matrix"], doc["solver"], doc["version"],
+            block_count=doc["block_count"],
+            iterations=doc["iterations"]).summary().to_dict()
+        assert payload["summary"] == direct, doc
+    assert rc == 0
 
 
 # ----------------------------------------------------------------------
@@ -614,6 +720,21 @@ def test_cli_submit_against_daemon(tmp_path, capsys):
         out = capsys.readouterr().out
         assert rc == 0
         assert json.loads(out)["source"] == "cache"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--shards", "2"],
+    ["submit", "--cluster", "--matrix", "inline1"],
+])
+def test_cli_cluster_verbs_are_usage_errors(argv, capsys):
+    """The sharded cluster is gone: its verb and flag are argparse
+    usage errors (exit 2), never a silent single-daemon fallback."""
+    from repro.cli import main as cli_main
+
+    with pytest.raises(SystemExit) as e:
+        cli_main(argv)
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_submit_unreachable_daemon(capsys):
