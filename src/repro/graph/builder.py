@@ -13,16 +13,19 @@ Decomposes a function-call-level trace into fine-grained tasks:
   (Fig. 2).
 * Small dense ops (Rayleigh–Ritz, tiny eigensolves) stay single tasks.
 
-Dependencies are wired by last-writer/readers tracking per
-:class:`~repro.graph.task.DataHandle`: RAW, WAR and WAW hazards all
-become edges, which is exactly what OpenMP ``depend`` clauses, HPX
-futures, and Regent privilege analysis each compute for the same
-program.
+Dependencies are wired by last-writer/readers tracking per interned
+handle id (the dense id :class:`~repro.graph.dag.TaskDAG` assigns each
+:class:`~repro.graph.task.DataHandle` key as the task arrives): RAW,
+WAR and WAW hazards all become edges, which is exactly what OpenMP
+``depend`` clauses, HPX futures, and Regent privilege analysis each
+compute for the same program.  Every edge into a task is found while
+that task is emitted, so its predecessors are deduplicated locally, in
+first-occurrence order, and no global edge set is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -45,7 +48,7 @@ class BuildOptions:
     ----------
     skip_empty:
         Spawn SpMV/SpMM tasks only for non-empty CSB blocks (Fig. 6
-    	ablation flips this off: empty blocks still cost a task spawn).
+        ablation flips this off: empty blocks still cost a task spawn).
     spmm_mode:
         ``"dependency"`` chains tasks on the output row chunk;
         ``"reduction"`` gives each task a private partial buffer and
@@ -109,15 +112,21 @@ class DAGBuilder:
             csb.row_block_bounds(i)[1] - csb.row_block_bounds(i)[0]
             for i in range(self.np_)
         ]
-        # Dependence state: last writer and readers-since-write per handle key.
-        self._last_writer: Dict[tuple, int] = {}
-        self._readers: Dict[tuple, List[int]] = {}
+        self._col_sizes = [
+            csb.col_block_bounds(j)[1] - csb.col_block_bounds(j)[0]
+            for j in range(csb.nbc)
+        ]
+        # Dependence state, indexed by interned handle id: last writer
+        # (-1 for none) and readers since that write.  Reset per build.
+        self._writer: List[int] = []
+        self._readers: List[List[int]] = []
         self._buf_counter = 0
         self._handles: Dict[tuple, DataHandle] = {}
-        # Per-row lists of non-empty block columns, precomputed once.
+        # Per-block nnz and per-row lists of non-empty block columns,
+        # precomputed once as plain ints.
         grid = csb.block_nnz_grid()
         self._row_cols = [np.nonzero(grid[i])[0].tolist() for i in range(self.np_)]
-        self._grid = grid
+        self._blk_nnz = grid.tolist()
 
     # ------------------------------------------------------------------
     # Handle constructors
@@ -145,7 +154,7 @@ class DAGBuilder:
         bid = i * self.csb.nbc + j
         h = self._handles.get((self.matrix_name, bid))
         if h is None:
-            nnz = int(self._grid[i, j])
+            nnz = self._blk_nnz[i][j]
             h = self._handles[self.matrix_name, bid] = DataHandle(
                 self.matrix_name, bid, nnz * (_F8 + 8))
         return h
@@ -153,27 +162,40 @@ class DAGBuilder:
     # ------------------------------------------------------------------
     # Dependence bookkeeping
     # ------------------------------------------------------------------
-    def _key(self, h: DataHandle) -> tuple:
-        return (h.name, h.part)
+    def _wire(self, tid: int, rids, wids, n_ids: int) -> List[int]:
+        """Predecessors of task ``tid`` from its read and write ids.
 
-    def _note_read(self, dag: TaskDAG, tid: int, h: DataHandle) -> None:
-        if h.name == self.matrix_name:
-            return  # the matrix is never written: no edges possible
-        k = (h.name, h.part)
-        w = self._last_writer.get(k)
-        if w is not None:
-            dag.add_edge(w, tid)
-        self._readers.setdefault(k, []).append(tid)
-
-    def _note_write(self, dag: TaskDAG, tid: int, h: DataHandle) -> None:
-        k = (h.name, h.part)
-        w = self._last_writer.get(k)
-        if w is not None:
-            dag.add_edge(w, tid)  # WAW
-        for r in self._readers.get(k, ()):
-            dag.add_edge(r, tid)  # WAR
-        self._last_writer[k] = tid
-        self._readers[k] = []
+        RAW: each read's last writer.  WAW and WAR: each write's last
+        writer, then the readers since that write.  Deduplicated in
+        first-occurrence order, with ``tid`` itself left out (a task
+        that reads and writes one handle meets itself among the
+        readers).  The matrix is read but never written, so its
+        readers lists are never drained.
+        """
+        writer = self._writer
+        readers = self._readers
+        if n_ids > len(writer):  # handles first seen by this task
+            for _ in range(n_ids - len(writer)):
+                writer.append(-1)
+                readers.append([])
+        preds = []
+        for hid in rids:
+            w = writer[hid]
+            if w >= 0:
+                preds.append(w)
+            readers[hid].append(tid)
+        for hid in wids:
+            w = writer[hid]
+            if w >= 0:
+                preds.append(w)
+            preds += readers[hid]
+            writer[hid] = tid
+            readers[hid] = []
+        if len(preds) > 1 or (preds and preds[0] == tid):
+            first = dict.fromkeys(preds)
+            first.pop(tid, None)
+            preds = list(first)
+        return preds
 
     def _emit(
         self, dag: TaskDAG, kernel, reads, writes, shape, params, call, seq
@@ -182,12 +204,7 @@ class DAGBuilder:
             -1, kernel, tuple(reads), tuple(writes), shape, params,
             call.iteration, seq,
         )
-        tid = dag.add_task(t)
-        for h in reads:
-            self._note_read(dag, tid, h)
-        for h in writes:
-            self._note_write(dag, tid, h)
-        return tid
+        return dag._add_wired(t, self._wire)
 
     # ------------------------------------------------------------------
     # Build
@@ -195,10 +212,11 @@ class DAGBuilder:
     def build(self, calls: List[PrimitiveCall]) -> TaskDAG:
         """Expand the trace into a validated TaskDAG."""
         dag = TaskDAG()
+        self._writer = []
+        self._readers = []
         for seq, call in enumerate(calls):
             handler = getattr(self, f"_op_{call.op.lower()}")
             handler(dag, call, seq)
-        dag.validate()
         # Partition geometry for NUMA placement: vector chunks use row
         # partition indices; matrix handles use row-major block ids that
         # the memory model must map back to block rows.
@@ -209,7 +227,7 @@ class DAGBuilder:
         # cost model and scheduler that later executes this DAG reads
         # the same flat tables instead of re-deriving adjacency and
         # interning per instance, and the prep store persists them.
-        dag.freeze()
+        _check_forward(dag.freeze())
         return dag
 
     # -- SPMM / SPMV ---------------------------------------------------
@@ -247,15 +265,21 @@ class DAGBuilder:
                 self._spmm_row_dependency(dag, call, seq, kernel, i, cols,
                                           xname, yname, w)
 
-    def _gather_span(self, xname: str, j: int, w: int) -> int:
-        """Bytes of input vector a SpMM task's gathers range over.
+    def _spmm_shape(self, xname: str, i: int, j: int, w: int) -> dict:
+        """Shape of the SpMV/SpMM task on block ``(i, j)``.
 
-        CSB confines column indices to one block (the chunk); CSR's are
-        unrestricted, so ``libcsr`` gathers span the whole vector.
+        ``gather_span`` is the bytes of input vector its gathers range
+        over: CSB confines column indices to one block (the chunk);
+        CSR's are unrestricted, so ``libcsr`` gathers span the whole
+        vector.
         """
         if self.options.csr_storage:
-            return self.csb.shape[1] * w * 8
-        return self.chunk_handle(xname, j).nbytes
+            span = self.csb.shape[1] * w * 8
+        else:
+            span = self.chunk_handle(xname, j).nbytes
+        return {"nnz": self._blk_nnz[i][j], "rows": self._row_sizes[i],
+                "cols": self._col_sizes[j], "width": w,
+                "gather_span": span}
 
     def _spmm_row_dependency(self, dag, call, seq, kernel, i, cols,
                              xname, yname, w):
@@ -263,14 +287,7 @@ class DAGBuilder:
         yh = self.chunk_handle(yname, i)
         first = True
         for j in cols:
-            shape = {
-                "nnz": int(self._grid[i, j]),
-                "rows": self._row_sizes[i],
-                "cols": self.csb.col_block_bounds(j)[1]
-                - self.csb.col_block_bounds(j)[0],
-                "width": w,
-                "gather_span": self._gather_span(xname, j, w),
-            }
+            shape = self._spmm_shape(xname, i, j, w)
             reads = [self.matrix_handle(i, j), self.chunk_handle(xname, j)]
             if not first:
                 reads.append(yh)
@@ -288,14 +305,7 @@ class DAGBuilder:
             self._buf_counter += 1
             bufname = f"__{yname}__spmmbuf{self._buf_counter}"
             bh = DataHandle(bufname, i, self._row_sizes[i] * w * _F8)
-            shape = {
-                "nnz": int(self._grid[i, j]),
-                "rows": self._row_sizes[i],
-                "cols": self.csb.col_block_bounds(j)[1]
-                - self.csb.col_block_bounds(j)[0],
-                "width": w,
-                "gather_span": self._gather_span(xname, j, w),
-            }
+            shape = self._spmm_shape(xname, i, j, w)
             reads = [self.matrix_handle(i, j), self.chunk_handle(xname, j)]
             params = {"i": i, "j": j, "A": self.matrix_name, "X": xname,
                       "Y": bufname, "zero_first": True, "buffer": True}
@@ -465,3 +475,23 @@ class DAGBuilder:
              if kk not in ("kernel", "k", "op")}
         )
         self._emit(dag, kernel, reads, writes, {"k": k}, params, call, seq)
+
+
+def _check_forward(soa) -> None:
+    """Raise unless every edge of the frozen CSR runs from a lower tid
+    to a higher one.
+
+    The builder only ever wires a task to tasks emitted before it, so
+    tid order is a topological order; an edge that breaks it (a cycle
+    included) means the dependence analysis is broken.  O(E) on the
+    arrays, against Kahn's O(V + E) walk over Python lists.
+    """
+    indptr = soa.succ_indptr
+    src = np.repeat(np.arange(soa.n_tasks), np.diff(indptr))
+    bad = np.flatnonzero(soa.succ_indices <= src)
+    if bad.size:
+        u, v = int(src[bad[0]]), int(soa.succ_indices[bad[0]])
+        raise ValueError(
+            f"task graph is not in program order (a cycle is possible): "
+            f"edge {u} -> {v} does not run forward"
+        )

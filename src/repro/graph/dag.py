@@ -9,9 +9,13 @@ timing.
 Two representations coexist:
 
 * the **mutable build view** — ``tasks`` plus ``succ``/``pred``
-  list-of-lists, which is what :class:`~repro.graph.builder.DAGBuilder`
-  appends into and what the event engine's inner loop iterates (Python
-  lists of small ints beat NumPy scalar iteration there);
+  list-of-lists, which is what the event engine's inner loop iterates
+  (Python lists of small ints beat NumPy scalar iteration there).
+  :class:`~repro.graph.builder.DAGBuilder` appends each task with its
+  whole, already deduplicated predecessor list; :meth:`TaskDAG.add_edge`
+  adds one edge at a time.  The ``(u, v)`` edge set that deduplicates
+  ``add_edge`` is derived from ``succ`` on demand, so a built or
+  loaded DAG carries none;
 * the **frozen structure-of-arrays view** (:class:`GraphArrays`) —
   CSR-style successor index arrays, indegrees, dense interned
   operand-id tables with per-task write/touch spans, kernel codes and
@@ -171,7 +175,9 @@ class _Columns:
             self.max_part = part + 1
         return hid
 
-    def add(self, tid: int, t: Task) -> None:
+    def add(self, tid: int, t: Task):
+        """Record one task's row; returns its interned read and write
+        ids, each in ``reads``/``writes`` order, duplicates kept."""
         kernel = t.kernel
         code = self.kernel_code.get(kernel)
         if code is None:
@@ -183,6 +189,7 @@ class _Columns:
         # first occurrence kept, with that handle's nbytes.
         key_to_id = self.key_to_id
         ids = []
+        rids = []
         wids = []
         nbytes = self.touch_nbytes
         if kernel not in SPARSE_KERNELS:
@@ -191,6 +198,7 @@ class _Columns:
                 hid = key_to_id.get(key)
                 if hid is None:
                     hid = self._intern(key)
+                rids.append(hid)
                 if hid not in ids:
                     ids.append(hid)
                     nbytes.append(h.nbytes)
@@ -221,6 +229,7 @@ class _Columns:
                 hid = key_to_id.get(key)
                 if hid is None:
                     hid = self._intern(key)
+                rids.append(hid)
                 if gx < 0 and part is not None and name != aname:
                     gx = hid
                 if hid not in ids:
@@ -253,6 +262,7 @@ class _Columns:
         i = params.get("i")
         self.rows.append((code, -1 if i is None else int(i),
                           wids[0] if wids else -1, len(wids), len(ids)))
+        return rids, wids
 
 
 def _unzip(rows: list, width: int):
@@ -288,7 +298,9 @@ class TaskDAG:
         self.recipe: Optional[Callable[[], "TaskDAG"]] = None
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
-        self._edge_set = set()
+        #: ``(u, v)`` dedup set for :meth:`add_edge`; None until
+        #: :meth:`_edge_pairs` derives it from ``succ``.
+        self._edge_set: Optional[set] = None
         #: Per-task columns :meth:`add_task` fills; None once frozen,
         #: pickled or loaded (re-derived by the next ``add_task``).
         self._cols: Optional[_Columns] = _Columns()
@@ -481,18 +493,37 @@ class TaskDAG:
         Records the task's frozen-view columns as it goes, so
         :meth:`freeze` never walks the task list again.
         """
+        return self._add_wired(task)
+
+    def _add_wired(self, task: Task, wire=None) -> int:
+        """:meth:`add_task`, wiring the new task's incoming edges.
+
+        The builder's path: ``wire(tid, read_ids, write_ids, n_ids)``
+        gets the interned ids ``_Columns.add`` just assigned (``n_ids``
+        interned so far) and returns the task's predecessors,
+        deduplicated, in first-occurrence order; they are appended to
+        ``pred`` and ``succ`` in one step.  If either step raises, the
+        task is refused whole: no task, no adjacency row, no column row.
+        """
         tasks = self.tasks
         cols = self._columns()
         tid = len(tasks)
         try:
-            cols.add(tid, task)
+            rids, wids = cols.add(tid, task)
+            preds = [] if wire is None else wire(tid, rids, wids,
+                                                 len(cols.id_to_key))
         except BaseException:
             self._cols = None  # half a row recorded: re-derive next time
             raise
         task.tid = tid
         tasks.append(task)
-        self.succ.append([])
-        self.pred.append([])
+        succ = self.succ
+        succ.append([])
+        self.pred.append(preds)
+        if preds:
+            for u in preds:
+                succ[u].append(tid)
+            self._edge_set = None
         if self._soa is not None:
             self._invalidate()
         return tid
@@ -515,11 +546,12 @@ class TaskDAG:
             self._invalidate()
 
     def _edge_pairs(self) -> set:
-        """The ``(u, v)`` edge set, rebuilt from adjacency if dropped.
+        """The ``(u, v)`` edge set, derived from ``succ`` on demand.
 
-        Pickling discards the set (it is pure dedup/validation state,
-        fully derivable from ``succ``) to keep persisted prep artifacts
-        small and fast to load.
+        The builder never fills it (it deduplicates each task's
+        predecessors as it wires them), and pickling discards it: it is
+        pure dedup/validation state, so built DAGs and persisted prep
+        artifacts do not carry one.
         """
         es = self._edge_set
         if es is None:
@@ -548,7 +580,7 @@ class TaskDAG:
         soa = self._soa
         if soa is not None:
             return soa.n_edges
-        return len(self._edge_pairs())
+        return sum(map(len, self.succ))
 
     def sources(self) -> List[int]:
         """Tasks with no predecessors (ready at time zero)."""
@@ -590,10 +622,6 @@ class TaskDAG:
                 f"{len(self)} tasks are orderable"
             )
         return order
-
-    def validate(self) -> None:
-        """Raise if the graph is not a DAG."""
-        self.topo_order()
 
     def check_schedule(self, order: Iterable[int]) -> None:
         """Raise ``ValueError`` if ``order`` violates any dependence.

@@ -33,7 +33,7 @@ def test_flow_respects_dependences(bw, small_problem):
     res = eng.run(small_problem, DeepSparseScheduler(), iterations=1)
     end_of = {r.tid: r.end for r in res.flow.records}
     start_of = {r.tid: r.start for r in res.flow.records}
-    for (u, v) in small_problem._edge_set:
+    for (u, v) in small_problem._edge_pairs():
         assert end_of[u] <= start_of[v] + 1e-12
 
 

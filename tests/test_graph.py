@@ -166,6 +166,35 @@ def prepped_dag():
     return dag
 
 
+def test_add_edge_on_built_dag_still_dedups():
+    """The builder keeps no edge set; ``add_edge`` derives one from
+    ``succ``, so an edge the build made stays a no-op, and a new edge
+    still invalidates the frozen view and drops the recipe."""
+    from repro.analysis.experiment import _dag
+    from repro.graph.builder import BuildOptions
+    from repro.matrices.suite import SUITE
+    from repro.tuning.blocksize import block_size_for_count
+
+    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
+    dag = _dag.__wrapped__("inline1", bs, "lanczos", 4, BuildOptions())
+    assert dag.frozen and dag.recipe is not None
+    assert dag._edge_set is None
+    succ = [list(vs) for vs in dag.succ]
+    pred = [list(us) for us in dag.pred]
+    n_edges = dag.n_edges
+    u = next(i for i, vs in enumerate(succ) if vs)
+    v = succ[u][-1]
+    dag.add_edge(u, v)
+    assert dag.succ == succ and dag.pred == pred
+    assert dag.n_edges == n_edges
+    assert dag.frozen and dag.recipe is not None
+    w = next(x for x in range(v + 1, len(dag)) if x not in succ[u])
+    dag.add_edge(u, w)
+    assert not dag.frozen and dag.recipe is None
+    assert dag.succ[u] == succ[u] + [w] and dag.pred[w] == pred[w] + [u]
+    assert dag.n_edges == n_edges + 1 == dag.freeze().n_edges
+
+
 def _loaded(dag):
     out = pickle.loads(pickle.dumps(dag, protocol=pickle.HIGHEST_PROTOCOL))
     assert out._tasks is None

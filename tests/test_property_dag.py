@@ -7,7 +7,10 @@ bit-identical, not approximately — to the retained per-node reference
 implementations in :mod:`repro.graph.analyze` on random DAGs, and
 every frozen column (recorded by ``add_task``, converted by ``freeze``)
 to :func:`reference_columns`, the per-``Task`` walk ``freeze`` used to
-make, on random DAGs and on real builder DAGs.
+make, on random DAGs and on real builder DAGs.  The builder's hazard
+wiring (by interned handle id, one predecessor list per task) is pinned
+list for list to :func:`reference_adjacency`, the tuple-keyed walk with
+a global edge set it replaced.
 """
 
 import dataclasses
@@ -94,8 +97,7 @@ def random_problem(draw):
 @given(random_problem())
 @settings(max_examples=30, deadline=None)
 def test_builder_always_produces_valid_dag(dag):
-    dag.validate()  # acyclic
-    order = dag.topo_order()
+    order = dag.topo_order()  # raises on a cycle
     dag.check_schedule(order)
 
 
@@ -391,6 +393,7 @@ _BUILDER_CASES = {
     "lobpcg-reduction": ("lobpcg", {"spmm_mode": "reduction"}),
     "lanczos-csr": ("lanczos", {"csr_storage": True}),
     "lobpcg-csr": ("lobpcg", {"csr_storage": True}),
+    "lanczos-all-blocks": ("lanczos", {"skip_empty": False}),
 }
 
 
@@ -403,6 +406,98 @@ def builder_dag(request):
 def test_builder_dag_columns_match_reference(builder_dag):
     _, dag = builder_dag
     assert_columns_match_reference(dag)
+
+
+# ----------------------------------------------------------------------
+# Hazard wiring against the tuple-keyed walk.  The builder wires each
+# task's RAW/WAR/WAW edges by interned handle id and deduplicates them
+# per task; this is the walk it made before, keyed by ``(name, part)``
+# and deduplicated through one global edge set.
+# ----------------------------------------------------------------------
+
+def reference_adjacency(dag, matrix_name="A"):
+    """``succ``, ``pred`` and the edge count of a builder DAG, from its
+    task list: last writer and readers since that write per ``(name,
+    part)`` key, every edge offered to a global ``(u, v)`` set in
+    hazard order (reads' writers, then each write's writer and its
+    readers), self edges dropped, the never-written matrix's reads not
+    tracked."""
+    tasks = dag.tasks
+    succ = [[] for _ in tasks]
+    pred = [[] for _ in tasks]
+    edges = set()
+    last_writer, readers = {}, {}
+
+    def edge(u, v):
+        if u != v and (u, v) not in edges:
+            edges.add((u, v))
+            succ[u].append(v)
+            pred[v].append(u)
+
+    for t in tasks:
+        tid = t.tid
+        for h in t.reads:
+            if h.name == matrix_name:
+                continue
+            k = (h.name, h.part)
+            if k in last_writer:
+                edge(last_writer[k], tid)               # RAW
+            readers.setdefault(k, []).append(tid)
+        for h in t.writes:
+            k = (h.name, h.part)
+            if k in last_writer:
+                edge(last_writer[k], tid)               # WAW
+            for r in readers.get(k, ()):
+                edge(r, tid)                            # WAR
+            last_writer[k] = tid
+            readers[k] = []
+    return succ, pred, len(edges)
+
+
+def assert_adjacency_matches_reference(dag):
+    succ, pred, n_edges = reference_adjacency(dag)
+    assert dag.succ == succ
+    assert dag.pred == pred       # order included: first occurrence
+    assert dag.n_edges == n_edges
+    assert dag._edge_set is None  # the build keeps no edge set
+
+
+@given(random_problem())
+@settings(max_examples=30, deadline=None)
+def test_builder_adjacency_matches_reference(dag):
+    assert_adjacency_matches_reference(dag)
+
+
+def test_builder_dag_adjacency_matches_reference(builder_dag):
+    _, dag = builder_dag
+    assert_adjacency_matches_reference(dag)
+
+
+def test_self_hazards_match_reference():
+    """Tasks that read and write one handle, or write it twice, wire no
+    self edge, and their other hazards keep their order."""
+    coo = COOMatrix((60, 60), [0, 7, 33, 59], [5, 40, 33, 2],
+                    [1.0, 2.0, 3.0, 4.0])
+    csb = CSBMatrix.from_coo(coo, 20)
+    t = TraceRecorder()
+    t.record("SCALE", (), ("X",), alpha=0.5)   # first access reads it too
+    t.record("COPY", ("X",), ("Y",))
+    t.record("AXPY", ("X",), ("Y",), alpha=2.0)
+    t.record("SMALL", ("P", "s"), ("P", "P"), kernel="SMALL_EIGH", k=2)
+    t.record("XY", ("Y", "P"), ("Q",), accumulate=True)
+    t.record("SPMM", ("A", "Q"), ("X",))
+    t.record("DOT", ("X", "Q"), ("s",))
+    t.record("SCALE", (), ("Q",), alpha_name="s")
+    t.record("ADD", ("Q", "Y"), ("X",))         # preds not in tid order
+    chunked = {"X": 2, "Y": 2, "Q": 2}
+    small = {"P": (2, 2), "s": (1, 1)}
+    for options in (BuildOptions(), BuildOptions(spmm_mode="reduction"),
+                    BuildOptions(skip_empty=False)):
+        dag = DAGBuilder(csb, "A", chunked, small, options).build(t.calls)
+        assert_adjacency_matches_reference(dag)
+        small_tid = next(x.tid for x in dag.tasks
+                         if x.kernel == "SMALL_EIGH")
+        assert small_tid not in dag.pred[small_tid]
 
 
 def _extra_spmv(dag):
