@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from functools import lru_cache, partial
+from dataclasses import asdict
+from functools import lru_cache
 from typing import Dict, Sequence
 
 from repro.analysis.metrics import SolverComparison
 from repro.bench.prep import default_prep_store
+from repro.graph.builder import BuildOptions
 from repro.machine.presets import get_machine
 from repro.matrices.census import census_for
 from repro.matrices.suite import SUITE
@@ -97,26 +99,28 @@ def _dag(matrix: str, block_size: int, solver: str, width: int, options):
     with identical decomposition policies get the *same* DAG object,
     which also lets the cost model reuse its per-task pricing
     invariants (see :meth:`repro.sim.cost.CostModel.prepare`).  Each
-    carries its :func:`_rebuild_dag` recipe, so a prep artifact can
-    persist it without the ``Task`` list.
+    carries its recipe (:func:`_rebuild_dag`) as plain data, so a prep
+    artifact can persist it without the ``Task`` list.
     """
     cen, calls, chunked, small = _trace(matrix, block_size, solver, width)
     dag = build_solver_dag(cen, calls, chunked, small, "A", options)
-    dag.recipe = partial(_rebuild_dag, matrix, block_size, solver, width,
-                         options)
+    dag.recipe = {"matrix": matrix, "block_size": int(block_size),
+                  "solver": solver, "width": int(width),
+                  "options": asdict(options)}
     return dag
 
 
-def _rebuild_dag(matrix: str, block_size: int, solver: str, width: int,
-                 options):
-    """A newly built DAG for one subkey: the recipe a prep artifact
-    persists instead of its ``Task`` list (see :mod:`repro.graph.dag`).
+def _rebuild_dag(recipe: dict):
+    """A newly built DAG for one recipe: what a prep artifact persists
+    instead of its ``Task`` list (see :mod:`repro.graph.dag`).
 
     Built past the :func:`_dag` memo, so the loaded DAG that adopts
     this list never shares it with the memo's DAG, which a later
     ``add_task`` would otherwise reach.
     """
-    return _dag.__wrapped__(matrix, block_size, solver, width, options)
+    return _dag.__wrapped__(recipe["matrix"], recipe["block_size"],
+                            recipe["solver"], recipe["width"],
+                            BuildOptions(**recipe["options"]))
 
 
 def prep_config(machine_name: str, matrix: str, block_size: int,

@@ -16,16 +16,20 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 5): one JSON header line —
+File format (:data:`PREP_FORMAT` 6): one JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
-DAG is pickled without its ``Task`` list: it carries its frozen
-arrays, interned tables, compiled plans, domain tables and BSP phases,
-plus a rebuild recipe (:meth:`repro.graph.dag.TaskDAG.__getstate__`).
-A run reads only the former; a consumer outside the simulation run
+DAG is pickled without its ``Task`` list and without its successor
+CSR (derived from ``succ`` on demand): it carries its frozen arrays,
+interned tables, compiled plans, domain tables and BSP phases, plus
+its rebuild recipe as plain data (matrix, block size, solver, width
+and build-option fields; :meth:`repro.graph.dag.TaskDAG.__getstate__`).
+A run reads only the former.  A consumer outside the simulation run
 path (trace export, Gantt, the threaded runtime, analysis) rebuilds
 the list through the DAG builder at its first ``dag.tasks``, which
-fails closed if the rebuilt graph differs from the loaded arrays.
+fails closed if the rebuilt graph differs from the loaded arrays in
+any field.  A DAG built in process holds no list either until asked:
+the cold path (build, plan compile, ``put``) never makes one.
 The checksum is the SHA-256 of the whole payload bytes, recipe
 included, so damage anywhere is caught at ``get``, never at a later
 rebuild.  Reads verify that the header line is exactly the canonical
@@ -76,7 +80,7 @@ __all__ = [
 #: the payload layout *or* to the pickled structures it carries (plan
 #: tuple shape, GraphArrays fields, …) *or* to what a DAG's recipe
 #: rebuilds: old artifacts are orphaned by the salt, not migrated.
-PREP_FORMAT = 5
+PREP_FORMAT = 6
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

@@ -11,71 +11,75 @@ Two representations coexist:
 * the **mutable build view** — ``tasks`` plus ``succ``/``pred``
   list-of-lists, which is what the event engine's inner loop iterates
   (Python lists of small ints beat NumPy scalar iteration there).
-  :class:`~repro.graph.builder.DAGBuilder` appends each task with its
-  whole, already deduplicated predecessor list; :meth:`TaskDAG.add_edge`
+  :meth:`TaskDAG.add_task` appends one task; :meth:`TaskDAG.add_edge`
   adds one edge at a time.  The ``(u, v)`` edge set that deduplicates
   ``add_edge`` is derived from ``succ`` on demand, so a built or
   loaded DAG carries none;
 * the **frozen structure-of-arrays view** (:class:`GraphArrays`) —
-  CSR-style successor index arrays, indegrees, dense interned
-  operand-id tables with per-task write/touch spans, kernel codes and
-  the SpMV/SpMM pricing inputs.  The vectorized analyses (levels,
-  critical path), the cost model's access-plan compiler, and the
-  scheduler ``prepare`` paths all consume these flat arrays instead of
-  re-deriving interning and adjacency per engine instance — and the
-  cross-cell prep store persists them (:mod:`repro.bench.prep`).
+  indegrees, dense interned operand-id tables with per-task
+  write/touch spans, kernel codes, flop counts, call (phase) bounds and
+  the SpMV/SpMM pricing inputs.  The cost model's access-plan
+  compiler, BSP's phase assignment and the scheduler ``prepare`` paths
+  all consume these flat arrays instead of re-deriving interning per
+  engine instance — and the cross-cell prep store persists them
+  (:mod:`repro.bench.prep`).  The successor CSR the vectorized
+  analyses (levels, critical path) walk is derived from ``succ`` by
+  :meth:`TaskDAG.succ_csr` on demand and never stored.
 
-The frozen columns are recorded as tasks arrive, in one pass:
+The frozen columns are recorded as tasks arrive, in one pass, and
+:meth:`TaskDAG.freeze` only converts the lists to arrays.
 :meth:`TaskDAG.add_task` runs each task through ``_Columns.add``
-(interning, touch table, per-task scalars, sparse inputs), and
-:meth:`TaskDAG.freeze` only converts the lists to arrays and builds
-the successor CSR.  Any mutation (``add_task``/``add_edge``)
-invalidates the frozen view; ``freeze`` rebuilds it on demand, and a
-DAG whose lists were dropped (frozen, pickled, loaded) re-derives them
-from its task list at the next ``add_task``.  Both views answer every
-query with bit-identical results — pinned by
-``tests/test_property_dag.py`` against the retained reference
-implementations in :mod:`repro.graph.analyze` and the per-task walk
-``freeze`` used to make.
+(interning, touch table, per-task scalars, sparse inputs, all read off
+the ``Task``); the :class:`~repro.graph.builder.DAGBuilder` writes the
+same rows from interned ids through ``_Columns.append`` and makes no
+``Task`` at all.  Any mutation (``add_task``/``add_edge``) invalidates
+the frozen view; ``freeze`` rebuilds it on demand, and a DAG whose
+lists were dropped (frozen, pickled, loaded) re-derives them from its
+task list at the next ``add_task``.  Both views answer every query with
+bit-identical results — pinned by ``tests/test_property_dag.py``
+against the retained reference implementations in
+:mod:`repro.graph.analyze` and the per-task walk ``freeze`` used to
+make.
 
-A DAG built for a prep artifact carries a rebuild **recipe**: a
-picklable zero-argument callable (a ``functools.partial`` over
-:func:`repro.analysis.experiment._rebuild_dag`) that builds the same
-graph afresh.  The DAG builder expands a solver trace into tasks
-deterministically, so the recipe stands in for the ``Task`` list:
-pickling a frozen DAG that has one leaves the list out.  A loaded DAG
-rebuilds its list on the first ``dag.tasks``, checks the rebuilt
-frozen arrays against its own, and adopts the list.  The simulation
-run path never asks: the engines, the cost model and the schedulers
-price and schedule by tid off the frozen view, the compiled plans and
-:meth:`TaskDAG.kernel_of`, so a loaded prep artifact runs without ever
-building its ``Task`` objects.  Trace and Gantt export, the threaded
-runtime, analysis code and :meth:`TaskDAG.add_task` rebuild.  A DAG
-without a recipe (hand-built in tests) pickles its list the plain way.
+A built DAG, like a loaded one, holds no ``Task`` list; it builds it
+on the first ``dag.tasks``.  A built DAG runs its builder's task mode
+over the same trace (``_expand``, in memory only); a loaded one builds
+afresh from its **recipe**: plain data — matrix, block size, solver,
+width and the :class:`~repro.graph.builder.BuildOptions` fields — that
+:func:`repro.analysis.experiment._rebuild_dag` turns into the same
+graph.  The builder expands a solver trace deterministically, so the
+recipe stands in for the list, and pickling a frozen DAG that has one
+leaves the list out.  Either way the rebuilt DAG's every frozen field
+and both adjacency lists must equal this DAG's before the list is
+adopted, so a stale artifact or a task mode that strays from the
+columns fails closed.  The simulation run path never asks: the
+engines, the cost model and the schedulers price and schedule by tid
+off the frozen view, the compiled plans and :meth:`TaskDAG.kernel_of`,
+so neither a cold build nor a loaded prep artifact ever makes its
+``Task`` objects.  Trace and Gantt export, the threaded runtime,
+analysis code, :meth:`TaskDAG.add_task` and :meth:`TaskDAG.add_edge`
+rebuild.  A DAG without a recipe pickles its list the plain way.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
 from repro.graph.task import Task
+from repro.kernels.registry import KERNELS, kernel_spec
 
 __all__ = ["GraphArrays", "SPARSE_KERNELS", "TaskDAG"]
 
-#: Serializes first rebuilds of a loaded task list: service threads
-#: share loaded DAGs, and every reader must see the same ``Task`` objects.
-_REBUILD_LOCK = threading.Lock()
-
-#: Frozen fields a rebuilt DAG must reproduce before a loaded DAG adopts
-#: its task list.
-_RECIPE_CHECKS = ("n_tasks", "n_edges", "kernel_names", "kernel_codes",
-                  "touch_ids", "touch_nbytes", "succ_indptr",
-                  "succ_indices")
+#: Serializes first rebuilds of a task list: service threads share
+#: built and loaded DAGs, and every reader must see the same ``Task``
+#: objects.  Reentrant: rebuilding a loaded DAG builds a fresh one
+#: whose own list is rebuilt in turn.
+_REBUILD_LOCK = threading.RLock()
 
 
 @dataclass
@@ -87,15 +91,15 @@ class GraphArrays:
     array (CSR convention).  Operand ids are the DAG's handle
     interning (:meth:`TaskDAG.handle_interning`): dense small ints in
     first-appearance order, resolved back to ``(name, part)`` by
-    ``id_to_key``.  Predecessor lists and per-task reads are not
-    repeated here: ``dag.pred`` and ``Task.reads`` hold them.
+    ``id_to_key``.  The adjacency is not repeated here: ``dag.pred``
+    and ``dag.succ`` hold it, and :meth:`TaskDAG.succ_csr` derives the
+    successor CSR from ``succ`` on demand.  Per-task reads are not
+    kept either; interning covers them.
     """
 
     n_tasks: int
     n_edges: int
-    # -- adjacency (CSR) ------------------------------------------------
-    succ_indptr: np.ndarray
-    succ_indices: np.ndarray
+    # -- adjacency ------------------------------------------------------
     indegree: np.ndarray
     # -- interned operand tables ---------------------------------------
     id_to_key: list            # id -> (name, part)
@@ -115,6 +119,12 @@ class GraphArrays:
     kernel_codes: np.ndarray   # per-task index into kernel_names
     param_i: np.ndarray        # params["i"] or -1
     first_write_id: np.ndarray  # interned id of writes[0], -1 if none
+    #: the kernel registry's flop count of the task's shape (NaN for an
+    #: unregistered kernel)
+    flops: np.ndarray
+    #: runs of equal ``Task.seq`` (one per primitive call that made
+    #: tasks): phase ``p`` is tids ``phase_indptr[p]:phase_indptr[p+1]``
+    phase_indptr: np.ndarray
     #: highest partition index + 1 over every handle (NUMA geometry)
     max_part: int
     # -- SpMV/SpMM pricing inputs, one entry per sparse task -----------
@@ -137,13 +147,20 @@ SPARSE_KERNELS = ("SPMV", "SPMM")
 class _Columns:
     """The frozen view's per-task columns as plain lists.
 
-    :meth:`TaskDAG.add_task` feeds every task through :meth:`add`, so
-    the columns grow with the graph and :meth:`TaskDAG.freeze` only
-    converts them to arrays.  ``add`` is the one per-task derivation:
-    a frozen, loaded or unpickled DAG that gets another task re-derives
-    the lists by running its whole task list through it.  Per task it
-    appends one row tuple of scalars (and one of SpMV/SpMM inputs);
-    ``freeze`` splits the rows into columns.
+    Two writers fill them as tasks arrive, and :meth:`TaskDAG.freeze`
+    only converts them to arrays:
+
+    * :meth:`add`, the per-``Task`` derivation :meth:`TaskDAG.add_task`
+      runs: it interns the task's handles and reads every column off
+      its handle objects, shape and params.  A frozen or unpickled DAG
+      that gets another task re-derives the lists by running its whole
+      task list through it;
+    * :meth:`append`, the builder's path: it takes a task's already
+      interned read and write ids (:meth:`intern`; the builder keeps
+      each id's bytes) and scalars, so no ``Task`` exists.
+
+    Per task one row tuple of scalars is appended (and one of SpMV/SpMM
+    inputs); ``freeze`` splits the rows into columns.
     """
 
     __slots__ = ("key_to_id", "id_to_key", "kernel_code", "kernel_names",
@@ -156,7 +173,8 @@ class _Columns:
         self.kernel_code = {}
         self.kernel_names = []
         self.max_part = 0
-        #: per task: (kernel code, param_i, first write id, writes, touches)
+        #: per task: (kernel code, param_i, first write id, writes,
+        #: touches, flops, seq)
         self.rows = []
         self.write_ids = []
         self.touch_ids = []
@@ -167,7 +185,8 @@ class _Columns:
         #: touch_role of every SpMV/SpMM task's touches, in order
         self.sparse_roles = []
 
-    def _intern(self, key) -> int:
+    def intern(self, key) -> int:
+        """The next dense id, for a ``(name, part)`` key not seen yet."""
         hid = self.key_to_id[key] = len(self.id_to_key)
         self.id_to_key.append(key)
         part = key[1]
@@ -175,14 +194,49 @@ class _Columns:
             self.max_part = part + 1
         return hid
 
-    def add(self, tid: int, t: Task):
-        """Record one task's row; returns its interned read and write
-        ids, each in ``reads``/``writes`` order, duplicates kept."""
-        kernel = t.kernel
+    def _code(self, kernel: str) -> int:
         code = self.kernel_code.get(kernel)
         if code is None:
             code = self.kernel_code[kernel] = len(self.kernel_names)
             self.kernel_names.append(kernel)
+        return code
+
+    def append(self, kernel, rids, wids, i, flops, seq, id_nbytes,
+               sparse=None) -> None:
+        """Record one task's row from its interned ids.
+
+        ``rids``/``wids`` are its read and write ids in order (the touch
+        table keeps each id's first occurrence, reads first, sized by
+        ``id_nbytes[id]``), ``i`` its ``params["i"]`` or -1, ``flops``
+        its registry flop count and ``seq`` its call's program order.
+        A SpMV/SpMM task also passes its ``sparse`` row (tid, nnz, rows,
+        cols, width, gather span, reduction buffer, input chunk id); its
+        touches are the matrix block, the input chunk and the output,
+        roles 0, 1 and 2.
+        """
+        code = self._code(kernel)
+        ids = []
+        for hid in rids:
+            if hid not in ids:
+                ids.append(hid)
+        for hid in wids:
+            if hid not in ids:
+                ids.append(hid)
+        self.write_ids += wids
+        self.touch_ids += ids
+        self.touch_nbytes += [id_nbytes[hid] for hid in ids]
+        self.rows.append((code, i, wids[0] if wids else -1, len(wids),
+                          len(ids), flops, seq))
+        if sparse is not None:
+            self.sparse.append(sparse)
+            self.sparse_roles += (0, 1, 2)
+
+    def add(self, tid: int, t: Task):
+        """Record one task's row from its ``Task``; returns its interned
+        read and write ids, each in ``reads``/``writes`` order,
+        duplicates kept."""
+        kernel = t.kernel
+        code = self._code(kernel)
         params = t.params
         # Handle interning in first-appearance order over reads then
         # writes, and the touch table with Task.touched()'s dedup rule:
@@ -197,7 +251,7 @@ class _Columns:
                 key = (h.name, h.part)
                 hid = key_to_id.get(key)
                 if hid is None:
-                    hid = self._intern(key)
+                    hid = self.intern(key)
                 rids.append(hid)
                 if hid not in ids:
                     ids.append(hid)
@@ -206,17 +260,20 @@ class _Columns:
                 key = (h.name, h.part)
                 hid = key_to_id.get(key)
                 if hid is None:
-                    hid = self._intern(key)
+                    hid = self.intern(key)
                 wids.append(hid)
                 if hid not in ids:
                     ids.append(hid)
                     nbytes.append(h.nbytes)
+            spec = KERNELS.get(kernel)
+            flops = float("nan") if spec is None else spec.flops(t.shape)
         else:
             # The same walk, also recording the inputs of
             # CostModel._effective_bytes and _gather_bundle, with their
             # defaults and KeyErrors: each touch's override role (by
             # operand name, Y before X) and the gather's input chunk
-            # (first partitioned read not named A).
+            # (first partitioned read not named A).  The flop count is
+            # priced from these columns at freeze.
             xname = params.get("X")
             yname = params.get("Y")
             aname = params.get("A")
@@ -228,7 +285,7 @@ class _Columns:
                 key = (name, part)
                 hid = key_to_id.get(key)
                 if hid is None:
-                    hid = self._intern(key)
+                    hid = self.intern(key)
                 rids.append(hid)
                 if gx < 0 and part is not None and name != aname:
                     gx = hid
@@ -242,7 +299,7 @@ class _Columns:
                 key = (name, h.part)
                 hid = key_to_id.get(key)
                 if hid is None:
-                    hid = self._intern(key)
+                    hid = self.intern(key)
                 wids.append(hid)
                 if hid not in ids:
                     ids.append(hid)
@@ -257,11 +314,13 @@ class _Columns:
                 shape.get("width", 1), shape.get("gather_span", 0),
                 1 if params.get("buffer") else 0, gx,
             ))
+            flops = 0.0
         self.write_ids += wids
         self.touch_ids += ids
         i = params.get("i")
         self.rows.append((code, -1 if i is None else int(i),
-                          wids[0] if wids else -1, len(wids), len(ids)))
+                          wids[0] if wids else -1, len(wids), len(ids),
+                          flops, t.seq))
         return rids, wids
 
 
@@ -269,6 +328,15 @@ def _unzip(rows: list, width: int):
     """The columns of a list of equal-length tuples (``width`` empty
     ones for no rows)."""
     return zip(*rows) if rows else [()] * width
+
+
+def _same(a, b) -> bool:
+    """Bit-exact equality of two frozen fields (arrays by dtype, shape
+    and bytes)."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return a == b
 
 
 class TaskDAG:
@@ -279,12 +347,14 @@ class TaskDAG:
     :class:`~repro.graph.builder.DAGBuilder` coincides with the
     depth-first program order DeepSparse spawns tasks in.
 
-    ``tasks`` of a DAG that came out of a pickle without its list is
-    rebuilt from ``recipe`` on first use (see the module docstring);
-    ``len``, ``sources``, ``in_degrees``, ``handle_interning``,
-    ``by_kernel`` and :meth:`kernel_of` of a frozen DAG answer without
-    rebuilding.  Any mutation drops the recipe along with the frozen
-    view: it no longer describes the graph.
+    ``tasks`` of a built DAG, or of one that came out of a pickle
+    without its list, is rebuilt on first use (see the module
+    docstring); ``len``, ``sources``, ``in_degrees``,
+    ``handle_interning``, ``by_kernel``, :meth:`kernel_of`,
+    :meth:`levels` and :meth:`critical_path` of a frozen DAG answer
+    without it.  Any mutation first rebuilds the list, then drops the
+    recipe along with the frozen view: it no longer describes the
+    graph.
 
     ``_cost_prep``, ``_home_arrays``, ``_sched_domains`` and
     ``_bsp_phases`` are the run invariants the cost model, the
@@ -294,8 +364,13 @@ class TaskDAG:
 
     def __init__(self):
         self._tasks: Optional[List[Task]] = []
-        #: Zero-argument callable that builds this graph afresh, or None.
-        self.recipe: Optional[Callable[[], "TaskDAG"]] = None
+        #: How to build this graph afresh, as plain data (a prep
+        #: artifact persists it in place of the task list), or None.
+        self.recipe: Optional[dict] = None
+        #: Zero-argument callable that expands this graph again with
+        #: its ``Task`` objects (the builder's task mode); in memory
+        #: only, never pickled.
+        self._expand: Optional[Callable[[], "TaskDAG"]] = None
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
         #: ``(u, v)`` dedup set for :meth:`add_edge`; None until
@@ -307,14 +382,28 @@ class TaskDAG:
         self._key_to_id = None
         self._soa: Optional[GraphArrays] = None
         self._kernel_of: Optional[List[str]] = None
+        self._succ_csr = None
         self._cost_prep: dict = {}
         self._home_arrays: dict = {}
         self._sched_domains: dict = {}
         self._bsp_phases: dict = {}
 
+    @classmethod
+    def _from_columns(cls, cols: _Columns, succ, pred,
+                      expand: Callable[[], "TaskDAG"]) -> "TaskDAG":
+        """A DAG the builder wrote column by column: no task list, which
+        ``expand`` rebuilds on demand."""
+        dag = cls()
+        dag._tasks = None
+        dag._cols = cols
+        dag.succ = succ
+        dag.pred = pred
+        dag._expand = expand
+        return dag
+
     @property
     def tasks(self) -> List[Task]:
-        """The task list, rebuilt from the recipe on first use."""
+        """The task list, rebuilt on first use if the DAG has none."""
         tasks = self._tasks
         if tasks is None:
             with _REBUILD_LOCK:
@@ -327,21 +416,43 @@ class TaskDAG:
     def _rebuilt_tasks(self) -> List[Task]:
         """Build the graph afresh; its list, if it matches this DAG.
 
-        A recipe that no longer reproduces the persisted arrays (the
+        A built DAG expands its trace again in the builder's task mode;
+        a loaded one builds through its recipe
+        (:func:`repro.analysis.experiment._rebuild_dag`), whose own
+        list comes from that DAG's task mode in turn.  Every frozen
+        field and both adjacency lists must match this DAG's, so a
+        recipe that no longer reproduces the persisted arrays (the
         builder changed, the artifact layout did not) fails closed
-        rather than hand out tasks that disagree with the plans.
+        rather than hand out tasks that disagree with the plans, and a
+        task mode that strays from the columns the build wrote fails
+        the same way.
         """
-        fresh = self.recipe()
-        ours, theirs = self._soa, fresh.freeze()
-        for name in _RECIPE_CHECKS:
-            if not np.array_equal(getattr(ours, name),
-                                  getattr(theirs, name)):
-                raise RuntimeError(
-                    f"rebuilt DAG differs from the loaded one in {name}: "
-                    "the prep artifact's recipe no longer reproduces its "
-                    "task list; bump PREP_FORMAT in repro.bench.prep and "
-                    "run `repro prep gc`")
+        if self._expand is not None:
+            fresh = self._expand()
+        elif self.recipe is not None:
+            from repro.analysis import experiment
+
+            fresh = experiment._rebuild_dag(self.recipe)
+        else:
+            raise RuntimeError("DAG has no task list and no way to "
+                               "rebuild it")
+        ours, theirs = self.freeze(), fresh.freeze()
+        for f in fields(GraphArrays):
+            name = f.name
+            if not _same(getattr(ours, name), getattr(theirs, name)):
+                self._drifted(name)
+        for name in ("succ", "pred"):
+            if getattr(self, name) != getattr(fresh, name):
+                self._drifted(name)
         return fresh.tasks
+
+    @staticmethod
+    def _drifted(name: str):
+        raise RuntimeError(
+            f"rebuilt DAG differs from this one in {name}: its recipe "
+            "no longer reproduces its task list; for a prep artifact, "
+            "bump PREP_FORMAT in repro.bench.prep and run "
+            "`repro prep gc`")
 
     def kernel_of(self) -> List[str]:
         """Kernel name of every task, by tid (derived, never pickled).
@@ -390,18 +501,18 @@ class TaskDAG:
 
         Idempotent and cached; any later :meth:`add_task` /
         :meth:`add_edge` invalidates the cache and the next ``freeze``
-        rebuilds.  The per-task columns were recorded by ``add_task``;
-        this converts them to arrays, builds the CSR successor table and
-        drops the lists.  The arrays are a pure function of the DAG —
-        two processes freezing the same graph produce identical tables,
-        which is what lets the prep store persist them.
+        rebuilds.  The per-task columns were recorded as tasks arrived;
+        this converts them to arrays, prices the SpMV/SpMM flop counts
+        from their pricing inputs in bulk, and drops the lists.  The
+        arrays are a pure function of the DAG — two processes freezing
+        the same graph produce identical tables, which is what lets the
+        prep store persist them.
         """
         soa = self._soa
         if soa is not None:
             return soa
         cols = self._columns()
-        succ = self.succ
-        n = len(succ)
+        n = len(self.succ)
         i64, i32 = np.int64, np.int32
 
         def _indptr(counts):
@@ -409,10 +520,13 @@ class TaskDAG:
             np.cumsum(counts, out=indptr[1:])
             return indptr
 
-        succ_indptr = _indptr(np.fromiter(map(len, succ), i64, n))
-        n_edges = int(succ_indptr[-1])
-        kernel_codes, param_i, first_write, n_writes, n_touches = (
-            np.array(c, dtype=i64) for c in _unzip(cols.rows, 5))
+        (kernel_codes, param_i, first_write, n_writes, n_touches, flops,
+         seq) = _unzip(cols.rows, 7)
+        kernel_codes, param_i, first_write, n_writes, n_touches, seq = (
+            np.array(c, dtype=i64) for c in (
+                kernel_codes, param_i, first_write, n_writes, n_touches,
+                seq))
+        flops = np.array(flops, dtype=np.float64)
         write_indptr = _indptr(n_writes)
         write_ids = np.array(cols.write_ids, dtype=i32)
         touch_indptr = _indptr(n_touches)
@@ -432,12 +546,20 @@ class TaskDAG:
             counts = n_touches[sparse_tids]
             at = np.repeat(starts - np.cumsum(counts) + counts, counts)
             touch_role[at + np.arange(at.size)] = cols.sparse_roles
+            # The registry's flop counts are arithmetic on the shape
+            # entries, so they price whole columns elementwise, with
+            # the same IEEE operations as one shape at a time.
+            sparse_codes = kernel_codes[sparse_tids]
+            for code, name in enumerate(cols.kernel_names):
+                sel = sparse_codes == code
+                if name in SPARSE_KERNELS and sel.any():
+                    flops[sparse_tids[sel]] = kernel_spec(name).flops({
+                        "nnz": sparse[1][sel], "rows": sparse[2][sel],
+                        "cols": sparse[3][sel], "width": sparse[4][sel],
+                        "gather_span": sparse[5][sel]})
         soa = GraphArrays(
             n_tasks=n,
-            n_edges=n_edges,
-            succ_indptr=succ_indptr,
-            succ_indices=np.fromiter(chain.from_iterable(succ), i32,
-                                     n_edges),
+            n_edges=sum(map(len, self.succ)),
             indegree=np.fromiter(map(len, self.pred), i32, n),
             id_to_key=cols.id_to_key,
             write_indptr=write_indptr,
@@ -451,6 +573,10 @@ class TaskDAG:
             kernel_codes=kernel_codes.astype(i32),
             param_i=param_i,
             first_write_id=first_write.astype(i32),
+            flops=flops,
+            phase_indptr=np.concatenate((
+                [0], np.flatnonzero(np.diff(seq)) + 1, [n] if n else []
+            )).astype(i64),
             max_part=cols.max_part,
             sparse_tids=sparse_tids,
             sparse_nnz=sparse[1],
@@ -464,6 +590,27 @@ class TaskDAG:
         self._soa = soa
         self._cols = None
         return soa
+
+    def succ_csr(self):
+        """``(indptr, indices)``: the successor lists as CSR arrays.
+
+        Derived from ``succ`` on demand for the vectorized analyses
+        (:meth:`levels`, :meth:`critical_path`) and the builder's
+        forward-edge check; never pickled, and dropped with the frozen
+        view on any mutation.
+        """
+        csr = self._succ_csr
+        if csr is None:
+            self.freeze()
+            succ = self.succ
+            n = len(succ)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, succ), np.int64, n),
+                      out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(succ), np.int32,
+                                  int(indptr[-1]))
+            csr = self._succ_csr = (indptr, indices)
+        return csr
 
     def _columns(self) -> _Columns:
         """The live per-task columns, re-derived from the task list if
@@ -484,7 +631,9 @@ class TaskDAG:
     def _invalidate(self) -> None:
         self._soa = None
         self._kernel_of = None
+        self._succ_csr = None
         self.recipe = None
+        self._expand = None
 
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> int:
@@ -540,6 +689,7 @@ class TaskDAG:
         es.add((u, v))
         if len(es) == n:  # duplicate: one hash probe, not two
             return
+        self.tasks  # a built or loaded DAG rebuilds its list first
         self.succ[u].append(v)
         self.pred[v].append(u)
         if self._soa is not None:
@@ -560,14 +710,19 @@ class TaskDAG:
         return es
 
     def __getstate__(self):
-        """Leave the task list out of a frozen DAG that has a recipe."""
+        """Leave the task list out of a frozen DAG that has a recipe;
+        any other DAG pickles its list, rebuilt first if need be."""
         state = self.__dict__.copy()
         state["_edge_set"] = None
         state["_kernel_of"] = None
         state["_cols"] = None
         state["_key_to_id"] = None
+        state["_succ_csr"] = None
+        state["_expand"] = None
         if self.recipe is not None and self._soa is not None:
             state["_tasks"] = None
+        else:
+            state["_tasks"] = self.tasks
         return state
 
     # ------------------------------------------------------------------
@@ -655,7 +810,7 @@ class TaskDAG:
         """
         soa = self.freeze()
         indeg = soa.indegree.copy()
-        indptr, indices = soa.succ_indptr, soa.succ_indices
+        indptr, indices = self.succ_csr()
         frontier = np.flatnonzero(indeg == 0)
         rounds = []
         seen = 0
@@ -703,7 +858,6 @@ class TaskDAG:
         n = len(self)
         if n == 0:
             return 0.0
-        soa = self.freeze()
         if weight is None:
             w = np.ones(n, dtype=np.float64)
         else:
@@ -711,7 +865,7 @@ class TaskDAG:
                 (weight(t) for t in self.tasks), dtype=np.float64, count=n
             )
         dist = np.zeros(n, dtype=np.float64)
-        indptr, indices = soa.succ_indptr, soa.succ_indices
+        indptr, indices = self.succ_csr()
         for frontier in self._peel_rounds():
             du = dist[frontier] + w[frontier]
             dist[frontier] = du

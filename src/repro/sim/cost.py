@@ -311,9 +311,9 @@ class CostModel:
         ``charge`` re-validates the epoch per call and falls back to
         the live pricing path on any mismatch.
 
-        ``dag.tasks`` is read only when plans must be compiled: a
-        loaded prep artifact carries its plans and never rebuilds its
-        task list here.
+        Plans compile from the frozen view alone, so neither a built
+        DAG nor a loaded prep artifact ever rebuilds its task list
+        here.
         """
         # Handle-key interning: the DAG numbers its operand handles
         # once; prepared touches/gathers below carry those int keys, so
@@ -324,20 +324,20 @@ class CostModel:
         store = dag._cost_prep
         prep = store.get(key)
         if prep is None or len(prep) != len(dag):
-            prep = self._compile_plans(dag.tasks, soa)
+            prep = self._compile_plans(soa)
             store[key] = prep
         self._prep = prep
         self._arm_fast_path(dag)
 
-    def _compile_plans(self, tasks, soa):
+    def _compile_plans(self, soa):
         """Flatten every task into its access plan, from the frozen columns.
 
         The plans equal what :meth:`_task_info` compiles from each
         task's handle objects, with zero-byte touches dropped —
         tuple-exact, pinned by the equivalence fixture and by
-        ``tests/test_property_dag.py``.  Everything but the compute
-        term is computed over the DAG's flat tables
-        (:class:`repro.graph.dag.GraphArrays`) in bulk: the sparse
+        ``tests/test_property_dag.py``.  Everything is computed over
+        the DAG's flat tables (:class:`repro.graph.dag.GraphArrays`) in
+        bulk: the compute term from the frozen flop counts, the sparse
         effective-byte overrides (:func:`_effective_touch_bytes`) and
         gather bundles (:meth:`_gather_bundles`) in NumPy, with the
         same integer products and IEEE float operations as the
@@ -367,14 +367,14 @@ class CostModel:
         gathers = [None] * soa.n_tasks
         for tid, bundle in self._gather_bundles(soa):
             gathers[tid] = bundle
-        # Compute seconds, ``t.flops / (peak * efficiency)`` with the
-        # registry lookups resolved once per kernel.
-        specs = [kernel_spec(name) for name in soa.kernel_names]
-        flops = [spec.flops for spec in specs]
-        denom = [self._peak_core * KIND_EFFICIENCY.get(spec.kind, 0.3)
-                 for spec in specs]
-        compute = [flops[c](t.shape) / denom[c] for t, c in
-                   zip(tasks, soa.kernel_codes.tolist())]
+        # Compute seconds, ``t.flops / (peak * efficiency)``: the frozen
+        # flop counts over each kernel's denominator, one IEEE division
+        # per task as the per-task code makes.
+        denom = np.array(
+            [self._peak_core
+             * KIND_EFFICIENCY.get(kernel_spec(name).kind, 0.3)
+             for name in soa.kernel_names], dtype=np.float64)
+        compute = (soa.flops / denom[soa.kernel_codes]).tolist()
         return list(zip(compute, touches, gathers))
 
     def _gather_bundles(self, soa):

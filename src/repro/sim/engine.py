@@ -25,6 +25,7 @@ from typing import List, Optional
 
 from repro.faults.report import FaultReport
 from repro.graph.dag import TaskDAG
+from repro.kernels.registry import kernel_spec
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.machine.perf import PerfCounters
@@ -746,37 +747,41 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
                            nnz_balanced: bool = False):
     """Static chunk→core assignment of every BSP phase, memoized.
 
-    The assignment is run-invariant — a pure function of the task
-    list, the core count, and the balancing mode — so it is cached on
-    the DAG (and therefore persisted inside prep artifacts: a loaded
-    DAG never recomputes it).  Phases are contiguous runs of equal
-    ``task.seq`` in program order; library kernels balance differently
-    per kernel class — MKL splits sparse kernels by nonzeros, dense
-    ones by rows — so the chunk→core mapping shifts between phases on
-    skewed matrices (the cross-kernel locality loss inherent to the
-    fork-join model).
+    The assignment is run-invariant — a pure function of the DAG's
+    frozen view, the core count, and the balancing mode — so it is
+    cached on the DAG (and therefore persisted inside prep artifacts: a
+    loaded DAG never recomputes it).  Phases are contiguous runs of
+    equal ``task.seq`` in program order (the frozen ``phase_indptr``);
+    library kernels balance differently per kernel class — MKL splits
+    sparse kernels by nonzeros, dense ones by rows — so the chunk→core
+    mapping shifts between phases on skewed matrices (the cross-kernel
+    locality loss inherent to the fork-join model).
     """
     memo = dag._bsp_phases
     mkey = (n_cores, bool(nnz_balanced))
     cached = memo.get(mkey)
     if cached is not None:
         return cached
-    tasks = dag.tasks
-    phases: List[List[int]] = []
-    last_seq = None
-    for t in tasks:
-        if t.seq != last_seq:
-            phases.append([])
-            last_seq = t.seq
-        phases[-1].append(t.tid)
+    # Off the frozen view: phase bounds, ``params["i"]`` (-1 for none),
+    # kernel codes, and the nonzeros SpMV/SpMM tasks carry (every
+    # other task's shape has none).
+    soa = dag.freeze()
+    param_i = soa.param_i.tolist()
+    codes = soa.kernel_codes.tolist()
+    names = soa.kernel_names
+    nnz = [1] * soa.n_tasks
+    for tid, n in zip(soa.sparse_tids.tolist(), soa.sparse_nnz.tolist()):
+        nnz[tid] = n
+    inf = float("inf")
+    bounds = soa.phase_indptr.tolist()
     phase_assignments: List[List[tuple]] = []
-    for phase in phases:
+    for start, stop in zip(bounds, bounds[1:]):
         # Row-group order; reduce tasks (no row index) sort last,
         # which is also a topological order of intra-phase edges.
         order = sorted(
-            phase,
+            range(start, stop),
             key=lambda tid: (
-                tasks[tid].params.get("i", float("inf")), tid
+                param_i[tid] if param_i[tid] >= 0 else inf, tid
             ),
         )
         # The parallel loop ranges over row blocks: all tasks of a
@@ -791,18 +796,15 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
         groups: List[List[int]] = []
         last_i = object()
         for tid in order:
-            gi = tasks[tid].params.get("i", tid)
+            gi = param_i[tid] if param_i[tid] >= 0 else tid
             if gi != last_i:
                 groups.append([])
                 last_i = gi
             groups[-1].append(tid)
         ng = len(groups)
-        if tasks[order[0]].kind == "sparse" and nnz_balanced:
-            weights = [
-                sum(max(1.0, tasks[t].shape.get("nnz", 1))
-                    for t in g)
-                for g in groups
-            ]
+        if kernel_spec(names[codes[order[0]]]).kind == "sparse" \
+                and nnz_balanced:
+            weights = [sum(max(1.0, nnz[t]) for t in g) for g in groups]
             total_w = sum(weights)
             cum = 0.0
             group_core = []

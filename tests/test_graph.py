@@ -8,12 +8,14 @@ import threading
 import numpy as np
 import pytest
 
+import repro.analysis.experiment as experiment
 from repro.graph.analyze import (
     average_parallelism,
     critical_path_length,
     max_width,
     parallelism_profile,
 )
+from repro.graph.builder import BuildOptions
 from repro.graph.dag import GraphArrays, TaskDAG
 from repro.graph.task import DataHandle, Task
 
@@ -222,8 +224,7 @@ def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_dag):
                  "_sched_domains", "_bsp_phases", "n_partitions",
                  "matrix_name", "matrix_nbc"):
         assert getattr(loaded, attr) == getattr(dag, attr), attr
-    assert loaded.recipe.func is dag.recipe.func
-    assert loaded.recipe.args == dag.recipe.args
+    assert loaded.recipe == dag.recipe
     assert loaded._tasks is None
     assert [_task_fields(t) for t in loaded.tasks] == \
         [_task_fields(t) for t in dag.tasks]
@@ -287,21 +288,23 @@ def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_dag):
     assert [t.kernel for t in again.tasks] == kernels + ["ADD"]
 
 
-def test_concurrent_first_decodes_share_one_task_list(prepped_dag):
+def test_concurrent_first_decodes_share_one_task_list(prepped_dag,
+                                                     monkeypatch):
     """Service threads share loaded DAGs: racing first reads of
     ``tasks`` must all get the same list, rebuilt once."""
+    rebuild = experiment._rebuild_dag
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             loaded = _loaded(prepped_dag)
-            recipe, rebuilds = loaded.recipe, []
+            rebuilds = []
 
-            def counting():
+            def counting(recipe):
                 rebuilds.append(1)
-                return recipe()
+                return rebuild(recipe)
 
-            loaded.recipe = counting
+            monkeypatch.setattr(experiment, "_rebuild_dag", counting)
             barrier = threading.Barrier(8)
             seen = []
 
@@ -322,21 +325,20 @@ def test_concurrent_first_decodes_share_one_task_list(prepped_dag):
         sys.setswitchinterval(old)
 
 
-@pytest.mark.parametrize("field,value", [("width", 16),
-                                         ("block_size", 2**14)])
+@pytest.mark.parametrize("field,value", [
+    ("width", 16), ("block_size", 2**14),
+    ("options", BuildOptions(csr_storage=True))])
 def test_drifted_recipe_fails_closed(prepped_dag, tmp_path, field, value):
     """An artifact whose recipe builds another graph never hands out
-    the rebuilt list: the first ``tasks`` raises, naming the fix."""
-    from functools import partial
-
+    the rebuilt list: the first ``tasks`` raises, naming the fix.  CSR
+    storage changes only the gather spans, so that case needs the check
+    to cover every frozen field."""
     from repro.bench.prep import PrepStore
 
-    matrix, block_size, solver, width, options = prepped_dag.recipe.args
-    args = dict(matrix=matrix, block_size=block_size, solver=solver,
-                width=width, options=options)
-    args[field] = value
     drifted = _loaded(prepped_dag)
-    drifted.recipe = partial(prepped_dag.recipe.func, **args)
+    drifted.recipe = dict(prepped_dag.recipe)
+    drifted.recipe[field] = (dataclasses.asdict(value)
+                             if field == "options" else value)
     store = PrepStore(root=str(tmp_path), enabled=True)
     config = {"kind": "test", "field": field}
     store.put(config, {"config": config, "dag": drifted})

@@ -19,6 +19,7 @@ import pytest
 import repro.analysis.experiment as experiment
 from repro.bench.prep import PrepStore, default_prep_store
 from repro.bench.runner import DEFAULT_MATRICES, expand_grid
+from repro.graph.builder import BuildOptions, DAGBuilder
 from repro.trace import Tracer
 from tests.test_graph import _task_fields
 from tests.test_prep_store import _clear_experiment_memos
@@ -54,15 +55,28 @@ def _built_then_loaded(mp, root, cells, summary, prebuild):
     """Summaries of ``cells`` built with the store off, then loaded
     from a store that ``prebuild`` filled, plus the DAGs the loaded
     sweep got from the store and, per DAG, whether it was still
-    task-free (never rebuilt) after that sweep."""
+    task-free (never rebuilt) after that sweep, and the same flags for
+    every DAG the builder made in the store-off sweep and in the cold
+    ``prebuild`` (build, plan compile, artifact write)."""
     mp.setenv("REPRO_PREP_DIR", root)
     mp.setenv("REPRO_NO_PREP", "1")
     _clear_experiment_memos()
+    built_dags = []
+    build = DAGBuilder.build
+
+    def keep(self, calls):
+        dag = build(self, calls)
+        built_dags.append(dag)
+        return dag
+
+    mp.setattr(DAGBuilder, "build", keep)
     built = {c: summary(*c) for c in cells}
     mp.delenv("REPRO_NO_PREP")
     _clear_experiment_memos()
     store = default_prep_store()
     configs = {json.dumps(prebuild(*c), sort_keys=True) for c in cells}
+    mp.setattr(DAGBuilder, "build", build)
+    built_task_free = [d._tasks is None for d in built_dags]
     _clear_experiment_memos()
     dags = []
     get = PrepStore.get
@@ -80,7 +94,7 @@ def _built_then_loaded(mp, root, cells, summary, prebuild):
     assert store.writes == writes          # served, never rebuilt
     assert len(dags) == len(configs)
     task_free = [d._tasks is None for d in dags]
-    return built, loaded, dags, task_free
+    return built, loaded, dags, task_free, built_task_free
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +104,7 @@ def sweeps(tmp_path_factory):
     it was still task-free after the untraced sweep."""
     root = str(tmp_path_factory.mktemp("prep"))
     with pytest.MonkeyPatch.context() as mp:
-        built, loaded, dags, task_free = _built_then_loaded(
+        built, loaded, dags, task_free, _ = _built_then_loaded(
             mp, root, CELLS, _summary,
             lambda solver, version, _: experiment.prebuild_prep(
                 MACHINE, MATRIX, solver, version, block_count=BLOCKS))
@@ -102,16 +116,17 @@ def sweeps(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fig9_sweeps(tmp_path_factory):
     """The Fig. 9 grid built with the store off and loaded from a full
-    store, with the loaded DAGs' task-free flags."""
+    store, with the loaded DAGs' task-free flags and those of the DAGs
+    the store-off sweep and the cold prebuild built."""
     root = str(tmp_path_factory.mktemp("prep-fig9"))
     with pytest.MonkeyPatch.context() as mp:
-        built, loaded, _, task_free = _built_then_loaded(
+        built, loaded, _, task_free, built_task_free = _built_then_loaded(
             mp, root, FIG9_CELLS, _fig9_summary,
             lambda matrix, version, block_count: experiment.prebuild_prep(
                 MACHINE, matrix, "lanczos", version,
                 block_count=block_count))
         _clear_experiment_memos()
-    return built, loaded, task_free
+    return built, loaded, task_free, built_task_free
 
 
 def test_loaded_sweep_never_rebuilds_tasks(sweeps):
@@ -128,8 +143,11 @@ def test_rebuilt_tasks_equal_store_disabled_build(sweeps, monkeypatch):
     _clear_experiment_memos()
     try:
         for dag in dags:
-            built = experiment._prepped_dag(MACHINE, *dag.recipe.args)
-            assert built is not dag and built._tasks is not None
+            r = dag.recipe
+            built = experiment._prepped_dag(
+                MACHINE, r["matrix"], r["block_size"], r["solver"],
+                r["width"], BuildOptions(**r["options"]))
+            assert built is not dag
             assert [_task_fields(t) for t in dag.tasks] == \
                 [_task_fields(t) for t in built.tasks]
             assert dag.tasks is not built.tasks
@@ -156,12 +174,20 @@ def test_traced_run_matches_untraced(sweeps, cell):
 
 
 def test_fig9_loaded_sweep_never_rebuilds_tasks(fig9_sweeps):
-    _, _, task_free = fig9_sweeps
+    _, _, task_free, _ = fig9_sweeps
     assert task_free and all(task_free)
+
+
+def test_fig9_cold_sweep_creates_no_task_list(fig9_sweeps):
+    """The 40-cell sweep over DAGs it built (store off), and the cold
+    prep of every artifact, never ask a built DAG for its tasks."""
+    built_task_free = fig9_sweeps[3]
+    assert len(built_task_free) == 2 * 24     # each sweep builds all 24
+    assert all(built_task_free)
 
 
 @pytest.mark.parametrize("cell", FIG9_CELLS,
                          ids=lambda c: "-".join(map(str, c)))
 def test_fig9_loaded_summary_equals_store_disabled_build(fig9_sweeps, cell):
-    built, loaded, _ = fig9_sweeps
+    built, loaded, _, _ = fig9_sweeps
     assert loaded[cell] == built[cell]

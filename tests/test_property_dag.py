@@ -25,6 +25,7 @@ from repro.graph.builder import BuildOptions, DAGBuilder
 from repro.graph.dag import TaskDAG
 from repro.graph.task import DataHandle, Task
 from repro.graph.trace import TraceRecorder
+from repro.kernels.registry import KERNELS
 from repro.machine import broadwell, epyc
 from repro.matrices.coo import COOMatrix
 from repro.matrices.csb import CSBMatrix
@@ -214,7 +215,7 @@ def test_soa_adjacency_matches_lists(dag):
     n = len(dag)
     assert soa.n_tasks == n
     assert soa.n_edges == sum(len(vs) for vs in dag.succ) == dag.n_edges
-    sp, si = soa.succ_indptr, soa.succ_indices
+    sp, si = dag.succ_csr()
     for u in range(n):
         assert si[sp[u]:sp[u + 1]].tolist() == dag.succ[u]
         assert int(soa.indegree[u]) == len(dag.pred[u])
@@ -270,9 +271,14 @@ def reference_columns(dag) -> dict:
     param_i, first_write, write_counts, write_ids = [], [], [], []
     touch_counts, touch_ids, touch_nbytes = [], [], []
     touch_is_write, touch_role = [], []
+    flops, phase_starts = [], []
     sparse = []
     max_part = 0
     for tid, t in enumerate(tasks):
+        spec = KERNELS.get(t.kernel)
+        flops.append(np.nan if spec is None else spec.flops(t.shape))
+        if tid == 0 or t.seq != tasks[tid - 1].seq:
+            phase_starts.append(tid)
         code = kernel_code.setdefault(t.kernel, len(kernel_names))
         if code == len(kernel_names):
             kernel_names.append(t.kernel)
@@ -326,9 +332,6 @@ def reference_columns(dag) -> dict:
     return dict(
         n_tasks=n,
         n_edges=sum(len(vs) for vs in dag.succ),
-        succ_indptr=indptr([len(vs) for vs in dag.succ]),
-        succ_indices=np.array([v for vs in dag.succ for v in vs],
-                              dtype=i32),
         indegree=np.array([len(us) for us in dag.pred], dtype=i32),
         id_to_key=id_to_key,
         write_indptr=indptr(write_counts),
@@ -342,6 +345,8 @@ def reference_columns(dag) -> dict:
         kernel_codes=np.array(kernel_codes, dtype=i32),
         param_i=np.array(param_i, dtype=i64),
         first_write_id=np.array(first_write, dtype=i32),
+        flops=np.array(flops, dtype=np.float64),
+        phase_indptr=np.array(phase_starts + [n] if n else [0], dtype=i64),
         max_part=max_part,
         sparse_tids=col(0, i32),
         sparse_nnz=col(1, i64),
@@ -584,7 +589,7 @@ def test_soa_compiled_plans_match_reference(dag):
     """SoA plan compiler == a handle-object walk, tuple-exact."""
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
-    assert cm._compile_plans(dag.tasks, dag.freeze()) == \
+    assert cm._compile_plans(dag.freeze()) == \
         _reference_plans(cm, dag)
 
 
@@ -597,7 +602,7 @@ def test_builder_dag_plans_match_reference(builder_dag):
     for machine in (broadwell(), epyc()):
         cm = CostModel(machine, CacheHierarchy(machine),
                        MemoryModel(machine, n_parts=16))
-        plans = cm._compile_plans(dag.tasks, soa)
+        plans = cm._compile_plans(soa)
         assert plans == _reference_plans(cm, dag)
     gathers = [g for _c, _t, g in plans if g is not None]
     assert gathers

@@ -67,8 +67,39 @@ def _recipe_span(data: bytes):
     ops = pickletools.genops(data[head:])
     start = next(pos for _, arg, pos in ops if arg == "recipe")
     end = next(pos for _, arg, pos in ops if arg == "succ")
-    assert b"_rebuild_dag" in data[head + start:head + end]
+    assert b"spmm_mode" in data[head + start:head + end]
     return head + start, end - start
+
+
+def _pickled_globals(payload: bytes) -> set:
+    """Every ``module name`` global a pickle stream imports, from its
+    opcodes alone (``GLOBAL``, and ``STACK_GLOBAL`` over the two
+    strings pushed before it, memo fetches included)."""
+    found, pushed, memo = set(), [], []
+    for op, arg, _ in pickletools.genops(payload):
+        name = op.name
+        if name == "GLOBAL":
+            found.add(arg)
+        elif name == "STACK_GLOBAL":
+            found.add(f"{pushed[-2]} {pushed[-1]}")
+        elif name == "MEMOIZE":
+            memo.append(pushed[-1] if pushed else None)
+            continue
+        elif name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+            continue
+        pushed.append(arg if isinstance(arg, str) else None)
+    return found
+
+
+def test_artifact_recipe_is_plain_data(pristine):
+    """The recipe travels as plain data: loading an artifact imports no
+    ``functools.partial`` and names no rebuild function."""
+    _, _, data = pristine["prep"]
+    found = _pickled_globals(data[data.index(b"\n") + 1:])
+    assert "repro.graph.dag TaskDAG" in found       # the scan sees globals
+    assert not [g for g in found
+                if g.startswith("functools ") or "_rebuild_dag" in g]
 
 
 @pytest.fixture(scope="module")
