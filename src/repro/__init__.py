@@ -29,7 +29,6 @@ __all__ = [
     "kernels",
     "graph",
     "machine",
-    "faults",
     "sim",
     "runtime",
     "solvers",

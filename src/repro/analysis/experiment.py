@@ -281,7 +281,6 @@ def run_version(
     seed: int = 0,
     options=None,
     tracer=None,
-    faults=None,
     record_flow: bool = True,
     **runtime_overrides,
 ):
@@ -292,11 +291,8 @@ def run_version(
 
     ``tracer`` (optional :class:`repro.trace.Tracer`) attaches the
     observability layer to the execution; simulated numbers are
-    bit-identical with or without it.  ``faults`` (optional
-    :class:`repro.faults.FaultPlan`) attaches deterministic fault
-    injection; an empty plan is bit-identical to ``faults=None``.
-    ``record_flow=False`` drops the per-task flow records (the flow
-    summary is folded either way).
+    bit-identical with or without it.  ``record_flow=False`` drops the
+    per-task flow records (the flow summary is folded either way).
     """
     machine = get_machine(machine_name)
     spec = SUITE[matrix]
@@ -314,7 +310,7 @@ def run_version(
     dag = _prepped_dag(machine_name, matrix, bs, solver, width,
                        rt.options, first_touch)
     return rt.execute(dag, iterations=iterations, tracer=tracer,
-                      faults=faults, record_flow=record_flow)
+                      record_flow=record_flow)
 
 
 def run_cell(

@@ -9,7 +9,6 @@
                             --machine broadwell
     python -m repro bench   --machine broadwell --solver lanczos \\
                             --jobs 4 --profile
-    python -m repro chaos   --matrix inline1 --spec core-loss --seed 0
     python -m repro suite
 
 Everything prints the same tables the benchmarks produce; see
@@ -117,34 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache; --jobs, --timeout and --retries apply; "
                         "simulated numbers are bit-identical to "
                         "untraced runs)")
-
-    s = sub.add_parser(
-        "chaos",
-        help="simulate one cell under a deterministic fault plan and "
-             "compare against the healthy run (per-runtime recovery "
-             "behaviour, retries, stall time)",
-    )
-    s.add_argument("--matrix", default="inline1")
-    s.add_argument("--solver", choices=["lanczos", "lobpcg"],
-                   default="lanczos")
-    s.add_argument("--machine", choices=["broadwell", "epyc"],
-                   default="broadwell")
-    s.add_argument("--version", nargs="+",
-                   choices=["libcsr", "libcsb", "deepsparse", "hpx",
-                            "regent"],
-                   default=["libcsb", "deepsparse", "hpx", "regent"])
-    s.add_argument("--block-count", type=int, default=48)
-    s.add_argument("--iterations", type=int, default=8)
-    s.add_argument("--spec", default="chaos",
-                   help="named fault plan (see repro.faults.FAULT_SPECS; "
-                        "default: chaos = slow core + core loss + "
-                        "flaky tasks)")
-    s.add_argument("--seed", type=int, default=0,
-                   help="fault-plan seed: same seed, same faults, "
-                        "bit-identical results (any process, any host)")
-    s.add_argument("--json", metavar="FILE", default=None,
-                   help="also write the per-version fault reports as a "
-                        "JSON artifact")
 
     s = sub.add_parser(
         "trace",
@@ -434,67 +405,6 @@ def _cmd_trace(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_chaos(args) -> int:
-    import json
-
-    from repro.analysis.experiment import run_version
-    from repro.faults import FAULT_SPECS, FaultPlan
-
-    if args.spec not in FAULT_SPECS:
-        print(f"unknown fault spec {args.spec!r}; available: "
-              f"{', '.join(sorted(FAULT_SPECS))}", file=sys.stderr)
-        return 2
-    plan = FaultPlan.from_spec(args.spec, seed=args.seed)
-    print(f"fault plan {args.spec!r} (seed {args.seed}) on "
-          f"{args.machine}, {args.matrix}/{args.solver} at block count "
-          f"{args.block_count}, {args.iterations} iterations:")
-    print(f"{'version':12s}{'healthy ms':>11s}{'faulted ms':>11s}"
-          f"{'slowdown':>9s}{'recov µs':>9s}{'retries':>8s}"
-          f"{'abandon':>8s}{'stall ms':>9s}")
-    artifact = {
-        "spec": args.spec, "seed": args.seed, "machine": args.machine,
-        "matrix": args.matrix, "solver": args.solver,
-        "block_count": args.block_count, "iterations": args.iterations,
-        "plan": plan.to_dict(), "versions": {},
-    }
-    for version in args.version:
-        healthy = run_version(
-            args.machine, args.matrix, args.solver, version,
-            block_count=args.block_count, iterations=args.iterations,
-        )
-        faulted = run_version(
-            args.machine, args.matrix, args.solver, version,
-            block_count=args.block_count, iterations=args.iterations,
-            faults=plan,
-        )
-        fr = faulted.fault_report
-        latency = fr.recovery_latency if fr is not None else None
-        print(f"{version:12s}"
-              f"{healthy.time_per_iteration * 1e3:11.3f}"
-              f"{faulted.time_per_iteration * 1e3:11.3f}"
-              f"{faulted.total_time / healthy.total_time:9.3f}"
-              f"{'—' if latency is None else f'{latency * 1e6:.0f}':>9s}"
-              f"{fr.retries if fr else 0:8d}"
-              f"{fr.abandoned if fr else 0:8d}"
-              f"{(fr.stall_time if fr else 0.0) * 1e3:9.3f}")
-        artifact["versions"][version] = {
-            "healthy_total_time": healthy.total_time,
-            "faulted_total_time": faulted.total_time,
-            "fault_report": fr.to_dict() if fr is not None else None,
-        }
-    print()
-    print("  slowdown = faulted/healthy total time; recov µs = extra "
-          "time the first post-loss\n  iteration took vs the one "
-          "before it (per-runtime recovery policy); stall ms =\n  "
-          "barrier time spent re-running a dead lane's share serially "
-          "(BSP only).")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(artifact, f, indent=2, sort_keys=True)
-        print(f"report: {args.json}")
-    return 0
-
-
 def _run_traced_cells(cells, runner, out_dir: str, profile: bool) -> list:
     """Traced grid: one Chrome trace + metrics CSV per expanded cell.
 
@@ -713,7 +623,6 @@ def main(argv=None) -> int:
         "compare": _cmd_compare,
         "tune": _cmd_tune,
         "bench": _cmd_bench,
-        "chaos": _cmd_chaos,
         "trace": _cmd_trace,
         "prep": _cmd_prep,
         "serve": _cmd_serve,

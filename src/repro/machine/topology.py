@@ -108,43 +108,6 @@ class MachineSpec:
         """All cores in id order."""
         return [self.core(i) for i in range(self.n_cores)]
 
-    def select_cores(self, selector, seed: int = 0, salt: str = "") -> tuple:
-        """Resolve a fault-plan core selector to concrete core ids.
-
-        ``selector`` may be an int core id, ``"first"``/``"last"``,
-        ``"random"`` (a deterministic draw from ``(seed, salt)`` — no
-        RNG state, so independent of call order and process),
-        ``"domain:<d>"`` (all cores of NUMA domain ``d``), or
-        ``"socket:<s>"`` (all cores of socket ``s``).
-        """
-        if isinstance(selector, int):
-            if not 0 <= selector < self.n_cores:
-                raise IndexError(f"core {selector} out of range on {self.name}")
-            return (selector,)
-        if selector == "first":
-            return (0,)
-        if selector == "last":
-            return (self.n_cores - 1,)
-        if selector == "random":
-            import hashlib
-
-            key = f"{seed}:core:{salt}".encode("utf-8")
-            digest = hashlib.blake2b(key, digest_size=8).digest()
-            return (int.from_bytes(digest, "big") % self.n_cores,)
-        if isinstance(selector, str) and selector.startswith("domain:"):
-            d = int(selector.split(":", 1)[1])
-            if not 0 <= d < self.n_numa_domains:
-                raise IndexError(f"domain {d} out of range on {self.name}")
-            per = self.cores_per_domain
-            return tuple(range(d * per, (d + 1) * per))
-        if isinstance(selector, str) and selector.startswith("socket:"):
-            s = int(selector.split(":", 1)[1])
-            if not 0 <= s < self.n_sockets:
-                raise IndexError(f"socket {s} out of range on {self.name}")
-            per = self.cores_per_socket
-            return tuple(range(s * per, (s + 1) * per))
-        raise ValueError(f"unknown core selector {selector!r}")
-
     @property
     def peak_flops(self) -> float:
         """Node peak DP FLOP/s."""

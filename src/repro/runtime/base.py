@@ -76,27 +76,24 @@ class Runtime:
         )
 
     def execute(self, dag: TaskDAG, iterations: int = 1,
-                tracer=None, faults=None,
+                tracer=None,
                 record_flow: bool = True) -> RunResult:
         """Run the DAG for ``iterations`` barriered repetitions.
 
         ``tracer`` (optional :class:`repro.trace.Tracer`) attaches the
         observability layer; results are bit-identical either way.
-        ``faults`` (optional :class:`repro.faults.FaultPlan`) attaches
-        deterministic fault injection; an empty plan is bit-identical
-        to ``faults=None``.  ``record_flow=False`` drops the per-task
-        flow records; the flow summary is the same either way.
+        ``record_flow=False`` drops the per-task flow records; the flow
+        summary is the same either way.
         """
         raise NotImplementedError
 
     def run(
         self, matrix, calls, chunked, small, iterations: int = 1,
-        matrix_name: str = "A", tracer=None, faults=None,
+        matrix_name: str = "A", tracer=None,
     ) -> RunResult:
         """Build + execute in one step (the common benchmark path)."""
         dag = self.build_dag(matrix, calls, chunked, small, matrix_name)
-        return self.execute(dag, iterations=iterations, tracer=tracer,
-                            faults=faults)
+        return self.execute(dag, iterations=iterations, tracer=tracer)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.machine.name})"

@@ -60,7 +60,7 @@ class BSPRuntime(Runtime):
         self.name = flavor
 
     def execute(self, dag, iterations: int = 1, tracer=None,
-                faults=None, record_flow: bool = True) -> RunResult:
+                record_flow: bool = True) -> RunResult:
         return run_bsp(
             self.machine,
             dag,
@@ -69,5 +69,4 @@ class BSPRuntime(Runtime):
             flavor=self.flavor,
             record_flow=record_flow,
             tracer=tracer,
-            faults=faults,
         )

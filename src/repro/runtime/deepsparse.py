@@ -44,10 +44,10 @@ class DeepSparseRuntime(Runtime):
         )
 
     def execute(self, dag, iterations: int = 1, tracer=None,
-                faults=None, record_flow: bool = True) -> RunResult:
+                record_flow: bool = True) -> RunResult:
         engine = SimulationEngine(
             self.machine, first_touch=self.first_touch, seed=self.seed
         )
         return engine.run(dag, self.make_scheduler(),
                           iterations=iterations, tracer=tracer,
-                          faults=faults, record_flow=record_flow)
+                          record_flow=record_flow)

@@ -22,7 +22,7 @@ Layers (dependency order):
 * :mod:`repro.serve.load` — loopback load harness (tests, CI smoke).
 
 One daemon is the whole service: scale it with ``--jobs N`` (DESIGN.md
-§10 records why there is no sharded cluster in front of it).
+§9 records why there is no sharded cluster in front of it).
 
 Responses are bit-identical to direct
 :func:`repro.analysis.experiment.run_version` calls; the equivalence

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from operator import eq, gt
 from typing import List, Optional
 
-from repro.faults.report import FaultReport
 from repro.graph.dag import TaskDAG
 from repro.kernels.registry import kernel_spec
 from repro.machine.cache import CacheHierarchy
@@ -83,9 +82,6 @@ class RunResult:
     #: when every iteration was simulated (fast path disabled, never
     #: detected, or the run is too short to arm it).
     steady_state_at: Optional[int] = None
-    #: :class:`repro.faults.FaultReport` when the run executed under a
-    #: non-empty fault plan; ``None`` on healthy runs.
-    fault_report: Optional[FaultReport] = None
 
     @property
     def time_per_iteration(self) -> float:
@@ -108,7 +104,6 @@ class RunResult:
             n_cores=self.n_cores,
             n_tasks_per_iteration=self.n_tasks_per_iteration,
             steady_state_at=self.steady_state_at,
-            fault_report=self.fault_report,
         )
 
 
@@ -135,9 +130,6 @@ class RunResultSummary:
     #: default so summaries serialized before the fast path existed
     #: (older on-disk result caches) still deserialize.
     steady_state_at: Optional[int] = None
-    #: See :attr:`RunResult.fault_report`; ``None``-default for the
-    #: same backward-compatibility reason.
-    fault_report: Optional[FaultReport] = None
 
     @property
     def time_per_iteration(self) -> float:
@@ -161,15 +153,14 @@ class RunResultSummary:
             "n_cores": self.n_cores,
             "n_tasks_per_iteration": self.n_tasks_per_iteration,
             "steady_state_at": self.steady_state_at,
-            "fault_report": None
-            if self.fault_report is None
-            else self.fault_report.to_dict(),
+            # Constant: the summary digests hash the whole dict; the key
+            # goes at the COST_MODEL_VERSION 2 bump (ROADMAP item 4).
+            "fault_report": None,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResultSummary":
         ss = d.get("steady_state_at")
-        fr = d.get("fault_report")
         return cls(
             machine=str(d["machine"]),
             policy=str(d["policy"]),
@@ -180,7 +171,6 @@ class RunResultSummary:
             n_cores=int(d["n_cores"]),
             n_tasks_per_iteration=int(d["n_tasks_per_iteration"]),
             steady_state_at=None if ss is None else int(ss),
-            fault_report=None if fr is None else FaultReport.from_dict(fr),
         )
 
 
@@ -224,19 +214,8 @@ class SimulationEngine:
         record_flow: bool = True,
         steady_state: Optional[bool] = None,
         tracer=None,
-        faults=None,
     ) -> RunResult:
         """Execute ``iterations`` barriered repetitions of the DAG.
-
-        ``faults`` (a :class:`repro.faults.FaultPlan`, default off)
-        attaches deterministic fault injection: per-core frequency
-        derates, core losses at iteration barriers (recovered per the
-        scheduler's policy), and transient task faults re-executed with
-        backoff charged to the simulated clock.  An empty plan resolves
-        to no :class:`~repro.faults.FaultState` and the run is
-        bit-identical to ``faults=None``; an active plan disarms the
-        steady-state fast path (a degraded machine has no certified
-        fixed point) and surfaces ``RunResult.fault_report``.
 
         ``tracer`` (a :class:`repro.trace.Tracer`, default off) attaches
         the observability layer: per-task events on worker lanes,
@@ -288,10 +267,9 @@ class SimulationEngine:
             scheduler.tracer = tracer
             self.cache.trace_hook = tracer._on_cache_access
         ttask = tracer.task if tracer is not None else None
-        fs = faults.state(self.machine) if faults is not None else None
         # Detection needs two comparable warm iterations after the cold
         # one, so runs shorter than 4 iterations take the plain loop.
-        armed = bool(steady_state) and iterations >= 4 and fs is None
+        armed = bool(steady_state) and iterations >= 4
         clock = 0.0
         iteration_times: List[float] = []
         steady_state_at = None
@@ -301,18 +279,8 @@ class SimulationEngine:
         while it < iterations:
             t0 = clock
             scheduler.reset_iteration(it, t0)
-            if fs is not None:
-                newly_dead, newly_slow = fs.begin_iteration(it)
-                for c in newly_dead:
-                    scheduler.on_core_loss(c, t0)
-                    if tracer is not None:
-                        tracer.fault(t0, c, "core-loss")
-                if tracer is not None:
-                    for c in newly_slow:
-                        tracer.fault(t0, c, "slow-onset",
-                                     detail=fs.factor(c))
             end, tape = self._run_iteration(
-                dag, scheduler, counters, flow, it, t0, ttask, fs, armed
+                dag, scheduler, counters, flow, it, t0, ttask, armed
             )
             clock = end + barrier_cost
             iteration_times.append(clock - t0)
@@ -350,15 +318,6 @@ class SimulationEngine:
         if tracer is not None:
             scheduler.tracer = None
             self.cache.trace_hook = None
-        fault_report = None
-        if fs is not None:
-            fault_report = fs.finalize(scheduler.name,
-                                       tuple(iteration_times))
-            if tracer is not None:
-                for core, at, latency in fault_report.core_losses:
-                    if latency is not None:
-                        tracer.recovery(sum(iteration_times[: at + 1]),
-                                        core, latency)
         return RunResult(
             machine=self.machine.name,
             policy=scheduler.name,
@@ -369,18 +328,12 @@ class SimulationEngine:
             n_cores=self.machine.n_cores,
             n_tasks_per_iteration=len(dag),
             steady_state_at=steady_state_at,
-            fault_report=fault_report,
         )
 
     # ------------------------------------------------------------------
     def _run_iteration(self, dag, scheduler, counters, flow, it, t0,
-                       ttask, fs, taped):
+                       ttask, taped):
         """Simulate one iteration; return ``(end_time, (ops, end_node))``.
-
-        ``fs`` (an active :class:`~repro.faults.FaultState`, or
-        ``None``) adds the fault semantics: dead cores never enter the
-        idle mask, derates stretch each charge, and a completion may be
-        poisoned and re-executed instead of releasing its successors.
 
         ``taped`` additionally records a *value tape* of the iteration
         for :meth:`_replay_iterations`.  Every timestamp the loop
@@ -398,11 +351,9 @@ class SimulationEngine:
 
         Heap entries carry the node id as a trailing element; tuple
         ordering is untouched because ``(time, tid)`` / ``(time,
-        core)`` are already unique within their heaps.  Fault retries
-        push arbitrary node ids: an active plan disarms taping.
-        ``ops`` is ``None`` when not taped.  Taping and the ``fs is
-        None`` checks only add bookkeeping; they never change an
-        arithmetic operation.
+        core)`` are already unique within their heaps.  ``ops`` is
+        ``None`` when not taped.  Taping only adds bookkeeping; it never
+        changes an arithmetic operation.
         """
         n = len(dag)
         ops = [] if taped else None
@@ -428,21 +379,8 @@ class SimulationEngine:
         # Idle cores as an int bitmask (bit c = core c) whose set bits
         # are visited in ascending core order — the assignment order of
         # the historical ``sorted(idle)`` — so a scheduling round costs
-        # one step per idle core, not one per core.  Dead lanes start
-        # (and stay) busy: they are simply never offered work, which is
-        # the engine half of every policy's recovery story.
-        if fs is None:
-            idle = (1 << n_cores) - 1
-            derates = None
-            rate = 0.0
-        else:
-            idle = sum(1 << c for c in range(n_cores) if not fs.dead(c))
-            derates = fs.derates
-            derate = fs.derate
-            rate = fs.rate
-            budget = fs.budget
-            attempts: dict = {}  # tid -> failed attempts this iteration
-            tracer = scheduler.tracer
+        # one step per idle core, not one per core.
+        idle = (1 << n_cores) - 1
         completed = 0
         time = t0
         time_node = 0
@@ -491,10 +429,6 @@ class SimulationEngine:
                         continue
                     overhead = task_overhead
                     dur, compute, memory_t, (m1, m2, m3) = charge(tid, core)
-                    if derates is not None and derates[core] != 1.0:
-                        dur, compute, overhead = derate(
-                            core, dur, compute, overhead
-                        )
                     dur += overhead
                     if tape_op is not None:
                         tape_op((2, time_node, dur, tid, core, overhead,
@@ -536,61 +470,7 @@ class SimulationEngine:
             time = head[0]
             time_node = head[3]
             while finish_heap and finish_heap[0][0] <= time + _EPS:
-                ftime, core, tid, _node = heappop(finish_heap)
-                if rate > 0.0:
-                    a = attempts.get(tid, 0)
-                    if fs.task_fails(it, tid, a):
-                        if a < budget:
-                            # Poisoned result: re-execute on the same
-                            # core after exponential backoff; the core
-                            # stays busy and the successors stay
-                            # unreleased until a clean attempt lands.
-                            attempts[tid] = a + 1
-                            backoff = fs.backoff_seconds(a)
-                            overhead = task_overhead
-                            dur, compute, memory_t, (m1, m2, m3) = charge(
-                                tid, core
-                            )
-                            if (derates is not None
-                                    and derates[core] != 1.0):
-                                dur, compute, overhead = derate(
-                                    core, dur, compute, overhead
-                                )
-                            dur += overhead
-                            start2 = ftime + backoff
-                            heappush(finish_heap,
-                                     (start2 + dur, core, tid, nv))
-                            kernel = kernels[tid]
-                            n_exec += 1
-                            busy_t += dur
-                            ovh_t += overhead
-                            comp_t += compute
-                            mem_t += memory_t
-                            l1m += m1
-                            l2m += m2
-                            l3m += m3
-                            ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                            ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                            fs.retries += 1
-                            fs.re_executed_time += dur
-                            fs.backoff_time += backoff
-                            record_flow(tid, kernel, core, start2,
-                                        start2 + dur, it)
-                            if ttask is not None:
-                                ttask(tid, kernel, core, start2,
-                                      start2 + dur, it, overhead,
-                                      compute, memory_t, m1, m2, m3)
-                            if tracer is not None:
-                                tracer.fault(ftime, core, "task-retry",
-                                             tid, float(a + 1))
-                            continue
-                        # Budget exhausted: abandon (solver falls back
-                        # to the stale iterate for this block) so the
-                        # DAG still completes.
-                        fs.abandoned += 1
-                        if tracer is not None:
-                            tracer.fault(ftime, core, "task-abandoned",
-                                         tid, float(a))
+                _, core, tid, _node = heappop(finish_heap)
                 idle |= 1 << core
                 completed += 1
                 for v in succ[tid]:
@@ -824,30 +704,6 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
     return phase_assignments
 
 
-def _defer_dead_lanes(assignment, dead, pred, rcore):
-    """Split one BSP phase around its dead lanes: ``(live, deferred)``.
-
-    BSP has no runtime to recover a dead lane, so its statically
-    assigned share never reaches the barrier on time.  That share, plus
-    any live-lane task transitively depending on it (the cascade: a
-    producer stuck behind the dead lane stalls its consumers), is
-    deferred to a serial re-run on the recovery core ``rcore`` — the
-    paper's worst-case no-recovery model.  Both lists keep program
-    order.
-    """
-    live: List[tuple] = []
-    deferred: List[tuple] = []
-    stalled: set = set()
-    for tid, core in assignment:
-        if core in dead or (stalled
-                            and any(p in stalled for p in pred[tid])):
-            deferred.append((tid, rcore))
-            stalled.add(tid)
-        else:
-            live.append((tid, core))
-    return live, deferred
-
-
 def run_bsp(
     machine: MachineSpec,
     dag: TaskDAG,
@@ -860,7 +716,6 @@ def run_bsp(
     nnz_balanced: bool = False,
     steady_state: Optional[bool] = None,
     tracer=None,
-    faults=None,
 ) -> RunResult:
     """Phase-parallel (fork-join) execution of the same DAG.
 
@@ -881,15 +736,6 @@ def run_bsp(
 
     ``record_flow`` keeps the per-task flow records, as in
     :meth:`SimulationEngine.run`; the flow summary is folded either way.
-
-    ``faults`` attaches a :class:`repro.faults.FaultPlan`.  BSP has no
-    runtime to recover a lost lane: the dead lane's share (and any live
-    task transitively depending on it) misses the barrier and is re-run
-    serially on the lowest surviving core while everyone stalls — the
-    no-recovery worst case the AMT policies are compared against.  An
-    empty plan is bit-identical to ``faults=None``; an active one
-    disarms the steady-state fast path and fills
-    ``RunResult.fault_report``.
     """
     if barrier_cost is None:
         barrier_cost = _default_barrier_cost(machine.n_cores)
@@ -924,15 +770,7 @@ def run_bsp(
     ktasks_get = ktasks.get
     if steady_state is None:
         steady_state = _steady_state_enabled()
-    fs = faults.state(machine) if faults is not None else None
-    armed = bool(steady_state) and iterations >= 4 and fs is None
-    derates = dead = None
-    rate = 0.0
-    if fs is not None:
-        derate = fs.derate
-        rate = fs.rate
-        budget = fs.budget
-        rcore = fs.recovery_core
+    armed = bool(steady_state) and iterations >= 4
     steady_state_at = None
     prev_fp = None
     prev_charges = None
@@ -942,15 +780,6 @@ def run_bsp(
     it = 0
     while it < iterations:
         t0 = clock
-        if fs is not None:
-            newly_dead, newly_slow = fs.begin_iteration(it)
-            if tracer is not None:
-                for c in newly_dead:
-                    tracer.fault(t0, c, "core-loss")
-                for c in newly_slow:
-                    tracer.fault(t0, c, "slow-onset", detail=fs.factor(c))
-            derates = fs.derates
-            dead = fs.dead_cores
         charges = [] if armed else None
         tape_charge = charges.append if armed else None
         synthesized = replay is not None
@@ -958,85 +787,42 @@ def run_bsp(
         for assignment in phase_assignments:
             core_clock = [clock] * n_cores
             phase_end: dict = {}
-            deferred = ()
-            if dead:
-                assignment, deferred = _defer_dead_lanes(
-                    assignment, dead, pred, rcore
-                )
-            for work in (assignment, deferred):
-                if work is deferred and deferred:
-                    # Serial catch-up on the recovery core after
-                    # everyone else has hit the barrier.
-                    phase_close = core_clock[rcore] = max(core_clock)
-                for tid, core in work:
-                    # Intra-phase dependences (row chains stay on one
-                    # core; reduce tasks read partials from other
-                    # cores) delay the start beyond the core's own
-                    # availability.
-                    start = core_clock[core]
-                    for p in pred[tid]:
-                        e = phase_end.get(p)
-                        if e is not None and e > start:
-                            start = e
-                    attempt = 0
-                    while True:
-                        lo = loop_overhead
-                        if replay is not None:
-                            dur, compute, memory_t, m1, m2, m3 = replay[ci]
-                            ci += 1
-                        else:
-                            dur, compute, memory_t, (m1, m2, m3) = charge(
-                                tid, core
-                            )
-                            if derates is not None and derates[core] != 1.0:
-                                dur, compute, lo = derate(
-                                    core, dur, compute, lo
-                                )
-                            dur += lo
-                            if tape_charge is not None:
-                                tape_charge((dur, compute, memory_t,
-                                             m1, m2, m3))
-                        end = start + dur
-                        kernel = kernels[tid]
-                        n_exec += 1
-                        busy_t += dur
-                        ovh_t += lo
-                        comp_t += compute
-                        mem_t += memory_t
-                        l1m += m1
-                        l2m += m2
-                        l3m += m3
-                        ktime[kernel] = ktime_get(kernel, 0.0) + dur
-                        ktasks[kernel] = ktasks_get(kernel, 0) + 1
-                        frecord(tid, kernel, core, start, end, it)
-                        if ttask is not None:
-                            ttask(tid, kernel, core, start, end, it, lo,
-                                  compute, memory_t, m1, m2, m3,
-                                  synthesized)
-                        if rate > 0.0:
-                            if attempt > 0:
-                                fs.re_executed_time += dur
-                            if fs.task_fails(it, tid, attempt):
-                                if attempt < budget:
-                                    backoff = fs.backoff_seconds(attempt)
-                                    fs.retries += 1
-                                    fs.backoff_time += backoff
-                                    if tracer is not None:
-                                        tracer.fault(end, core, "task-retry",
-                                                     tid, float(attempt + 1))
-                                    start = end + backoff
-                                    attempt += 1
-                                    continue
-                                fs.abandoned += 1
-                                if tracer is not None:
-                                    tracer.fault(end, core,
-                                                 "task-abandoned", tid,
-                                                 float(attempt))
-                        break
-                    core_clock[core] = end
-                    phase_end[tid] = end
-            if deferred:
-                fs.stall_time += core_clock[rcore] - phase_close
+            for tid, core in assignment:
+                # Intra-phase dependences (row chains stay on one core;
+                # reduce tasks read partials from other cores) delay the
+                # start beyond the core's own availability.
+                start = core_clock[core]
+                for p in pred[tid]:
+                    e = phase_end.get(p)
+                    if e is not None and e > start:
+                        start = e
+                lo = loop_overhead
+                if replay is not None:
+                    dur, compute, memory_t, m1, m2, m3 = replay[ci]
+                    ci += 1
+                else:
+                    dur, compute, memory_t, (m1, m2, m3) = charge(tid, core)
+                    dur += lo
+                    if tape_charge is not None:
+                        tape_charge((dur, compute, memory_t, m1, m2, m3))
+                end = start + dur
+                kernel = kernels[tid]
+                n_exec += 1
+                busy_t += dur
+                ovh_t += lo
+                comp_t += compute
+                mem_t += memory_t
+                l1m += m1
+                l2m += m2
+                l3m += m3
+                ktime[kernel] = ktime_get(kernel, 0.0) + dur
+                ktasks[kernel] = ktasks_get(kernel, 0) + 1
+                frecord(tid, kernel, core, start, end, it)
+                if ttask is not None:
+                    ttask(tid, kernel, core, start, end, it, lo, compute,
+                          memory_t, m1, m2, m3, synthesized)
+                core_clock[core] = end
+                phase_end[tid] = end
             clock = max(core_clock) + barrier_cost
         iteration_times.append(clock - t0)
         if tracer is not None:
@@ -1071,14 +857,6 @@ def run_bsp(
     counters.l3_misses = l3m
     if tracer is not None:
         cache.trace_hook = None
-    fault_report = None
-    if fs is not None:
-        fault_report = fs.finalize(flavor, tuple(iteration_times))
-        if tracer is not None:
-            for core, at, latency in fault_report.core_losses:
-                if latency is not None:
-                    tracer.recovery(sum(iteration_times[: at + 1]),
-                                    core, latency)
     return RunResult(
         machine=machine.name,
         policy=flavor,
@@ -1089,5 +867,4 @@ def run_bsp(
         n_cores=n_cores,
         n_tasks_per_iteration=len(dag),
         steady_state_at=steady_state_at,
-        fault_report=fault_report,
     )

@@ -27,7 +27,7 @@ The engine is policy-agnostic; each scheduler implements the documented
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -173,22 +173,9 @@ class Scheduler:
         self.memory = memory
         self.rng = np.random.default_rng(seed)
         self._queue = deque()
-        self._dead_cores = set()
 
     def reset_iteration(self, iteration: int, iter_start: float) -> None:
         """Called at each iteration boundary (barrier)."""
-
-    def on_core_loss(self, core: int, time: float) -> None:
-        """A lane died (fault injection): stop handing it work.
-
-        The base bookkeeping just records the loss — the engine never
-        polls a dead core again.  Policies with per-core structures
-        override this to enact their documented recovery
-        (:data:`repro.faults.report.RECOVERY_POLICIES`); DeepSparse
-        deliberately does not: a dead lane's deque is drained by its
-        peers' ordinary work stealing, which *is* its recovery policy.
-        """
-        self._dead_cores.add(core)
 
     def state_fingerprint(self):
         """Hashable snapshot of every piece of policy state that can
@@ -402,10 +389,6 @@ class HPXScheduler(Scheduler):
         n_dom = machine.n_numa_domains if self.numa_aware else 1
         self._queues: List[List[int]] = [[] for _ in range(n_dom)]
         self._n_ready = 0
-        #: NUMA-hint fallback (fault injection): when every core of a
-        #: domain is dead its queue index maps to the nearest live
-        #: domain.  Empty on healthy runs — on_ready stays untouched.
-        self._dom_remap: Dict[int, int] = {}
         # Precomputed per-task hint domains (first write's home) for
         # on_ready; epoch-guarded like the cost model's home arrays.
         self._task_dom = None
@@ -417,46 +400,6 @@ class HPXScheduler(Scheduler):
                     d % n_dom if d >= 0 else 0 for d in tables[0]
                 ]
                 self._dom_epoch = memory.state_epoch
-
-    def on_core_loss(self, core: int, time: float) -> None:
-        # HPX recovery: the ready queue is redistributed.  Individual
-        # lane loss needs no queue action (domain peers keep draining
-        # the shared per-domain queue); only when the *whole* domain is
-        # gone is its queue drained to the nearest live domain and the
-        # NUMA hint remapped for future on_ready placements.
-        super().on_core_loss(core, time)
-        if not self.numa_aware:
-            return
-        n_q = len(self._queues)
-        dead_dom = self.machine.domain_of_core(core) % n_q
-        per = self.machine.cores_per_domain
-        dom_cores = range(dead_dom * per, (dead_dom + 1) * per)
-        if any(c not in self._dead_cores for c in dom_cores):
-            return
-        live = [
-            d
-            for d in range(n_q)
-            if d != dead_dom
-            and self._dom_remap.get(d, d) == d
-            and any(
-                c not in self._dead_cores
-                for c in range(d * per, (d + 1) * per)
-            )
-        ]
-        if not live:
-            return
-        target = min(live, key=lambda d: (abs(d - dead_dom), d))
-        if self._queues[dead_dom]:
-            self._queues[target].extend(self._queues[dead_dom])
-            self._queues[dead_dom].clear()
-            tr = self.tracer
-            if tr is not None:
-                tr.queue_depth(time, self._n_ready)
-        self._dom_remap[dead_dom] = target
-        # Re-point any earlier remap that targeted the now-dead domain.
-        for d, t in list(self._dom_remap.items()):
-            if t == dead_dom:
-                self._dom_remap[d] = target
 
     def release_time(self, tid: int, iter_start: float) -> float:
         # The main thread builds the dataflow tree serially each iteration.
@@ -477,8 +420,6 @@ class HPXScheduler(Scheduler):
             dom = table[tid]
         else:
             dom = self._domain_of_task(tid)
-        if self._dom_remap:
-            dom = self._dom_remap.get(dom, dom)
         self._queues[dom].append(tid)
         self._n_ready += 1
         tr = self.tracer
@@ -596,49 +537,23 @@ class RegentScheduler(Scheduler):
         # Legion's default mapper places point tasks statically by
         # partition index (no work stealing); per-worker queues model
         # that, with a light overflow raid so starvation shows up as
-        # idle time rather than artificial deadlock.
-        self._np = max(1, getattr(dag, "n_partitions", 1))
-        # Static point-task homes, vectorized from the frozen param-i
-        # table (exact integer arithmetic — same min/floor-div per
-        # task as _home_worker).
-        if soa is not None:
-            pi = soa.param_i
-            nw = self.n_workers
-            self._home = np.where(
-                pi < 0,
-                np.arange(soa.n_tasks, dtype=np.int64) % nw,
-                np.minimum(nw - 1, pi * nw // self._np),
-            ).tolist()
-        else:
-            self._home = None
+        # idle time rather than artificial deadlock.  Homes come from
+        # the frozen param-i table: tasks without a row index go
+        # round-robin, the rest to the worker owning their partition.
+        n_parts = max(1, getattr(dag, "n_partitions", 1))
+        pi = soa.param_i
+        nw = self.n_workers
+        self._home = np.where(
+            pi < 0,
+            np.arange(soa.n_tasks, dtype=np.int64) % nw,
+            np.minimum(nw - 1, pi * nw // n_parts),
+        ).tolist()
         self._worker_q: List[deque] = [deque()
                                        for _ in range(self.n_workers)]
         self._n_ready = 0
-        #: Utility-core promotion (fault injection): maps a promoted
-        #: util core to the worker-queue slot of the dead lane it
-        #: replaces.  Empty on healthy runs — allowed/pick untouched.
-        self._slot_of: Dict[int, int] = {}
 
     def reset_iteration(self, iteration: int, iter_start: float) -> None:
         self._iteration = iteration
-
-    def on_core_loss(self, core: int, time: float) -> None:
-        # Regent recovery: promote a reserved utility core into the
-        # worker pool to serve the dead lane's queue slot, keeping at
-        # least one util core for the runtime itself (the mapper and
-        # dependence-analysis pipeline still need a home).
-        super().on_core_loss(core, time)
-        slot = self._slot_of.pop(core, core if core < self.n_workers else None)
-        if slot is None:
-            return
-        spare = [
-            c
-            for c in range(self.machine.n_cores - 1, self.n_workers - 1, -1)
-            if c not in self._slot_of and c not in self._dead_cores
-        ]
-        if len(spare) < 2:  # the last util core is never promoted
-            return
-        self._slot_of[spare[0]] = slot
 
     def state_fingerprint(self):
         # ``_iteration`` only influences behaviour through the
@@ -656,21 +571,11 @@ class RegentScheduler(Scheduler):
         return iter_start + float(self._visible[tid])
 
     def allowed(self, core: int) -> bool:
-        # The last n_util cores belong to the runtime (unless promoted
-        # into the worker pool after a lane loss).
-        return core < self.n_workers or core in self._slot_of
-
-    def _home_worker(self, tid: int) -> int:
-        i = self.dag.tasks[tid].params.get("i")
-        if i is None:
-            return tid % self.n_workers
-        return min(self.n_workers - 1, int(i) * self.n_workers // self._np)
+        # The last n_util cores belong to the runtime.
+        return core < self.n_workers
 
     def on_ready(self, tid, time, enabler_core=None):
-        home = self._home
-        self._worker_q[
-            home[tid] if home is not None else self._home_worker(tid)
-        ].append(tid)
+        self._worker_q[self._home[tid]].append(tid)
         self._n_ready += 1
         tr = self.tracer
         if tr is not None:
@@ -682,10 +587,7 @@ class RegentScheduler(Scheduler):
             if tr is not None:
                 tr.poll(time, core)
             return None
-        slot = core
-        if self._slot_of:
-            slot = self._slot_of.get(core, core)
-        q = self._worker_q[slot]
+        q = self._worker_q[core]
         raided = False
         if not q:
             q = max(self._worker_q, key=len)

@@ -155,20 +155,6 @@ def to_chrome_trace(tracer=None, events: Optional[Iterable] = None,
                 "args": {"bursts": ev.bursts, "longest": ev.longest,
                          "missed_lines": ev.misses},
             })
-        elif kind == "fault":
-            _lane(ev.core)
-            out.append({
-                "ph": "i", "pid": 0, "tid": ev.core, "name": ev.fault,
-                "cat": "fault", "s": "t", "ts": ev.time * _US,
-                "args": {"tid": ev.tid, "detail": ev.detail},
-            })
-        elif kind == "recovery":
-            _lane(ev.core)
-            out.append({
-                "ph": "i", "pid": 0, "tid": ev.core, "name": "recovery",
-                "cat": "fault", "s": "t", "ts": ev.time * _US,
-                "args": {"latency_us": ev.latency * _US},
-            })
         elif kind == "numa":
             out.append({
                 "ph": "C", "pid": 0, "tid": 0, "name": "numa homes",

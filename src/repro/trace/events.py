@@ -26,8 +26,6 @@ __all__ = [
     "CacheSampleEvent",
     "MissBurstEvent",
     "NumaSampleEvent",
-    "FaultEvent",
-    "RecoveryEvent",
     "EVENT_KINDS",
     "event_to_dict",
     "event_from_dict",
@@ -158,34 +156,6 @@ class NumaSampleEvent(NamedTuple):
     histogram: Tuple[int, ...]
 
 
-class FaultEvent(NamedTuple):
-    """A fault-injection action (``repro.faults``) took effect.
-
-    ``fault`` names the action: ``"core-loss"``, ``"slow-onset"``,
-    ``"task-retry"``, ``"task-abandoned"``.  ``tid`` is the affected
-    task for task faults (-1 otherwise); ``detail`` carries the
-    fault-specific magnitude (derate factor, retry attempt number).
-    """
-
-    kind = "fault"
-
-    time: float
-    core: int
-    fault: str
-    tid: int = -1
-    detail: float = 0.0
-
-
-class RecoveryEvent(NamedTuple):
-    """Measured recovery latency after a core loss (one per loss)."""
-
-    kind = "recovery"
-
-    time: float
-    core: int
-    latency: float
-
-
 EVENT_KINDS = {
     cls.kind: cls
     for cls in (
@@ -197,8 +167,6 @@ EVENT_KINDS = {
         CacheSampleEvent,
         MissBurstEvent,
         NumaSampleEvent,
-        FaultEvent,
-        RecoveryEvent,
     )
 }
 

@@ -26,12 +26,10 @@ from typing import Optional
 from repro.trace.events import (
     BarrierEvent,
     CacheSampleEvent,
-    FaultEvent,
     MissBurstEvent,
     NumaSampleEvent,
     PollEvent,
     QueueDepthEvent,
-    RecoveryEvent,
     StealEvent,
     TaskEvent,
 )
@@ -113,13 +111,6 @@ class Tracer:
 
     def poll(self, time, core) -> None:
         self._emit(PollEvent(time, core))
-
-    # -- fault-injection emitters (repro.faults) -----------------------
-    def fault(self, time, core, fault, tid=-1, detail=0.0) -> None:
-        self._emit(FaultEvent(time, core, fault, tid, detail))
-
-    def recovery(self, time, core, latency) -> None:
-        self._emit(RecoveryEvent(time, core, latency))
 
     # -- machine-side sampling -----------------------------------------
     def _on_cache_access(self, lines) -> None:

@@ -135,34 +135,6 @@ def test_bench_trace_failing_cell_prints_failure_table(tmp_path, capsys,
     assert len(names) == 2 and all("libcsr" in n for n in names)
 
 
-def test_chaos_command_table_and_artifact(tmp_path, capsys):
-    import json
-
-    report = tmp_path / "chaos.json"
-    assert main(["chaos", "--matrix", "inline1", "--solver", "lanczos",
-                 "--machine", "broadwell", "--block-count", "48",
-                 "--iterations", "5", "--spec", "core-loss",
-                 "--seed", "0", "--version", "libcsb", "deepsparse",
-                 "--json", str(report)]) == 0
-    out = capsys.readouterr().out
-    assert "fault plan 'core-loss' (seed 0)" in out
-    for col in ("healthy ms", "faulted ms", "slowdown", "recov µs",
-                "retries", "stall ms"):
-        assert col in out
-    assert "slowdown = faulted/healthy" in out  # column legend
-    doc = json.loads(report.read_text())
-    assert doc["spec"] == "core-loss" and doc["seed"] == 0
-    assert set(doc["versions"]) == {"libcsb", "deepsparse"}
-    for v in doc["versions"].values():
-        assert v["faulted_total_time"] > 0
-        assert v["fault_report"]["core_losses"]
-
-
-def test_chaos_rejects_unknown_spec(capsys):
-    assert main(["chaos", "--spec", "meteor-strike"]) == 2
-    assert "unknown fault spec" in capsys.readouterr().err
-
-
 def test_tune_command(capsys):
     assert main(["tune", "--matrix", "inline1", "--runtime", "deepsparse",
                  "--machine", "broadwell", "--solver", "lanczos"]) == 0

@@ -7,7 +7,12 @@ from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import banded_fem
 from repro.runtime.base import build_solver_dag
 from repro.sim.engine import SimulationEngine, run_bsp
-from repro.sim.schedulers import DeepSparseScheduler, Scheduler
+from repro.sim.schedulers import (
+    DeepSparseScheduler,
+    HPXScheduler,
+    RegentScheduler,
+    Scheduler,
+)
 from repro.solvers import lanczos_trace, lobpcg_trace
 
 
@@ -38,16 +43,20 @@ def test_flow_respects_dependences(bw, small_problem):
 
 
 def test_no_core_overlap(bw, small_problem):
-    """A core never executes two tasks at once."""
-    eng = SimulationEngine(bw)
-    res = eng.run(small_problem, DeepSparseScheduler(), iterations=1)
-    per_core = {}
-    for r in res.flow.records:
-        per_core.setdefault(r.core, []).append((r.start, r.end))
-    for ivs in per_core.values():
-        ivs.sort()
-        for (s1, e1), (s2, _e2) in zip(ivs, ivs[1:]):
-            assert s2 >= e1 - 1e-12
+    """A core never executes two tasks at once, under every policy and
+    across iteration barriers."""
+    runs = [SimulationEngine(bw).run(small_problem, sched(), iterations=2)
+            for sched in (DeepSparseScheduler, HPXScheduler,
+                          RegentScheduler)]
+    runs.append(run_bsp(bw, small_problem, iterations=2))
+    for res in runs:
+        per_core = {}
+        for r in res.flow.records:
+            per_core.setdefault(r.core, []).append((r.start, r.end))
+        for ivs in per_core.values():
+            ivs.sort()
+            for (s1, e1), (s2, _e2) in zip(ivs, ivs[1:]):
+                assert s2 >= e1 - 1e-12, res.policy
 
 
 def test_iterations_accumulate(bw, small_problem):

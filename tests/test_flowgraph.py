@@ -4,8 +4,8 @@ The production aggregates are folded as tasks record
 (:meth:`FlowGraph.record`).  The naive reference below is the
 one-walk-per-aggregate implementation the fold replaced; the fold must
 equal it bit for bit, dict key order included, on synthetic records and
-on real simulated cells (every version, replayed iterations, fault
-retries, traced runs, records kept or not).
+on real simulated cells (every version, replayed iterations, traced
+runs, records kept or not).
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.experiment import run_version
-from repro.faults import FaultPlan
 from repro.sim.flowgraph import FlowGraph, FlowRecord, FlowSummary
 from repro.trace import InMemorySink, Tracer
 
@@ -242,17 +241,6 @@ def test_engine_cell_summary_matches_reference(monkeypatch):
         assert len(res.flow.records) == 6 * res.n_tasks_per_iteration
         assert_bit_identical(res.summary().flow,
                              reference_summary(res.flow.records))
-
-
-@pytest.mark.parametrize("version", VERSIONS)
-def test_fold_matches_reference_under_faults(version):
-    """Retried executions are recorded (and folded) like any other."""
-    plan = FaultPlan.from_spec("chaos", seed=0)
-    res = _cell(version, iterations=5, faults=plan)
-    assert res.fault_report.retries > 0
-    assert len(res.flow.records) == res.counters.tasks_executed
-    assert_bit_identical(res.summary().flow,
-                         reference_summary(res.flow.records))
 
 
 @pytest.mark.parametrize("version", VERSIONS)

@@ -725,10 +725,12 @@ def test_cli_submit_against_daemon(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["cluster", "--shards", "2"],
     ["submit", "--cluster", "--matrix", "inline1"],
+    ["chaos", "--spec", "core-loss"],
 ])
-def test_cli_cluster_verbs_are_usage_errors(argv, capsys):
-    """The sharded cluster is gone: its verb and flag are argparse
-    usage errors (exit 2), never a silent single-daemon fallback."""
+def test_retired_cli_verbs_are_usage_errors(argv, capsys):
+    """The sharded cluster and fault injection are gone: their verbs
+    and flags are argparse usage errors (exit 2), never a silent
+    fallback."""
     from repro.cli import main as cli_main
 
     with pytest.raises(SystemExit) as e:
