@@ -4,11 +4,18 @@ Every figure of the paper is a grid of simulated cells
 (machine × matrix × solver × version × block count).  This package is
 the substrate all of them run through:
 
-* :mod:`repro.bench.cache` — a content-addressed, process-safe result
-  store keyed by the full cell config plus a cost-model version salt.
+* :mod:`repro.bench.store` — :class:`~repro.bench.store.ContentStore`,
+  the one content-addressed, process-safe, fail-closed on-disk store:
+  a canonical JSON header line (format, salt, key, payload checksum,
+  length, config) then the payload; atomic writes; damaged files
+  quarantined to ``<root>/corrupt/`` and read as misses.  Both stores
+  below are this class with their own salt, suffix and codec.
+* :mod:`repro.bench.cache` — the result cache: run summaries (JSON)
+  keyed by the full cell config plus a cost-model version salt.
 * :mod:`repro.bench.prep` — the compiled-prep store: persisted census
-  + DAG + access-plan artifacts, so cold sweeps build each distinct
-  prep once and everything else (workers, later processes) loads it.
+  + DAG + access-plan artifacts (pickle), so cold sweeps build each
+  distinct prep once and everything else (workers, later processes)
+  loads it.
 * :mod:`repro.bench.runner` — :class:`ExperimentRunner`: expands grid
   specs, dedupes cells, serves hits from the cache, prebuilds prep
   artifacts, and fans misses out over a process pool with
@@ -19,7 +26,8 @@ the substrate all of them run through:
   --trace`` and ``repro serve``.  ``repro.bench`` never imports
   ``repro.serve``: it is the lower layer.
 
-Environment knobs (read at cache construction):
+Environment knobs (``default_cache()`` and ``default_prep_store()``
+re-read the store knobs on every call):
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro_cache/``).
 * ``REPRO_NO_CACHE=1`` — disable the on-disk result cache entirely.

@@ -404,7 +404,7 @@ class ExperimentRunner:
             f"{getattr(self, 'total_seconds', 0.0):.2f} s wall, "
             f"jobs={self.jobs})",
         ]
-        quarantined = getattr(self.cache, "quarantined", 0)
+        quarantined = self.cache.quarantined
         if quarantined:
             lines.append(
                 f"  warning: {quarantined} corrupt cache entr"

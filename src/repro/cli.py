@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("action", choices=["build", "list", "gc"],
                    help="build: compile + persist prep artifacts for a "
                         "grid; list: show artifacts on disk; gc: drop "
-                        "stale-salt entries, tmp files, and quarantined "
-                        "corrupt artifacts")
+                        "stale-salt files, tmp files, and quarantined "
+                        "corrupt files from both the prep store and "
+                        "the result cache")
     s.add_argument("--machine", nargs="+",
                    choices=["broadwell", "epyc"], default=["broadwell"])
     s.add_argument("--matrix", nargs="+", default=None,
@@ -493,14 +494,19 @@ def _cmd_bench(args) -> int:
 def _cmd_prep(args) -> int:
     import time
 
-    from repro.bench import DEFAULT_MATRICES, default_prep_store
+    from repro.bench import (
+        DEFAULT_MATRICES,
+        default_cache,
+        default_prep_store,
+    )
 
     store = default_prep_store()
     if args.action == "gc":
-        removed = store.gc()
-        print(f"prep gc: removed {removed['stale']} stale, "
-              f"{removed['tmp']} tmp, {removed['corrupt']} corrupt "
-              f"({store.root})")
+        for label, each in (("prep", store), ("result", default_cache())):
+            removed = each.gc()
+            print(f"{label} gc: removed {removed['stale']} stale, "
+                  f"{removed['tmp']} tmp, {removed['corrupt']} corrupt "
+                  f"({each.root})")
         return 0
     if args.action == "list":
         entries = store.entries()

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 from repro.graph.builder import BuildOptions, DAGBuilder
 from repro.graph.dag import TaskDAG
 from repro.machine.topology import MachineSpec
-from repro.sim.engine import RunResult
+from repro.sim.engine import RunResult, SimulationEngine
 
 __all__ = ["Runtime", "build_solver_dag"]
 
@@ -48,11 +48,18 @@ class Runtime:
         NUMA page-placement policy (§5.1 Fig. 5 ablation).
     seed:
         Determinism seed for stochastic scheduling decisions.
+    overrides:
+        Keyword overrides of :attr:`scheduler_cls`'s defaults (its
+        overhead constants and policy switches, for ablations).  The
+        scheduler's signature is the one place those defaults live.
     """
 
     name = "abstract"
     #: decomposition defaults; subclasses override for their ablations
     default_options = BuildOptions()
+    #: Scheduler the event engine runs this version under (``None``
+    #: for the BSP baselines, which bring their own executor).
+    scheduler_cls = None
 
     def __init__(
         self,
@@ -60,11 +67,15 @@ class Runtime:
         first_touch: bool = True,
         seed: int = 0,
         options: Optional[BuildOptions] = None,
+        **overrides,
     ):
         self.machine = machine
         self.first_touch = first_touch
         self.seed = seed
         self.options = options or self.default_options
+        self.overrides = overrides
+        if self.scheduler_cls is not None:
+            self.make_scheduler()       # an unknown override fails here
 
     # ------------------------------------------------------------------
     def build_dag(
@@ -74,6 +85,10 @@ class Runtime:
         return build_solver_dag(
             matrix, calls, chunked, small, matrix_name, self.options
         )
+
+    def make_scheduler(self):
+        """A fresh scheduler (schedulers keep per-run state)."""
+        return self.scheduler_cls(**self.overrides)
 
     def execute(self, dag: TaskDAG, iterations: int = 1,
                 tracer=None,
@@ -85,7 +100,12 @@ class Runtime:
         ``record_flow=False`` drops the per-task flow records; the flow
         summary is the same either way.
         """
-        raise NotImplementedError
+        engine = SimulationEngine(
+            self.machine, first_touch=self.first_touch, seed=self.seed
+        )
+        return engine.run(dag, self.make_scheduler(),
+                          iterations=iterations, tracer=tracer,
+                          record_flow=record_flow)
 
     def run(
         self, matrix, calls, chunked, small, iterations: int = 1,

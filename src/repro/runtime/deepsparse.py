@@ -10,9 +10,7 @@ pipelined execution profile.
 from __future__ import annotations
 
 from repro.graph.builder import BuildOptions
-from repro.machine.topology import MachineSpec
 from repro.runtime.base import Runtime
-from repro.sim.engine import RunResult, SimulationEngine
 from repro.sim.schedulers import DeepSparseScheduler
 
 __all__ = ["DeepSparseRuntime"]
@@ -23,31 +21,4 @@ class DeepSparseRuntime(Runtime):
 
     name = "deepsparse"
     default_options = BuildOptions(skip_empty=True, spmm_mode="dependency")
-
-    def __init__(
-        self,
-        machine: MachineSpec,
-        first_touch: bool = True,
-        seed: int = 0,
-        options: BuildOptions = None,
-        overhead_per_task: float = 0.35e-6,
-        spawn_cost: float = 0.15e-6,
-    ):
-        super().__init__(machine, first_touch, seed, options)
-        self.overhead_per_task = overhead_per_task
-        self.spawn_cost = spawn_cost
-
-    def make_scheduler(self) -> DeepSparseScheduler:
-        return DeepSparseScheduler(
-            overhead_per_task=self.overhead_per_task,
-            spawn_cost=self.spawn_cost,
-        )
-
-    def execute(self, dag, iterations: int = 1, tracer=None,
-                record_flow: bool = True) -> RunResult:
-        engine = SimulationEngine(
-            self.machine, first_touch=self.first_touch, seed=self.seed
-        )
-        return engine.run(dag, self.make_scheduler(),
-                          iterations=iterations, tracer=tracer,
-                          record_flow=record_flow)
+    scheduler_cls = DeepSparseScheduler

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.graph.builder import BuildOptions
 from repro.machine.topology import MachineSpec
 from repro.runtime.base import Runtime
-from repro.sim.engine import RunResult, SimulationEngine
 from repro.sim.schedulers import RegentScheduler
 
 __all__ = ["RegentRuntime"]
@@ -25,6 +24,7 @@ class RegentRuntime(Runtime):
 
     name = "regent"
     default_options = BuildOptions(skip_empty=True, spmm_mode="dependency")
+    scheduler_cls = RegentScheduler
 
     def __init__(
         self,
@@ -32,36 +32,12 @@ class RegentRuntime(Runtime):
         first_touch: bool = True,
         seed: int = 0,
         options: BuildOptions = None,
-        overhead_per_task: float = 0.8e-6,
-        analysis_cost: float = 15.0e-6,
-        index_launch_cost: float = 0.25e-6,
         util_fraction: float = None,
-        dynamic_tracing: bool = False,
+        **overrides,
     ):
-        super().__init__(machine, first_touch, seed, options)
-        self.overhead_per_task = overhead_per_task
-        self.analysis_cost = analysis_cost
-        self.index_launch_cost = index_launch_cost
-        self.dynamic_tracing = dynamic_tracing
         if util_fraction is None:
             # Paper's empirically-optimal -ll:cpu/-ll:util splits.
             util_fraction = 4 / 28 if machine.n_cores <= 32 else 18 / 128
         self.util_fraction = util_fraction
-
-    def make_scheduler(self) -> RegentScheduler:
-        return RegentScheduler(
-            overhead_per_task=self.overhead_per_task,
-            analysis_cost=self.analysis_cost,
-            index_launch_cost=self.index_launch_cost,
-            util_fraction=self.util_fraction,
-            dynamic_tracing=self.dynamic_tracing,
-        )
-
-    def execute(self, dag, iterations: int = 1, tracer=None,
-                record_flow: bool = True) -> RunResult:
-        engine = SimulationEngine(
-            self.machine, first_touch=self.first_touch, seed=self.seed
-        )
-        return engine.run(dag, self.make_scheduler(),
-                          iterations=iterations, tracer=tracer,
-                          record_flow=record_flow)
+        super().__init__(machine, first_touch, seed, options,
+                         util_fraction=util_fraction, **overrides)

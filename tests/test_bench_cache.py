@@ -1,4 +1,8 @@
-"""Correctness of the content-addressed on-disk result cache."""
+"""Correctness of the content-addressed on-disk result cache.
+
+The store contract it shares with the prep store (switches, corruption,
+clear, concurrency) is written once, in ``tests/store_contract.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ import os
 import subprocess
 import sys
 
-from repro.analysis.experiment import run_version
 from repro.bench.cache import (
     CACHE_SALT,
     ResultCache,
@@ -15,18 +18,14 @@ from repro.bench.cache import (
     default_cache,
 )
 from repro.bench.runner import Cell
+from tests import store_contract as contract
+from tests.store_contract import CACHE, cell_summary
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
-CONFIG = Cell(machine="broadwell", matrix="inline1", solver="lanczos",
-              version="deepsparse", block_count=16,
-              iterations=1).config()
-
-
-def _summary():
-    return run_version("broadwell", "inline1", "lanczos", "deepsparse",
-                       block_count=16, iterations=1).summary()
+CONFIG = CACHE.config
+_summary = cell_summary
 
 
 # ----------------------------------------------------------------------
@@ -93,224 +92,40 @@ def test_salt_bump_invalidates_old_entries(tmp_path):
 
 
 def test_disabled_cache_never_reads_or_writes(tmp_path, monkeypatch):
-    primed = ResultCache(root=str(tmp_path))
-    primed.put(CONFIG, _summary())
-    # Explicit disable: the existing entry must not be served.
-    off = ResultCache(root=str(tmp_path), enabled=False)
-    assert off.get(CONFIG) is None
-    off.put(CONFIG, _summary())
-    assert off.stats()["writes"] == 0
-    # Environment disable takes effect at construction.
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    env_off = ResultCache(root=str(tmp_path))
-    assert not env_off.enabled
-    assert env_off.get(CONFIG) is None
+    contract.disabled_store_is_inert(CACHE, tmp_path, monkeypatch)
 
 
 def test_env_root_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
-    cache = ResultCache()
-    assert cache.root == str(tmp_path / "alt")
+    contract.env_root_override(CACHE, tmp_path, monkeypatch)
 
 
 def test_corrupted_entry_is_a_miss_and_is_removed(tmp_path):
-    cache = ResultCache(root=str(tmp_path))
-    cache.put(CONFIG, _summary())
-    path = cache.path_for(cache.key(CONFIG))
-
-    # Truncated JSON.
-    with open(path, "w", encoding="utf-8") as f:
-        f.write('{"format": 1, "summary": {"mach')
-    assert cache.get(CONFIG) is None
-    assert not os.path.exists(path)
-
-    # Valid JSON, wrong schema version.
-    cache.put(CONFIG, _summary())
-    with open(path, "r", encoding="utf-8") as f:
-        entry = json.load(f)
-    entry["format"] = 999
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(entry, f)
-    assert cache.get(CONFIG) is None
-    assert not os.path.exists(path)
-
-    # After the corruption was dropped, a fresh put works again.
-    cache.put(CONFIG, _summary())
-    assert cache.get(CONFIG) is not None
+    contract.damaged_header_is_a_miss_and_is_removed(CACHE, tmp_path)
 
 
 def test_corrupt_entries_are_quarantined_for_post_mortem(tmp_path):
-    """A bad entry is moved to <root>/corrupt/, not destroyed: a miss
-    for the experiment, evidence for the operator."""
-    cache = ResultCache(root=str(tmp_path))
-    cache.put(CONFIG, _summary())
-    key = cache.key(CONFIG)
-    path = cache.path_for(key)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("{ definitely not json")
-    assert cache.get(CONFIG) is None
-    assert cache.quarantined == 1
-    assert cache.stats()["quarantined"] == 1
-    qpath = os.path.join(cache.quarantine_dir(), key + ".json")
-    assert os.path.exists(qpath)
-    with open(qpath, "r", encoding="utf-8") as f:
-        assert f.read() == "{ definitely not json"
-    # clear() leaves the quarantine alone (it's not addressable data).
-    cache.put(CONFIG, _summary())
-    cache.clear()
-    assert os.path.exists(qpath)
+    contract.corrupt_files_are_quarantined_for_post_mortem(CACHE, tmp_path)
 
 
 def test_checksum_mismatch_is_caught_and_quarantined(tmp_path):
-    """Silent payload corruption that still parses as JSON — a flipped
-    float, a truncated-then-repaired entry — must not be served."""
-    cache = ResultCache(root=str(tmp_path))
-    cache.put(CONFIG, _summary())
-    path = cache.path_for(cache.key(CONFIG))
-    with open(path, "r", encoding="utf-8") as f:
-        entry = json.load(f)
-    entry["summary"]["total_time"] = 123456.789  # tampered payload
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(entry, f)
-    assert cache.get(CONFIG) is None
-    assert cache.quarantined == 1
-    assert not os.path.exists(path)
-    # A fresh put round-trips again.
-    summary = _summary()
-    cache.put(CONFIG, summary)
-    assert cache.get(CONFIG) == summary
+    contract.payload_damage_quarantined_then_recovers(CACHE, tmp_path)
 
 
 def test_clear_removes_entries(tmp_path):
-    cache = ResultCache(root=str(tmp_path))
-    cache.put(CONFIG, _summary())
-    cache.put(dict(CONFIG, iterations=2), _summary())
-    assert cache.clear() == 2
-    assert cache.get(CONFIG) is None
+    contract.clear_removes_entries(CACHE, tmp_path)
 
 
 def test_default_cache_is_process_wide_singleton():
     assert default_cache() is default_cache()
 
 
-# ----------------------------------------------------------------------
-# Concurrency: atomic publish + quarantine under racing readers
-# ----------------------------------------------------------------------
+def test_default_cache_tracks_environment(tmp_path, monkeypatch):
+    contract.default_store_tracks_environment(CACHE, tmp_path, monkeypatch)
+
+
 def test_parallel_writers_same_key_yield_one_valid_entry(tmp_path):
-    """Writers racing on one key must leave exactly one intact entry.
-
-    Each thread publishes a *distinguishable* (but valid) summary for
-    the same config while readers hammer the key; every read observes
-    either a miss or one complete writer's entry — never a torn file,
-    never a quarantine.
-    """
-    import dataclasses
-    import threading
-
-    base = _summary()
-    variants = [dataclasses.replace(base, total_time=float(i + 1))
-                for i in range(8)]
-    barrier = threading.Barrier(12)
-    failures = []
-    stop = threading.Event()
-    allowed = {v.total_time for v in variants}
-
-    def writer(summary):
-        cache = ResultCache(root=str(tmp_path))
-        barrier.wait()
-        for _ in range(25):
-            cache.put(CONFIG, summary)
-
-    def reader():
-        cache = ResultCache(root=str(tmp_path))
-        barrier.wait()
-        while not stop.is_set():
-            try:
-                got = cache.get(CONFIG)
-            except Exception as e:  # pragma: no cover - the bug case
-                failures.append(f"reader raised {type(e).__name__}: {e}")
-                return
-            if got is not None and got.total_time not in allowed:
-                failures.append(f"torn read: {got.total_time!r}")
-                return
-        if cache.quarantined:
-            failures.append(f"reader quarantined {cache.quarantined} "
-                            f"entries during clean writes")
-
-    crew = ([threading.Thread(target=writer, args=(v,))
-             for v in variants]
-            + [threading.Thread(target=reader) for _ in range(4)])
-    for t in crew:
-        t.start()
-    for t in crew[:8]:
-        t.join()
-    stop.set()
-    for t in crew[8:]:
-        t.join()
-    assert not failures, failures
-
-    # Exactly one entry on disk, fully valid, from one of the writers.
-    check = ResultCache(root=str(tmp_path))
-    subdir = os.path.dirname(check.path_for(check.key(CONFIG)))
-    entries = [n for n in os.listdir(subdir) if n.endswith(".json")]
-    leftovers = [n for n in os.listdir(subdir) if n.endswith(".tmp")]
-    assert len(entries) == 1
-    assert not leftovers, f"unpublished temp files left: {leftovers}"
-    final = check.get(CONFIG)
-    assert final is not None and final.total_time in allowed
-    assert check.quarantined == 0
+    contract.parallel_writers_same_key_one_valid_file(CACHE, tmp_path)
 
 
 def test_concurrent_readers_during_quarantine_never_torn(tmp_path):
-    """Readers racing each other over a corrupt entry all see a clean
-    miss (or a valid re-published entry) — the quarantine itself must
-    not expose a half-moved or half-written file to anyone."""
-    import threading
-
-    seed = ResultCache(root=str(tmp_path))
-    summary = _summary()
-    seed.put(CONFIG, summary)
-    path = seed.path_for(seed.key(CONFIG))
-    with open(path, "r+", encoding="utf-8") as f:
-        f.seek(10)
-        f.write("XXXX")              # still JSON-openable, bad checksum
-
-    barrier = threading.Barrier(9)
-    failures = []
-    observed = []
-    lock = threading.Lock()
-
-    def reader():
-        cache = ResultCache(root=str(tmp_path))
-        barrier.wait()
-        for _ in range(50):
-            try:
-                got = cache.get(CONFIG)
-            except Exception as e:  # pragma: no cover - the bug case
-                with lock:
-                    failures.append(f"raised {type(e).__name__}: {e}")
-                return
-            if got is not None and got != summary:
-                with lock:
-                    failures.append("torn entry observed")
-                return
-            with lock:
-                observed.append(got is not None)
-
-    def rewriter():
-        cache = ResultCache(root=str(tmp_path))
-        barrier.wait()
-        for _ in range(25):
-            cache.put(CONFIG, summary)
-
-    crew = ([threading.Thread(target=reader) for _ in range(8)]
-            + [threading.Thread(target=rewriter)])
-    for t in crew:
-        t.start()
-    for t in crew:
-        t.join()
-    assert not failures, failures
-    # The rewriter won in the end: the entry is valid again.
-    final = ResultCache(root=str(tmp_path))
-    assert final.get(CONFIG) == summary
-    assert final.quarantined == 0
+    contract.concurrent_readers_during_quarantine_never_torn(CACHE, tmp_path)

@@ -4,7 +4,9 @@ Covers the durability contract (atomic writes, quarantine-on-corruption
 reads, salt orphaning, gc), re-validation on every read, the
 environment knobs, and the end-to-end guarantee that matters most: a
 ``run_version`` served from a loaded artifact is bit-identical to one
-built from scratch.
+built from scratch.  The contract it shares with the result cache
+(switches, corruption, clear, concurrency) is written once, in
+``tests/store_contract.py``.
 """
 
 import os
@@ -22,10 +24,11 @@ from repro.bench.prep import (
 )
 from repro.bench.runner import Cell, ExperimentRunner
 from repro.bench.cache import ResultCache
+from tests import store_contract as contract
+from tests.store_contract import PREP, flip_payload_byte
 
 
-CONFIG = {"kind": "prep", "machine": "broadwell", "matrix": "inline1",
-          "solver": "lobpcg", "width": 8}
+CONFIG = PREP.config
 
 
 def _artifact(tag="a"):
@@ -71,38 +74,24 @@ def test_content_addressed_layout(store):
     assert path.endswith(key + ".prep")
 
 
-def test_disabled_store_is_inert(tmp_path):
-    store = PrepStore(root=str(tmp_path / "prep"), enabled=False)
-    store.put(CONFIG, _artifact())
-    assert store.get(CONFIG) is None
-    assert CONFIG not in store
-    assert not os.path.exists(store.root)
+def test_disabled_store_is_inert(tmp_path, monkeypatch):
+    contract.disabled_store_is_inert(PREP, tmp_path, monkeypatch)
 
 
 # ----------------------------------------------------------------------
 # Corruption → quarantine round-trips
 # ----------------------------------------------------------------------
 
-def _flip_payload_byte(path):
-    with open(path, "r+b") as f:
-        f.readline()                    # skip the JSON header line
-        pos = f.tell()
-        byte = f.read(1)
-        f.seek(pos)
-        f.write(bytes([byte[0] ^ 0xFF]))
+def test_corrupt_payload_quarantined_then_recovers(tmp_path):
+    contract.payload_damage_quarantined_then_recovers(PREP, tmp_path)
 
 
-def test_corrupt_payload_quarantined_then_recovers(store):
-    store.put(CONFIG, _artifact())
-    path = store.path_for(store.key(CONFIG))
-    _flip_payload_byte(path)
-    assert store.get(CONFIG) is None       # checksum mismatch -> miss
-    assert store.quarantined == 1
-    assert not os.path.exists(path)
-    assert os.listdir(store.quarantine_dir()) == [os.path.basename(path)]
-    # The store recovers: a rewrite serves cleanly again.
-    store.put(CONFIG, _artifact("fresh"))
-    assert store.get(CONFIG)["tag"] == "fresh"
+def test_corrupted_header_is_a_miss_and_is_removed(tmp_path):
+    contract.damaged_header_is_a_miss_and_is_removed(PREP, tmp_path)
+
+
+def test_corrupt_artifacts_are_quarantined_for_post_mortem(tmp_path):
+    contract.corrupt_files_are_quarantined_for_post_mortem(PREP, tmp_path)
 
 
 def test_truncated_file_quarantined(store):
@@ -154,7 +143,7 @@ def test_memo_does_not_mask_tampering(store):
     store.put(CONFIG, _artifact())
     store.get(CONFIG)
     path = store.path_for(store.key(CONFIG))
-    _flip_payload_byte(path)
+    flip_payload_byte(path)
     assert store.get(CONFIG) is None       # re-read, quarantined
     assert store.quarantined == 1
     # A fresh file is re-read cleanly.
@@ -185,11 +174,8 @@ def test_gc_drops_stale_tmp_and_corrupt_keeps_live(store, tmp_path):
     assert store.get(CONFIG) is not None
 
 
-def test_clear_removes_everything(store):
-    store.put(CONFIG, _artifact())
-    store.put({**CONFIG, "width": 9}, _artifact())
-    assert store.clear() == 2
-    assert store.get(CONFIG) is None
+def test_clear_removes_everything(tmp_path):
+    contract.clear_removes_entries(PREP, tmp_path)
 
 
 def test_entries_lists_headers_and_survives_damage(store):
@@ -212,16 +198,11 @@ def test_entries_lists_headers_and_survives_damage(store):
 # ----------------------------------------------------------------------
 
 def test_default_store_tracks_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_PREP_DIR", str(tmp_path / "a"))
-    monkeypatch.delenv("REPRO_NO_PREP", raising=False)
-    s1 = default_prep_store()
-    assert s1.root == str(tmp_path / "a") and s1.enabled
-    assert default_prep_store() is s1       # unchanged env -> same instance
-    monkeypatch.setenv("REPRO_PREP_DIR", str(tmp_path / "b"))
-    s2 = default_prep_store()
-    assert s2 is not s1 and s2.root == str(tmp_path / "b")
-    monkeypatch.setenv("REPRO_NO_PREP", "1")
-    assert not default_prep_store().enabled
+    contract.default_store_tracks_environment(PREP, tmp_path, monkeypatch)
+
+
+def test_env_root_override(tmp_path, monkeypatch):
+    contract.env_root_override(PREP, tmp_path, monkeypatch)
 
 
 # ----------------------------------------------------------------------
@@ -301,121 +282,8 @@ def test_runner_prebuilds_before_fanout(tmp_path, monkeypatch):
 # Concurrency: atomic publish + quarantine under racing readers
 # ----------------------------------------------------------------------
 def test_parallel_writers_same_key_one_valid_artifact(tmp_path):
-    """Threads racing ``put`` on one key leave exactly one loadable
-    artifact and no stray temp files; concurrent readers never observe
-    a torn payload or spuriously quarantine a clean write."""
-    import threading
-
-    root = str(tmp_path / "prep")
-    tags = [f"w{i}" for i in range(8)]
-    barrier = threading.Barrier(12)
-    failures = []
-    stop = threading.Event()
-
-    def writer(tag):
-        store = PrepStore(root=root, enabled=True)
-        barrier.wait()
-        for _ in range(25):
-            store.put(CONFIG, _artifact(tag))
-
-    def reader():
-        store = PrepStore(root=root, enabled=True)
-        barrier.wait()
-        while not stop.is_set():
-            try:
-                got = store.get(CONFIG)
-            except Exception as e:  # pragma: no cover - the bug case
-                failures.append(f"reader raised {type(e).__name__}: {e}")
-                return
-            if got is not None:
-                if got["tag"] not in tags:
-                    failures.append(f"torn artifact: {got['tag']!r}")
-                    return
-                if not np.array_equal(got["arr"], np.arange(16)):
-                    failures.append("torn payload array")
-                    return
-        if store.quarantined:
-            failures.append(f"reader quarantined {store.quarantined} "
-                            f"artifacts during clean writes")
-
-    crew = ([threading.Thread(target=writer, args=(t,)) for t in tags]
-            + [threading.Thread(target=reader) for _ in range(4)])
-    for t in crew:
-        t.start()
-    for t in crew[:8]:
-        t.join()
-    stop.set()
-    for t in crew[8:]:
-        t.join()
-    assert not failures, failures
-
-    check = PrepStore(root=root, enabled=True)
-    subdir = os.path.dirname(check.path_for(check.key(CONFIG)))
-    artifacts = [n for n in os.listdir(subdir) if n.endswith(".prep")]
-    leftovers = [n for n in os.listdir(subdir) if n.endswith(".tmp")]
-    assert len(artifacts) == 1
-    assert not leftovers, f"unpublished temp files left: {leftovers}"
-    final = check.get(CONFIG)
-    assert final is not None and final["tag"] in tags
-    assert check.quarantined == 0
+    contract.parallel_writers_same_key_one_valid_file(PREP, tmp_path)
 
 
 def test_concurrent_readers_during_quarantine_never_torn(tmp_path):
-    """Readers racing over a corrupt artifact each get a clean miss
-    (or a valid re-published artifact) while one of them moves the
-    evidence to ``corrupt/`` — nobody crashes, nobody loads garbage."""
-    import threading
-
-    root = str(tmp_path / "prep")
-    seed = PrepStore(root=root, enabled=True)
-    seed.put(CONFIG, _artifact("good"))
-    _flip_payload_byte(seed.path_for(seed.key(CONFIG)))
-
-    barrier = threading.Barrier(9)
-    first_read = threading.Event()
-    failures = []
-    lock = threading.Lock()
-    shared = PrepStore(root=root, enabled=True)  # one store, many threads
-
-    def reader():
-        barrier.wait()
-        for _ in range(50):
-            try:
-                got = shared.get(CONFIG)
-            except Exception as e:  # pragma: no cover - the bug case
-                with lock:
-                    failures.append(f"raised {type(e).__name__}: {e}")
-                return
-            finally:
-                first_read.set()
-            if got is not None:
-                if got["tag"] != "good" or not np.array_equal(
-                        got["arr"], np.arange(16)):
-                    with lock:
-                        failures.append("torn artifact observed")
-                    return
-
-    def rewriter():
-        # Held until a reader has faced the corrupt bytes, so the
-        # quarantine path is exercised every run — the readers still
-        # race each other over it, and then race these republishes.
-        store = PrepStore(root=root, enabled=True)
-        barrier.wait()
-        first_read.wait()
-        for _ in range(25):
-            store.put(CONFIG, _artifact("good"))
-
-    crew = ([threading.Thread(target=reader) for _ in range(8)]
-            + [threading.Thread(target=rewriter)])
-    for t in crew:
-        t.start()
-    for t in crew:
-        t.join()
-    assert not failures, failures
-    final = PrepStore(root=root, enabled=True)
-    got = final.get(CONFIG)
-    assert got is not None and got["tag"] == "good"
-    assert final.quarantined == 0
-    # The corrupt original was preserved for post-mortem, not lost.
-    qdir = seed.quarantine_dir()
-    assert os.path.isdir(qdir) and len(os.listdir(qdir)) >= 1
+    contract.concurrent_readers_during_quarantine_never_torn(PREP, tmp_path)

@@ -94,3 +94,15 @@ def test_deterministic_given_seed(bw, problem):
     b = HPXRuntime(bw, seed=5).run(csb, calls, chunked, small, iterations=1)
     assert a.total_time == b.total_time
     assert a.counters.misses() == b.counters.misses()
+
+
+def test_overrides_reach_the_scheduler_and_typos_fail_early(bw):
+    """A runtime's overhead constants live only in its scheduler: an
+    override is passed through, and an unknown one is rejected when the
+    runtime is made, not at its first run."""
+    assert DeepSparseRuntime(bw, spawn_cost=1e-6).make_scheduler() \
+        .spawn_cost == 1e-6
+    assert RegentRuntime(bw, analysis_cost=3e-6).make_scheduler() \
+        .analysis_cost == 3e-6
+    with pytest.raises(TypeError):
+        HPXRuntime(bw, numa_awar=False)

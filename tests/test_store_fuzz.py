@@ -13,6 +13,7 @@ covers it), so it never surfaces at a later rebuild.
 """
 
 import gc
+import hashlib
 import json
 import os
 import pickletools
@@ -23,13 +24,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.analysis.experiment as experiment
 from repro.bench.cache import ResultCache
-from repro.bench.prep import PREP_FORMAT, PrepStore, _header_line
+from repro.bench.prep import PREP_FORMAT, PrepStore
+from repro.bench.store import _header_line
 from repro.bench.runner import Cell
 
 CELL = ("broadwell", "inline1", "lobpcg", "deepsparse")
 
-#: Bytes at the head of each file: the prep header line, and the
-#: cache entry's format, key, salt, config and checksum fields.
+#: Bytes at the head of each file, where the header line (format,
+#: salt, key, checksum, length and config) lives.
 _HEAD = 1024
 
 #: (kind, position, in_head, mask or extra bytes).  Half of the flips
@@ -207,29 +209,50 @@ def test_damaged_recipe_fails_closed_at_get(pristine, kind, offset, mask):
     assert gc.isenabled()
 
 
-def test_prep_gc_drops_a_format_2_orphan(pristine, tmp_path, monkeypatch):
-    """An artifact of an older layout is stale: ``repro prep gc``
-    removes it and keeps the live one."""
+@pytest.mark.parametrize("kind", ["prep", "cache"])
+def test_prep_gc_drops_a_format_2_orphan(pristine, tmp_path, monkeypatch,
+                                         capsys, kind):
+    """A file of an older layout is stale: ``repro prep gc`` removes it
+    from either store and keeps the live one.  The result cache's
+    format 2 entry predates the header line: it is one JSON document."""
     from repro.cli import main
     from repro.sim.cost import COST_MODEL_VERSION
 
-    _, config, data = pristine["prep"]
-    root = str(tmp_path / "prep")
-    live = PrepStore(root=root, enabled=True)
+    store_cls, config, data = pristine[kind]
+    root = str(tmp_path / kind)
+    live = store_cls(root=root, enabled=True)
     live_path = live.path_for(live.key(config))
-    old = PrepStore(root=root, enabled=True,
-                    salt=f"cost-v{COST_MODEL_VERSION}/prep-v2")
+    old = store_cls(root=root, enabled=True, salt=(
+        f"cost-v{COST_MODEL_VERSION}/"
+        f"{'prep' if kind == 'prep' else 'entry'}-v2"))
     old_path = old.path_for(old.key(config))
     header, payload = data.split(b"\n", 1)
-    header = json.loads(header)
-    header.update(format=2, salt=old.salt, key=old.key(config))
-    for path, blob in ((live_path, data),
-                       (old_path, _header_line(header) + payload)):
+    if kind == "prep":
+        header = json.loads(header)
+        header.update(format=2, salt=old.salt, key=old.key(config))
+        blob = _header_line(header) + payload
+    else:
+        summary = json.loads(payload)
+        canonical = json.dumps(summary, sort_keys=True,
+                               separators=(",", ":"))
+        blob = json.dumps({
+            "format": 2, "key": old.key(config), "salt": old.salt,
+            "config": config,
+            "checksum": hashlib.sha256(canonical.encode()).hexdigest(),
+            "summary": summary,
+        }).encode()
+    for path, content in ((live_path, data), (old_path, blob)):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as f:
-            f.write(blob)
-    monkeypatch.setenv("REPRO_PREP_DIR", root)
+            f.write(content)
+    monkeypatch.setenv("REPRO_PREP_DIR", str(tmp_path / "prep"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_PREP", raising=False)
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     assert main(["prep", "gc"]) == 0
     assert not os.path.exists(old_path)
     assert os.path.exists(live_path)
+    label = "prep" if kind == "prep" else "result"
+    out = capsys.readouterr().out
+    assert f"{label} gc: removed 1 stale, 0 tmp, 0 corrupt" in out
+    assert len(out.splitlines()) == 2       # one line per store
