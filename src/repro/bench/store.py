@@ -46,11 +46,13 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "ContentStore",
     "DEFAULT_ROOT",
+    "TMP_MAX_AGE_S",
     "content_key",
     "default_store",
     "env_flag",
@@ -58,6 +60,12 @@ __all__ = [
 
 #: Root of the result cache, and parent of the prep store's root.
 DEFAULT_ROOT = ".repro_cache"
+
+#: Age in seconds past which ``gc`` takes a ``.tmp`` file for a dead
+#: ``put``'s leftover.  A younger one may be a ``put`` still writing
+#: (another process's sweep), whose ``os.replace`` would fail if its
+#: temp file vanished.
+TMP_MAX_AGE_S = 3600.0
 
 
 def env_flag(name: str) -> bool:
@@ -285,8 +293,9 @@ class ContentStore:
 
         Removes files whose header is unreadable or whose salt differs
         from this store's (orphans of an older ``COST_MODEL_VERSION``
-        or format), plus leftover ``.tmp`` files and everything in
-        ``corrupt/``.  Live-salt files are kept.  Returns removal
+        or format), ``.tmp`` files older than :data:`TMP_MAX_AGE_S`
+        (younger ones may belong to a ``put`` in flight) and everything
+        in ``corrupt/``.  Live-salt files are kept.  Returns removal
         counts.
         """
         def stale(path):
@@ -296,11 +305,20 @@ class ContentStore:
             except Exception:
                 return True
 
+        cutoff = time.time() - TMP_MAX_AGE_S
+
+        def abandoned(path):
+            try:
+                return os.path.getmtime(path) < cutoff
+            except OSError:                 # its put just published it
+                return False
+
         qdir = self.quarantine_dir()
         return {
             "stale": self._unlink_all(
                 p for p in self._paths(self.suffix) if stale(p)),
-            "tmp": self._unlink_all(self._paths(".tmp")),
+            "tmp": self._unlink_all(
+                p for p in self._paths(".tmp") if abandoned(p)),
             "corrupt": self._unlink_all(
                 os.path.join(qdir, n) for n in
                 (os.listdir(qdir) if os.path.isdir(qdir) else ())),

@@ -81,6 +81,8 @@ __all__ = ["GraphArrays", "SPARSE_KERNELS", "TaskDAG"]
 #: whose own list is rebuilt in turn.
 _REBUILD_LOCK = threading.RLock()
 
+_I32 = np.iinfo(np.int32)
+
 
 @dataclass
 class GraphArrays:
@@ -95,6 +97,12 @@ class GraphArrays:
     and ``dag.succ`` hold it, and :meth:`TaskDAG.succ_csr` derives the
     successor CSR from ``succ`` on demand.  Per-task reads are not
     kept either; interning covers them.
+
+    ``touch_nbytes``, the three ``*_indptr`` offsets, ``param_i`` and
+    the sparse ``nnz``/``rows``/``cols``/``width`` columns are int32
+    when every value of the column fits in 32 bits and int64 otherwise
+    (``_narrow``); ``sparse_span`` is always int64.  Code that
+    multiplies them upcasts to int64 first.
     """
 
     n_tasks: int
@@ -330,6 +338,38 @@ def _unzip(rows: list, width: int):
     return zip(*rows) if rows else [()] * width
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` as int32 if every value fits in 32 bits, else as int64.
+
+    Chosen per column from its range, so a large matrix keeps 64 bits
+    and no value can wrap; consumers upcast before any product.
+    """
+    if a.size == 0 or (_I32.min <= a.min() and a.max() <= _I32.max):
+        return a.astype(np.int32)
+    return a.astype(np.int64)
+
+
+def _csr(rows) -> tuple:
+    """``(indptr, indices)`` of a list of int lists: int64 offsets,
+    int32 entries."""
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), np.int32,
+                          int(indptr[-1]))
+    return indptr, indices
+
+
+def _rows(csr, ints: np.ndarray) -> list:
+    """The int lists of a CSR pair, each entry ``ints``' object for its
+    value: fancy indexing an object array copies references, so every
+    list that names a tid holds the same ``int``."""
+    indptr, indices = csr
+    flat = ints[indices].tolist()
+    bounds = indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _same(a, b) -> bool:
     """Bit-exact equality of two frozen fields (arrays by dtype, shape
     and bytes)."""
@@ -562,27 +602,27 @@ class TaskDAG:
             n_edges=sum(map(len, self.succ)),
             indegree=np.fromiter(map(len, self.pred), i32, n),
             id_to_key=cols.id_to_key,
-            write_indptr=write_indptr,
+            write_indptr=_narrow(write_indptr),
             write_ids=write_ids,
-            touch_indptr=touch_indptr,
+            touch_indptr=_narrow(touch_indptr),
             touch_ids=touch_ids,
-            touch_nbytes=np.array(cols.touch_nbytes, dtype=i64),
+            touch_nbytes=_narrow(np.array(cols.touch_nbytes, dtype=i64)),
             touch_is_write=touch_is_write,
             touch_role=touch_role,
             kernel_names=cols.kernel_names,
             kernel_codes=kernel_codes.astype(i32),
-            param_i=param_i,
+            param_i=_narrow(param_i),
             first_write_id=first_write.astype(i32),
             flops=flops,
-            phase_indptr=np.concatenate((
+            phase_indptr=_narrow(np.concatenate((
                 [0], np.flatnonzero(np.diff(seq)) + 1, [n] if n else []
-            )).astype(i64),
+            ))),
             max_part=cols.max_part,
             sparse_tids=sparse_tids,
-            sparse_nnz=sparse[1],
-            sparse_rows=sparse[2],
-            sparse_cols=sparse[3],
-            sparse_width=sparse[4],
+            sparse_nnz=_narrow(sparse[1]),
+            sparse_rows=_narrow(sparse[2]),
+            sparse_cols=_narrow(sparse[3]),
+            sparse_width=_narrow(sparse[4]),
             sparse_span=sparse[5],
             sparse_buffer=sparse[6].astype(bool),
             sparse_x=sparse[7].astype(i32),
@@ -602,14 +642,7 @@ class TaskDAG:
         csr = self._succ_csr
         if csr is None:
             self.freeze()
-            succ = self.succ
-            n = len(succ)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, succ), np.int64, n),
-                      out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(succ), np.int32,
-                                  int(indptr[-1]))
-            csr = self._succ_csr = (indptr, indices)
+            csr = self._succ_csr = _csr(self.succ)
         return csr
 
     def _columns(self) -> _Columns:
@@ -711,8 +744,17 @@ class TaskDAG:
 
     def __getstate__(self):
         """Leave the task list out of a frozen DAG that has a recipe;
-        any other DAG pickles its list, rebuilt first if need be."""
+        any other DAG pickles its list, rebuilt first if need be.
+
+        ``succ`` and ``pred`` travel as CSR pairs (``_csr``, offsets
+        narrowed like the frozen columns).  Pickle does not memoize
+        ints, so pickled lists would load with one ``int`` object per
+        edge end; :meth:`__setstate__` rebuilds them with one per tid.
+        """
         state = self.__dict__.copy()
+        for name in ("succ", "pred"):
+            indptr, indices = _csr(state[name])
+            state[name] = (_narrow(indptr), indices)
         state["_edge_set"] = None
         state["_kernel_of"] = None
         state["_cols"] = None
@@ -724,6 +766,13 @@ class TaskDAG:
         else:
             state["_tasks"] = self.tasks
         return state
+
+    def __setstate__(self, state):
+        """Rebuild ``succ``/``pred`` from their CSR pairs (``_rows``)."""
+        ints = np.arange(len(state["succ"][0]) - 1).astype(object)
+        for name in ("succ", "pred"):
+            state[name] = _rows(state[name], ints)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

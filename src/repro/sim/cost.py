@@ -49,17 +49,18 @@ def _effective_touch_bytes(soa) -> np.ndarray:
     :meth:`CostModel._effective_bytes` over the frozen columns: a
     touch whose ``touch_role`` names the task's input vector (1) or
     output vector (2) is charged the lines the task's nonzeros reach,
-    by the same integer products and minimums.
+    by the same integer products and minimums, in int64 whatever the
+    width of the frozen columns.
     """
-    nbytes = soa.touch_nbytes
+    i64 = np.int64
+    nbytes = soa.touch_nbytes.astype(i64)
     sel = np.flatnonzero(soa.touch_role)
     if not sel.size:
         return nbytes
-    nbytes = nbytes.copy()
     tid = np.searchsorted(soa.touch_indptr, sel, side="right") - 1
     k = np.searchsorted(soa.sparse_tids, tid)
-    nnz = soa.sparse_nnz[k]
-    w = soa.sparse_width[k]
+    nnz = soa.sparse_nnz[k].astype(i64)
+    w = soa.sparse_width[k].astype(i64)
     chunk = soa.sparse_cols[k] * w * 8
     x_bytes = np.minimum(chunk, np.minimum(-(-chunk // 64), nnz) * 64)
     chunk = soa.sparse_rows[k] * w * 8
@@ -344,6 +345,14 @@ class CostModel:
         per-task code; the touch tuples are sliced out of one zipped
         list.  ``.tolist()`` turns every value into a Python scalar,
         so plans never carry NumPy scalars into the hot charge walk.
+
+        A touch tuple is a function of its ``(key, nbytes, write)``,
+        and about half the touches of a DAG repeat one already made,
+        so each distinct touch is built once and every plan that
+        repeats it holds that object.  Pickle memoizes tuples, so a
+        loaded artifact shares them the same way.  The dedup is one
+        NumPy sort over a collision-free integer code of the three
+        fields: a per-touch dict pass would double the compile.
         """
         nbytes = _effective_touch_bytes(soa)
         keep = nbytes > 0
@@ -351,18 +360,37 @@ class CostModel:
         kept = np.zeros(soa.touch_ids.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
         bounds = kept[soa.touch_indptr].tolist()
-        l1 = self.machine.l1_size
-        nb = nbytes.tolist()
-        # ``n if n < l1 else l1`` reuses the nbytes objects as the
-        # per-task compiler does; a NumPy minimum would allocate one
-        # more int per touch for the life of the plans.
-        rows = list(zip(
-            soa.touch_ids[keep].tolist(),
-            nb,
-            soa.touch_is_write[keep].tolist(),
-            [n if n < l1 else l1 for n in nb],
+        ids = soa.touch_ids[keep].astype(np.int64)
+        write = soa.touch_is_write[keep]
+        # Each touch as one int64 code of (id, size, write), equal
+        # codes for equal touches only: the size is nbytes itself
+        # while ``(max id + 1) * span`` stays within 2**62, else its
+        # rank among the DAG's sizes (ids and ranks are under 2**31).
+        size = nbytes
+        span = int(nbytes.max()) + 1 if nbytes.size else 1
+        if nbytes.size and (int(ids.max()) + 1) * span > 2**62:
+            sizes, size = np.unique(nbytes, return_inverse=True)
+            span = sizes.size
+        code = (ids * span + size) * 2 + write
+        # Group equal codes by one sort: ``first`` is a touch of each
+        # distinct code, ``which`` every touch's group.
+        order = code.argsort()
+        code = code[order]
+        new = np.empty(code.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(code[1:], code[:-1], out=new[1:])
+        first = order[new]
+        which = np.empty(code.size, dtype=np.int64)
+        which[order] = np.cumsum(new) - 1
+        nbytes = nbytes[first]
+        distinct = list(zip(
+            ids[first].tolist(),
+            nbytes.tolist(),
+            write[first].tolist(),
+            np.minimum(nbytes, self.machine.l1_size).tolist(),
             ((nbytes + 63) // 64).tolist(),
         ))
+        rows = list(map(distinct.__getitem__, which.tolist()))
         touches = [tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
         gathers = [None] * soa.n_tasks
         for tid, bundle in self._gather_bundles(soa):
@@ -386,7 +414,7 @@ class CostModel:
         every bundle is tuple-exact.
         """
         span = soa.sparse_span
-        retouches = soa.sparse_nnz * self.gather_intensity
+        retouches = soa.sparse_nnz.astype(np.int64) * self.gather_intensity
         has = np.flatnonzero((span > 0) & (retouches > 0))
         if not has.size:
             return []
@@ -399,7 +427,8 @@ class CostModel:
             for cap in (m.l1_size, m.l2_size, l3_share)
         )
         fixed = (g1 - g2) * self._l2c + (g2 - g3) * self._l3c
-        chunk_bytes = soa.sparse_cols[has] * soa.sparse_width[has] * 8
+        chunk_bytes = (soa.sparse_cols[has].astype(np.int64)
+                       * soa.sparse_width[has] * 8)
         scattered = span > 1.5 * np.maximum(1, chunk_bytes)
         xkey = [None if s or x < 0 else x for s, x in
                 zip(scattered.tolist(), soa.sparse_x[has].tolist())]

@@ -85,6 +85,10 @@ def _domain_tables(dag, memory):
     doms = homes[soa.write_ids].tolist()
     bounds = soa.write_indptr.tolist()
     write_doms = [tuple(doms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # One tuple per distinct domain set (a handful per DAG), shared by
+    # every task that has it; pickle keeps the sharing.
+    share = {}.setdefault
+    write_doms = list(map(share, write_doms, write_doms))
     tables = (first_write_dom, write_doms)
     store[key] = tables
     return tables
@@ -541,7 +545,7 @@ class RegentScheduler(Scheduler):
         # the frozen param-i table: tasks without a row index go
         # round-robin, the rest to the worker owning their partition.
         n_parts = max(1, getattr(dag, "n_partitions", 1))
-        pi = soa.param_i
+        pi = soa.param_i.astype(np.int64)
         nw = self.n_workers
         self._home = np.where(
             pi < 0,

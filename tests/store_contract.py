@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import threading
+import time
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.analysis.experiment import run_version
 from repro.bench.cache import ResultCache, default_cache
 from repro.bench.prep import PrepStore, default_prep_store
 from repro.bench.runner import Cell
+from repro.bench.store import TMP_MAX_AGE_S
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,6 +222,36 @@ def clear_removes_entries(kind: Kind, tmp_path):
     store.put(dict(kind.config, iterations=2), kind.make(1))
     assert store.clear() == 2
     assert store.get(kind.config) is None
+
+
+def gc_spares_in_flight_put(kind: Kind, tmp_path, monkeypatch):
+    """``gc`` from a second store, run between a ``put``'s ``mkstemp``
+    and its ``os.replace``, leaves that put's temp file alone, so the
+    put publishes; a ``.tmp`` older than ``TMP_MAX_AGE_S`` still goes."""
+    store = kind.store(tmp_path)
+    subdir = os.path.dirname(_path(store, kind.config))
+    os.makedirs(subdir)
+    dead = os.path.join(subdir, "dead.tmp")
+    with open(dead, "wb") as f:
+        f.write(b"junk")
+    old = time.time() - TMP_MAX_AGE_S - 60
+    os.utime(dead, (old, old))
+    removed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        assert os.path.exists(src)
+        removed.append(kind.store(tmp_path).gc())
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    store.put(kind.config, kind.make(0))
+    monkeypatch.undo()
+    assert removed == [{"stale": 0, "tmp": 1, "corrupt": 0}]
+    assert not os.path.exists(dead)
+    assert kind.fingerprint(store.get(kind.config)) == \
+        kind.fingerprint(kind.make(0))
+    assert not [n for n in os.listdir(subdir) if n.endswith(".tmp")]
 
 
 # ----------------------------------------------------------------------

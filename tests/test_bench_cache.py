@@ -1,7 +1,8 @@
 """Correctness of the content-addressed on-disk result cache.
 
 The store contract it shares with the prep store (switches, corruption,
-clear, concurrency) is written once, in ``tests/store_contract.py``.
+clear, gc beside a put in flight, concurrency) is written once, in
+``tests/store_contract.py``.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ def test_default_cache_is_process_wide_singleton():
 
 def test_default_cache_tracks_environment(tmp_path, monkeypatch):
     contract.default_store_tracks_environment(CACHE, tmp_path, monkeypatch)
+
+
+def test_gc_spares_in_flight_put(tmp_path, monkeypatch):
+    contract.gc_spares_in_flight_put(CACHE, tmp_path, monkeypatch)
 
 
 def test_parallel_writers_same_key_yield_one_valid_entry(tmp_path):

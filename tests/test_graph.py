@@ -134,6 +134,25 @@ def test_empty_dag():
     assert max_width(dag) == 0
 
 
+def test_frozen_columns_narrow_only_when_every_value_fits():
+    """A column whose values fit in 32 bits is int32; one value past
+    that keeps the whole column int64, exact, through a pickle."""
+    big = 3 * 2**30                     # 3 GiB: past int32
+    small = TaskDAG()
+    small.add_task(mk_task(writes=[DataHandle("y", 0, 4096)]))
+    wide = TaskDAG()
+    wide.add_task(mk_task(writes=[DataHandle("y", 0, 4096)]))
+    wide.add_task(Task(-1, "COPY", (), (DataHandle("z", 0, big),),
+                       {"rows": 10, "width": 1}, {"i": big}, 0, 0))
+    assert small.freeze().touch_nbytes.dtype == np.int32
+    assert small.freeze().param_i.dtype == np.int32
+    for soa in (wide.freeze(), pickle.loads(pickle.dumps(wide))._soa):
+        assert soa.touch_nbytes.dtype == soa.param_i.dtype == np.int64
+        assert soa.touch_nbytes.tolist() == [4096, big]
+        assert soa.param_i.tolist() == [-1, big]
+        assert soa.touch_indptr.dtype == np.int32
+
+
 def test_by_kernel_reads_kernel_codes_when_frozen():
     """Frozen census == the Task walk, first-appearance order included."""
     dag = TaskDAG()

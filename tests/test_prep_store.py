@@ -5,12 +5,14 @@ reads, salt orphaning, gc), re-validation on every read, the
 environment knobs, and the end-to-end guarantee that matters most: a
 ``run_version`` served from a loaded artifact is bit-identical to one
 built from scratch.  The contract it shares with the result cache
-(switches, corruption, clear, concurrency) is written once, in
+(switches, corruption, clear, gc beside a put in flight,
+concurrency) is written once, in
 ``tests/store_contract.py``.
 """
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.bench.prep import (
 )
 from repro.bench.runner import Cell, ExperimentRunner
 from repro.bench.cache import ResultCache
+from repro.bench.store import TMP_MAX_AGE_S
 from tests import store_contract as contract
 from tests.store_contract import PREP, flip_payload_byte
 
@@ -165,6 +168,8 @@ def test_gc_drops_stale_tmp_and_corrupt_keeps_live(store, tmp_path):
     tmp_file = os.path.join(os.path.dirname(live_path), "leftover.tmp")
     with open(tmp_file, "wb") as f:
         f.write(b"junk")
+    old = time.time() - TMP_MAX_AGE_S - 60   # a dead put's, not a live one
+    os.utime(tmp_file, (old, old))
     os.makedirs(store.quarantine_dir(), exist_ok=True)
     with open(os.path.join(store.quarantine_dir(), "bad.prep"), "wb") as f:
         f.write(b"junk")
@@ -172,6 +177,10 @@ def test_gc_drops_stale_tmp_and_corrupt_keeps_live(store, tmp_path):
     assert removed == {"stale": 1, "tmp": 1, "corrupt": 1}
     assert os.path.exists(live_path)
     assert store.get(CONFIG) is not None
+
+
+def test_gc_spares_in_flight_put(tmp_path, monkeypatch):
+    contract.gc_spares_in_flight_put(PREP, tmp_path, monkeypatch)
 
 
 def test_clear_removes_everything(tmp_path):

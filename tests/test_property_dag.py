@@ -18,7 +18,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graph.analyze import critical_path_reference, levels_reference
 from repro.graph.builder import BuildOptions, DAGBuilder
@@ -167,11 +167,11 @@ def test_charges_are_finite_positive(dag):
 # ----------------------------------------------------------------------
 
 @st.composite
-def random_bare_dag(draw):
+def random_bare_dag(draw, min_tasks=1):
     """A random DAG of synthetic tasks — edges drawn freely, not via
     the builder — to exercise shapes (fan-in/fan-out, isolated nodes,
     empty edge sets) the solver builder never produces."""
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(min_tasks, 40))
     dag = TaskDAG()
     for i in range(n):
         dag.add_task(Task(
@@ -179,6 +179,8 @@ def random_bare_dag(draw):
             (DataHandle("x", i, 64),), (DataHandle("y", i, 64),),
             {"rows": 1, "width": 1}, {"i": i},
         ))
+    if not n:
+        return dag
     max_edges = min(120, n * (n - 1) // 2)
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -322,13 +324,24 @@ def reference_columns(dag) -> dict:
                            s.get("gather_span", 0),
                            bool(t.params.get("buffer")), gx))
 
-    def indptr(counts):
-        return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-
-    def col(j, dtype):
-        return np.array([row[j] for row in sparse], dtype=dtype)
-
     i32, i64 = np.int32, np.int64
+
+    def fit(values):
+        """int32 if every value fits in 32 bits, else int64."""
+        values = list(values)
+        lo, hi = np.iinfo(i32).min, np.iinfo(i32).max
+        dtype = i32 if all(lo <= v <= hi for v in values) else i64
+        return np.array(values, dtype=dtype)
+
+    def indptr(counts):
+        return fit([0] + np.cumsum(counts, dtype=np.int64).tolist())
+
+    def col(j, dtype=None):
+        """Sparse column ``j``; narrowed like the frozen one unless a
+        fixed ``dtype`` is given."""
+        values = [row[j] for row in sparse]
+        return fit(values) if dtype is None else np.array(values, dtype)
+
     return dict(
         n_tasks=n,
         n_edges=sum(len(vs) for vs in dag.succ),
@@ -338,21 +351,21 @@ def reference_columns(dag) -> dict:
         write_ids=np.array(write_ids, dtype=i32),
         touch_indptr=indptr(touch_counts),
         touch_ids=np.array(touch_ids, dtype=i32),
-        touch_nbytes=np.array(touch_nbytes, dtype=i64),
+        touch_nbytes=fit(touch_nbytes),
         touch_is_write=np.array(touch_is_write, dtype=bool),
         touch_role=np.array(touch_role, dtype=np.int8),
         kernel_names=kernel_names,
         kernel_codes=np.array(kernel_codes, dtype=i32),
-        param_i=np.array(param_i, dtype=i64),
+        param_i=fit(param_i),
         first_write_id=np.array(first_write, dtype=i32),
         flops=np.array(flops, dtype=np.float64),
-        phase_indptr=np.array(phase_starts + [n] if n else [0], dtype=i64),
+        phase_indptr=fit(phase_starts + [n] if n else [0]),
         max_part=max_part,
         sparse_tids=col(0, i32),
-        sparse_nnz=col(1, i64),
-        sparse_rows=col(2, i64),
-        sparse_cols=col(3, i64),
-        sparse_width=col(4, i64),
+        sparse_nnz=col(1),
+        sparse_rows=col(2),
+        sparse_cols=col(3),
+        sparse_width=col(4),
         sparse_span=col(5, i64),
         sparse_buffer=col(6, bool),
         sparse_x=col(7, i32),
@@ -593,6 +606,25 @@ def test_soa_compiled_plans_match_reference(dag):
         _reference_plans(cm, dag)
 
 
+def test_plans_match_reference_with_sizes_near_64_bits():
+    """Touch sizes so large that ``id * (largest size + 1)`` passes
+    2**62: the plan compiler groups equal touches by the rank of their
+    size instead, and the plans stay tuple-exact and shared.  (Coded by
+    the size itself, ids 0 and 2 at size 2**62 - 1 would wrap to one
+    int64 code.)"""
+    dag = TaskDAG()
+    for x, y in ((0, 0), (1, 1), (0, 0), (1, 0)):
+        dag.add_task(Task(
+            -1, "COPY", (DataHandle("x", x, 2**62 - 1),),
+            (DataHandle("y", y, 64),), {"rows": 1, "width": 1}, {}))
+    bw = broadwell()
+    cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
+    plans = cm._compile_plans(dag.freeze())
+    assert plans == _reference_plans(cm, dag)
+    touches = [t for _c, ts, _g in plans for t in ts]
+    assert len({id(t) for t in touches}) == len(set(touches)) == 4
+
+
 def test_builder_dag_plans_match_reference(builder_dag):
     """Tuple-exact on real DAGs, whose reduction buffers (full-chunk
     output bytes) and CSR gathers (scattered, no input key) the random
@@ -611,15 +643,22 @@ def test_builder_dag_plans_match_reference(builder_dag):
     assert soa.sparse_buffer.any() == ("reduction" in name)
 
 
-@given(random_problem())
-@settings(max_examples=10, deadline=None)
+@given(st.one_of(random_problem(), random_bare_dag(min_tasks=0)))
+@example(TaskDAG())
+@settings(max_examples=20, deadline=None)
 def test_frozen_dag_pickle_roundtrip(dag):
-    """Pickling (what the prep store does) preserves the whole graph;
-    the dropped edge-dedup set is rebuilt lazily and stays correct."""
+    """Pickling (what the prep store does) preserves the whole graph,
+    isolated tasks and empty DAGs included: the adjacency lists come
+    back from their CSR arrays, order kept and one ``int`` per tid; the
+    dropped edge-dedup set is rebuilt lazily and stays correct."""
     dag.freeze()
     clone = pickle.loads(pickle.dumps(dag))
     assert clone.n_edges == dag.n_edges
+    assert len(clone) == len(dag)
     assert clone.succ == dag.succ and clone.pred == dag.pred
+    one = {}
+    for row in clone.succ + clone.pred:
+        assert all(one.setdefault(v, v) is v for v in row)
     assert clone.levels() == dag.levels()
     assert clone._edge_set is None  # dropped by __getstate__
     if clone.n_edges:  # re-adding an existing edge must still dedup
