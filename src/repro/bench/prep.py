@@ -18,7 +18,7 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 7): the store's JSON header line —
+File format (:data:`PREP_FORMAT` 8): the store's JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
 DAG is pickled without its ``Task`` list and without the successor
@@ -28,8 +28,10 @@ tables, compiled plans, domain tables and BSP phases, ``succ`` and
 ``pred`` as int32 CSR pairs, plus its rebuild recipe as plain data
 (matrix, block size, solver, width and build-option fields;
 :meth:`repro.graph.dag.TaskDAG.__getstate__`).  A run reads only the
-former.  A loaded artifact holds one object per repeated value where
-the run path repeats them: plans share one tuple per distinct touch
+former.  BSP phases are keyed by the core count alone (the key
+changed in format 8).  A loaded
+artifact holds one object per repeated value where the run path
+repeats them: plans share one tuple per distinct touch
 and the domain tables one tuple per distinct domain set (made so at
 compile time; pickle memoizes tuples), and the adjacency lists, which
 ``__setstate__`` rebuilds from their CSR pairs, share one ``int`` per
@@ -86,7 +88,7 @@ __all__ = [
 #: the payload layout *or* to the pickled structures it carries (plan
 #: tuple shape, GraphArrays fields, …) *or* to what a DAG's recipe
 #: rebuilds: old artifacts are orphaned by the salt, not migrated.
-PREP_FORMAT = 7
+PREP_FORMAT = 8
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

@@ -399,7 +399,10 @@ class TaskDAG:
     ``_cost_prep``, ``_home_arrays``, ``_sched_domains`` and
     ``_bsp_phases`` are the run invariants the cost model, the
     schedulers and BSP memoize on the DAG (and a prep artifact
-    persists), keyed by their pricing/placement inputs.
+    persists), keyed by their pricing/placement inputs.  A mutation
+    of a frozen DAG drops all four with the frozen view, so the next
+    run re-derives them for the new graph and no consumer checks
+    them for staleness.
     """
 
     def __init__(self):
@@ -667,6 +670,10 @@ class TaskDAG:
         self._succ_csr = None
         self.recipe = None
         self._expand = None
+        self._cost_prep = {}
+        self._home_arrays = {}
+        self._sched_domains = {}
+        self._bsp_phases = {}
 
     # ------------------------------------------------------------------
     def add_task(self, task: Task) -> int:

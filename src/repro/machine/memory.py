@@ -31,13 +31,20 @@ __all__ = ["MemoryModel"]
 
 
 class MemoryModel:
-    """Maps handle keys to NUMA domains and prices DRAM line transfers."""
+    """Maps handle keys to NUMA domains and prices DRAM line transfers.
+
+    A handle's home follows the placement rule alone: it is a pure
+    function of its key and of ``(machine, first_touch, n_parts,
+    matrix_geometry)``.  Homes are therefore fixed once a run is
+    prepared, and the cost model and schedulers resolve them into
+    per-DAG tables there (:meth:`home_arrays`).
+    """
 
     __slots__ = (
         "machine", "first_touch", "scattered", "_n_parts",
-        "matrix_geometry", "_placement", "_core_domain", "_domain_memo",
+        "matrix_geometry", "_core_domain", "_domain_memo",
         "_local_cost", "_remote_cost", "_scattered_cost",
-        "_intern_keys", "_intern_parts", "state_epoch",
+        "_intern_keys", "_intern_parts",
     )
 
     def __init__(self, machine: MachineSpec, first_touch: bool = True,
@@ -54,17 +61,8 @@ class MemoryModel:
         #: (name, block columns) of the sparse matrix, whose handles are
         #: row-major block ids homed with their block row.
         self.matrix_geometry = None
-        self._placement = {}
         # -- hot-path precomputation (pure caching, no semantics) ------
         self._domain_memo = {}
-        #: Monotone counter bumped by every mutation that can change a
-        #: handle's home domain (placement pins, partition-count or
-        #: interning changes).  Compiled access plans
-        #: (:meth:`repro.sim.cost.CostModel.prepare`) bake per-key home
-        #: domains into arrays and compare this epoch per charge; on a
-        #: mismatch they fall back to the live :meth:`dram_line_cost`
-        #: path, so precomputation can never serve a stale home.
-        self.state_epoch = 0
         # Interned handle keys (see TaskDAG.handle_interning): parallel
         # lists resolving a small int key back to its (name, part)
         # tuple and to its ``part`` alone (the scattered-cost test).
@@ -99,7 +97,6 @@ class MemoryModel:
         # it invalidates every memoized home domain.
         self._n_parts = value
         self._domain_memo.clear()
-        self.state_epoch += 1
 
     def configure_from_dag(self, dag) -> None:
         """Adopt a DAG's partition geometry (set by the TDGG)."""
@@ -112,7 +109,6 @@ class MemoryModel:
             self.matrix_geometry = (name, nbc)
         self.adopt_interning(dag.freeze().id_to_key)
         self._domain_memo.clear()
-        self.state_epoch += 1
 
     def adopt_interning(self, id_to_key) -> None:
         """Adopt a DAG's handle interning so int keys resolve here.
@@ -127,7 +123,6 @@ class MemoryModel:
         self._intern_keys = id_to_key
         self._intern_parts = [k[1] for k in id_to_key]
         self._domain_memo.clear()
-        self.state_epoch += 1
 
     # ------------------------------------------------------------------
     def domain_of(self, key: tuple) -> int:
@@ -143,10 +138,6 @@ class MemoryModel:
         if dom is not None:
             return dom
         name, part = self._intern_keys[key] if type(key) is int else key
-        override = self._placement.get((name, part))
-        if override is not None:
-            memo[key] = override
-            return override
         if not self.first_touch or part is None:
             memo[key] = 0
             return 0
@@ -160,16 +151,6 @@ class MemoryModel:
         memo[key] = dom
         return dom
 
-    def place(self, key: tuple, domain: int) -> None:
-        """Pin a handle to a domain (overrides the striping rule)."""
-        if not 0 <= domain < self.machine.n_numa_domains:
-            raise ValueError(f"domain {domain} out of range")
-        self._placement[key] = domain
-        # Int-keyed memo entries for this handle would go stale, so
-        # drop the whole memo (placement pins happen before runs).
-        self._domain_memo.clear()
-        self.state_epoch += 1
-
     def is_remote(self, core: int, key: tuple) -> bool:
         return self._core_domain[core] != self.domain_of(key)
 
@@ -179,22 +160,17 @@ class MemoryModel:
         The observability layer samples this at iteration barriers to
         show page-home skew (the §5.1 first-touch story).  With handle
         interning adopted the histogram covers every handle the DAG
-        touches; otherwise it falls back to the explicit placement
-        pins, and returns ``None`` when neither exists.  Read-mostly:
+        touches; without it there is nothing to count.  Read-mostly:
         it resolves homes through :meth:`domain_of`, which only
         populates the pure ``_domain_memo`` cache — simulated pricing
         is unaffected (the memo is deliberately outside the
         steady-state fingerprint for exactly this reason).
         """
-        hist = [0] * self.machine.n_numa_domains
-        if self._intern_keys is not None:
-            keys = range(len(self._intern_keys))
-        elif self._placement:
-            keys = list(self._placement)
-        else:
+        if self._intern_keys is None:
             return None
+        hist = [0] * self.machine.n_numa_domains
         domain_of = self.domain_of
-        for k in keys:
+        for k in range(len(self._intern_keys)):
             hist[domain_of(k)] += 1
         return tuple(hist)
 
@@ -204,29 +180,25 @@ class MemoryModel:
         Used by the access-plan compiler: with interning adopted, it
         resolves every key's home once so the charge fast path indexes
         a list instead of calling :meth:`dram_line_cost` per touch.
-        Returns ``(homes, has_part)`` or ``None`` without interning.
-        The caller must stamp the current :attr:`state_epoch` next to
-        the arrays and re-validate it per charge — any placement
-        mutation bumps the epoch and invalidates them.
+        Returns ``(homes, has_part)`` over the adopted interning
+        (:meth:`adopt_interning` first).  Homes are a pure function of
+        the interning and the striping inputs (``machine``,
+        ``first_touch``, ``n_parts``, ``matrix_geometry``), so callers
+        cache them under those.
         """
         keys = self._intern_keys
-        if keys is None:
-            return None
         parts = self._intern_parts
         has_part = [p is not None for p in parts]
-        if self._placement:
-            domain_of = self.domain_of
-            homes = [domain_of(k) for k in range(len(keys))]
-        elif not self.first_touch:
+        if not self.first_touch:
             homes = [0] * len(keys)
         else:
             homes = self._striped_homes(keys, parts, has_part)
         return homes, has_part
 
     def _striped_homes(self, keys, parts, has_part) -> list:
-        """:meth:`domain_of` of every interned key without placement
-        pins, in bulk: the same integer block-row and striping
-        arithmetic, over one array of parts."""
+        """:meth:`domain_of` of every interned key, in bulk: the same
+        integer block-row and striping arithmetic, over one array of
+        parts."""
         part = np.array([0 if p is None else p for p in parts],
                         dtype=np.int64)
         if self.matrix_geometry:

@@ -112,7 +112,7 @@ class CostModel:
         "machine", "cache", "memory", "gather_intensity", "_peak_core",
         "_l2c", "_l3c", "_prep",
         # -- compiled access plans (see prepare) -----------------------
-        "_plan_epoch", "_bare_ctx", "_bare_common",
+        "_bare_ctx", "_bare_common",
     )
 
     def __init__(
@@ -135,10 +135,6 @@ class CostModel:
         self._prep = None
         # Fast-path state: armed by ``prepare`` (the DAG's interned
         # handle ids index the home-domain arrays).
-        # ``_plan_epoch`` is the memory model's ``state_epoch`` the
-        # arrays were resolved at, -1 when unarmed — one comparison
-        # decides the dispatch in ``charge``.
-        self._plan_epoch = -1
         self._bare_ctx = None
         self._bare_common = None
 
@@ -307,10 +303,9 @@ class CostModel:
         ``(compute, touches, gather)``: the ``_task_info`` tuple with
         zero-byte touches dropped (a zero-byte access is a documented
         no-op: no state change, no hook call, no cost).  ``prepare``
-        also snapshots the NUMA home domain of every interned handle
-        into arrays stamped with the memory model's ``state_epoch``;
-        ``charge`` re-validates the epoch per call and falls back to
-        the live pricing path on any mismatch.
+        also resolves the NUMA home domain of every interned handle
+        into arrays: homes are a pure function of the DAG and the
+        memory configuration, fixed for the whole run.
 
         Plans compile from the frozen view alone, so neither a built
         DAG nor a loaded prep artifact ever rebuilds its task list
@@ -324,7 +319,7 @@ class CostModel:
         key = (self.machine, self.gather_intensity)
         store = dag._cost_prep
         prep = store.get(key)
-        if prep is None or len(prep) != len(dag):
+        if prep is None:
             prep = self._compile_plans(soa)
             store[key] = prep
         self._prep = prep
@@ -437,46 +432,28 @@ class CostModel:
                        fixed.tolist(), scattered.tolist(), xkey))
 
     def _arm_fast_path(self, dag) -> None:
-        """Snapshot NUMA homes for the compiled-plan walk.
+        """Resolve NUMA homes for the compiled-plan walk.
 
         The fast walk prices DRAM legs from per-key arrays instead of
-        :meth:`MemoryModel.dram_line_cost`; the arrays are only valid
-        while no placement mutation happens, which the memory model's
-        ``state_epoch`` tracks.  When the memory model carries no
-        explicit placement pins the arrays are pure functions of
-        ``(machine, first_touch, n_parts, matrix_geometry)`` over the
-        DAG's own interning, so they are cached on the DAG under that
-        key — five runtimes pricing the same memoized DAG resolve every
-        home once, not once per engine.
+        :meth:`MemoryModel.dram_line_cost`.  ``prepare`` has adopted
+        the DAG's interning, so the arrays are a pure function of
+        ``(machine, first_touch, n_parts, matrix_geometry)`` over it
+        and are cached on the DAG under that key: five runtimes
+        pricing the same memoized DAG resolve every home once, not
+        once per engine.
         """
         mem = self.memory
-        arrays = None
-        astore = None
-        if not mem._placement:
-            akey = (self.machine, mem.first_touch, mem._n_parts,
-                    mem.matrix_geometry)
-            astore = dag._home_arrays
-            arrays = astore.get(akey)
-            if arrays is not None and \
-                    len(arrays[0]) != len(mem._intern_keys):
-                arrays = None
+        akey = (self.machine, mem.first_touch, mem._n_parts,
+                mem.matrix_geometry)
+        astore = dag._home_arrays
+        arrays = astore.get(akey)
         if arrays is None:
-            arrays = mem.home_arrays()
-            if arrays is not None and astore is not None:
-                astore[akey] = arrays
-        if arrays is None:
-            self._plan_epoch = -1
-            self._bare_common = None
-            return
+            arrays = astore[akey] = mem.home_arrays()
         homes, haspart = arrays
-        self._plan_epoch = mem.state_epoch
         # Hot-loop invariants of the compiled walk, resolved once per
         # prepare instead of per charge: one shared tuple for the
         # model-wide bindings and a lazily-filled per-core list (see
-        # :meth:`_bare_core_ctx`).  Rebuilt on every prepare; a stale
-        # context is unreachable because the compiled walk is only
-        # entered under the same ``state_epoch`` guard that validated
-        # these.
+        # :meth:`_bare_core_ctx`).
         self._bare_common = (
             self._l2c, self._l3c, homes, haspart,
             mem._local_cost, mem._remote_cost, mem._scattered_cost,
@@ -503,12 +480,9 @@ class CostModel:
         task's duration decomposition and per-level missed lines.
         """
         plan = self._prep[tid]
-        # The compiled walk needs home arrays valid for the current
-        # placement (an unarmed prepare stamps epoch -1, which never
-        # matches) and no trace hook; traced runs and epoch mismatches
-        # walk through CacheHierarchy.access, the walk's oracle.
-        if (self.memory.state_epoch == self._plan_epoch
-                and self.cache.trace_hook is None):
+        # Traced runs walk through CacheHierarchy.access, the compiled
+        # walk's oracle, so the trace hook sees every access.
+        if self.cache.trace_hook is None:
             return self._charge_bare(plan, core)
         return self._charge_access(plan, core)
 
@@ -577,8 +551,8 @@ class CostModel:
         :meth:`CacheHierarchy.access`, term-for-term and in the same
         order (the equivalence fixture pins the numbers), but fused
         into one loop over the compiled plan with every per-call
-        attribute lookup hoisted, the DRAM leg priced from the
-        epoch-stamped home arrays, and a whole-cache-clobber eviction
+        attribute lookup hoisted, the DRAM leg priced from the home
+        arrays ``prepare`` resolved, and a whole-cache-clobber eviction
         fast path (an inserted extent that fills the level evicts
         every other entry — the dominant cold-cache case).  Evictions
         leave the lazy coherence directory alone.  Any semantic change

@@ -24,7 +24,6 @@ from operator import eq, gt
 from typing import List, Optional
 
 from repro.graph.dag import TaskDAG
-from repro.kernels.registry import kernel_spec
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.machine.perf import PerfCounters
@@ -44,24 +43,22 @@ def _steady_state_enabled() -> bool:
     return not os.environ.get("REPRO_NO_STEADY_STATE")
 
 
-def _machine_state_fingerprint(cache: CacheHierarchy,
-                               memory: MemoryModel) -> tuple:
+def _machine_state_fingerprint(cache: CacheHierarchy) -> tuple:
     """Hashable snapshot of every piece of mutable machine state.
 
     Taken at iteration barriers by the steady-state detector: per-level
-    LRU contents *in LRU order* (eviction order is state) and any
-    explicit NUMA placement pins.  The coherence directory
-    (``CacheHierarchy._holders``) and the memoization dicts
-    (``MemoryModel._domain_memo`` etc.) are excluded on purpose: the
-    directory is a superset of the real holders, which the LRU contents
-    already determine, and the memos are pure caches; neither can
-    change a simulated value.
+    LRU contents *in LRU order* (eviction order is state).  NUMA homes
+    are fixed when the run is prepared, so the memory model holds no
+    run state.  The coherence directory (``CacheHierarchy._holders``)
+    and the memoization dicts (``MemoryModel._domain_memo`` etc.) are
+    excluded on purpose: the directory is a superset of the real
+    holders, which the LRU contents already determine, and the memos
+    are pure caches; neither can change a simulated value.
     """
     return (
         tuple(tuple(c._entries.items()) for c in cache.l1),
         tuple(tuple(c._entries.items()) for c in cache.l2),
         tuple(tuple(c._entries.items()) for c in cache.l3),
-        tuple(memory._placement.items()),
     )
 
 
@@ -296,7 +293,7 @@ class SimulationEngine:
                 armed = False
                 continue
             fp = (sched_fp,
-                  _machine_state_fingerprint(self.cache, self.memory))
+                  _machine_state_fingerprint(self.cache))
             if prev_fp is not None and fp == prev_fp and tape == prev_tape:
                 # Two consecutive iterations started from the same
                 # state, behaved identically, and returned to that
@@ -623,35 +620,27 @@ class SimulationEngine:
 
 
 # ----------------------------------------------------------------------
-def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
-                           nnz_balanced: bool = False):
+def _bsp_phase_assignments(dag: TaskDAG, n_cores: int):
     """Static chunk→core assignment of every BSP phase, memoized.
 
     The assignment is run-invariant — a pure function of the DAG's
-    frozen view, the core count, and the balancing mode — so it is
-    cached on the DAG (and therefore persisted inside prep artifacts: a
+    frozen view and the core count — so it is cached on the DAG under
+    ``n_cores`` (and therefore persisted inside prep artifacts: a
     loaded DAG never recomputes it).  Phases are contiguous runs of
     equal ``task.seq`` in program order (the frozen ``phase_indptr``);
-    library kernels balance differently per kernel class — MKL splits
-    sparse kernels by nonzeros, dense ones by rows — so the chunk→core
-    mapping shifts between phases on skewed matrices (the cross-kernel
-    locality loss inherent to the fork-join model).
+    each phase splits its row groups over the cores by count, so the
+    chunk→core mapping shifts between phases with different group
+    counts (the cross-kernel locality loss inherent to the fork-join
+    model).
     """
     memo = dag._bsp_phases
-    mkey = (n_cores, bool(nnz_balanced))
-    cached = memo.get(mkey)
+    cached = memo.get(n_cores)
     if cached is not None:
         return cached
-    # Off the frozen view: phase bounds, ``params["i"]`` (-1 for none),
-    # kernel codes, and the nonzeros SpMV/SpMM tasks carry (every
-    # other task's shape has none).
+    # Off the frozen view: phase bounds and ``params["i"]`` (-1 for
+    # none).
     soa = dag.freeze()
     param_i = soa.param_i.tolist()
-    codes = soa.kernel_codes.tolist()
-    names = soa.kernel_names
-    nnz = [1] * soa.n_tasks
-    for tid, n in zip(soa.sparse_tids.tolist(), soa.sparse_nnz.tolist()):
-        nnz[tid] = n
     inf = float("inf")
     bounds = soa.phase_indptr.tolist()
     phase_assignments: List[List[tuple]] = []
@@ -671,8 +660,7 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
         # by row count; on matrices with skewed nonzero
         # distributions the heaviest chunk straggles and the
         # barrier makes everyone wait — the §1 load-imbalance cost
-        # of the BSP model.  Set ``nnz_balanced`` for an idealized
-        # baseline that splits sparse phases by nonzeros instead.
+        # of the BSP model.
         groups: List[List[int]] = []
         last_i = object()
         for tid in order:
@@ -682,25 +670,13 @@ def _bsp_phase_assignments(dag: TaskDAG, n_cores: int,
                 last_i = gi
             groups[-1].append(tid)
         ng = len(groups)
-        if kernel_spec(names[codes[order[0]]]).kind == "sparse" \
-                and nnz_balanced:
-            weights = [sum(max(1.0, nnz[t]) for t in g) for g in groups]
-            total_w = sum(weights)
-            cum = 0.0
-            group_core = []
-            for wgt in weights:
-                group_core.append(
-                    min(n_cores - 1, int(cum / total_w * n_cores))
-                )
-                cum += wgt
-        else:
-            group_core = [k * n_cores // ng for k in range(ng)]
+        group_core = [k * n_cores // ng for k in range(ng)]
         phase_assignments.append([
             (tid, group_core[k])
             for k, g in enumerate(groups)
             for tid in g
         ])
-    memo[mkey] = phase_assignments
+    memo[n_cores] = phase_assignments
     return phase_assignments
 
 
@@ -713,7 +689,6 @@ def run_bsp(
     barrier_cost: Optional[float] = None,
     loop_overhead: float = 0.05e-6,
     record_flow: bool = True,
-    nnz_balanced: bool = False,
     steady_state: Optional[bool] = None,
     tracer=None,
 ) -> RunResult:
@@ -751,7 +726,7 @@ def run_bsp(
     n_cores = machine.n_cores
     kernels = dag.kernel_of()
     pred = dag.pred
-    phase_assignments = _bsp_phase_assignments(dag, n_cores, nnz_balanced)
+    phase_assignments = _bsp_phase_assignments(dag, n_cores)
 
     charge = cost.charge
     frecord = flow.record
@@ -834,7 +809,7 @@ def run_bsp(
         it += 1
         if not armed:
             continue
-        fp = _machine_state_fingerprint(cache, memory)
+        fp = _machine_state_fingerprint(cache)
         if prev_fp is not None and fp == prev_fp and charges == prev_charges:
             # Cache/NUMA state is at a fixed point and the last two
             # iterations charged identically: every remaining charge()

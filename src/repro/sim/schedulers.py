@@ -54,21 +54,17 @@ def _domain_tables(dag, memory):
 
     Returns ``(first_write_dom, write_doms)`` — the home domain of each
     task's first write (``-1`` for write-less tasks) and the tuple of
-    all its writes' domains — or ``None`` when they cannot be derived
-    (explicit placement pins, or the memory model's interning is not
-    this DAG's).  The tables are a pure function of
-    the DAG and the striping inputs, so they are cached on the DAG
-    under the same key shape the cost model uses for its home arrays:
-    five runtimes scheduling the same memoized DAG resolve every
-    domain once.  Callers must stamp ``memory.state_epoch`` next to
-    the tables and re-validate per use — a placement mutation bumps
-    the epoch, and the live ``domain_of`` path takes over.
+    all its writes' domains.  The memory model adopts the DAG's
+    interning first, as :meth:`repro.sim.cost.CostModel.prepare` does,
+    so homes resolve over this DAG's handle ids.  The tables are a
+    pure function of the DAG and the striping inputs, so they are
+    cached on the DAG under the same key shape the cost model uses for
+    its home arrays: five runtimes scheduling the same memoized DAG
+    resolve every domain once.  Schedulers read these tables and never
+    a task list.
     """
-    if memory._placement:
-        return None
     soa = dag.freeze()
-    if memory._intern_keys is not soa.id_to_key:
-        return None
+    memory.adopt_interning(soa.id_to_key)
     key = (memory.machine, memory.first_touch, memory._n_parts,
            memory.matrix_geometry)
     store = dag._sched_domains
@@ -76,8 +72,6 @@ def _domain_tables(dag, memory):
     if tables is not None:
         return tables
     arrays = memory.home_arrays()
-    if arrays is None:
-        return None
     # Homes with a -1 sentinel last, so a write-less task's id -1
     # reads -1.
     homes = np.array(arrays[0] + [-1], dtype=np.int64)
@@ -150,9 +144,7 @@ class Scheduler:
         #: Runtime overhead charged on the executing core for every
         #: task; the engine reads it once per iteration.
         self.overhead_per_task = overhead_per_task
-        self.dag: Optional[TaskDAG] = None
         self.machine: Optional[MachineSpec] = None
-        self.memory: Optional[MemoryModel] = None
         self._queue = deque()
         #: Observability hook (``repro.trace``): set by the engine for
         #: the duration of a traced run.  Policies emit queue-depth
@@ -171,10 +163,13 @@ class Scheduler:
         memory: MemoryModel,
         seed: int = 0,
     ) -> None:
-        """Bind to one DAG and machine before a run."""
-        self.dag = dag
+        """Bind to one DAG and machine before a run.
+
+        Policies that place work by NUMA home read the DAG's domain
+        tables here (:func:`_domain_tables`); none keeps the DAG or the
+        memory model past ``prepare``.
+        """
         self.machine = machine
-        self.memory = memory
         self.rng = np.random.default_rng(seed)
         self._queue = deque()
 
@@ -266,15 +261,8 @@ class DeepSparseScheduler(Scheduler):
         self._shared = deque()
         self._n_ready = 0
         # Precomputed write-home domains for the shared-queue NUMA
-        # scan; epoch-guarded, with the live domain_of path as
-        # fallback (see _domain_tables).
-        tables = _domain_tables(dag, memory)
-        if tables is not None:
-            self._write_doms = tables[1]
-            self._dom_epoch = memory.state_epoch
-        else:
-            self._write_doms = None
-            self._dom_epoch = -1
+        # scan (see _domain_tables).
+        self._write_doms = _domain_tables(dag, memory)[1]
 
     def state_fingerprint(self):
         # Deques + shared FIFO are the complete policy state (picks
@@ -324,23 +312,12 @@ class DeepSparseScheduler(Scheduler):
             limit = min(len(shared), self.numa_window)
             hit = -1
             wdoms = self._write_doms
-            if wdoms is not None \
-                    and self.memory.state_epoch == self._dom_epoch:
-                # Any-write membership over the precomputed domain
-                # tuple — the same predicate as the handle scan below.
-                for idx in range(limit):
-                    if dom in wdoms[shared[idx]]:
-                        hit = idx
-                        break
-            else:
-                for idx in range(limit):
-                    t = self.dag.tasks[shared[idx]]
-                    for h in t.writes:
-                        if self.memory.domain_of((h.name, h.part)) == dom:
-                            hit = idx
-                            break
-                    if hit >= 0:
-                        break
+            # The first task in the window that writes a handle homed
+            # on this core's domain.
+            for idx in range(limit):
+                if dom in wdoms[shared[idx]]:
+                    hit = idx
+                    break
             if hit >= 0:
                 tid = shared[hit]
                 del shared[hit]
@@ -393,37 +370,23 @@ class HPXScheduler(Scheduler):
         n_dom = machine.n_numa_domains if self.numa_aware else 1
         self._queues: List[List[int]] = [[] for _ in range(n_dom)]
         self._n_ready = 0
-        # Precomputed per-task hint domains (first write's home) for
-        # on_ready; epoch-guarded like the cost model's home arrays.
-        self._task_dom = None
-        self._dom_epoch = -1
+        # Per-task hint domains (first write's home) for on_ready;
+        # without NUMA hints every task goes to the one queue.
         if self.numa_aware:
-            tables = _domain_tables(dag, memory)
-            if tables is not None:
-                self._task_dom = [
-                    d % n_dom if d >= 0 else 0 for d in tables[0]
-                ]
-                self._dom_epoch = memory.state_epoch
+            self._task_dom = [
+                d % n_dom if d >= 0 else 0
+                for d in _domain_tables(dag, memory)[0]
+            ]
+        else:
+            self._task_dom = None
 
     def release_time(self, tid: int, iter_start: float) -> float:
         # The main thread builds the dataflow tree serially each iteration.
         return iter_start + (tid + 1) * self.spawn_cost
 
-    def _domain_of_task(self, tid: int) -> int:
-        if not self.numa_aware:
-            return 0
-        t = self.dag.tasks[tid]
-        for h in t.writes:
-            return self.memory.domain_of((h.name, h.part)) % len(self._queues)
-        return 0
-
     def on_ready(self, tid, time, enabler_core=None):
         table = self._task_dom
-        if table is not None \
-                and self.memory.state_epoch == self._dom_epoch:
-            dom = table[tid]
-        else:
-            dom = self._domain_of_task(tid)
+        dom = table[tid] if table is not None else 0
         self._queues[dom].append(tid)
         self._n_ready += 1
         tr = self.tracer

@@ -144,7 +144,7 @@ def run_three(machine, tasks, schedule):
     fused = _model(machine, fused_cache, dag)
     oracle = _model(machine, oracle_cache, dag)
     ref = _model(machine, ref_cache, dag)
-    assert fused._plan_epoch == fused.memory.state_epoch
+    assert fused._bare_common is not None
     oracle_cache.trace_hook = lambda lines: assert_holders_covered(
         oracle_cache)
     compactions = []

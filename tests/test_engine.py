@@ -122,22 +122,6 @@ def test_base_scheduler_runs_lanczos(bw):
     assert res.counters.tasks_executed == 2 * len(dag)
 
 
-def test_bsp_nnz_balanced_vs_uniform(bw):
-    """nnz-balanced sparse splits clearly beat uniform on skewed
-    (power-law) matrices at full scale — the static load-imbalance
-    penalty of the BSP model."""
-    from repro.matrices.census import census_for
-    from repro.matrices.suite import SUITE
-
-    spec = SUITE["twitter7"]
-    cen = census_for(spec, -(-spec.paper_rows // 64))
-    calls, chunked, small = lanczos_trace(cen, k=20)
-    dag = build_solver_dag(cen, calls, chunked, small)
-    uni = run_bsp(bw, dag, iterations=1, nnz_balanced=False)
-    bal = run_bsp(bw, dag, iterations=1, nnz_balanced=True)
-    assert bal.total_time < uni.total_time * 0.8
-
-
 def test_empty_dag(bw):
     from repro.graph.dag import TaskDAG
 

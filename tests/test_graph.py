@@ -307,6 +307,46 @@ def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_dag):
     assert [t.kernel for t in again.tasks] == kernels + ["ADD"]
 
 
+def _striped_copies(lo, hi):
+    """COPY tasks ``lo..hi-1``: task ``i`` copies part ``i % 16`` of
+    ``x`` into a new handle over the same part, one phase per 16."""
+    return [mk_task("COPY", [DataHandle("x", i % 16, 8192)],
+                    [DataHandle(f"y{i // 16}", i % 16, 8192)],
+                    {"rows": 64, "width": 1}, seq=i // 16)
+            for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("n_tasks", [64, 200])
+def test_runs_after_add_task_match_a_fresh_build(n_tasks):
+    """A run memoizes plans, homes, domain tables and BSP phases on
+    the DAG; ``add_task`` after it must drop them all.  Same partition
+    count before and after, so every memo key repeats: a stale domain
+    table indexes past its end, stale phases run the old tasks only."""
+    from repro.machine import epyc
+    from repro.sim.engine import SimulationEngine, run_bsp
+    from repro.sim.schedulers import DeepSparseScheduler, HPXScheduler
+
+    machine = epyc()
+
+    def runs(dag):
+        return [SimulationEngine(machine).run(dag, s, iterations=2).summary()
+                for s in (DeepSparseScheduler(), HPXScheduler())] + \
+            [run_bsp(machine, dag, iterations=2).summary()]
+
+    mutated = TaskDAG()
+    for t in _striped_copies(0, 16):
+        mutated.add_task(t)
+    runs(mutated)
+    for t in _striped_copies(16, n_tasks):
+        mutated.add_task(t)
+    fresh = TaskDAG()
+    for t in _striped_copies(0, n_tasks):
+        fresh.add_task(t)
+    got, want = runs(mutated), runs(fresh)
+    assert [r.counters.tasks_executed for r in got] == [2 * n_tasks] * 3
+    assert got == want
+
+
 def test_concurrent_first_decodes_share_one_task_list(prepped_dag,
                                                      monkeypatch):
     """Service threads share loaded DAGs: racing first reads of

@@ -194,14 +194,6 @@ def test_remote_dram_penalty(ep):
     assert remote == pytest.approx(local * ep.numa_penalty)
 
 
-def test_place_override(ep):
-    m = MemoryModel(ep, first_touch=True, n_parts=128)
-    m.place(("v", 127), 0)
-    assert m.domain_of(("v", 127)) == 0
-    with pytest.raises(ValueError):
-        m.place(("v", 0), 99)
-
-
 # ----------------------------------------------------------------------
 def test_perf_counters_record_and_merge():
     a = PerfCounters()

@@ -63,7 +63,7 @@ def _charge_rounds(tasks, schedule, traced: bool):
         dag.add_task(t)
     cm.prepare(dag)
     # The compiled walk is armed: only the hook decides the path.
-    assert cm._plan_epoch == mem.state_epoch
+    assert cm._bare_common is not None
     events = []
     if traced:
         cache.trace_hook = events.append

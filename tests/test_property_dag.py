@@ -698,8 +698,3 @@ def test_home_arrays_and_domain_tables_match_domain_of(
         assert write_doms == [tuple(homes[i] for i in ids[a:b])
                               for a, b in zip(ip, ip[1:])]
         assert first_dom == [d[0] if d else -1 for d in write_doms]
-    pinned = MemoryModel(epyc())
-    pinned.configure_from_dag(dag)
-    key = soa.id_to_key[-1]
-    pinned.place(key, 5)
-    assert pinned.home_arrays()[0][-1] == 5

@@ -124,3 +124,51 @@ def test_regent_analysis_pipeline_rates(bw, memory):
     assert r == sorted(r)  # pipeline is serial
     assert r[1] - r[0] == pytest.approx(10e-6)  # SPMM: full analysis
     assert r[3] - r[2] == pytest.approx(1e-6)   # XY: index launch
+
+
+def test_numa_picks_read_domain_tables_never_a_task_list(ep):
+    """DeepSparse's shared-queue NUMA scan and HPX's domain queues
+    (hints on and off) resolve homes from the DAG's domain tables:
+    they never build a task list, and they need no memory model that
+    adopted the DAG's interning beforehand."""
+    dag = TaskDAG()
+    for k in range(16):
+        dag.add_task(Task(-1, "COPY", (DataHandle("x", k, 8),),
+                          (DataHandle("y", k, 8),),
+                          {"rows": 1, "width": 1}, {"i": k}, 0, k))
+    dag.freeze()
+    dag._tasks = None
+
+    def refuse():
+        raise AssertionError("a scheduler built the task list")
+
+    dag._expand = refuse
+    ref = MemoryModel(ep, first_touch=True, n_parts=16)
+
+    def home(tid):  # task k writes ("y", k)
+        return ref.domain_of(("y", tid))
+
+    s = DeepSparseScheduler()
+    s.prepare(dag, ep, MemoryModel(ep, first_touch=True, n_parts=16))
+    shared = list(range(16))
+    for tid in shared:
+        s.on_ready(tid, 0.0)
+    for core in (48, 16, 112, 0, 127, 64):
+        dom = ep.domain_of_core(core)
+        window = shared[:s.numa_window]
+        want = next((t for t in window if home(t) == dom), shared[0])
+        assert s.pick(core, 0.0) == want
+        shared.remove(want)
+
+    for numa_aware in (True, False):
+        s = HPXScheduler(numa_aware=numa_aware, shuffle_window=1)
+        s.prepare(dag, ep, MemoryModel(ep, first_touch=True, n_parts=16))
+        for tid in range(16):
+            s.on_ready(tid, 0.0)
+        if numa_aware:
+            assert s._queues == [[t for t in range(16) if home(t) == d]
+                                 for d in range(ep.n_numa_domains)]
+        else:
+            assert s._queues == [list(range(16))]
+        picks = [s.pick(core, 0.0) for core in range(0, 128, 8)]
+        assert sorted(picks) == list(range(16))
