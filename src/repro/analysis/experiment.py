@@ -149,7 +149,8 @@ def _compile_prep(machine_name: str, dag, first_touch: bool = True):
     """Compile every reusable per-run invariant onto the DAG.
 
     Mirrors the engine's run setup exactly (configure memory → resolve
-    partitions → compile plans → scheduler domain tables) against a
+    partitions → compile plans → scheduler domain tables → BSP phase
+    table) against a
     throwaway memory/cache stack, so the artifact a worker loads
     carries the same ``_cost_prep``/``_home_arrays``/``_sched_domains``
     a live run would have produced.
@@ -157,7 +158,7 @@ def _compile_prep(machine_name: str, dag, first_touch: bool = True):
     from repro.machine.cache import CacheHierarchy
     from repro.machine.memory import MemoryModel
     from repro.sim.cost import CostModel
-    from repro.sim.engine import _bsp_phase_assignments, _max_partitions
+    from repro.sim.engine import _bsp_phase_table, _max_partitions
     from repro.sim.schedulers import _domain_tables
 
     machine = get_machine(machine_name)
@@ -167,7 +168,7 @@ def _compile_prep(machine_name: str, dag, first_touch: bool = True):
         memory.n_parts = _max_partitions(dag)
     CostModel(machine, CacheHierarchy(machine), memory).prepare(dag)
     _domain_tables(dag, memory)
-    _bsp_phase_assignments(dag, machine.n_cores)
+    _bsp_phase_table(dag, machine.n_cores)
 
 
 @contextmanager

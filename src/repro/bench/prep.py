@@ -18,7 +18,7 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 8): the store's JSON header line —
+File format (:data:`PREP_FORMAT` 9): the store's JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
 DAG is pickled without its ``Task`` list and without the successor
@@ -28,16 +28,24 @@ tables, compiled plans, domain tables and BSP phases, ``succ`` and
 ``pred`` as int32 CSR pairs, plus its rebuild recipe as plain data
 (matrix, block size, solver, width and build-option fields;
 :meth:`repro.graph.dag.TaskDAG.__getstate__`).  A run reads only the
-former.  BSP phases are keyed by the core count alone (the key
-changed in format 8).  A loaded
-artifact holds one object per repeated value where the run path
-repeats them: plans share one tuple per distinct touch
-and the domain tables one tuple per distinct domain set (made so at
-compile time; pickle memoizes tuples), and the adjacency lists, which
-``__setstate__`` rebuilds from their CSR pairs, share one ``int`` per
-tid (pickle does not memoize ints).  A consumer outside the simulation run
-path (trace export, Gantt, the threaded runtime, analysis) rebuilds
-the list through the DAG builder at its first ``dag.tasks``, which
+former.  From format 9 the two largest run memos travel as arrays:
+the plans as a :class:`~repro.sim.cost.PlanTable`'s columns (one
+table of the DAG's distinct ints, one of its distinct floats keyed by
+bit pattern, the distinct touches and gather bundles as indices into
+them, and per-task indices into those), and each core count's BSP
+phases as a :class:`~repro.sim.engine.PhaseTable`'s columns (tids and
+cores in phase order, and each task's intra-phase predecessors as a
+CSR).  Index columns take the narrowest integer type that holds them.
+Loading decodes both into one object per distinct value: one ``int``
+and one ``float`` per value, one tuple per distinct touch and gather
+bundle, and every tid the process-wide
+:func:`~repro.graph.dag.tid_ints` object that ``succ`` holds too.  A
+loaded table keeps only what it decoded.  ``pred`` stays a CSR pair
+until it is read; no run reads it.  The domain tables share one tuple
+per distinct domain set (made so at compile time; pickle memoizes
+tuples).  A consumer outside the simulation run path (trace export,
+Gantt, the threaded runtime, analysis) rebuilds the list through the
+DAG builder at its first ``dag.tasks``, which
 fails closed if the rebuilt graph differs from the loaded arrays in
 any field.  A DAG built in process holds no list either until asked:
 the cold path (build, plan compile, ``put``) never makes one.
@@ -86,9 +94,10 @@ __all__ = [
 
 #: Storage-schema version of one prep artifact.  Bump on any change to
 #: the payload layout *or* to the pickled structures it carries (plan
-#: tuple shape, GraphArrays fields, …) *or* to what a DAG's recipe
-#: rebuilds: old artifacts are orphaned by the salt, not migrated.
-PREP_FORMAT = 8
+#: or phase table columns, GraphArrays fields, …) *or* to what a DAG's
+#: recipe rebuilds: old artifacts are orphaned by the salt, not
+#: migrated.
+PREP_FORMAT = 9
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

@@ -14,7 +14,8 @@ Two representations coexist:
   :meth:`TaskDAG.add_task` appends one task; :meth:`TaskDAG.add_edge`
   adds one edge at a time.  The ``(u, v)`` edge set that deduplicates
   ``add_edge`` is derived from ``succ`` on demand, so a built or
-  loaded DAG carries none;
+  loaded DAG carries none.  A loaded DAG keeps ``pred`` as its CSR
+  pair until the first read (no simulation run reads it);
 * the **frozen structure-of-arrays view** (:class:`GraphArrays`) —
   indegrees, dense interned operand-id tables with per-task
   write/touch spans, kernel codes, flop counts, call (phase) bounds and
@@ -63,6 +64,7 @@ rebuild.  A DAG without a recipe pickles its list the plain way.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -349,6 +351,18 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.int64)
 
 
+def _smallest(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest signed integer type that holds every value
+    (int8 to int64): the index columns of plan and phase tables, which
+    mostly point into tables of a few thousand entries."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    for t in (np.int8, np.int16, np.int32):
+        info = np.iinfo(t)
+        if info.min <= lo and hi <= info.max:
+            return a.astype(t)
+    return a.astype(np.int64)
+
+
 def _csr(rows) -> tuple:
     """``(indptr, indices)`` of a list of int lists: int64 offsets,
     int32 entries."""
@@ -360,14 +374,73 @@ def _csr(rows) -> tuple:
     return indptr, indices
 
 
-def _rows(csr, ints: np.ndarray) -> list:
-    """The int lists of a CSR pair, each entry ``ints``' object for its
-    value: fancy indexing an object array copies references, so every
-    list that names a tid holds the same ``int``."""
+#: One shared ``int`` per tid, grown on demand under ``_TID_LOCK``
+#: (service threads load artifacts concurrently): see :func:`tid_ints`.
+_TIDS = np.empty(0, dtype=object)
+_TID_LOCK = threading.Lock()
+
+
+def _fresh_tid_lock() -> None:
+    """A forked child gets an unheld lock: the service forks its pool
+    workers while a prebuild thread may be growing the table, and an
+    inherited held lock would hang the child's first load."""
+    global _TID_LOCK
+    _TID_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_tid_lock)
+
+
+def tid_ints(n: int) -> np.ndarray:
+    """An object array whose entry ``t`` is the one ``int`` for tid ``t``,
+    for every ``t < n``.
+
+    Pickle does not memoize ints, so lists decoded from a prep
+    artifact's arrays would hold one ``int`` per occurrence; indexing
+    this array instead copies references, so every adjacency list and
+    BSP phase of every loaded DAG in the process names a tid with the
+    same object.  Growing keeps the objects already handed out.
+    """
+    global _TIDS
+    tids = _TIDS
+    if len(tids) < n:
+        with _TID_LOCK:
+            tids = _TIDS
+            if len(tids) < n:
+                grown = np.empty(n, dtype=object)
+                grown[:len(tids)] = tids
+                grown[len(tids):] = range(len(tids), n)
+                _TIDS = tids = grown
+    return tids
+
+
+def _rows(csr) -> list:
+    """The int lists of a CSR pair of tids, each entry the shared
+    :func:`tid_ints` object for its value."""
     indptr, indices = csr
-    flat = ints[indices].tolist()
+    flat = tid_ints(len(indptr) - 1)[indices].tolist()
     bounds = indptr.tolist()
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _tuples(objs: np.ndarray, index: np.ndarray, indptr: np.ndarray) -> list:
+    """``[tuple(objs[index[a:b]]) for a, b in consecutive indptr
+    bounds]``, made one length at a time: a ``zip`` over the columns
+    of each length's rows builds their tuples in C, which is what a
+    decode of tens of thousands of short tuples spends its time on
+    otherwise."""
+    counts = np.diff(indptr)
+    n = counts.size
+    by = counts.argsort(kind="stable")
+    cuts = np.flatnonzero(np.diff(counts[by])) + 1
+    made = []
+    for rows in np.split(by, cuts) if n else ():
+        k = int(counts[rows[0]])
+        cols = objs[index[indptr[rows, None] + np.arange(k)]].T.tolist()
+        made += zip(*cols) if k else [()] * rows.size
+    out = np.empty(n, dtype=object)
+    out[by] = np.fromiter(made, dtype=object, count=n)
+    return out.tolist()
 
 
 def _same(a, b) -> bool:
@@ -415,7 +488,9 @@ class TaskDAG:
         #: only, never pickled.
         self._expand: Optional[Callable[[], "TaskDAG"]] = None
         self.succ: List[List[int]] = []
-        self.pred: List[List[int]] = []
+        #: Predecessor lists, or a loaded DAG's CSR pair until the first
+        #: read of :attr:`pred`.
+        self._pred = []
         #: ``(u, v)`` dedup set for :meth:`add_edge`; None until
         #: :meth:`_edge_pairs` derives it from ``succ``.
         self._edge_set: Optional[set] = None
@@ -426,6 +501,7 @@ class TaskDAG:
         self._soa: Optional[GraphArrays] = None
         self._kernel_of: Optional[List[str]] = None
         self._succ_csr = None
+        self._pred_csr = None
         self._cost_prep: dict = {}
         self._home_arrays: dict = {}
         self._sched_domains: dict = {}
@@ -440,9 +516,40 @@ class TaskDAG:
         dag._tasks = None
         dag._cols = cols
         dag.succ = succ
-        dag.pred = pred
+        dag._pred = pred
         dag._expand = expand
         return dag
+
+    @property
+    def pred(self) -> List[List[int]]:
+        """Predecessor lists, in wiring order.
+
+        A loaded DAG keeps them as the artifact's CSR pair and builds
+        the lists on first read (no simulation run reads them: BSP
+        phases carry their own intra-phase predecessors), with the
+        shared :func:`tid_ints` objects ``succ`` holds.
+        """
+        pred = self._pred
+        if type(pred) is tuple:
+            pred = self._pred = _rows(pred)
+        return pred
+
+    def pred_csr(self):
+        """``(indptr, indices)``: the predecessor lists as CSR arrays.
+
+        A loaded DAG's stored pair as it is; otherwise derived from
+        ``pred`` on demand like :meth:`succ_csr`, for BSP's phase
+        table and for pickling, and dropped with the frozen view on any
+        mutation.
+        """
+        pred = self._pred
+        if type(pred) is tuple:
+            return pred
+        csr = self._pred_csr
+        if csr is None:
+            self.freeze()
+            csr = self._pred_csr = _csr(pred)
+        return csr
 
     @property
     def tasks(self) -> List[Task]:
@@ -668,6 +775,7 @@ class TaskDAG:
         self._soa = None
         self._kernel_of = None
         self._succ_csr = None
+        self._pred_csr = None
         self.recipe = None
         self._expand = None
         self._cost_prep = {}
@@ -756,17 +864,24 @@ class TaskDAG:
         ``succ`` and ``pred`` travel as CSR pairs (``_csr``, offsets
         narrowed like the frozen columns).  Pickle does not memoize
         ints, so pickled lists would load with one ``int`` object per
-        edge end; :meth:`__setstate__` rebuilds them with one per tid.
+        edge end; :meth:`__setstate__` rebuilds ``succ`` with one per
+        tid, and ``pred`` stays a CSR pair until it is read.  A frozen
+        DAG's memoized pairs are reused.
         """
         state = self.__dict__.copy()
-        for name in ("succ", "pred"):
-            indptr, indices = _csr(state[name])
+        pred = self._pred
+        for name, csr in (
+                ("succ", self._succ_csr or _csr(self.succ)),
+                ("_pred", pred if type(pred) is tuple
+                 else self._pred_csr or _csr(pred))):
+            indptr, indices = csr
             state[name] = (_narrow(indptr), indices)
         state["_edge_set"] = None
         state["_kernel_of"] = None
         state["_cols"] = None
         state["_key_to_id"] = None
         state["_succ_csr"] = None
+        state["_pred_csr"] = None
         state["_expand"] = None
         if self.recipe is not None and self._soa is not None:
             state["_tasks"] = None
@@ -775,10 +890,9 @@ class TaskDAG:
         return state
 
     def __setstate__(self, state):
-        """Rebuild ``succ``/``pred`` from their CSR pairs (``_rows``)."""
-        ints = np.arange(len(state["succ"][0]) - 1).astype(object)
-        for name in ("succ", "pred"):
-            state[name] = _rows(state[name], ints)
+        """Rebuild ``succ`` from its CSR pair (``_rows``); ``pred``
+        waits for its first read."""
+        state["succ"] = _rows(state["succ"])
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------

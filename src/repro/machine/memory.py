@@ -195,6 +195,26 @@ class MemoryModel:
             homes = self._striped_homes(keys, parts, has_part)
         return homes, has_part
 
+    def placement_key(self) -> tuple:
+        """The inputs homes are a function of, besides the interning:
+        the key the per-DAG home and domain tables are memoized under."""
+        return (self.machine, self.first_touch, self._n_parts,
+                self.matrix_geometry)
+
+    def dag_home_arrays(self, dag):
+        """:meth:`home_arrays` over ``dag``'s interning (adopted first by
+        the caller), memoized on the DAG under :meth:`placement_key`.
+
+        The cost model and the schedulers both read homes through
+        here, so a run prepared on a DAG resolves every home once.
+        """
+        store = dag._home_arrays
+        key = self.placement_key()
+        arrays = store.get(key)
+        if arrays is None:
+            arrays = store[key] = self.home_arrays()
+        return arrays
+
     def _striped_homes(self, keys, parts, has_part) -> list:
         """:meth:`domain_of` of every interned key, in bulk: the same
         integer block-row and striping arithmetic, over one array of

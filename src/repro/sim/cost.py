@@ -13,9 +13,11 @@ placement, and per-task overheads differ between the frameworks.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from repro.graph.dag import SPARSE_KERNELS
+from repro.graph.dag import SPARSE_KERNELS, _smallest, _tuples
 from repro.graph.task import Task
 from repro.kernels.registry import kernel_spec
 from repro.machine.cache import CacheHierarchy
@@ -23,7 +25,8 @@ from repro.machine.memory import MemoryModel
 from repro.machine.topology import MachineSpec
 
 __all__ = [
-    "CostModel", "COST_MODEL_VERSION", "KIND_EFFICIENCY", "TaskCharge",
+    "CostModel", "COST_MODEL_VERSION", "KIND_EFFICIENCY", "PlanTable",
+    "TaskCharge",
 ]
 
 #: Semantic fingerprint of the pricing model.  Bump whenever a change
@@ -93,6 +96,178 @@ class TaskCharge(tuple):
     @property
     def misses(self):
         return self[3]
+
+
+def _distinct(a: np.ndarray) -> tuple:
+    """``(values, index)``: the sorted distinct values of ``a`` and each
+    entry's position among them, as ``np.unique(a,
+    return_inverse=True)`` gives them without the hash pass that makes
+    it several times slower at these sizes."""
+    order = a.argsort()
+    a = a[order]
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    index = np.empty(a.size, dtype=np.int64)
+    index[order] = np.cumsum(keep) - 1
+    return a[keep], index
+
+
+def _plan_columns(touch, touch_indptr, compute, gather_tids, gather):
+    """The :class:`PlanTable` columns of a DAG's plans, given as arrays.
+
+    ``touch`` is ``(key, nbytes, write, l1_insert, full_lines)``, one
+    entry per touch in plan order, ``touch_indptr`` each task's span
+    of them and ``compute`` each task's compute seconds;
+    ``gather_tids`` are the tasks with a gather bundle and ``gather``
+    is ``(g1, g2, g3, fixed, scattered, xkey)`` for each (xkey -1 for
+    None).  Equal touches and equal bundles become one row each, in
+    sorted order, so equal plans make equal columns.
+    """
+    i64 = np.int64
+    key, nbytes, write, n1, lmf = touch
+    # Each touch as one int64 code of (key, size, write), equal codes
+    # for equal touches only (``l1_insert`` and ``full_lines`` follow
+    # from nbytes): the size is nbytes itself while ``(max key + 1) *
+    # span`` stays within 2**62, else its rank among the DAG's sizes
+    # (keys and ranks are under 2**31).  One sort groups them: a
+    # per-touch dict pass would double the plan compile.
+    size = nbytes
+    span = int(nbytes.max()) + 1 if nbytes.size else 1
+    if nbytes.size and (int(key.max()) + 1) * span > 2**62:
+        sizes, size = np.unique(nbytes, return_inverse=True)
+        span = sizes.size
+    code = (key.astype(i64) * span + size) * 2 + write
+    order = code.argsort()
+    code = code[order]
+    new = np.empty(code.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    first = order[new]
+    which = np.empty(code.size, dtype=i64)
+    which[order] = np.cumsum(new) - 1
+    touch_ints = (key[first], nbytes[first], n1[first], lmf[first])
+    # Equal bundles once: one lexicographic sort of their six fields.
+    gather = [c.astype(i64) for c in gather[:3]] + [
+        gather[3].view(i64), gather[4].astype(i64), gather[5]]
+    order = np.lexsort(gather[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for c in gather:
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    gather_which = np.full(compute.size, -1, dtype=np.int32)
+    gather_which[gather_tids[order]] = np.cumsum(new) - 1
+    g1, g2, g3, fixed, scattered, xkey = (c[order[new]] for c in gather)
+    # One table of the distinct ints and one of the distinct floats,
+    # each keyed exactly: floats by their bit pattern, so -0.0 and 0.0
+    # (or two NaNs) never merge.  Every field becomes its value's
+    # index in its table.
+    has_x = xkey >= 0
+    ints, at = _distinct(np.concatenate(touch_ints + (g1, g2, g3,
+                                                      xkey[has_x])))
+    *touch_at, g1, g2, g3, x = np.split(
+        at, np.cumsum([first.size] * 4 + [g1.size] * 3))
+    xkey = np.full(xkey.size, -1)
+    xkey[has_x] = x
+    bits, at = _distinct(np.concatenate((compute.view(i64), fixed)))
+    compute, fixed = np.split(at, [compute.size])
+    return (
+        ints, bits.view(np.float64),
+        _smallest(np.stack(touch_at, axis=1)),
+        write[first].astype(bool), _smallest(touch_indptr),
+        _smallest(which), _smallest(compute),
+        _smallest(np.stack((g1, g2, g3, fixed, xkey), axis=1)),
+        scattered.astype(bool), _smallest(gather_which),
+    )
+
+
+class PlanTable:
+    """The compiled access plans of one DAG, memoized on the DAG.
+
+    ``plans`` is the tid-indexed list of ``(compute, touches, gather)``
+    the charge walk reads.  It is built from, and pickled as, compact
+    columns (:func:`_plan_columns`): ``ints`` and ``floats``, the
+    DAG's distinct int and float values; ``touch_vals`` (the ``ints``
+    indices of key, nbytes, ``l1_insert`` and ``full_lines``) and
+    ``touch_write``, one row per distinct touch; ``touch_indptr`` and
+    ``touch_which``, each task's touches as indices into those rows;
+    ``compute``, an index into ``floats``; ``gather_vals`` (g1, g2, g3
+    and xkey into ``ints``, -1 for no key; fixed into ``floats``) and
+    ``gather_scattered``, one row per distinct gather bundle, and
+    ``gather_which``, each task's row (-1: none).
+
+    The cold compile and a prep artifact's load both decode columns
+    here, into one object per distinct value: every int and float of
+    the plans is its table's object, every equal touch and gather one
+    tuple.  Pickle memoizes neither ints nor floats, which is why the
+    plans travel as columns.  A compiled table keeps its columns for
+    the prep store's ``put``; a loaded one keeps the plans alone (no
+    second copy) and re-encodes them if it is pickled again.
+    """
+
+    __slots__ = ("plans", "_columns")
+
+    def __init__(self, columns):
+        self._columns = columns
+        (ints, floats, touch_vals, touch_write, touch_indptr, touch_which,
+         compute, gather_vals, gather_scattered, gather_which) = columns
+        # Fancy indexing an object array copies references, so each
+        # table's objects are shared by every plan that indexes them.
+        # The None after the ints is what xkey -1 reads, the one after
+        # the gathers what gather -1 reads.
+        ints, values = np.empty(ints.size + 1, dtype=object), ints
+        ints[:-1] = values
+        floats = floats.astype(object)
+        key, nbytes, n1, lmf = ints[touch_vals].T.tolist()
+        distinct = np.fromiter(
+            zip(key, nbytes, touch_write.tolist(), n1, lmf), dtype=object,
+            count=touch_write.size)
+        touches = _tuples(distinct, touch_which, touch_indptr)
+        g1, g2, g3, xkey = ints[gather_vals[:, [0, 1, 2, 4]]].T.tolist()
+        gathers = np.empty(gather_scattered.size + 1, dtype=object)
+        gathers[:-1] = np.fromiter(
+            zip(g1, g2, g3, floats[gather_vals[:, 3]].tolist(),
+                gather_scattered.tolist(), xkey), dtype=object,
+            count=gather_scattered.size)
+        self.plans = list(zip(floats[compute].tolist(), touches,
+                              gathers[gather_which].tolist()))
+
+    def __getstate__(self):
+        if self._columns is not None:
+            return self._columns
+        plans = self.plans
+        n = len(plans)
+        compute, touches, gathers = zip(*plans) if plans else ((),) * 3
+        touch_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, touches), np.int64, n),
+                  out=touch_indptr[1:])
+        flat = list(chain.from_iterable(touches))
+        touch = np.fromiter(chain.from_iterable(flat), np.int64,
+                            5 * len(flat)).reshape(-1, 5).T
+        tids = np.array([t for t, g in enumerate(gathers) if g is not None],
+                        dtype=np.int64)
+        g1, g2, g3, fixed, scattered, xkey = (
+            zip(*map(gathers.__getitem__, tids.tolist())) if tids.size
+            else ((),) * 6)
+        return _plan_columns(
+            tuple(touch), touch_indptr, np.array(compute, dtype=np.float64),
+            tids, (np.array(g1, dtype=np.int64),
+                   np.array(g2, dtype=np.int64),
+                   np.array(g3, dtype=np.int64),
+                   np.array(fixed, dtype=np.float64),
+                   np.array(scattered, dtype=bool),
+                   np.array([-1 if x is None else x for x in xkey],
+                            dtype=np.int64)))
+
+    def __setstate__(self, columns):
+        self.__init__(columns)
+        self._columns = None
+
+    def __eq__(self, other):
+        return isinstance(other, PlanTable) and self.plans == other.plans
+
+    __hash__ = None
 
 
 class CostModel:
@@ -302,7 +477,8 @@ class CostModel:
         What is stored per task is a *compiled access plan*
         ``(compute, touches, gather)``: the ``_task_info`` tuple with
         zero-byte touches dropped (a zero-byte access is a documented
-        no-op: no state change, no hook call, no cost).  ``prepare``
+        no-op: no state change, no hook call, no cost), held in the
+        DAG's :class:`PlanTable`.  ``prepare
         also resolves the NUMA home domain of every interned handle
         into arrays: homes are a pure function of the DAG and the
         memory configuration, fixed for the whole run.
@@ -318,14 +494,13 @@ class CostModel:
         self.memory.adopt_interning(soa.id_to_key)
         key = (self.machine, self.gather_intensity)
         store = dag._cost_prep
-        prep = store.get(key)
-        if prep is None:
-            prep = self._compile_plans(soa)
-            store[key] = prep
-        self._prep = prep
+        table = store.get(key)
+        if table is None:
+            table = store[key] = self._compile_plans(soa)
+        self._prep = table.plans
         self._arm_fast_path(dag)
 
-    def _compile_plans(self, soa):
+    def _compile_plans(self, soa) -> PlanTable:
         """Flatten every task into its access plan, from the frozen columns.
 
         The plans equal what :meth:`_task_info` compiles from each
@@ -337,59 +512,17 @@ class CostModel:
         effective-byte overrides (:func:`_effective_touch_bytes`) and
         gather bundles (:meth:`_gather_bundles`) in NumPy, with the
         same integer products and IEEE float operations as the
-        per-task code; the touch tuples are sliced out of one zipped
-        list.  ``.tolist()`` turns every value into a Python scalar,
-        so plans never carry NumPy scalars into the hot charge walk.
-
-        A touch tuple is a function of its ``(key, nbytes, write)``,
-        and about half the touches of a DAG repeat one already made,
-        so each distinct touch is built once and every plan that
-        repeats it holds that object.  Pickle memoizes tuples, so a
-        loaded artifact shares them the same way.  The dedup is one
-        NumPy sort over a collision-free integer code of the three
-        fields: a per-touch dict pass would double the compile.
+        per-task code.  The arrays become :func:`_plan_columns`, which
+        the returned :class:`PlanTable` decodes into the plan list.
         """
         nbytes = _effective_touch_bytes(soa)
         keep = nbytes > 0
         nbytes = nbytes[keep]
         kept = np.zeros(soa.touch_ids.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
-        bounds = kept[soa.touch_indptr].tolist()
-        ids = soa.touch_ids[keep].astype(np.int64)
-        write = soa.touch_is_write[keep]
-        # Each touch as one int64 code of (id, size, write), equal
-        # codes for equal touches only: the size is nbytes itself
-        # while ``(max id + 1) * span`` stays within 2**62, else its
-        # rank among the DAG's sizes (ids and ranks are under 2**31).
-        size = nbytes
-        span = int(nbytes.max()) + 1 if nbytes.size else 1
-        if nbytes.size and (int(ids.max()) + 1) * span > 2**62:
-            sizes, size = np.unique(nbytes, return_inverse=True)
-            span = sizes.size
-        code = (ids * span + size) * 2 + write
-        # Group equal codes by one sort: ``first`` is a touch of each
-        # distinct code, ``which`` every touch's group.
-        order = code.argsort()
-        code = code[order]
-        new = np.empty(code.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(code[1:], code[:-1], out=new[1:])
-        first = order[new]
-        which = np.empty(code.size, dtype=np.int64)
-        which[order] = np.cumsum(new) - 1
-        nbytes = nbytes[first]
-        distinct = list(zip(
-            ids[first].tolist(),
-            nbytes.tolist(),
-            write[first].tolist(),
-            np.minimum(nbytes, self.machine.l1_size).tolist(),
-            ((nbytes + 63) // 64).tolist(),
-        ))
-        rows = list(map(distinct.__getitem__, which.tolist()))
-        touches = [tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
-        gathers = [None] * soa.n_tasks
-        for tid, bundle in self._gather_bundles(soa):
-            gathers[tid] = bundle
+        touch = (soa.touch_ids[keep], nbytes, soa.touch_is_write[keep],
+                 np.minimum(nbytes, self.machine.l1_size),
+                 (nbytes + 63) // 64)
         # Compute seconds, ``t.flops / (peak * efficiency)``: the frozen
         # flop counts over each kernel's denominator, one IEEE division
         # per task as the per-task code makes.
@@ -397,11 +530,14 @@ class CostModel:
             [self._peak_core
              * KIND_EFFICIENCY.get(kernel_spec(name).kind, 0.3)
              for name in soa.kernel_names], dtype=np.float64)
-        compute = (soa.flops / denom[soa.kernel_codes]).tolist()
-        return list(zip(compute, touches, gathers))
+        compute = soa.flops / denom[soa.kernel_codes]
+        return PlanTable(_plan_columns(touch, kept[soa.touch_indptr],
+                                       compute, *self._gather_bundles(soa)))
 
     def _gather_bundles(self, soa):
-        """``(tid, gather bundle)`` of every sparse task that has one.
+        """``(tids, (g1, g2, g3, fixed, scattered, xkey))``: the gather
+        bundle of every sparse task that has one, as columns (``xkey``
+        -1 for None).
 
         :meth:`_gather_bundle` over the frozen sparse columns: the
         same products, the same ``int()`` truncation (``astype`` of a
@@ -411,8 +547,6 @@ class CostModel:
         span = soa.sparse_span
         retouches = soa.sparse_nnz.astype(np.int64) * self.gather_intensity
         has = np.flatnonzero((span > 0) & (retouches > 0))
-        if not has.size:
-            return []
         span = span[has]
         retouches = retouches[has]
         m = self.machine
@@ -425,11 +559,9 @@ class CostModel:
         chunk_bytes = (soa.sparse_cols[has].astype(np.int64)
                        * soa.sparse_width[has] * 8)
         scattered = span > 1.5 * np.maximum(1, chunk_bytes)
-        xkey = [None if s or x < 0 else x for s, x in
-                zip(scattered.tolist(), soa.sparse_x[has].tolist())]
-        return zip(soa.sparse_tids[has].tolist(),
-                   zip(g1.tolist(), g2.tolist(), g3.tolist(),
-                       fixed.tolist(), scattered.tolist(), xkey))
+        x = soa.sparse_x[has].astype(np.int64)
+        xkey = np.where(scattered | (x < 0), -1, x)
+        return soa.sparse_tids[has], (g1, g2, g3, fixed, scattered, xkey)
 
     def _arm_fast_path(self, dag) -> None:
         """Resolve NUMA homes for the compiled-plan walk.
@@ -438,18 +570,13 @@ class CostModel:
         :meth:`MemoryModel.dram_line_cost`.  ``prepare`` has adopted
         the DAG's interning, so the arrays are a pure function of
         ``(machine, first_touch, n_parts, matrix_geometry)`` over it
-        and are cached on the DAG under that key: five runtimes
-        pricing the same memoized DAG resolve every home once, not
-        once per engine.
+        and are cached on the DAG under that key
+        (:meth:`MemoryModel.dag_home_arrays`, which the schedulers'
+        domain tables read too): five runtimes pricing the same
+        memoized DAG resolve every home once, not once per engine.
         """
         mem = self.memory
-        akey = (self.machine, mem.first_touch, mem._n_parts,
-                mem.matrix_geometry)
-        astore = dag._home_arrays
-        arrays = astore.get(akey)
-        if arrays is None:
-            arrays = astore[akey] = mem.home_arrays()
-        homes, haspart = arrays
+        homes, haspart = mem.dag_home_arrays(dag)
         # Hot-loop invariants of the compiled walk, resolved once per
         # prepare instead of per charge: one shared tuple for the
         # model-wide bindings and a lazily-filled per-core list (see

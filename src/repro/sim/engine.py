@@ -20,10 +20,13 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import eq, gt
 from typing import List, Optional
 
-from repro.graph.dag import TaskDAG
+import numpy as np
+
+from repro.graph.dag import TaskDAG, _csr, _smallest, _tuples, tid_ints
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.machine.perf import PerfCounters
@@ -620,64 +623,140 @@ class SimulationEngine:
 
 
 # ----------------------------------------------------------------------
-def _bsp_phase_assignments(dag: TaskDAG, n_cores: int):
+class PhaseTable:
+    """The BSP phases of one DAG at one core count, memoized on the DAG.
+
+    ``phases`` is one ``(tids, cores, preds)`` triple of equal-length
+    lists per phase: the phase's tasks in execution order, the core
+    each runs on, and each task's predecessors inside the same phase
+    (the shared ``()`` for most).  The table holds, and pickles as,
+    columns ``(bounds, order, cores, pred_indptr, pred_indices)``:
+    phase offsets into ``order`` (every tid, in phase order) and
+    ``cores``, and the intra-phase predecessors as a CSR in the same
+    order.  Only a BSP run reads the phases, so they are decoded at
+    its first read, every tid the shared
+    :func:`~repro.graph.dag.tid_ints` object, and the columns are then
+    dropped (re-encoded if the table is pickled again).  Two threads
+    decoding at once each get equal lists; the later one is kept.
+    """
+
+    __slots__ = ("_phases", "_columns")
+
+    def __init__(self, columns):
+        self._columns = columns
+        self._phases = None
+
+    __setstate__ = __init__
+
+    @property
+    def phases(self) -> list:
+        phases = self._phases
+        if phases is None:
+            columns = self._columns
+            if columns is None:         # another thread just decoded
+                return self._phases
+            bounds, order, cores, pred_indptr, pred_indices = columns
+            tids = tid_ints(order.size)
+            preds = _tuples(tids, pred_indices, pred_indptr)
+            order = tids[order].tolist()
+            cores = cores.tolist()
+            b = bounds.tolist()
+            phases = self._phases = [(order[p:q], cores[p:q], preds[p:q])
+                                     for p, q in zip(b, b[1:])]
+            self._columns = None
+        return phases
+
+    def __getstate__(self):
+        if self._columns is not None:
+            return self._columns
+        phases = self._phases
+        tids, cores, preds = zip(*phases) if phases else ((),) * 3
+        bounds = np.zeros(len(tids) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, tids), np.int64, len(tids)),
+                  out=bounds[1:])
+        n = int(bounds[-1])
+        pred_indptr, pred_indices = _csr(list(chain.from_iterable(preds)))
+        return tuple(map(_smallest, (
+            bounds, np.fromiter(chain.from_iterable(tids), np.int64, n),
+            np.fromiter(chain.from_iterable(cores), np.int64, n),
+            pred_indptr, pred_indices)))
+
+    def __eq__(self, other):
+        return isinstance(other, PhaseTable) and self.phases == other.phases
+
+    __hash__ = None
+
+
+def _bsp_phase_table(dag: TaskDAG, n_cores: int) -> PhaseTable:
     """Static chunk→core assignment of every BSP phase, memoized.
 
     The assignment is run-invariant — a pure function of the DAG's
-    frozen view and the core count — so it is cached on the DAG under
-    ``n_cores`` (and therefore persisted inside prep artifacts: a
-    loaded DAG never recomputes it).  Phases are contiguous runs of
-    equal ``task.seq`` in program order (the frozen ``phase_indptr``);
-    each phase splits its row groups over the cores by count, so the
-    chunk→core mapping shifts between phases with different group
-    counts (the cross-kernel locality loss inherent to the fork-join
-    model).
+    frozen view, its predecessors and the core count — so it is cached
+    on the DAG under ``n_cores`` (and therefore persisted inside prep
+    artifacts: a loaded DAG never recomputes it).  Phases are
+    contiguous runs of equal ``task.seq`` in program order (the frozen
+    ``phase_indptr``); each phase splits its row groups over the cores
+    by count, so the chunk→core mapping shifts between phases with
+    different group counts (the cross-kernel locality loss inherent to
+    the fork-join model).
     """
     memo = dag._bsp_phases
-    cached = memo.get(n_cores)
-    if cached is not None:
-        return cached
-    # Off the frozen view: phase bounds and ``params["i"]`` (-1 for
-    # none).
+    table = memo.get(n_cores)
+    if table is None:
+        table = memo[n_cores] = PhaseTable(_phase_columns(dag, n_cores))
+    return table
+
+
+def _bsp_phase_assignments(dag: TaskDAG, n_cores: int) -> list:
+    """The ``phases`` of the DAG's :func:`_bsp_phase_table`."""
+    return _bsp_phase_table(dag, n_cores).phases
+
+
+def _phase_columns(dag: TaskDAG, n_cores: int) -> tuple:
+    """:class:`PhaseTable` columns, over the frozen view in bulk."""
     soa = dag.freeze()
-    param_i = soa.param_i.tolist()
-    inf = float("inf")
-    bounds = soa.phase_indptr.tolist()
-    phase_assignments: List[List[tuple]] = []
-    for start, stop in zip(bounds, bounds[1:]):
-        # Row-group order; reduce tasks (no row index) sort last,
-        # which is also a topological order of intra-phase edges.
-        order = sorted(
-            range(start, stop),
-            key=lambda tid: (
-                param_i[tid] if param_i[tid] >= 0 else inf, tid
-            ),
-        )
-        # The parallel loop ranges over row blocks: all tasks of a
-        # row group stay on one core (the inner column loop is
-        # serial), which also preserves intra-phase dependence
-        # chains.  Library BSP phases split the groups statically
-        # by row count; on matrices with skewed nonzero
-        # distributions the heaviest chunk straggles and the
-        # barrier makes everyone wait — the §1 load-imbalance cost
-        # of the BSP model.
-        groups: List[List[int]] = []
-        last_i = object()
-        for tid in order:
-            gi = param_i[tid] if param_i[tid] >= 0 else tid
-            if gi != last_i:
-                groups.append([])
-                last_i = gi
-            groups[-1].append(tid)
-        ng = len(groups)
-        group_core = [k * n_cores // ng for k in range(ng)]
-        phase_assignments.append([
-            (tid, group_core[k])
-            for k, g in enumerate(groups)
-            for tid in g
-        ])
-    memo[n_cores] = phase_assignments
-    return phase_assignments
+    n = soa.n_tasks
+    i64 = np.int64
+    bounds = soa.phase_indptr.astype(i64)
+    counts = np.diff(bounds)
+    phase = np.repeat(np.arange(counts.size), counts)
+    tid = np.arange(n, dtype=i64)
+    pi = soa.param_i.astype(i64)
+    has_i = pi >= 0
+    # Row-group order within each phase (``params["i"]``, then tid);
+    # reduce tasks (no row index) sort last, which is also a
+    # topological order of intra-phase edges.
+    order = np.lexsort((tid, np.where(has_i, pi, 0), ~has_i, phase))
+    # The parallel loop ranges over row blocks: all tasks of a row
+    # group stay on one core (the inner column loop is serial), which
+    # also preserves intra-phase dependence chains.  A group is a run
+    # of equal ``params["i"]`` (the tid for a task without one) in
+    # that order.  Library BSP phases split the groups statically by
+    # row count; on matrices with skewed nonzero distributions the
+    # heaviest chunk straggles and the barrier makes everyone wait —
+    # the §1 load-imbalance cost of the BSP model.
+    gi = np.where(has_i, pi, tid)[order]
+    new = np.ones(n, dtype=bool)
+    np.not_equal(gi[1:], gi[:-1], out=new[1:])
+    new[bounds[:-1]] = True
+    group = np.cumsum(new) - 1
+    first = group[bounds[:-1]]
+    n_groups = np.diff(np.append(first, np.count_nonzero(new)))
+    cores = ((group - np.repeat(first, counts)) * n_cores
+             // np.repeat(n_groups, counts))
+    # Intra-phase predecessors: the pred CSR entries whose two ends
+    # share a phase, each task's in pred order, tasks in phase order.
+    indptr, indices = dag.pred_csr()
+    rows = np.repeat(tid, np.diff(indptr))
+    same = phase[indices] == phase[rows]
+    position = np.empty(n, dtype=i64)
+    position[order] = tid
+    rows = position[rows[same]]
+    by_position = rows.argsort(kind="stable")
+    pred_indptr = np.zeros(n + 1, dtype=i64)
+    np.cumsum(np.bincount(rows, minlength=n), out=pred_indptr[1:])
+    return tuple(map(_smallest, (bounds, order, cores, pred_indptr,
+                                 indices[same][by_position])))
 
 
 def run_bsp(
@@ -725,8 +804,7 @@ def run_bsp(
     flow = FlowGraph(keep=record_flow)
     n_cores = machine.n_cores
     kernels = dag.kernel_of()
-    pred = dag.pred
-    phase_assignments = _bsp_phase_assignments(dag, n_cores)
+    phases = _bsp_phase_assignments(dag, n_cores)
 
     charge = cost.charge
     frecord = flow.record
@@ -759,17 +837,18 @@ def run_bsp(
         tape_charge = charges.append if armed else None
         synthesized = replay is not None
         ci = 0
-        for assignment in phase_assignments:
+        for tids, cores, preds in phases:
             core_clock = [clock] * n_cores
             phase_end: dict = {}
-            for tid, core in assignment:
+            for tid, core, ps in zip(tids, cores, preds):
                 # Intra-phase dependences (row chains stay on one core;
                 # reduce tasks read partials from other cores) delay the
-                # start beyond the core's own availability.
+                # start beyond the core's own availability.  Each comes
+                # earlier in the phase, so a missing end raises.
                 start = core_clock[core]
-                for p in pred[tid]:
-                    e = phase_end.get(p)
-                    if e is not None and e > start:
+                for p in ps:
+                    e = phase_end[p]
+                    if e > start:
                         start = e
                 lo = loop_overhead
                 if replay is not None:

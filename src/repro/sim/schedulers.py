@@ -58,23 +58,24 @@ def _domain_tables(dag, memory):
     interning first, as :meth:`repro.sim.cost.CostModel.prepare` does,
     so homes resolve over this DAG's handle ids.  The tables are a
     pure function of the DAG and the striping inputs, so they are
-    cached on the DAG under the same key shape the cost model uses for
-    its home arrays: five runtimes scheduling the same memoized DAG
-    resolve every domain once.  Schedulers read these tables and never
-    a task list.
+    cached on the DAG under :meth:`MemoryModel.placement_key`, and the
+    homes come from the DAG's home-array memo the cost model fills
+    (:meth:`MemoryModel.dag_home_arrays`): five runtimes scheduling
+    the same memoized DAG, and the cost model pricing it, resolve
+    every home once.  Schedulers read these tables and never a task
+    list.
     """
     soa = dag.freeze()
     memory.adopt_interning(soa.id_to_key)
-    key = (memory.machine, memory.first_touch, memory._n_parts,
-           memory.matrix_geometry)
+    key = memory.placement_key()
     store = dag._sched_domains
     tables = store.get(key)
     if tables is not None:
         return tables
-    arrays = memory.home_arrays()
     # Homes with a -1 sentinel last, so a write-less task's id -1
     # reads -1.
-    homes = np.array(arrays[0] + [-1], dtype=np.int64)
+    homes = np.array(memory.dag_home_arrays(dag)[0] + [-1],
+                     dtype=np.int64)
     first_write_dom = homes[soa.first_write_id].tolist()
     doms = homes[soa.write_ids].tolist()
     bounds = soa.write_indptr.tolist()
@@ -496,10 +497,11 @@ class RegentScheduler(Scheduler):
             count=len(soa.kernel_names),
         )
         costs = kernel_cost[soa.kernel_codes]
-        self._visible = np.cumsum(costs)
+        # Python floats: ``release_time`` makes no NumPy scalar per call.
+        self._visible = np.cumsum(costs).tolist()
         self._visible_replay = np.cumsum(
             np.full(len(dag), self.replay_cost)
-        )
+        ).tolist()
         self._iteration = 0
         # Legion's default mapper places point tasks statically by
         # partition index (no work stealing); per-worker queues model
@@ -534,8 +536,8 @@ class RegentScheduler(Scheduler):
 
     def release_time(self, tid: int, iter_start: float) -> float:
         if self.dynamic_tracing and self._iteration > 0:
-            return iter_start + float(self._visible_replay[tid])
-        return iter_start + float(self._visible[tid])
+            return iter_start + self._visible_replay[tid]
+        return iter_start + self._visible[tid]
 
     def allowed(self, core: int) -> bool:
         # The last n_util cores belong to the runtime.

@@ -1,12 +1,15 @@
 """Discrete-event engine and BSP executor: schedules, barriers, flow."""
 
+import pickle
+
 import pytest
 
 from repro.graph.builder import BuildOptions
+from repro.graph.dag import TaskDAG
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import banded_fem
 from repro.runtime.base import build_solver_dag
-from repro.sim.engine import SimulationEngine, run_bsp
+from repro.sim.engine import SimulationEngine, _bsp_phase_assignments, run_bsp
 from repro.sim.schedulers import (
     DeepSparseScheduler,
     HPXScheduler,
@@ -127,3 +130,46 @@ def test_empty_dag(bw):
 
     res = SimulationEngine(bw).run(TaskDAG(), DeepSparseScheduler())
     assert res.counters.tasks_executed == 0
+
+
+class _PredlessDAG(TaskDAG):
+    """A DAG whose predecessor lists cannot be read."""
+
+    @property
+    def pred(self):
+        raise AssertionError("run_bsp read dag.pred")
+
+
+@pytest.mark.parametrize("iterations", [1, 5])
+def test_bsp_runs_from_its_phase_table_alone(bw, small_problem, iterations):
+    """A prepped DAG's phases carry their intra-phase predecessors, so
+    ``run_bsp`` on a loaded DAG whose ``pred`` raises gives the same
+    run as the DAG it was pickled from."""
+    dag = pickle.loads(pickle.dumps(small_problem))
+    _bsp_phase_assignments(dag, bw.n_cores)
+    loaded = pickle.loads(pickle.dumps(dag))
+    loaded.__class__ = _PredlessDAG
+    with pytest.raises(AssertionError):
+        loaded.pred
+    ref = run_bsp(bw, dag, iterations=iterations)
+    res = run_bsp(bw, loaded, iterations=iterations)
+    assert res.total_time == ref.total_time
+    assert res.iteration_times == ref.iteration_times
+    assert res.flow.records == ref.flow.records
+    assert res.counters == ref.counters
+
+
+def test_bsp_raises_on_a_predecessor_later_in_its_phase(bw, small_problem):
+    """An intra-phase predecessor that runs after its task has no end
+    to wait for: ``run_bsp`` raises rather than ignore the edge."""
+    dag = pickle.loads(pickle.dumps(small_problem))
+    phases = _bsp_phase_assignments(dag, bw.n_cores)
+    p, k = next((p, k) for p, (_t, _c, preds) in enumerate(phases)
+                for k, ps in enumerate(preds) if ps)
+    tids, cores, preds = phases[p]
+    u = preds[k][0]
+    j = tids.index(u)
+    tids[j], tids[k] = tids[k], tids[j]   # the task now runs first
+    preds[j], preds[k] = preds[k], preds[j]
+    with pytest.raises(KeyError):
+        run_bsp(bw, dag, iterations=1)

@@ -32,7 +32,11 @@ from repro.matrices.csb import CSBMatrix
 from repro.sim.cost import CostModel
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
-from repro.sim.engine import SimulationEngine, run_bsp
+from repro.sim.engine import (
+    SimulationEngine,
+    _bsp_phase_assignments,
+    run_bsp,
+)
 from repro.sim.schedulers import (
     DeepSparseScheduler,
     HPXScheduler,
@@ -602,7 +606,7 @@ def test_soa_compiled_plans_match_reference(dag):
     """SoA plan compiler == a handle-object walk, tuple-exact."""
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
-    assert cm._compile_plans(dag.freeze()) == \
+    assert cm._compile_plans(dag.freeze()).plans == \
         _reference_plans(cm, dag)
 
 
@@ -619,7 +623,7 @@ def test_plans_match_reference_with_sizes_near_64_bits():
             (DataHandle("y", y, 64),), {"rows": 1, "width": 1}, {}))
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
-    plans = cm._compile_plans(dag.freeze())
+    plans = cm._compile_plans(dag.freeze()).plans
     assert plans == _reference_plans(cm, dag)
     touches = [t for _c, ts, _g in plans for t in ts]
     assert len({id(t) for t in touches}) == len(set(touches)) == 4
@@ -634,13 +638,91 @@ def test_builder_dag_plans_match_reference(builder_dag):
     for machine in (broadwell(), epyc()):
         cm = CostModel(machine, CacheHierarchy(machine),
                        MemoryModel(machine, n_parts=16))
-        plans = cm._compile_plans(soa)
+        plans = cm._compile_plans(soa).plans
         assert plans == _reference_plans(cm, dag)
     gathers = [g for _c, _t, g in plans if g is not None]
     assert gathers
     assert all(g[4] for g in gathers) == name.endswith("-csr")
     assert all(g[5] is None for g in gathers if g[4])
     assert soa.sparse_buffer.any() == ("reduction" in name)
+
+
+# ----------------------------------------------------------------------
+# BSP phases against the per-phase walk.  The phase table is computed
+# in bulk (one sort for every phase, one mask over the pred CSR for the
+# intra-phase predecessors); this is the per-phase sort and split it
+# replaced, with each task's predecessors filtered to its phase from
+# ``dag.pred``.
+# ----------------------------------------------------------------------
+
+def reference_phases(dag, n_cores):
+    """``(tids, cores, preds)`` of every BSP phase: each phase's tasks
+    by ``(params["i"] or inf, tid)``, split into runs of equal ``i``
+    (the tid for a task without one), run ``k`` of ``ng`` on core
+    ``k * n_cores // ng``; ``preds`` is the same-phase filter of each
+    task's ``dag.pred`` list, in its order."""
+    soa = dag.freeze()
+    param_i = soa.param_i.tolist()
+    bounds = soa.phase_indptr.tolist()
+    phases = []
+    for start, stop in zip(bounds, bounds[1:]):
+        order = sorted(range(start, stop), key=lambda t: (
+            param_i[t] if param_i[t] >= 0 else float("inf"), t))
+        groups, last = [], object()
+        for t in order:
+            gi = param_i[t] if param_i[t] >= 0 else t
+            if gi != last:
+                groups.append([])
+                last = gi
+            groups[-1].append(t)
+        cores = [k * n_cores // len(groups)
+                 for k, g in enumerate(groups) for _ in g]
+        preds = [tuple(u for u in dag.pred[t] if start <= u < stop)
+                 for t in order]
+        phases.append((order, cores, preds))
+    return phases
+
+
+def assert_phases_match_reference(dag):
+    """Every core count: tids, cores and intra-phase predecessors equal
+    the per-phase walk, and each predecessor runs earlier in its phase
+    (``run_bsp`` reads its end, and raises if it has none)."""
+    for n_cores in (1, 3, 28, 128):
+        phases = _bsp_phase_assignments(dag, n_cores)
+        assert phases == reference_phases(dag, n_cores)
+        for tids, _cores, preds in phases:
+            at = {t: k for k, t in enumerate(tids)}
+            assert all(at[u] < at[t]
+                       for t, ps in zip(tids, preds) for u in ps)
+
+
+@given(_dag_strategies)
+@settings(max_examples=25, deadline=None)
+def test_bsp_phases_match_reference(dag):
+    assert_phases_match_reference(dag)
+
+
+def test_builder_dag_bsp_phases_match_reference(builder_dag):
+    _, dag = builder_dag
+    dag = pickle.loads(pickle.dumps(dag))  # own memo tables
+    assert_phases_match_reference(dag)
+    assert any(ps for _t, _c, preds in _bsp_phase_assignments(dag, 28)
+               for ps in preds)
+
+
+def test_loaded_bsp_phases_match_reference_without_pred_lists(
+        builder_dag):
+    """A loaded DAG computes phases for a new core count from its pred
+    CSR pair, without building the lists, and decodes stored phases
+    equal to the built DAG's."""
+    _, dag = builder_dag
+    dag = pickle.loads(pickle.dumps(dag))
+    _bsp_phase_assignments(dag, 28)
+    loaded = pickle.loads(pickle.dumps(dag))
+    assert loaded._bsp_phases == dag._bsp_phases
+    _bsp_phase_assignments(loaded, 7)
+    assert type(loaded._pred) is tuple        # still the CSR pair
+    assert loaded._bsp_phases[7].phases == reference_phases(dag, 7)
 
 
 @given(st.one_of(random_problem(), random_bare_dag(min_tasks=0)))
