@@ -36,12 +36,12 @@ them, and per-task indices into those), and each core count's BSP
 phases as a :class:`~repro.sim.engine.PhaseTable`'s columns (tids and
 cores in phase order, and each task's intra-phase predecessors as a
 CSR).  Index columns take the narrowest integer type that holds them.
-Loading decodes both into one object per distinct value: one ``int``
-and one ``float`` per value, one tuple per distinct touch and gather
-bundle, and every tid the process-wide
-:func:`~repro.graph.dag.tid_ints` object that ``succ`` holds too.  A
-loaded table keeps only what it decoded.  ``pred`` stays a CSR pair
-until it is read; no run reads it.  The domain tables share one tuple
+Loading decodes the plans, and a table's first BSP run its phases,
+into one object per distinct value: one ``int`` and one ``float`` per
+value, one tuple per distinct touch and gather bundle, and every tid
+the process-wide :func:`~repro.graph.dag.tid_ints` object that
+``succ`` holds too.  A decoded table keeps only what it decoded.
+``pred`` stays a CSR pair until it is read; no run reads it.  The domain tables share one tuple
 per distinct domain set (made so at compile time; pickle memoizes
 tuples).  A consumer outside the simulation run path (trace export,
 Gantt, the threaded runtime, analysis) rebuilds the list through the
