@@ -14,8 +14,10 @@ Two representations coexist:
   :meth:`TaskDAG.add_task` appends one task; :meth:`TaskDAG.add_edge`
   adds one edge at a time.  The ``(u, v)`` edge set that deduplicates
   ``add_edge`` is derived from ``succ`` on demand, so a built or
-  loaded DAG carries none.  A loaded DAG keeps ``pred`` as its CSR
-  pair until the first read (no simulation run reads it);
+  loaded DAG carries none.  A built DAG holds ``succ`` and ``pred`` as
+  the CSR pairs the builder's hazard pass produced, and a loaded one
+  holds ``pred`` that way; each becomes lists at its first read (no
+  simulation run reads ``pred``);
 * the **frozen structure-of-arrays view** (:class:`GraphArrays`) —
   indegrees, dense interned operand-id tables with per-task
   write/touch spans, kernel codes, flop counts, call (phase) bounds and
@@ -27,13 +29,14 @@ Two representations coexist:
   analyses (levels, critical path) walk is derived from ``succ`` by
   :meth:`TaskDAG.succ_csr` on demand and never stored.
 
-The frozen columns are recorded as tasks arrive, in one pass, and
-:meth:`TaskDAG.freeze` only converts the lists to arrays.
-:meth:`TaskDAG.add_task` runs each task through ``_Columns.add``
-(interning, touch table, per-task scalars, sparse inputs, all read off
-the ``Task``); the :class:`~repro.graph.builder.DAGBuilder` writes the
-same rows from interned ids through ``_Columns.append`` and makes no
-``Task`` at all.  Any mutation (``add_task``/``add_edge``) invalidates
+The frozen columns reach :meth:`TaskDAG.freeze` as flat arrays
+(:class:`_ColumnArrays`), and ``freeze`` only converts them.
+:meth:`TaskDAG.add_task` records each task's row through
+``_Columns.add`` (interning, touch table, per-task scalars, sparse
+inputs, all read off the ``Task``), whose lists become those arrays;
+the :class:`~repro.graph.builder.DAGBuilder` computes the arrays for a
+whole trace at once and makes no ``Task`` at all.  Any mutation
+(``add_task``/``add_edge``) invalidates
 the frozen view; ``freeze`` rebuilds it on demand, and a DAG whose
 lists were dropped (frozen, pickled, loaded) re-derives them from its
 task list at the next ``add_task``.  Both views answer every query with
@@ -68,7 +71,7 @@ import os
 import threading
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -154,23 +157,47 @@ class GraphArrays:
 SPARSE_KERNELS = ("SPMV", "SPMM")
 
 
+class _ColumnArrays(NamedTuple):
+    """The frozen view's per-task columns as flat arrays: what
+    :meth:`TaskDAG.freeze` converts into :class:`GraphArrays`.
+
+    The builder computes them for a whole trace in bulk; a DAG grown by
+    :meth:`TaskDAG.add_task` gets them from :meth:`_Columns.arrays`.
+    Per-task columns are int64 (``flops`` float64), the flat id columns
+    int32; ``sparse`` is the eight int64 SpMV/SpMM columns (tid, nnz,
+    rows, cols, width, gather span, reduction buffer, input chunk id)
+    and ``sparse_roles`` the ``touch_role`` of those tasks' touches, in
+    order.
+    """
+
+    id_to_key: list
+    max_part: int
+    kernel_names: list
+    kernel_codes: np.ndarray
+    param_i: np.ndarray
+    first_write: np.ndarray
+    n_writes: np.ndarray
+    n_touches: np.ndarray
+    flops: np.ndarray
+    seq: np.ndarray
+    write_ids: np.ndarray
+    touch_ids: np.ndarray
+    touch_nbytes: np.ndarray
+    sparse: tuple
+    sparse_roles: np.ndarray
+
+
 class _Columns:
-    """The frozen view's per-task columns as plain lists.
+    """The frozen view's per-task columns as plain lists, filled one
+    ``Task`` at a time.
 
-    Two writers fill them as tasks arrive, and :meth:`TaskDAG.freeze`
-    only converts them to arrays:
-
-    * :meth:`add`, the per-``Task`` derivation :meth:`TaskDAG.add_task`
-      runs: it interns the task's handles and reads every column off
-      its handle objects, shape and params.  A frozen or unpickled DAG
-      that gets another task re-derives the lists by running its whole
-      task list through it;
-    * :meth:`append`, the builder's path: it takes a task's already
-      interned read and write ids (:meth:`intern`; the builder keeps
-      each id's bytes) and scalars, so no ``Task`` exists.
-
-    Per task one row tuple of scalars is appended (and one of SpMV/SpMM
-    inputs); ``freeze`` splits the rows into columns.
+    :meth:`add` is the per-``Task`` derivation :meth:`TaskDAG.add_task`
+    runs: it interns the task's handles and reads every column off its
+    handle objects, shape and params.  A frozen or unpickled DAG that
+    gets another task re-derives the lists by running its whole task
+    list through it.  Per task one row tuple of scalars is appended
+    (and one of SpMV/SpMM inputs); :meth:`arrays` splits the rows into
+    columns for ``freeze``.
     """
 
     __slots__ = ("key_to_id", "id_to_key", "kernel_code", "kernel_names",
@@ -211,35 +238,23 @@ class _Columns:
             self.kernel_names.append(kernel)
         return code
 
-    def append(self, kernel, rids, wids, i, flops, seq, id_nbytes,
-               sparse=None) -> None:
-        """Record one task's row from its interned ids.
-
-        ``rids``/``wids`` are its read and write ids in order (the touch
-        table keeps each id's first occurrence, reads first, sized by
-        ``id_nbytes[id]``), ``i`` its ``params["i"]`` or -1, ``flops``
-        its registry flop count and ``seq`` its call's program order.
-        A SpMV/SpMM task also passes its ``sparse`` row (tid, nnz, rows,
-        cols, width, gather span, reduction buffer, input chunk id); its
-        touches are the matrix block, the input chunk and the output,
-        roles 0, 1 and 2.
-        """
-        code = self._code(kernel)
-        ids = []
-        for hid in rids:
-            if hid not in ids:
-                ids.append(hid)
-        for hid in wids:
-            if hid not in ids:
-                ids.append(hid)
-        self.write_ids += wids
-        self.touch_ids += ids
-        self.touch_nbytes += [id_nbytes[hid] for hid in ids]
-        self.rows.append((code, i, wids[0] if wids else -1, len(wids),
-                          len(ids), flops, seq))
-        if sparse is not None:
-            self.sparse.append(sparse)
-            self.sparse_roles += (0, 1, 2)
+    def arrays(self) -> _ColumnArrays:
+        """The lists as the flat columns ``freeze`` converts."""
+        i64, i32 = np.int64, np.int32
+        (kernel_codes, param_i, first_write, n_writes, n_touches, flops,
+         seq) = _unzip(self.rows, 7)
+        return _ColumnArrays(
+            self.id_to_key, self.max_part, self.kernel_names,
+            *(np.array(c, dtype=i64) for c in (
+                kernel_codes, param_i, first_write, n_writes, n_touches)),
+            np.array(flops, dtype=np.float64),
+            np.array(seq, dtype=i64),
+            np.array(self.write_ids, dtype=i32),
+            np.array(self.touch_ids, dtype=i32),
+            np.array(self.touch_nbytes, dtype=i64),
+            tuple(np.array(c, dtype=i64) for c in _unzip(self.sparse, 8)),
+            np.array(self.sparse_roles, dtype=np.int8),
+        )
 
     def add(self, tid: int, t: Task):
         """Record one task's row from its ``Task``; returns its interned
@@ -380,15 +395,17 @@ _TIDS = np.empty(0, dtype=object)
 _TID_LOCK = threading.Lock()
 
 
-def _fresh_tid_lock() -> None:
-    """A forked child gets an unheld lock: the service forks its pool
-    workers while a prebuild thread may be growing the table, and an
-    inherited held lock would hang the child's first load."""
-    global _TID_LOCK
+def _fresh_locks() -> None:
+    """A forked child gets unheld locks: the service forks its pool
+    workers while another thread may be growing the tid table or
+    rebuilding a task list, and an inherited held lock would hang the
+    child's first load or first ``dag.tasks``."""
+    global _TID_LOCK, _REBUILD_LOCK
     _TID_LOCK = threading.Lock()
+    _REBUILD_LOCK = threading.RLock()
 
 
-os.register_at_fork(after_in_child=_fresh_tid_lock)
+os.register_at_fork(after_in_child=_fresh_locks)
 
 
 def tid_ints(n: int) -> np.ndarray:
@@ -421,6 +438,14 @@ def _rows(csr) -> list:
     flat = tid_ints(len(indptr) - 1)[indices].tolist()
     bounds = indptr.tolist()
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _csr_or(held, memo) -> tuple:
+    """The CSR pair of an adjacency held as a pair (``held`` itself) or
+    as lists (``memo`` if derived already, else derived now)."""
+    if type(held) is tuple:
+        return held
+    return memo or _csr(held)
 
 
 def _tuples(objs: np.ndarray, index: np.ndarray, indptr: np.ndarray) -> list:
@@ -487,9 +512,12 @@ class TaskDAG:
         #: its ``Task`` objects (the builder's task mode); in memory
         #: only, never pickled.
         self._expand: Optional[Callable[[], "TaskDAG"]] = None
-        self.succ: List[List[int]] = []
-        #: Predecessor lists, or a loaded DAG's CSR pair until the first
-        #: read of :attr:`pred`.
+        #: Successor lists, or a built DAG's CSR pair until the first
+        #: read of :attr:`succ` (kept under the plain name, so the
+        #: pickled state reads the same either way).
+        self.succ = []
+        #: Predecessor lists, or a built or loaded DAG's CSR pair until
+        #: the first read of :attr:`pred`.
         self._pred = []
         #: ``(u, v)`` dedup set for :meth:`add_edge`; None until
         #: :meth:`_edge_pairs` derives it from ``succ``.
@@ -508,10 +536,11 @@ class TaskDAG:
         self._bsp_phases: dict = {}
 
     @classmethod
-    def _from_columns(cls, cols: _Columns, succ, pred,
+    def _from_columns(cls, cols: _ColumnArrays, succ: tuple, pred: tuple,
                       expand: Callable[[], "TaskDAG"]) -> "TaskDAG":
-        """A DAG the builder wrote column by column: no task list, which
-        ``expand`` rebuilds on demand."""
+        """A DAG the builder computed in bulk: its frozen columns and
+        both adjacency CSR pairs, and no task list, which ``expand``
+        rebuilds on demand."""
         dag = cls()
         dag._tasks = None
         dag._cols = cols
@@ -521,23 +550,45 @@ class TaskDAG:
         return dag
 
     @property
+    def succ(self) -> List[List[int]]:
+        """Successor lists, each in ascending tid order.
+
+        A built DAG holds the builder's CSR pair and builds the lists
+        on first read, with the shared :func:`tid_ints` objects.
+        """
+        succ = self.__dict__["succ"]
+        if type(succ) is tuple:
+            self.__dict__["succ"] = rows = _rows(succ)
+            if self._soa is not None:
+                self._succ_csr = succ
+            return rows
+        return succ
+
+    @succ.setter
+    def succ(self, value) -> None:
+        self.__dict__["succ"] = value
+
+    @property
     def pred(self) -> List[List[int]]:
         """Predecessor lists, in wiring order.
 
-        A loaded DAG keeps them as the artifact's CSR pair and builds
-        the lists on first read (no simulation run reads them: BSP
-        phases carry their own intra-phase predecessors), with the
-        shared :func:`tid_ints` objects ``succ`` holds.
+        A built or loaded DAG keeps them as a CSR pair and builds the
+        lists on first read (no simulation run reads them: BSP phases
+        carry their own intra-phase predecessors), with the shared
+        :func:`tid_ints` objects ``succ`` holds.
         """
         pred = self._pred
         if type(pred) is tuple:
-            pred = self._pred = _rows(pred)
+            self._pred = rows = _rows(pred)
+            if self._soa is not None:
+                self._pred_csr = pred
+            return rows
         return pred
 
     def pred_csr(self):
         """``(indptr, indices)``: the predecessor lists as CSR arrays.
 
-        A loaded DAG's stored pair as it is; otherwise derived from
+        A built or loaded DAG's pair as it is; otherwise derived from
         ``pred`` on demand like :meth:`succ_csr`, for BSP's phase
         table and for pickling, and dropped with the frozen view on any
         mutation.
@@ -651,18 +702,21 @@ class TaskDAG:
 
         Idempotent and cached; any later :meth:`add_task` /
         :meth:`add_edge` invalidates the cache and the next ``freeze``
-        rebuilds.  The per-task columns were recorded as tasks arrived;
-        this converts them to arrays, prices the SpMV/SpMM flop counts
-        from their pricing inputs in bulk, and drops the lists.  The
-        arrays are a pure function of the DAG — two processes freezing
-        the same graph produce identical tables, which is what lets the
-        prep store persist them.
+        rebuilds.  The per-task columns arrive as flat arrays (the
+        builder's, or ``add_task``'s lists converted); this narrows
+        them, prices the SpMV/SpMM flop counts from their pricing inputs
+        in bulk, and drops the inputs.  The arrays are a pure function
+        of the DAG — two processes freezing the same graph produce
+        identical tables, which is what lets the prep store persist
+        them.
         """
         soa = self._soa
         if soa is not None:
             return soa
         cols = self._columns()
-        n = len(self.succ)
+        if isinstance(cols, _Columns):
+            cols = cols.arrays()
+        n = len(self)
         i64, i32 = np.int64, np.int32
 
         def _indptr(counts):
@@ -670,17 +724,13 @@ class TaskDAG:
             np.cumsum(counts, out=indptr[1:])
             return indptr
 
-        (kernel_codes, param_i, first_write, n_writes, n_touches, flops,
-         seq) = _unzip(cols.rows, 7)
-        kernel_codes, param_i, first_write, n_writes, n_touches, seq = (
-            np.array(c, dtype=i64) for c in (
-                kernel_codes, param_i, first_write, n_writes, n_touches,
-                seq))
-        flops = np.array(flops, dtype=np.float64)
+        kernel_codes, first_write = cols.kernel_codes, cols.first_write
+        n_writes, n_touches = cols.n_writes, cols.n_touches
+        flops = cols.flops.copy()
         write_indptr = _indptr(n_writes)
-        write_ids = np.array(cols.write_ids, dtype=i32)
+        write_ids = cols.write_ids
         touch_indptr = _indptr(n_touches)
-        touch_ids = np.array(cols.touch_ids, dtype=i32)
+        touch_ids = cols.touch_ids
         # A touch writes if it is its task's first write, or any write
         # of the few tasks with more than one.
         touch_is_write = touch_ids == first_write.repeat(n_touches)
@@ -688,7 +738,7 @@ class TaskDAG:
             a, b = touch_indptr[t], touch_indptr[t + 1]
             writes = write_ids[write_indptr[t]:write_indptr[t + 1]]
             touch_is_write[a:b] = np.isin(touch_ids[a:b], writes)
-        sparse = [np.array(c, dtype=i64) for c in _unzip(cols.sparse, 8)]
+        sparse = cols.sparse
         sparse_tids = sparse[0].astype(i32)
         touch_role = np.zeros(touch_ids.size, dtype=np.int8)
         if sparse_tids.size:
@@ -707,25 +757,27 @@ class TaskDAG:
                         "nnz": sparse[1][sel], "rows": sparse[2][sel],
                         "cols": sparse[3][sel], "width": sparse[4][sel],
                         "gather_span": sparse[5][sel]})
+        pred = self._pred
         soa = GraphArrays(
             n_tasks=n,
-            n_edges=sum(map(len, self.succ)),
-            indegree=np.fromiter(map(len, self.pred), i32, n),
+            n_edges=self.n_edges,
+            indegree=(np.diff(pred[0]).astype(i32) if type(pred) is tuple
+                      else np.fromiter(map(len, pred), i32, n)),
             id_to_key=cols.id_to_key,
             write_indptr=_narrow(write_indptr),
             write_ids=write_ids,
             touch_indptr=_narrow(touch_indptr),
             touch_ids=touch_ids,
-            touch_nbytes=_narrow(np.array(cols.touch_nbytes, dtype=i64)),
+            touch_nbytes=_narrow(cols.touch_nbytes),
             touch_is_write=touch_is_write,
             touch_role=touch_role,
             kernel_names=cols.kernel_names,
             kernel_codes=kernel_codes.astype(i32),
-            param_i=_narrow(param_i),
+            param_i=_narrow(cols.param_i),
             first_write_id=first_write.astype(i32),
             flops=flops,
             phase_indptr=_narrow(np.concatenate((
-                [0], np.flatnonzero(np.diff(seq)) + 1, [n] if n else []
+                [0], np.flatnonzero(np.diff(cols.seq)) + 1, [n] if n else []
             ))),
             max_part=cols.max_part,
             sparse_tids=sparse_tids,
@@ -744,19 +796,23 @@ class TaskDAG:
     def succ_csr(self):
         """``(indptr, indices)``: the successor lists as CSR arrays.
 
-        Derived from ``succ`` on demand for the vectorized analyses
-        (:meth:`levels`, :meth:`critical_path`) and the builder's
-        forward-edge check; never pickled, and dropped with the frozen
-        view on any mutation.
+        A built DAG's pair as it is; otherwise derived from ``succ`` on
+        demand for the vectorized analyses (:meth:`levels`,
+        :meth:`critical_path`) and the builder's forward-edge check,
+        never pickled, and dropped with the frozen view on any mutation.
         """
+        succ = self.__dict__["succ"]
+        if type(succ) is tuple:
+            return succ
         csr = self._succ_csr
         if csr is None:
             self.freeze()
-            csr = self._succ_csr = _csr(self.succ)
+            csr = self._succ_csr = _csr(succ)
         return csr
 
-    def _columns(self) -> _Columns:
-        """The live per-task columns, re-derived from the task list if
+    def _columns(self):
+        """The per-task columns not yet frozen (the builder's arrays or
+        ``add_task``'s lists), re-derived from the task list if
         freezing, pickling or loading dropped them."""
         cols = self._cols
         if cols is None:
@@ -869,11 +925,9 @@ class TaskDAG:
         DAG's memoized pairs are reused.
         """
         state = self.__dict__.copy()
-        pred = self._pred
         for name, csr in (
-                ("succ", self._succ_csr or _csr(self.succ)),
-                ("_pred", pred if type(pred) is tuple
-                 else self._pred_csr or _csr(pred))):
+                ("succ", _csr_or(state["succ"], self._succ_csr)),
+                ("_pred", _csr_or(self._pred, self._pred_csr))):
             indptr, indices = csr
             state[name] = (_narrow(indptr), indices)
         state["_edge_set"] = None
@@ -897,15 +951,19 @@ class TaskDAG:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        # One adjacency list per task, built or loaded: never rebuilds.
-        return len(self.succ)
+        # One adjacency row per task, built or loaded: never rebuilds.
+        succ = self.__dict__["succ"]
+        return len(succ[0]) - 1 if type(succ) is tuple else len(succ)
 
     @property
     def n_edges(self) -> int:
         soa = self._soa
         if soa is not None:
             return soa.n_edges
-        return sum(map(len, self.succ))
+        succ = self.__dict__["succ"]
+        if type(succ) is tuple:
+            return len(succ[1])
+        return sum(map(len, succ))
 
     def sources(self) -> List[int]:
         """Tasks with no predecessors (ready at time zero)."""

@@ -166,9 +166,12 @@ def test_backward_edge_rejected(csb):
     broken dependence analysis (here: a self edge) is refused."""
 
     class SelfLoop(DAGBuilder):
-        def _wire(self, tid, rids, wids, n_ids):
-            preds = super()._wire(tid, rids, wids, n_ids)
-            return preds + [tid] if tid == 3 else preds
+        def _hazards(self, tid, hid, write, n):
+            indptr, indices = super()._hazards(tid, hid, write, n)
+            # Task 3 gains itself as its last predecessor.
+            indices = np.insert(indices, indptr[4], 3)
+            indptr = indptr + (np.arange(n + 1) >= 4)
+            return indptr, indices
 
     t = rec()
     t.record("COPY", ("X",), ("Y",))

@@ -1,9 +1,13 @@
 """Task DAG structure: tasks, edges, ordering, validation, analyses."""
 
 import dataclasses
+import os
 import pickle
+import signal
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +386,59 @@ def test_concurrent_first_decodes_share_one_task_list(prepped_dag,
             assert len(rebuilds) == 1
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_forked_while_the_rebuild_lock_is_held_rebuilds():
+    """The service forks pool workers while another thread may be
+    rebuilding a task list: the child gets an unheld rebuild lock, so
+    its first ``dag.tasks`` does not wait on a thread it does not
+    have."""
+    from repro.graph import dag as dag_module
+    from repro.matrices.suite import SUITE
+    from repro.tuning.blocksize import block_size_for_count
+
+    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
+    dag = experiment._dag.__wrapped__("inline1", bs, "lanczos", 4,
+                                      BuildOptions())
+    assert dag._tasks is None
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with dag_module._REBUILD_LOCK:
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(10)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a threaded process may
+            # deadlock: the case under test.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if the list was rebuilt
+            code = 1
+            try:
+                code = 0 if len(dag.tasks) == len(dag) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung on the rebuild lock")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+    finally:
+        release.set()
+        holder.join()
+    assert dag._tasks is None  # the parent never rebuilt
 
 
 @pytest.mark.parametrize("field,value", [

@@ -46,7 +46,11 @@ from repro.sim.schedulers import (
 
 @st.composite
 def random_problem(draw):
-    """A random CSB matrix + a random legal primitive trace."""
+    """A random CSB matrix + a random legal primitive trace, drawing
+    every op the builder handles with the metadata the solvers pass:
+    named AXPY/SCALE coefficients, accumulating XY, DOT
+    post-operations, and SMALL ops over the small operands (a read
+    written again, a write repeated)."""
     n = draw(st.integers(20, 120))
     b = draw(st.integers(5, 60))
     nnz = draw(st.integers(1, 300))
@@ -62,9 +66,10 @@ def random_problem(draw):
     chunked = {"X": 2, "Y": 2, "Q": 2}
     small = {"Z": (2, 2), "P": (2, 2), "s": (1, 1)}
     names = list(chunked)
+    alpha_name = st.sampled_from([None, "s"])
     for _ in range(n_calls):
-        op = draw(st.sampled_from(["SPMM", "XY", "XTY", "COPY", "ADD",
-                                   "DOT", "SCALE"]))
+        op = draw(st.sampled_from(["SPMM", "XY", "XTY", "AXPY", "SCALE",
+                                   "COPY", "ADD", "SUB", "DOT", "SMALL"]))
         if op == "SPMM":
             x = draw(st.sampled_from(names))
             y = draw(st.sampled_from([n for n in names if n != x]))
@@ -72,24 +77,39 @@ def random_problem(draw):
         elif op == "XY":
             y = draw(st.sampled_from(names))
             q = draw(st.sampled_from([n for n in names if n != y]))
-            t.record("XY", (y, "Z"), (q,))
+            t.record("XY", (y, "Z"), (q,), accumulate=draw(st.booleans()),
+                     beta=0.5)
         elif op == "XTY":
             t.record("XTY", tuple(draw(st.sampled_from(names))
                                   for _ in range(2)), ("P",))
+        elif op == "AXPY":
+            t.record("AXPY", (draw(st.sampled_from(names)),),
+                     (draw(st.sampled_from(names)),), alpha=2.0,
+                     alpha_name=draw(alpha_name), alpha_op="neg")
+        elif op == "SCALE":
+            t.record("SCALE", (), (draw(st.sampled_from(names)),),
+                     alpha=0.5, alpha_name=draw(alpha_name),
+                     alpha_op="inv")
         elif op == "COPY":
             a, bn = draw(st.sampled_from(names)), draw(st.sampled_from(names))
             if a != bn:
                 t.record("COPY", (a,), (bn,))
-        elif op == "ADD":
-            t.record("ADD", (draw(st.sampled_from(names)),
-                             draw(st.sampled_from(names))),
+        elif op in ("ADD", "SUB"):
+            t.record(op, (draw(st.sampled_from(names)),
+                          draw(st.sampled_from(names))),
                      (draw(st.sampled_from(names)),))
         elif op == "DOT":
             t.record("DOT", (draw(st.sampled_from(names)),
-                             draw(st.sampled_from(names))), ("s",))
+                             draw(st.sampled_from(names))), ("s",),
+                     post=draw(st.sampled_from(["identity", "sqrt"])))
         else:
-            t.record("SCALE", (), (draw(st.sampled_from(names)),),
-                     alpha=0.5)
+            operands = st.lists(st.sampled_from(list(small)), max_size=3)
+            meta = {"i": 0} if draw(st.booleans()) else {}
+            t.record("SMALL", draw(operands),
+                     draw(operands.filter(bool)),
+                     kernel=draw(st.sampled_from(
+                         ["SMALL_EIGH", "RAYLEIGH_RITZ", "ORTHO"])),
+                     op="RANDOM", k=draw(st.integers(1, 4)), **meta)
     opts = BuildOptions(
         skip_empty=draw(st.booleans()),
         spmm_mode=draw(st.sampled_from(["dependency", "reduction"])),
@@ -487,6 +507,12 @@ def assert_adjacency_matches_reference(dag):
 @given(random_problem())
 @settings(max_examples=30, deadline=None)
 def test_builder_adjacency_matches_reference(dag):
+    """The bulk hazard pass against the tuple-keyed walk; reading
+    ``dag.tasks`` first also runs the build-vs-task-mode drift check
+    (every frozen field and both adjacency lists against ``add_task``
+    and the per-task ``_wire``) on every example."""
+    assert dag._tasks is None
+    assert len(dag.tasks) == len(dag)
     assert_adjacency_matches_reference(dag)
 
 

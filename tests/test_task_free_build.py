@@ -1,17 +1,22 @@
 """The cold build makes no ``Task`` objects; ``dag.tasks`` makes them.
 
-The builder writes every task straight into the DAG's frozen columns
-from interned handle ids, and a cold prep (build, plan compile, domain
-tables, BSP phases, artifact write) never asks for the task list.  The
-list a built DAG hands out on demand comes from the builder's task mode
-and must equal, field by field, the list the ``Task``-emitting builder
+The builder computes the DAG's frozen columns and adjacency for a whole
+trace in bulk, and a cold prep (build, plan compile, domain tables, BSP
+phases, artifact write) never asks for the task list.  Every frozen
+column and both adjacency CSR pairs of the bulk build must equal, dtype
+and values, those of the per-task column builder it replaced: pinned by
+digests in ``tests/fixtures/builder_column_digests.json``.  The list a
+built DAG hands out on demand comes from the builder's task mode and
+must equal, field by field, the list the ``Task``-emitting builder
 made: pinned by digests in ``tests/fixtures/builder_task_digests.json``.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 import repro.analysis.experiment as experiment
@@ -24,9 +29,11 @@ from tests.test_property_dag import _BUILDER_CASES
 
 MACHINE = "broadwell"
 
-with open(os.path.join(os.path.dirname(__file__), "fixtures",
-                       "builder_task_digests.json")) as f:
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+with open(os.path.join(_FIXTURES, "builder_task_digests.json")) as f:
     DIGESTS = json.load(f)
+with open(os.path.join(_FIXTURES, "builder_column_digests.json")) as f:
+    COLUMN_DIGESTS = json.load(f)
 
 
 def _subkey(name):
@@ -50,6 +57,43 @@ def task_digest(tasks) -> str:
         h.update(repr(row).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _digest(value) -> str:
+    """sha256 of an array's dtype, shape and bytes, or of a value's
+    repr (which tells an ``int`` part from a NumPy one)."""
+    h = hashlib.sha256()
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+def column_digests(dag) -> dict:
+    """One digest per frozen field and per succ/pred CSR array."""
+    soa = dag.freeze()
+    out = {f.name: _digest(getattr(soa, f.name))
+           for f in dataclasses.fields(soa)}
+    for name, csr in (("succ", dag.succ_csr()), ("pred", dag.pred_csr())):
+        out[name + "_indptr"] = _digest(csr[0])
+        out[name + "_indices"] = _digest(csr[1])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDER_CASES))
+def test_bulk_build_equals_per_task_columns(name):
+    """The bulk build's frozen columns, ``id_to_key`` and adjacency CSR
+    pairs equal the per-task column builder's, dtype and values, and
+    it holds the adjacency as CSR pairs until the lists are read."""
+    dag = experiment._dag.__wrapped__(*_subkey(name))
+    assert type(dag.__dict__["succ"]) is tuple
+    assert type(dag._pred) is tuple
+    got = column_digests(dag)
+    want = COLUMN_DIGESTS[name]
+    assert [k for k in want if got.get(k) != want[k]] == []
+    assert got.keys() == want.keys()
 
 
 @pytest.fixture
