@@ -13,8 +13,9 @@ Run:  python examples/nuclear_ci_lanczos.py
 
 import numpy as np
 
+from repro.graph import DAGBuilder
 from repro.matrices import CSBMatrix, load_matrix
-from repro.runtime import ThreadedRuntime, build_solver_dag
+from repro.runtime import ThreadedRuntime
 from repro.solvers import Workspace, lanczos, lanczos_trace
 from repro.solvers.lanczos import tridiagonal_eigenvalues
 
@@ -37,7 +38,7 @@ def main():
 
     # -- the same iterations through the task DAG on real threads ------
     calls, chunked, small = lanczos_trace(csb, k=k)
-    dag = build_solver_dag(csb, calls, chunked, small)
+    dag = DAGBuilder(csb, chunked=chunked, small=small).build_tasks(calls)
     print(f"\nper-iteration task DAG: {len(dag)} tasks, "
           f"{dag.n_edges} edges, kernels {dag.by_kernel()}")
 

@@ -14,8 +14,8 @@ their own side.
 Layered over the in-process memos is the cross-process *prep store*
 (:mod:`repro.bench.prep`): :func:`_prepped_dag` first tries to load a
 persisted artifact — census + built DAG with frozen
-structure-of-arrays view, interned tables, compiled access plans and
-a rebuild recipe in place of its ``Task`` list — and only on a store
+structure-of-arrays view, interned tables and compiled access plans,
+and no ``Task`` list (a simulation DAG never has one) — and only on a store
 miss builds everything, compiles the prep against the target machine,
 and writes the artifact through.  With the store disabled
 (``REPRO_NO_PREP=1``) it degrades to exactly the old in-process
@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import lru_cache
 from typing import Dict, Sequence
 
 from repro.analysis.metrics import SolverComparison
 from repro.bench.prep import default_prep_store
-from repro.graph.builder import BuildOptions
 from repro.machine.presets import get_machine
 from repro.matrices.census import census_for
 from repro.matrices.suite import SUITE
@@ -99,28 +97,10 @@ def _dag(matrix: str, block_size: int, solver: str, width: int, options):
     with identical decomposition policies get the *same* DAG object,
     which also lets the cost model reuse its per-task pricing
     invariants (see :meth:`repro.sim.cost.CostModel.prepare`).  Each
-    carries its recipe (:func:`_rebuild_dag`) as plain data, so a prep
-    artifact can persist it without the ``Task`` list.
+    is a simulation DAG, with no ``Task`` list.
     """
     cen, calls, chunked, small = _trace(matrix, block_size, solver, width)
-    dag = build_solver_dag(cen, calls, chunked, small, "A", options)
-    dag.recipe = {"matrix": matrix, "block_size": int(block_size),
-                  "solver": solver, "width": int(width),
-                  "options": asdict(options)}
-    return dag
-
-
-def _rebuild_dag(recipe: dict):
-    """A newly built DAG for one recipe: what a prep artifact persists
-    instead of its ``Task`` list (see :mod:`repro.graph.dag`).
-
-    Built past the :func:`_dag` memo, so the loaded DAG that adopts
-    this list never shares it with the memo's DAG, which a later
-    ``add_task`` would otherwise reach.
-    """
-    return _dag.__wrapped__(recipe["matrix"], recipe["block_size"],
-                            recipe["solver"], recipe["width"],
-                            BuildOptions(**recipe["options"]))
+    return build_solver_dag(cen, calls, chunked, small, "A", options)
 
 
 def prep_config(machine_name: str, matrix: str, block_size: int,
@@ -203,8 +183,7 @@ def _prepped_dag(machine_name: str, matrix: str, block_size: int,
     """One executable DAG per cell subkey, via the prep store.
 
     Store hit: the loaded DAG arrives with its frozen SoA view,
-    interned tables, compiled plans and rebuild recipe, but no
-    ``Task`` list — no trace, no builder, no plan compile; the
+    interned tables and compiled plans, and no ``Task`` list — no trace, no builder, no plan compile; the
     artifact's census also primes :func:`_census` for sibling cells.
     Store miss (or store disabled): build through the in-process
     memos; on a miss with the store enabled, compile the prep and write

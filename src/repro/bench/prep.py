@@ -18,40 +18,38 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 9): the store's JSON header line —
+File format (:data:`PREP_FORMAT` 10): the store's JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
-DAG is pickled without its ``Task`` list and without the successor
-CSR its analyses derive on demand: it carries its frozen arrays
-(integer columns narrowed to int32 where their values fit), interned
-tables, compiled plans, domain tables and BSP phases, ``succ`` and
-``pred`` as int32 CSR pairs, plus its rebuild recipe as plain data
-(matrix, block size, solver, width and build-option fields;
-:meth:`repro.graph.dag.TaskDAG.__getstate__`).  A run reads only the
-former.  From format 9 the two largest run memos travel as arrays:
-the plans as a :class:`~repro.sim.cost.PlanTable`'s columns (one
-table of the DAG's distinct ints, one of its distinct floats keyed by
-bit pattern, the distinct touches and gather bundles as indices into
-them, and per-task indices into those), and each core count's BSP
-phases as a :class:`~repro.sim.engine.PhaseTable`'s columns (tids and
-cores in phase order, and each task's intra-phase predecessors as a
-CSR).  Index columns take the narrowest integer type that holds them.
+DAG is a simulation DAG, pickled without the successor CSR its
+analyses derive on demand: it carries its frozen arrays (integer
+columns narrowed to int32 where their values fit), interned tables,
+compiled plans, domain tables and BSP phases, and ``succ`` and
+``pred`` as int32 CSR pairs
+(:meth:`repro.graph.dag.TaskDAG.__getstate__`).  It has no ``Task``
+list and, from format 10, nothing to make one from.  From format 9
+the two largest run memos travel as arrays: the plans as a
+:class:`~repro.sim.cost.PlanTable`'s columns (one table of the DAG's
+distinct ints, one of its distinct floats keyed by bit pattern, the
+distinct touches and gather bundles as indices into them, and
+per-task indices into those), and each core count's BSP phases as a
+:class:`~repro.sim.engine.PhaseTable`'s columns (tids and cores in
+phase order, and each task's intra-phase predecessors as a CSR).
+Index columns take the narrowest integer type that holds them.
 Loading decodes the plans, and a table's first BSP run its phases,
 into one object per distinct value: one ``int`` and one ``float`` per
 value, one tuple per distinct touch and gather bundle, and every tid
 the process-wide :func:`~repro.graph.dag.tid_ints` object that
 ``succ`` holds too.  A decoded table keeps only what it decoded.
-``pred`` stays a CSR pair until it is read; no run reads it.  The domain tables share one tuple
-per distinct domain set (made so at compile time; pickle memoizes
-tuples).  A consumer outside the simulation run path (trace export,
-Gantt, the threaded runtime, analysis) rebuilds the list through the
-DAG builder at its first ``dag.tasks``, which
-fails closed if the rebuilt graph differs from the loaded arrays in
-any field.  A DAG built in process holds no list either until asked:
-the cold path (build, plan compile, ``put``) never makes one.
-The checksum is the SHA-256 of the whole payload bytes, recipe
-included, so damage anywhere is caught at ``get``, never at a later
-rebuild.  A bad pickle fails closed like any other damage.  The
+``pred`` stays a CSR pair until it is read; no run reads it.  The
+domain tables share one tuple per distinct domain set (made so at
+compile time; pickle memoizes tuples).  Trace export reads the frozen
+view too; the real executors take a task DAG
+(:meth:`repro.graph.builder.DAGBuilder.build_tasks`), never an
+artifact.  A DAG built in process holds no list either: the cold path
+(build, plan compile, ``put``) never makes one.  The checksum is the
+SHA-256 of the whole payload bytes, so damage anywhere is caught at
+``get``.  A bad pickle fails closed like any other damage.  The
 human-readable header makes ``repro prep list`` a one-line read per
 artifact.
 
@@ -94,10 +92,10 @@ __all__ = [
 
 #: Storage-schema version of one prep artifact.  Bump on any change to
 #: the payload layout *or* to the pickled structures it carries (plan
-#: or phase table columns, GraphArrays fields, …) *or* to what a DAG's
-#: recipe rebuilds: old artifacts are orphaned by the salt, not
-#: migrated.
-PREP_FORMAT = 9
+#: or phase table columns, GraphArrays fields, …) *or* to what the
+#: builder makes of a trace: old artifacts are orphaned by the salt,
+#: not migrated.
+PREP_FORMAT = 10
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

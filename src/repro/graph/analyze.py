@@ -68,7 +68,7 @@ def levels_reference(dag: TaskDAG) -> List[int]:
     This is the pre-SoA implementation, kept as the oracle the
     property suite compares :meth:`TaskDAG.levels` against.
     """
-    lvl = [0] * len(dag.tasks)
+    lvl = [0] * len(dag)
     for u in dag.topo_order():
         for v in dag.succ[u]:
             if lvl[u] + 1 > lvl[v]:
@@ -79,14 +79,18 @@ def levels_reference(dag: TaskDAG) -> List[int]:
 def critical_path_reference(
     dag: TaskDAG, weight: Optional[Callable[[Task], float]] = None
 ) -> float:
-    """Longest weighted path by per-node propagation (oracle version)."""
-    if not dag.tasks:
+    """Longest weighted path by per-node propagation (oracle version).
+
+    A ``weight`` reads ``Task`` objects, so only a task DAG takes one.
+    """
+    n = len(dag)
+    if not n:
         return 0.0
     if weight is None:
-        w = [1.0] * len(dag.tasks)
+        w = [1.0] * n
     else:
         w = [weight(t) for t in dag.tasks]
-    dist = [0.0] * len(dag.tasks)
+    dist = [0.0] * n
     best = 0.0
     for u in dag.topo_order():
         du = dist[u] + w[u]

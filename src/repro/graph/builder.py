@@ -43,20 +43,20 @@ Python work per task:
   and self edges dropped: the predecessor CSR, in the order a per-task
   walk wires them, and ``succ`` is its stable transpose.
 
-The built DAG carries both CSR pairs and no task list; its first
-``dag.tasks`` runs the same handlers again in *task mode*, where the
+The built DAG is a simulation DAG: it carries both CSR pairs and no
+task list, and never makes one.  :meth:`DAGBuilder.build_tasks` runs
+the same handlers in *task mode* instead, for the real executors: the
 emitted arrays become ``Task`` objects (shared handles, shape and
 params dicts) added one by one through :meth:`TaskDAG.add_task`'s
 per-``Task`` column walk and wired by :meth:`DAGBuilder._wire`, the
-per-task hazard walk.  The DAG then checks that the columns and the
-adjacency that walk derived equal the ones the bulk build produced,
-field by field, before it adopts the list.
+per-task hazard walk.  Task mode is the per-task reference of the bulk
+passes: both modes give equal frozen columns and adjacency, which
+``tests/test_build_modes.py`` checks on real and random traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -281,8 +281,7 @@ class DAGBuilder:
         self._idle()
 
     def _idle(self) -> None:
-        """Drop the per-expansion state (the block grid included: a
-        built DAG keeps its builder for task mode, not these)."""
+        """Drop the per-expansion state, the block grid included."""
         self._n = 0
         #: per group of tasks: (kernel, tids, params i, shape maker,
         #: shape args, params maker, SpMV/SpMM pricing inputs or None)
@@ -350,18 +349,29 @@ class DAGBuilder:
     # Build
     # ------------------------------------------------------------------
     def build(self, calls: List[PrimitiveCall]) -> TaskDAG:
-        """Expand the trace into a validated, frozen TaskDAG.
-
-        The DAG carries no task list: its first ``dag.tasks`` expands
-        ``calls`` again through :meth:`_task_dag`.
-        """
+        """Expand the trace into a validated, frozen simulation DAG:
+        columns and adjacency from whole-trace passes, and no task
+        list (:meth:`build_tasks` makes the same DAG with one)."""
         try:
-            self._expand(calls)
+            self._emit(calls)
             cols, succ, pred = self._bulk()
         finally:
             self._idle()
-        dag = TaskDAG._from_columns(cols, succ, pred,
-                                    partial(self._task_dag, calls))
+        return self._finish(TaskDAG._from_columns(cols, succ, pred))
+
+    def build_tasks(self, calls: List[PrimitiveCall]) -> TaskDAG:
+        """The same DAG with its ``Task`` list, for the real executors:
+        task mode adds each task through ``add_task`` and wires it with
+        :meth:`_wire`; validated and frozen like :meth:`build`."""
+        dag = TaskDAG()
+        try:
+            self._emit(calls)
+            self._add_tasks(dag)
+        finally:
+            self._idle()
+        return self._finish(dag)
+
+    def _finish(self, dag: TaskDAG) -> TaskDAG:
         self._place(dag)
         # Freeze the structure-of-arrays view once here: every engine,
         # cost model and scheduler that later executes this DAG reads
@@ -370,20 +380,7 @@ class DAGBuilder:
         _check_forward(dag)
         return dag
 
-    def _task_dag(self, calls: List[PrimitiveCall]) -> TaskDAG:
-        """The same expansion in task mode: a DAG whose ``Task`` list
-        is filled through ``add_task`` (what ``dag.tasks`` of a built
-        DAG adopts once its columns check out)."""
-        dag = TaskDAG()
-        try:
-            self._expand(calls)
-            self._add_tasks(dag)
-        finally:
-            self._idle()
-        self._place(dag)
-        return dag
-
-    def _expand(self, calls: List[PrimitiveCall]) -> None:
+    def _emit(self, calls: List[PrimitiveCall]) -> None:
         self._idle()
         self._grid = np.asarray(self.csb.block_nnz_grid(), dtype=_I64)
         for seq, call in enumerate(calls):

@@ -38,38 +38,33 @@ the :class:`~repro.graph.builder.DAGBuilder` computes the arrays for a
 whole trace at once and makes no ``Task`` at all.  Any mutation
 (``add_task``/``add_edge``) invalidates
 the frozen view; ``freeze`` rebuilds it on demand, and a DAG whose
-lists were dropped (frozen, pickled, loaded) re-derives them from its
-task list at the next ``add_task``.  Both views answer every query with
+lists were dropped (frozen, pickled) re-derives them from its task
+list at the next ``add_task``.  Both views answer every query with
 bit-identical results — pinned by ``tests/test_property_dag.py``
 against the retained reference implementations in
 :mod:`repro.graph.analyze` and the per-task walk ``freeze`` used to
 make.
 
-A built DAG, like a loaded one, holds no ``Task`` list; it builds it
-on the first ``dag.tasks``.  A built DAG runs its builder's task mode
-over the same trace (``_expand``, in memory only); a loaded one builds
-afresh from its **recipe**: plain data — matrix, block size, solver,
-width and the :class:`~repro.graph.builder.BuildOptions` fields — that
-:func:`repro.analysis.experiment._rebuild_dag` turns into the same
-graph.  The builder expands a solver trace deterministically, so the
-recipe stands in for the list, and pickling a frozen DAG that has one
-leaves the list out.  Either way the rebuilt DAG's every frozen field
-and both adjacency lists must equal this DAG's before the list is
-adopted, so a stale artifact or a task mode that strays from the
-columns fails closed.  The simulation run path never asks: the
-engines, the cost model and the schedulers price and schedule by tid
-off the frozen view, the compiled plans and :meth:`TaskDAG.kernel_of`,
-so neither a cold build nor a loaded prep artifact ever makes its
-``Task`` objects.  Trace and Gantt export, the threaded runtime,
-analysis code, :meth:`TaskDAG.add_task` and :meth:`TaskDAG.add_edge`
-rebuild.  A DAG without a recipe pickles its list the plain way.
+Two kinds of DAG exist.  A **simulation DAG** — what
+:meth:`~repro.graph.builder.DAGBuilder.build` returns, and what a prep
+artifact loads as — holds its frozen view and adjacency and no
+``Task`` list, and can never make one: the engines, the cost model and
+the schedulers price and schedule by tid off the frozen view, the
+compiled plans and :meth:`TaskDAG.kernel_of`, and the Chrome exporter
+reads tile coordinates off the same view.  Reading ``tasks`` on one,
+or calling :meth:`TaskDAG.add_task` or :meth:`TaskDAG.add_edge`,
+raises.  A **task DAG** —
+:meth:`~repro.graph.builder.DAGBuilder.build_tasks`, or one grown by
+``add_task`` — also holds its ``Task`` objects, for the real NumPy
+executors (:mod:`repro.runtime.threaded`) and for analyses that weigh
+tasks, and pickles them with the rest.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, List, NamedTuple, Optional
 
@@ -79,12 +74,6 @@ from repro.graph.task import Task
 from repro.kernels.registry import KERNELS, kernel_spec
 
 __all__ = ["GraphArrays", "SPARSE_KERNELS", "TaskDAG"]
-
-#: Serializes first rebuilds of a task list: service threads share
-#: built and loaded DAGs, and every reader must see the same ``Task``
-#: objects.  Reentrant: rebuilding a loaded DAG builds a fresh one
-#: whose own list is rebuilt in turn.
-_REBUILD_LOCK = threading.RLock()
 
 _I32 = np.iinfo(np.int32)
 
@@ -396,13 +385,11 @@ _TID_LOCK = threading.Lock()
 
 
 def _fresh_locks() -> None:
-    """A forked child gets unheld locks: the service forks its pool
-    workers while another thread may be growing the tid table or
-    rebuilding a task list, and an inherited held lock would hang the
-    child's first load or first ``dag.tasks``."""
-    global _TID_LOCK, _REBUILD_LOCK
+    """A forked child gets an unheld tid lock: the service forks its
+    pool workers while another thread may be growing the tid table,
+    and an inherited held lock would hang the child's first load."""
+    global _TID_LOCK
     _TID_LOCK = threading.Lock()
-    _REBUILD_LOCK = threading.RLock()
 
 
 os.register_at_fork(after_in_child=_fresh_locks)
@@ -468,15 +455,6 @@ def _tuples(objs: np.ndarray, index: np.ndarray, indptr: np.ndarray) -> list:
     return out.tolist()
 
 
-def _same(a, b) -> bool:
-    """Bit-exact equality of two frozen fields (arrays by dtype, shape
-    and bytes)."""
-    if isinstance(a, np.ndarray):
-        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
-                and a.shape == b.shape and a.tobytes() == b.tobytes())
-    return a == b
-
-
 class TaskDAG:
     """A DAG of :class:`~repro.graph.task.Task` nodes.
 
@@ -485,14 +463,11 @@ class TaskDAG:
     :class:`~repro.graph.builder.DAGBuilder` coincides with the
     depth-first program order DeepSparse spawns tasks in.
 
-    ``tasks`` of a built DAG, or of one that came out of a pickle
-    without its list, is rebuilt on first use (see the module
-    docstring); ``len``, ``sources``, ``in_degrees``,
+    A simulation DAG (see the module docstring) has no ``tasks`` and
+    refuses mutation; ``len``, ``sources``, ``in_degrees``,
     ``handle_interning``, ``by_kernel``, :meth:`kernel_of`,
-    :meth:`levels` and :meth:`critical_path` of a frozen DAG answer
-    without it.  Any mutation first rebuilds the list, then drops the
-    recipe along with the frozen view: it no longer describes the
-    graph.
+    :meth:`levels` and the unit-weight :meth:`critical_path` of a
+    frozen DAG answer without a task list.
 
     ``_cost_prep``, ``_home_arrays``, ``_sched_domains`` and
     ``_bsp_phases`` are the run invariants the cost model, the
@@ -504,14 +479,8 @@ class TaskDAG:
     """
 
     def __init__(self):
+        #: The ``Task`` list; None for a simulation DAG.
         self._tasks: Optional[List[Task]] = []
-        #: How to build this graph afresh, as plain data (a prep
-        #: artifact persists it in place of the task list), or None.
-        self.recipe: Optional[dict] = None
-        #: Zero-argument callable that expands this graph again with
-        #: its ``Task`` objects (the builder's task mode); in memory
-        #: only, never pickled.
-        self._expand: Optional[Callable[[], "TaskDAG"]] = None
         #: Successor lists, or a built DAG's CSR pair until the first
         #: read of :attr:`succ` (kept under the plain name, so the
         #: pickled state reads the same either way).
@@ -536,17 +505,15 @@ class TaskDAG:
         self._bsp_phases: dict = {}
 
     @classmethod
-    def _from_columns(cls, cols: _ColumnArrays, succ: tuple, pred: tuple,
-                      expand: Callable[[], "TaskDAG"]) -> "TaskDAG":
-        """A DAG the builder computed in bulk: its frozen columns and
-        both adjacency CSR pairs, and no task list, which ``expand``
-        rebuilds on demand."""
+    def _from_columns(cls, cols: _ColumnArrays, succ: tuple,
+                      pred: tuple) -> "TaskDAG":
+        """A simulation DAG the builder computed in bulk: its frozen
+        columns and both adjacency CSR pairs, and no task list."""
         dag = cls()
         dag._tasks = None
         dag._cols = cols
         dag.succ = succ
         dag._pred = pred
-        dag._expand = expand
         return dag
 
     @property
@@ -604,56 +571,15 @@ class TaskDAG:
 
     @property
     def tasks(self) -> List[Task]:
-        """The task list, rebuilt on first use if the DAG has none."""
+        """The task list; a simulation DAG has none and raises."""
         tasks = self._tasks
         if tasks is None:
-            with _REBUILD_LOCK:
-                tasks = self._tasks
-                if tasks is None:
-                    tasks = self._rebuilt_tasks()
-                    self._tasks = tasks
+            raise RuntimeError(
+                "DAG has no task list: it is a simulation DAG "
+                "(DAGBuilder.build or a prep artifact); build the "
+                "trace with DAGBuilder.build_tasks to execute or "
+                "mutate its tasks")
         return tasks
-
-    def _rebuilt_tasks(self) -> List[Task]:
-        """Build the graph afresh; its list, if it matches this DAG.
-
-        A built DAG expands its trace again in the builder's task mode;
-        a loaded one builds through its recipe
-        (:func:`repro.analysis.experiment._rebuild_dag`), whose own
-        list comes from that DAG's task mode in turn.  Every frozen
-        field and both adjacency lists must match this DAG's, so a
-        recipe that no longer reproduces the persisted arrays (the
-        builder changed, the artifact layout did not) fails closed
-        rather than hand out tasks that disagree with the plans, and a
-        task mode that strays from the columns the build wrote fails
-        the same way.
-        """
-        if self._expand is not None:
-            fresh = self._expand()
-        elif self.recipe is not None:
-            from repro.analysis import experiment
-
-            fresh = experiment._rebuild_dag(self.recipe)
-        else:
-            raise RuntimeError("DAG has no task list and no way to "
-                               "rebuild it")
-        ours, theirs = self.freeze(), fresh.freeze()
-        for f in fields(GraphArrays):
-            name = f.name
-            if not _same(getattr(ours, name), getattr(theirs, name)):
-                self._drifted(name)
-        for name in ("succ", "pred"):
-            if getattr(self, name) != getattr(fresh, name):
-                self._drifted(name)
-        return fresh.tasks
-
-    @staticmethod
-    def _drifted(name: str):
-        raise RuntimeError(
-            f"rebuilt DAG differs from this one in {name}: its recipe "
-            "no longer reproduces its task list; for a prep artifact, "
-            "bump PREP_FORMAT in repro.bench.prep and run "
-            "`repro prep gc`")
 
     def kernel_of(self) -> List[str]:
         """Kernel name of every task, by tid (derived, never pickled).
@@ -813,7 +739,7 @@ class TaskDAG:
     def _columns(self):
         """The per-task columns not yet frozen (the builder's arrays or
         ``add_task``'s lists), re-derived from the task list if
-        freezing, pickling or loading dropped them."""
+        freezing or pickling dropped them."""
         cols = self._cols
         if cols is None:
             cols = _Columns()
@@ -832,8 +758,6 @@ class TaskDAG:
         self._kernel_of = None
         self._succ_csr = None
         self._pred_csr = None
-        self.recipe = None
-        self._expand = None
         self._cost_prep = {}
         self._home_arrays = {}
         self._sched_domains = {}
@@ -844,7 +768,8 @@ class TaskDAG:
         """Insert a task; assigns and returns its dense id.
 
         Records the task's frozen-view columns as it goes, so
-        :meth:`freeze` never walks the task list again.
+        :meth:`freeze` never walks the task list again.  A simulation
+        DAG refuses (it has no task list).
         """
         return self._add_wired(task)
 
@@ -882,7 +807,9 @@ class TaskDAG:
         return tid
 
     def add_edge(self, u: int, v: int) -> None:
-        """Add precedence ``u before v``; duplicate and self edges are no-ops."""
+        """Add precedence ``u before v``; duplicate and self edges are
+        no-ops.  A simulation DAG refuses (it has no task list)."""
+        self.tasks  # raises on a simulation DAG
         if u == v:
             return
         n_tasks = len(self.succ)
@@ -893,7 +820,6 @@ class TaskDAG:
         es.add((u, v))
         if len(es) == n:  # duplicate: one hash probe, not two
             return
-        self.tasks  # a built or loaded DAG rebuilds its list first
         self.succ[u].append(v)
         self.pred[v].append(u)
         if self._soa is not None:
@@ -914,8 +840,7 @@ class TaskDAG:
         return es
 
     def __getstate__(self):
-        """Leave the task list out of a frozen DAG that has a recipe;
-        any other DAG pickles its list, rebuilt first if need be.
+        """A task DAG pickles its list; a simulation DAG has none.
 
         ``succ`` and ``pred`` travel as CSR pairs (``_csr``, offsets
         narrowed like the frozen columns).  Pickle does not memoize
@@ -936,11 +861,6 @@ class TaskDAG:
         state["_key_to_id"] = None
         state["_succ_csr"] = None
         state["_pred_csr"] = None
-        state["_expand"] = None
-        if self.recipe is not None and self._soa is not None:
-            state["_tasks"] = None
-        else:
-            state["_tasks"] = self.tasks
         return state
 
     def __setstate__(self, state):
@@ -951,7 +871,7 @@ class TaskDAG:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        # One adjacency row per task, built or loaded: never rebuilds.
+        # One adjacency row per task, built or loaded.
         succ = self.__dict__["succ"]
         return len(succ[0]) - 1 if type(succ) is tuple else len(succ)
 
@@ -1124,14 +1044,11 @@ class TaskDAG:
         return lvl.tolist()
 
     # ------------------------------------------------------------------
-    def total_flops(self) -> float:
-        return sum(t.flops for t in self.tasks)
-
     def by_kernel(self) -> dict:
         """Task counts per kernel name (census used in logs and tests).
 
         In first-appearance order; a frozen DAG counts its kernel codes
-        (``kernel_names`` is already in that order) without rebuilding.
+        (``kernel_names`` is already in that order) without a task list.
         """
         soa = self._soa
         if soa is not None:

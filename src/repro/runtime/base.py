@@ -26,7 +26,9 @@ def build_solver_dag(
     matrix_name: str = "A",
     options: Optional[BuildOptions] = None,
 ) -> TaskDAG:
-    """Expand a solver trace over a CSB matrix (or block census)."""
+    """Expand a solver trace over a CSB matrix (or block census) into a
+    simulation DAG (no ``Task`` list: the real executors take
+    :meth:`DAGBuilder.build_tasks`)."""
     builder = DAGBuilder(
         matrix,
         matrix_name=matrix_name,

@@ -9,6 +9,11 @@ Performance caveat, per the repro plan: CPython's GIL serializes task
 management, so threading here demonstrates the model and validates
 correctness; the paper's performance comparisons are reproduced by the
 simulator.
+
+Both executors take a task DAG
+(:meth:`repro.graph.builder.DAGBuilder.build_tasks`): they run each
+``Task``'s body, and a simulation DAG has none (reading its ``tasks``
+raises before anything runs).
 """
 
 from __future__ import annotations
@@ -120,14 +125,16 @@ def execute_task(task, ws: Workspace) -> None:
 
 def execute_dag_serial(dag: TaskDAG, ws: Workspace,
                        order: Optional[List[int]] = None) -> None:
-    """Execute every task in a legal order on the calling thread."""
+    """Execute every task of a task DAG in a legal order on the calling
+    thread."""
+    tasks = dag.tasks
     ws.prepare_buffers(dag)
     if order is None:
         order = dag.topo_order()
     else:
         dag.check_schedule(order)
     for tid in order:
-        execute_task(dag.tasks[tid], ws)
+        execute_task(tasks[tid], ws)
 
 
 class ThreadedRuntime:
@@ -146,7 +153,8 @@ class ThreadedRuntime:
 
     def execute(self, dag: TaskDAG, ws: Workspace,
                 iterations: int = 1) -> float:
-        """Run the DAG ``iterations`` times; returns elapsed seconds."""
+        """Run a task DAG ``iterations`` times; returns elapsed
+        seconds."""
         ws.prepare_buffers(dag)
         t0 = _time.perf_counter()
         for _ in range(iterations):
@@ -154,7 +162,8 @@ class ThreadedRuntime:
         return _time.perf_counter() - t0
 
     def _run_once(self, dag: TaskDAG, ws: Workspace) -> None:
-        n = len(dag)
+        tasks = dag.tasks
+        n = len(tasks)
         if n == 0:
             return
         indeg = dag.in_degrees()
@@ -167,7 +176,7 @@ class ThreadedRuntime:
         def body(tid):
             nonlocal remaining
             try:
-                execute_task(dag.tasks[tid], ws)
+                execute_task(tasks[tid], ws)
             except BaseException as exc:
                 with lock:
                     errors.append(exc)

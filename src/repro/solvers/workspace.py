@@ -92,10 +92,12 @@ class Workspace:
 
     # ------------------------------------------------------------------
     def prepare_buffers(self, dag) -> None:
-        """Preallocate every partial buffer a DAG will write.
+        """Preallocate every partial buffer a task DAG will write.
 
-        Done up front so concurrent task bodies never mutate the
-        buffer dict structurally (thread safety of the real executor).
+        Reads the DAG's ``Task`` list
+        (:meth:`repro.graph.builder.DAGBuilder.build_tasks`).  Done up
+        front so concurrent task bodies never mutate the buffer dict
+        structurally (thread safety of the real executor).
         """
         self.buffers = {}
         for t in dag.tasks:

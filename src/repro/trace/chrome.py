@@ -31,7 +31,21 @@ __all__ = ["to_chrome_trace", "write_chrome_trace"]
 _US = 1e6  # simulated seconds -> trace microseconds
 
 
-def _task_args(ev, dag) -> dict:
+def _tile_coords(dag):
+    """Each task's ``params["i"]`` and, for a SpMV/SpMM task,
+    ``params["j"]``, read off the frozen view: ``param_i`` by tid (-1
+    if absent) and ``j`` by tid, the block column, which is the
+    partition of the task's gather input chunk (``sparse_x``, -1 if
+    none)."""
+    soa = dag.freeze()
+    id_to_key = soa.id_to_key
+    j = {t: id_to_key[x][1] for t, x in zip(soa.sparse_tids.tolist(),
+                                             soa.sparse_x.tolist())
+         if x >= 0}
+    return soa.param_i.tolist(), j
+
+
+def _task_args(ev, coords) -> dict:
     args = {
         "tid": ev.tid,
         "iteration": ev.iteration,
@@ -42,12 +56,13 @@ def _task_args(ev, dag) -> dict:
         "compute_us": ev.compute * _US,
         "memory_us": ev.memory * _US,
     }
-    if dag is not None:
-        params = dag.tasks[ev.tid].params
-        if "i" in params:
-            args["i"] = params["i"]
-        if "j" in params:
-            args["j"] = params["j"]
+    if coords is not None:
+        param_i, j = coords
+        i = param_i[ev.tid]
+        if i >= 0:
+            args["i"] = i
+        if ev.tid in j:
+            args["j"] = j[ev.tid]
     return args
 
 
@@ -66,6 +81,7 @@ def to_chrome_trace(tracer=None, events: Optional[Iterable] = None,
     if events is None:
         raise ValueError("need a tracer with an in-memory sink or events=")
     meta = meta or {}
+    coords = None if dag is None else _tile_coords(dag)
     n_cores = meta.get("n_cores")
     out = []
     label = (f"repro-sim {meta.get('machine', '?')}/"
@@ -109,7 +125,7 @@ def to_chrome_trace(tracer=None, events: Optional[Iterable] = None,
                 "cat": "replay" if ev.synthesized else "task",
                 "ts": ev.start * _US,
                 "dur": (ev.end - ev.start) * _US,
-                "args": _task_args(ev, dag),
+                "args": _task_args(ev, coords),
             })
         elif kind == "barrier":
             out.append({

@@ -19,7 +19,7 @@ def build(csb, calls, options=None, width=2):
     chunked = {"X": width, "Y": width, "Q": width}
     small = {"Z": (width, width), "P": (width, width), "s": (1, 1)}
     b = DAGBuilder(csb, "A", chunked, small, options)
-    return b.build(calls)
+    return b.build_tasks(calls)
 
 
 def rec():
@@ -203,10 +203,10 @@ def _handles_by_key(dag):
 @pytest.mark.parametrize("trace", [lanczos_trace, lobpcg_trace])
 def test_one_shared_handle_per_key(csb, trace):
     calls, chunked, small = trace(csb)
-    dag = DAGBuilder(csb, "A", chunked, small).build(calls)
+    dag = DAGBuilder(csb, "A", chunked, small).build_tasks(calls)
     unshared_builder = DAGBuilder(csb, "A", chunked, small)
     unshared_builder._handles = _Forgetful()
-    unshared = unshared_builder.build(calls)
+    unshared = unshared_builder.build_tasks(calls)
 
     shared = _handles_by_key(dag)
     fresh = _handles_by_key(unshared)

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.graph.builder import BuildOptions
@@ -25,6 +26,13 @@ def small_problem():
     calls, chunked, small = lobpcg_trace(csb, n=4)
     dag = build_solver_dag(csb, calls, chunked, small)
     return dag
+
+
+def _phase_of(dag):
+    """Each task's primitive call (BSP phase), by tid, off the frozen
+    view: phases are the runs of equal ``seq``."""
+    bounds = dag.freeze().phase_indptr
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)).tolist()
 
 
 def test_event_engine_executes_everything(bw, small_problem):
@@ -88,10 +96,11 @@ def test_bsp_phases_are_barriers(bw, small_problem):
     # group flow records by primitive call (seq); consecutive phases
     # must be disjoint in time
     by_seq = {}
+    seq_of = _phase_of(small_problem)
     for r in res.flow.records:
-        t = small_problem.tasks[r.tid]
-        lo, hi = by_seq.get(t.seq, (r.start, r.end))
-        by_seq[t.seq] = (min(lo, r.start), max(hi, r.end))
+        seq = seq_of[r.tid]
+        lo, hi = by_seq.get(seq, (r.start, r.end))
+        by_seq[seq] = (min(lo, r.start), max(hi, r.end))
     seqs = sorted(by_seq)
     for a, b in zip(seqs, seqs[1:]):
         assert by_seq[a][1] <= by_seq[b][0] + 1e-12
@@ -102,7 +111,7 @@ def test_amt_pipelines_across_phases(bw, small_problem):
     never does (phase barriers)."""
     amt = SimulationEngine(bw).run(small_problem, DeepSparseScheduler(),
                                    iterations=1)
-    seq_of = {t.tid: t.seq for t in small_problem.tasks}
+    seq_of = _phase_of(small_problem)
 
     def cross_seq_overlaps(flow):
         recs = sorted(flow.records, key=lambda r: r.start)

@@ -11,6 +11,7 @@ correctness tests can't see.
 import pytest
 
 from repro.analysis.experiment import _trace
+from repro.graph.builder import DAGBuilder
 from repro.machine import broadwell, epyc
 from repro.matrices.suite import SUITE
 from repro.runtime.base import build_solver_dag
@@ -20,11 +21,15 @@ from repro.tuning.blocksize import block_size_for_count
 
 
 @pytest.fixture(scope="module", params=["lanczos", "lobpcg"])
-def problem(request):
+def trace(request):
     bs = block_size_for_count(SUITE["Queen4147"].paper_rows, 48)
     width = 20 if request.param == "lanczos" else 8
-    cen, calls, chunked, small = _trace("Queen4147", bs, request.param,
-                                        width)
+    return _trace("Queen4147", bs, request.param, width)
+
+
+@pytest.fixture(scope="module")
+def problem(trace):
+    cen, calls, chunked, small = trace
     return build_solver_dag(cen, calls, chunked, small)
 
 
@@ -41,15 +46,18 @@ def test_makespan_respects_lower_bounds(problem, sched_cls, bw):
     assert res.counters.tasks_executed == len(problem)
 
 
-def test_makespan_at_least_critical_path_time(problem, bw):
+def test_makespan_at_least_critical_path_time(problem, trace, bw):
     """The span bound: no schedule beats the longest dependent chain.
 
     Chain time is evaluated with compute-only costs (a lower bound on
-    any task's true duration, which adds memory time and overheads).
+    any task's true duration, which adds memory time and overheads),
+    over the same DAG's ``Task`` list (its task-mode build).
     """
+    cen, calls, chunked, small = trace
+    twin = DAGBuilder(cen, "A", chunked, small).build_tasks(calls)
     eng = SimulationEngine(bw)
     cm = eng.cost
-    span = problem.critical_path(weight=cm.compute_seconds)
+    span = twin.critical_path(weight=cm.compute_seconds)
     res = eng.run(problem, DeepSparseScheduler(), iterations=1)
     assert res.total_time >= span - 1e-12
 

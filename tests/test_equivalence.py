@@ -13,7 +13,8 @@ import pytest
 from repro.kernels import orthonormalize
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import banded_fem
-from repro.runtime import ThreadedRuntime, build_solver_dag, execute_dag_serial
+from repro.graph.builder import DAGBuilder
+from repro.runtime import ThreadedRuntime, execute_dag_serial
 from repro.solvers import EagerEngine, Workspace, lanczos_trace, lobpcg_trace
 from repro.solvers.lanczos import lanczos_iteration, lanczos_operands
 from repro.solvers.lobpcg import lobpcg_iteration, lobpcg_operands
@@ -22,6 +23,11 @@ from repro.solvers.lobpcg import lobpcg_iteration, lobpcg_operands
 @pytest.fixture(scope="module")
 def csb():
     return CSBMatrix.from_coo(banded_fem(240, 8, seed=12), 40)
+
+
+def task_dag(csb, calls, chunked, small, options=None):
+    """The trace's task DAG: the real executors run its ``Task``s."""
+    return DAGBuilder(csb, "A", chunked, small, options).build_tasks(calls)
 
 
 def _subspace_projector(X):
@@ -46,7 +52,7 @@ class TestLOBPCGEquivalence:
         ws_e, ws_d = self.setup_workspaces(csb)
         lobpcg_iteration(EagerEngine(ws_e), self.n)
         calls, chunked, small = lobpcg_trace(csb, n=self.n)
-        dag = build_solver_dag(csb, calls, chunked, small)
+        dag = task_dag(csb, calls, chunked, small)
         execute_dag_serial(dag, ws_d)
         # Gram blocks and eigenvalues agree to rounding
         np.testing.assert_allclose(ws_e.full("gA_PP"), ws_d.full("gA_PP"),
@@ -64,7 +70,7 @@ class TestLOBPCGEquivalence:
         ws_e, ws_d = self.setup_workspaces(csb, seed=8)
         lobpcg_iteration(EagerEngine(ws_e), self.n)
         calls, chunked, small = lobpcg_trace(csb, n=self.n)
-        dag = build_solver_dag(csb, calls, chunked, small)
+        dag = task_dag(csb, calls, chunked, small)
         ThreadedRuntime(n_workers=4).execute(dag, ws_d)
         np.testing.assert_allclose(ws_e.full("evals"), ws_d.full("evals"),
                                    atol=1e-9)
@@ -79,7 +85,7 @@ class TestLOBPCGEquivalence:
         (no orthonormalization rescue between iterations)."""
         _, ws = self.setup_workspaces(csb)
         calls, chunked, small = lobpcg_trace(csb, n=self.n)
-        dag = build_solver_dag(csb, calls, chunked, small)
+        dag = task_dag(csb, calls, chunked, small)
         for _ in range(80):
             execute_dag_serial(dag, ws)
         got = np.sort(ws.full("evals")[:, 0])
@@ -92,9 +98,9 @@ class TestLOBPCGEquivalence:
 
         ws_e, ws_d = self.setup_workspaces(csb, seed=5)
         calls, chunked, small = lobpcg_trace(csb, n=self.n)
-        dag_dep = build_solver_dag(csb, calls, chunked, small,
-                                   options=BuildOptions())
-        dag_red = build_solver_dag(
+        dag_dep = task_dag(csb, calls, chunked, small,
+                           options=BuildOptions())
+        dag_red = task_dag(
             csb, calls, chunked, small,
             options=BuildOptions(spmm_mode="reduction"))
         execute_dag_serial(dag_dep, ws_e)
@@ -119,7 +125,7 @@ class TestLanczosEquivalence:
             ws.full("q")[:] = b
             ws.full("Qb")[:, 0:1] = b
         calls, chunked, small = lanczos_trace(csb, k=self.k)
-        dag = build_solver_dag(csb, calls, chunked, small)
+        dag = task_dag(csb, calls, chunked, small)
         # the traced iteration writes basis column k//2; run the same
         # single step both ways
         lanczos_iteration(EagerEngine(ws_e), self.k // 2)
@@ -136,7 +142,7 @@ class TestLanczosEquivalence:
         b = rng.standard_normal((csb.shape[0], 1))
         b /= np.linalg.norm(b)
         calls, chunked, small = lanczos_trace(csb, k=self.k)
-        dag = build_solver_dag(csb, calls, chunked, small)
+        dag = task_dag(csb, calls, chunked, small)
         ws_s = Workspace(csb, chunked, small)
         ws_t = Workspace(csb, chunked, small)
         for ws in (ws_s, ws_t):
@@ -157,7 +163,7 @@ def test_arbitrary_legal_order_is_equivalent(csb):
     rng = np.random.default_rng(11)
     X0 = orthonormalize(rng.standard_normal((csb.shape[0], n)))
     calls, chunked, small = lobpcg_trace(csb, n=n)
-    dag = build_solver_dag(csb, calls, chunked, small)
+    dag = task_dag(csb, calls, chunked, small)
 
     # max-id-first topological order (very different from default)
     indeg = dag.in_degrees()

@@ -1,27 +1,25 @@
 """Task DAG structure: tasks, edges, ordering, validation, analyses."""
 
 import dataclasses
-import os
 import pickle
-import signal
-import sys
-import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.analysis.experiment as experiment
 from repro.graph.analyze import (
     average_parallelism,
     critical_path_length,
     max_width,
     parallelism_profile,
 )
-from repro.graph.builder import BuildOptions
+from repro.graph.builder import DAGBuilder
 from repro.graph.dag import GraphArrays, TaskDAG
 from repro.graph.task import DataHandle, Task
+from repro.matrices.csb import CSBMatrix
+from repro.matrices.generators import banded_fem
+from repro.runtime import ThreadedRuntime, execute_dag_serial
+from repro.solvers import Workspace, lanczos_trace, lobpcg_trace
+from tests.test_property_dag import _builder_dag, _builder_task_dag
 
 
 def mk_task(kernel="COPY", reads=(), writes=(), shape=None, seq=0):
@@ -172,37 +170,35 @@ def test_by_kernel_reads_kernel_codes_when_frozen():
 
 
 # ----------------------------------------------------------------------
-# Pickled DAGs with a rebuild recipe leave their Task list out
+# Simulation DAGs pickle without a task list; task DAGs with theirs
 
 @pytest.fixture(scope="module")
 def prepped_dag():
-    """A freshly built LOBPCG DAG with every prep table compiled on it;
-    the builder gave it its rebuild recipe."""
-    from repro.analysis.experiment import _compile_prep, _dag
-    from repro.graph.builder import BuildOptions
-    from repro.matrices.suite import SUITE
-    from repro.tuning.blocksize import block_size_for_count
+    """A freshly built LOBPCG simulation DAG with every prep table
+    compiled on it."""
+    from repro.analysis.experiment import _compile_prep
 
-    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
-    dag = _dag.__wrapped__("inline1", bs, "lobpcg", 8,
-                           BuildOptions(skip_empty=True,
-                                        spmm_mode="dependency"))
+    dag = _builder_dag("lobpcg")
+    _compile_prep("broadwell", dag)
+    return dag
+
+
+@pytest.fixture(scope="module")
+def prepped_task_dag():
+    """``prepped_dag``'s task DAG, prep tables compiled on it too."""
+    from repro.analysis.experiment import _compile_prep
+
+    dag = _builder_task_dag("lobpcg")
     _compile_prep("broadwell", dag)
     return dag
 
 
 def test_add_edge_on_built_dag_still_dedups():
-    """The builder keeps no edge set; ``add_edge`` derives one from
-    ``succ``, so an edge the build made stays a no-op, and a new edge
-    still invalidates the frozen view and drops the recipe."""
-    from repro.analysis.experiment import _dag
-    from repro.graph.builder import BuildOptions
-    from repro.matrices.suite import SUITE
-    from repro.tuning.blocksize import block_size_for_count
-
-    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
-    dag = _dag.__wrapped__("inline1", bs, "lanczos", 4, BuildOptions())
-    assert dag.frozen and dag.recipe is not None
+    """The builder keeps no edge set; ``add_edge`` on a task DAG
+    derives one from ``succ``, so an edge the build made stays a no-op,
+    and a new edge still invalidates the frozen view."""
+    dag = _builder_task_dag("lanczos")
+    assert dag.frozen
     assert dag._edge_set is None
     succ = [list(vs) for vs in dag.succ]
     pred = [list(us) for us in dag.pred]
@@ -212,17 +208,17 @@ def test_add_edge_on_built_dag_still_dedups():
     dag.add_edge(u, v)
     assert dag.succ == succ and dag.pred == pred
     assert dag.n_edges == n_edges
-    assert dag.frozen and dag.recipe is not None
+    assert dag.frozen
     w = next(x for x in range(v + 1, len(dag)) if x not in succ[u])
     dag.add_edge(u, w)
-    assert not dag.frozen and dag.recipe is None
+    assert not dag.frozen
     assert dag.succ[u] == succ[u] + [w] and dag.pred[w] == pred[w] + [u]
     assert dag.n_edges == n_edges + 1 == dag.freeze().n_edges
 
 
 def _loaded(dag):
     out = pickle.loads(pickle.dumps(dag, protocol=pickle.HIGHEST_PROTOCOL))
-    assert out._tasks is None
+    assert (out._tasks is None) == (dag._tasks is None)
     return out
 
 
@@ -234,8 +230,8 @@ def _task_fields(t):
             t.iteration, t.seq)
 
 
-def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_dag):
-    dag = prepped_dag
+def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_task_dag):
+    dag = prepped_task_dag
     loaded = _loaded(dag)
     for f in dataclasses.fields(GraphArrays):
         a, b = getattr(dag._soa, f.name), getattr(loaded._soa, f.name)
@@ -247,37 +243,37 @@ def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_dag):
                  "_sched_domains", "_bsp_phases", "n_partitions",
                  "matrix_name", "matrix_nbc"):
         assert getattr(loaded, attr) == getattr(dag, attr), attr
-    assert loaded.recipe == dag.recipe
-    assert loaded._tasks is None
     assert [_task_fields(t) for t in loaded.tasks] == \
         [_task_fields(t) for t in dag.tasks]
-    # A rebuilt list of its own: no Task object is shared.
+    # A list of its own: no Task object is shared.
     assert not {id(t) for t in loaded.tasks} & {id(t) for t in dag.tasks}
 
 
 def test_recipe_less_dag_pickles_its_tasks():
+    """A hand-built DAG pickles its task list like any task DAG."""
     dag = chain_dag(3)
     dag.freeze()
     out = pickle.loads(pickle.dumps(dag))
-    assert out.recipe is None and out._tasks is not None
+    assert out._tasks is not None
     assert [_task_fields(t) for t in out.tasks] == \
         [_task_fields(t) for t in dag.tasks]
 
 
-def test_repickling_an_unrebuilt_dag_stays_task_free(prepped_dag):
+def test_repickling_an_unrebuilt_dag_stays_task_free(prepped_dag,
+                                                     prepped_task_dag):
     loaded = _loaded(prepped_dag)
     blob = pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL)
     assert loaded._tasks is None
     assert b"repro.graph.task" not in blob      # no Task, no DataHandle
     assert b"repro.graph.task" in pickle.dumps(
-        prepped_dag.tasks, protocol=pickle.HIGHEST_PROTOCOL)
+        prepped_task_dag, protocol=pickle.HIGHEST_PROTOCOL)
     again = _loaded(loaded)
-    assert [_task_fields(t) for t in again.tasks] == \
-        [_task_fields(t) for t in prepped_dag.tasks]
+    assert again.kernel_of() == [t.kernel for t in prepped_task_dag.tasks]
 
 
-def test_structural_queries_do_not_decode(prepped_dag):
-    """Nothing but the task list itself rebuilds a loaded DAG."""
+def test_structural_queries_do_not_decode(prepped_dag, prepped_task_dag):
+    """A loaded simulation DAG answers every structural query without a
+    task list, equal to its task twin's answers."""
     dag = prepped_dag
     loaded = _loaded(dag)
     assert len(loaded) == len(dag)
@@ -286,181 +282,114 @@ def test_structural_queries_do_not_decode(prepped_dag):
     assert loaded.handle_interning() == dag.handle_interning()
     assert loaded.n_edges == dag.n_edges
     assert list(loaded.by_kernel().items()) == list(dag.by_kernel().items())
-    assert repr(loaded) == repr(dag)
-    assert loaded.kernel_of() == [t.kernel for t in dag.tasks]
+    assert repr(loaded) == repr(dag) == repr(prepped_task_dag)
+    assert loaded.kernel_of() == [t.kernel for t in prepped_task_dag.tasks]
     assert loaded.levels() == dag.levels()
     assert loaded.critical_path() == dag.critical_path()
     assert loaded._tasks is None
 
 
-def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_dag):
-    """``add_task`` rebuilds the list, then drops the frozen view and
-    the recipe, which no longer describes the graph."""
-    loaded = _loaded(prepped_dag)
+def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_task_dag):
+    """``add_task`` on a loaded task DAG re-derives its columns from its
+    list, then drops the frozen view."""
+    loaded = _loaded(prepped_task_dag)
     n = len(loaded)
     kernels = loaded.kernel_of()
+    assert loaded._cols is None
     tid = loaded.add_task(mk_task("ADD"))
-    assert tid == n and loaded._tasks is not None
-    assert not loaded.frozen and loaded.recipe is None
-    assert len(prepped_dag.tasks) == n
+    assert tid == n and len(loaded.tasks) == n + 1
+    assert not loaded.frozen
+    assert len(prepped_task_dag.tasks) == n
     assert loaded.kernel_of() == kernels + ["ADD"]
     assert loaded.freeze().n_tasks == n + 1
     key_to_id, _ = loaded.handle_interning()
-    assert len(key_to_id) == len(prepped_dag.handle_interning()[0])
+    assert len(key_to_id) == len(prepped_task_dag.handle_interning()[0])
     again = pickle.loads(pickle.dumps(loaded))
     assert [t.kernel for t in again.tasks] == kernels + ["ADD"]
 
 
-def _striped_copies(lo, hi):
+def _striped_copies(lo, hi, seq0=0):
     """COPY tasks ``lo..hi-1``: task ``i`` copies part ``i % 16`` of
-    ``x`` into a new handle over the same part, one phase per 16."""
+    ``x`` into a new handle over the same part, one phase per 16,
+    numbered from ``seq0``."""
     return [mk_task("COPY", [DataHandle("x", i % 16, 8192)],
                     [DataHandle(f"y{i // 16}", i % 16, 8192)],
-                    {"rows": 64, "width": 1}, seq=i // 16)
+                    {"rows": 64, "width": 1}, seq=seq0 + i // 16)
             for i in range(lo, hi)]
 
 
 @pytest.mark.parametrize("n_tasks", [64, 200])
 def test_runs_after_add_task_match_a_fresh_build(n_tasks):
     """A run memoizes plans, homes, domain tables and BSP phases on
-    the DAG; ``add_task`` after it must drop them all.  Same partition
-    count before and after, so every memo key repeats: a stale domain
-    table indexes past its end, stale phases run the old tasks only."""
+    the DAG; ``add_task`` after it must drop them all.  A task DAG of
+    16 row blocks gets ``n_tasks`` striped copies over the same 16
+    partitions, so every memo key repeats: a stale domain table indexes
+    past its end, stale phases run the old tasks only."""
     from repro.machine import epyc
     from repro.sim.engine import SimulationEngine, run_bsp
     from repro.sim.schedulers import DeepSparseScheduler, HPXScheduler
 
     machine = epyc()
+    csb = CSBMatrix.from_coo(banded_fem(320, 6, seed=2), 20)  # 16 x 16
+    calls, chunked, small = lanczos_trace(csb, k=2)
+    builder = DAGBuilder(csb, "A", chunked, small)
 
     def runs(dag):
         return [SimulationEngine(machine).run(dag, s, iterations=2).summary()
                 for s in (DeepSparseScheduler(), HPXScheduler())] + \
             [run_bsp(machine, dag, iterations=2).summary()]
 
-    mutated = TaskDAG()
-    for t in _striped_copies(0, 16):
-        mutated.add_task(t)
+    mutated = builder.build_tasks(calls)
+    fresh = builder.build_tasks(calls)
+    n = len(mutated)
+    seq0 = len(calls)
     runs(mutated)
-    for t in _striped_copies(16, n_tasks):
-        mutated.add_task(t)
-    fresh = TaskDAG()
-    for t in _striped_copies(0, n_tasks):
-        fresh.add_task(t)
+    for dag in (mutated, fresh):
+        for t in _striped_copies(0, n_tasks, seq0):
+            dag.add_task(t)
     got, want = runs(mutated), runs(fresh)
-    assert [r.counters.tasks_executed for r in got] == [2 * n_tasks] * 3
+    assert [r.counters.tasks_executed for r in got] == \
+        [2 * (n + n_tasks)] * 3
     assert got == want
 
 
-def test_concurrent_first_decodes_share_one_task_list(prepped_dag,
-                                                     monkeypatch):
-    """Service threads share loaded DAGs: racing first reads of
-    ``tasks`` must all get the same list, rebuilt once."""
-    rebuild = experiment._rebuild_dag
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            loaded = _loaded(prepped_dag)
-            rebuilds = []
+# ----------------------------------------------------------------------
+# A simulation DAG never makes a task list
 
-            def counting(recipe):
-                rebuilds.append(1)
-                return rebuild(recipe)
-
-            monkeypatch.setattr(experiment, "_rebuild_dag", counting)
-            barrier = threading.Barrier(8)
-            seen = []
-
-            def read():
-                barrier.wait(timeout=10)
-                seen.append(loaded.tasks)
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-            assert len(seen) == 8
-            assert all(s is loaded.tasks for s in seen)
-            assert len(rebuilds) == 1
-    finally:
-        sys.setswitchinterval(old)
+@pytest.fixture(scope="module")
+def small_lobpcg():
+    """A real LOBPCG trace over a 4 x 4 block matrix: its operands and
+    its simulation DAG."""
+    csb = CSBMatrix.from_coo(banded_fem(160, 6, seed=2), 40)
+    calls, chunked, small = lobpcg_trace(csb, n=2)
+    dag = DAGBuilder(csb, "A", chunked, small).build(calls)
+    return csb, chunked, small, dag
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_child_forked_while_the_rebuild_lock_is_held_rebuilds():
-    """The service forks pool workers while another thread may be
-    rebuilding a task list: the child gets an unheld rebuild lock, so
-    its first ``dag.tasks`` does not wait on a thread it does not
-    have."""
-    from repro.graph import dag as dag_module
-    from repro.matrices.suite import SUITE
-    from repro.tuning.blocksize import block_size_for_count
-
-    bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
-    dag = experiment._dag.__wrapped__("inline1", bs, "lanczos", 4,
-                                      BuildOptions())
-    assert dag._tasks is None
-    held, release = threading.Event(), threading.Event()
-
-    def hold():
-        with dag_module._REBUILD_LOCK:
-            held.set()
-            release.wait(30)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert held.wait(10)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a threaded process may
-            # deadlock: the case under test.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:  # the child: exit 0 only if the list was rebuilt
-            code = 1
-            try:
-                code = 0 if len(dag.tasks) == len(dag) else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 20
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("forked child hung on the rebuild lock")
-            time.sleep(0.02)
-        assert os.waitstatus_to_exitcode(status) == 0
-    finally:
-        release.set()
-        holder.join()
-    assert dag._tasks is None  # the parent never rebuilt
+_REFUSALS = {
+    "tasks": lambda dag, ws: dag.tasks,
+    "add_task": lambda dag, ws: dag.add_task(mk_task()),
+    "add_edge": lambda dag, ws: dag.add_edge(0, len(dag) - 1),
+    "execute_dag_serial": lambda dag, ws: execute_dag_serial(dag, ws),
+    "ThreadedRuntime.execute":
+        lambda dag, ws: ThreadedRuntime(2).execute(dag, ws),
+}
 
 
-@pytest.mark.parametrize("field,value", [
-    ("width", 16), ("block_size", 2**14),
-    ("options", BuildOptions(csr_storage=True))])
-def test_drifted_recipe_fails_closed(prepped_dag, tmp_path, field, value):
-    """An artifact whose recipe builds another graph never hands out
-    the rebuilt list: the first ``tasks`` raises, naming the fix.  CSR
-    storage changes only the gather spans, so that case needs the check
-    to cover every frozen field."""
-    from repro.bench.prep import PrepStore
-
-    drifted = _loaded(prepped_dag)
-    drifted.recipe = dict(prepped_dag.recipe)
-    drifted.recipe[field] = (dataclasses.asdict(value)
-                             if field == "options" else value)
-    store = PrepStore(root=str(tmp_path), enabled=True)
-    config = {"kind": "test", "field": field}
-    store.put(config, {"config": config, "dag": drifted})
-    dag = store.get(config)["dag"]
-    for _ in range(2):
-        with pytest.raises(RuntimeError,
-                           match=r"PREP_FORMAT.*`repro prep gc`"):
-            dag.tasks
-        assert dag._tasks is None
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("call", sorted(_REFUSALS))
+def test_simulation_dag_refuses_task_access(small_lobpcg, call, loaded):
+    """A built or loaded simulation DAG has no task list and never
+    makes one: reading it, mutating the DAG and running it for real
+    each raise, naming the task-mode build, and leave the DAG and the
+    workspace as they were."""
+    csb, chunked, small, built = small_lobpcg
+    dag = _loaded(built) if loaded else built
+    edges, soa = dag.n_edges, dag.freeze()
+    ws = Workspace(csb, chunked, small)
+    with pytest.raises(RuntimeError, match="no task list.*build_tasks"):
+        _REFUSALS[call](dag, ws)
+    assert dag._tasks is None and dag.freeze() is soa
+    assert dag.n_edges == edges and len(dag) == soa.n_tasks
+    assert ws.buffers == {}
+    assert not any(a.any() for a in ws.arrays.values())

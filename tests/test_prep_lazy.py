@@ -1,15 +1,13 @@
-"""A loaded prep artifact runs without rebuilding its task list.
+"""A loaded prep artifact runs without a task list.
 
 Every version of both solvers runs from artifacts loaded off disk; no
-loaded DAG may rebuild its ``Task`` list from its recipe, and every
-summary must equal a build with the store disabled.  Two 8-iteration
-cells cover the steady-state replay of the event engine and of the BSP
-loop.  A traced run may rebuild (trace export reads task parameters)
-but must report the same numbers as the untraced one, and a rebuilt
-list must equal the store-disabled build's.  The Fig. 9 Broadwell
-Lanczos grid (every default matrix x every version at the default
-block counts) holds the same loaded-equals-built and task-free
-contract at paper scale.
+loaded DAG may hold a ``Task`` list after the sweep, and every summary
+must equal a build with the store disabled.  Two 8-iteration cells
+cover the steady-state replay of the event engine and of the BSP loop.
+A traced run must report the same numbers as the untraced one.  The
+Fig. 9 Broadwell Lanczos grid (every default matrix x every version
+at the default block counts) holds the same loaded-equals-built and
+task-free contract at paper scale.
 """
 
 import json
@@ -19,9 +17,8 @@ import pytest
 import repro.analysis.experiment as experiment
 from repro.bench.prep import PrepStore, default_prep_store
 from repro.bench.runner import DEFAULT_MATRICES, expand_grid
-from repro.graph.builder import BuildOptions, DAGBuilder
+from repro.graph.builder import DAGBuilder
 from repro.trace import Tracer
-from tests.test_graph import _task_fields
 from tests.test_prep_store import _clear_experiment_memos
 
 MACHINE, MATRIX, BLOCKS = "broadwell", "inline1", 16
@@ -54,10 +51,10 @@ def _fig9_summary(matrix, version, block_count):
 def _built_then_loaded(mp, root, cells, summary, prebuild):
     """Summaries of ``cells`` built with the store off, then loaded
     from a store that ``prebuild`` filled, plus the DAGs the loaded
-    sweep got from the store and, per DAG, whether it was still
-    task-free (never rebuilt) after that sweep, and the same flags for
-    every DAG the builder made in the store-off sweep and in the cold
-    ``prebuild`` (build, plan compile, artifact write)."""
+    sweep got from the store and, per DAG, whether it still held no
+    task list after that sweep, and the same flags for every DAG the
+    builder made in the store-off sweep and in the cold ``prebuild``
+    (build, plan compile, artifact write)."""
     mp.setenv("REPRO_PREP_DIR", root)
     mp.setenv("REPRO_NO_PREP", "1")
     _clear_experiment_memos()
@@ -133,26 +130,6 @@ def test_loaded_sweep_never_rebuilds_tasks(sweeps):
     _, _, _, dags, task_free = sweeps
     assert len(dags) == 4          # 2 solvers x {libcsr, shared policy}
     assert all(task_free)
-
-
-def test_rebuilt_tasks_equal_store_disabled_build(sweeps, monkeypatch):
-    """A loaded DAG's first ``tasks`` rebuilds a list equal, field by
-    field, to the list a store-disabled run builds for its subkey."""
-    dags = sweeps[3]
-    monkeypatch.setenv("REPRO_NO_PREP", "1")
-    _clear_experiment_memos()
-    try:
-        for dag in dags:
-            r = dag.recipe
-            built = experiment._prepped_dag(
-                MACHINE, r["matrix"], r["block_size"], r["solver"],
-                r["width"], BuildOptions(**r["options"]))
-            assert built is not dag
-            assert [_task_fields(t) for t in dag.tasks] == \
-                [_task_fields(t) for t in built.tasks]
-            assert dag.tasks is not built.tasks
-    finally:
-        _clear_experiment_memos()
 
 
 def test_replay_cells_replayed(sweeps):

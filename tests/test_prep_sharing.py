@@ -22,6 +22,7 @@ from repro.graph.builder import BuildOptions
 from repro.machine.memory import MemoryModel
 from repro.matrices.suite import SUITE
 from repro.tuning.blocksize import block_size_for_count
+from tests.test_property_dag import build_tasks_for
 
 CASES = {
     "lanczos": ("lanczos", 20, {}),
@@ -31,13 +32,18 @@ CASES = {
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
-def built(request):
-    """A prepped real DAG (plans, home arrays, domain tables, BSP
-    phases), as a cold prep leaves it."""
+def case(request):
+    """The experiment subkey of one case."""
     solver, width, options = CASES[request.param]
     bs = block_size_for_count(SUITE["inline1"].paper_rows, 64)
-    dag = _dag.__wrapped__("inline1", bs, solver, width,
-                           BuildOptions(**options))
+    return "inline1", bs, solver, width, BuildOptions(**options)
+
+
+@pytest.fixture(scope="module")
+def built(case):
+    """A prepped real DAG (plans, home arrays, domain tables, BSP
+    phases), as a cold prep leaves it."""
+    dag = _dag.__wrapped__(*case)
     _compile_prep("broadwell", dag)
     return dag
 
@@ -111,12 +117,13 @@ def test_plans_hold_one_object_per_distinct_int_and_float(
 
 
 @pytest.mark.parametrize("which", ["built", "loaded"])
-def test_plans_hold_one_tuple_per_distinct_gather(built, loaded, which):
+def test_plans_hold_one_tuple_per_distinct_gather(case, built, loaded,
+                                                  which):
     """CSR gathers span the whole vector and name no key, so equal
     blocks repeat one bundle (the other cases repeat none here)."""
     gathers = _gathers(built if which == "built" else loaded)
     assert_one_object_per_value(gathers)
-    if built.recipe["options"]["csr_storage"]:
+    if case[4].csr_storage:
         assert len(set(gathers)) < len(gathers)
 
 
@@ -207,10 +214,11 @@ def test_loaded_adjacency_equals_built_with_one_int_per_tid(built, loaded):
     assert len(one) > 256                   # beyond CPython's small ints
 
 
-def test_add_edge_on_loaded_dag_mutates_its_rebuilt_lists(built, loaded,
-                                                          tmp_path):
-    """``add_edge`` on a loaded DAG appends to the lists ``__setstate__``
-    rebuilt, and the next put/get carries the new edge."""
+def test_add_edge_on_loaded_dag_mutates_its_rebuilt_lists(case, tmp_path):
+    """``add_edge`` on a loaded task DAG appends to the lists
+    ``__setstate__`` rebuilt, and the next put/get carries the new
+    edge."""
+    built = build_tasks_for(*case)
     store = PrepStore(root=str(tmp_path))
     config = {"kind": "prep-sharing-edge", "n": len(built)}
     store.put(config, {"dag": built})
@@ -223,7 +231,7 @@ def test_add_edge_on_loaded_dag_mutates_its_rebuilt_lists(built, loaded,
     assert dag.succ is succ and dag.pred is pred
     assert succ[u][-1] == w and pred[w][-1] == u
     assert dag.n_edges == n_edges + 1
-    assert built.succ == loaded.succ and w not in built.succ[u]
+    assert w not in built.succ[u]           # the put DAG is untouched
     store.put(config, {"dag": dag})
     again = store.get(config)["dag"]
     assert again.succ == succ and again.pred == pred

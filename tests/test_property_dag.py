@@ -10,7 +10,10 @@ to :func:`reference_columns`, the per-``Task`` walk ``freeze`` used to
 make, on random DAGs and on real builder DAGs.  The builder's hazard
 wiring (by interned handle id, one predecessor list per task) is pinned
 list for list to :func:`reference_adjacency`, the tuple-keyed walk with
-a global edge set it replaced.
+a global edge set it replaced.  A built DAG has no task list, so the
+per-``Task`` references read the list of its task-mode twin
+(:meth:`DAGBuilder.build_tasks` over the same trace), and the built
+DAG's own frozen view and adjacency are what they check.
 """
 
 import dataclasses
@@ -45,12 +48,12 @@ from repro.sim.schedulers import (
 
 
 @st.composite
-def random_problem(draw):
+def random_trace(draw):
     """A random CSB matrix + a random legal primitive trace, drawing
     every op the builder handles with the metadata the solvers pass:
     named AXPY/SCALE coefficients, accumulating XY, DOT
     post-operations, and SMALL ops over the small operands (a read
-    written again, a write repeated)."""
+    written again, a write repeated): ``(builder, calls)``."""
     n = draw(st.integers(20, 120))
     b = draw(st.integers(5, 60))
     nnz = draw(st.integers(1, 300))
@@ -115,8 +118,19 @@ def random_problem(draw):
         spmm_mode=draw(st.sampled_from(["dependency", "reduction"])),
         csr_storage=draw(st.booleans()),
     )
-    builder = DAGBuilder(csb, "A", chunked, small, opts)
-    return builder.build(t.calls)
+    return DAGBuilder(csb, "A", chunked, small, opts), t.calls
+
+
+def random_problem():
+    """The simulation DAG (``build``) of a :func:`random_trace`."""
+    return random_trace().map(lambda bc: bc[0].build(bc[1]))
+
+
+def random_twins():
+    """``(built, twin)``: a :func:`random_trace`'s simulation DAG and its
+    task DAG (``build_tasks``)."""
+    return random_trace().map(
+        lambda bc: (bc[0].build(bc[1]), bc[0].build_tasks(bc[1])))
 
 
 @given(random_problem())
@@ -126,17 +140,18 @@ def test_builder_always_produces_valid_dag(dag):
     dag.check_schedule(order)
 
 
-@given(random_problem())
+@given(random_twins())
 @settings(max_examples=20, deadline=None)
-def test_conflicting_tasks_always_ordered(dag):
+def test_conflicting_tasks_always_ordered(pair):
     """Any two tasks sharing a written handle are path-connected."""
+    dag, twin = pair
     reach = [set() for _ in range(len(dag))]
     for u in reversed(dag.topo_order()):
         r = {u}
         for v in dag.succ[u]:
             r |= reach[v]
         reach[u] = r
-    tasks = dag.tasks
+    tasks = twin.tasks
     for a in tasks:
         aw = {(h.name, h.part) for h in a.writes}
         ar = {(h.name, h.part) for h in a.reads}
@@ -171,9 +186,10 @@ def test_every_policy_executes_every_task_in_dependence_order(
         assert end_of[u] <= start_of[v] + 1e-12
 
 
-@given(random_problem())
+@given(random_twins())
 @settings(max_examples=20, deadline=None)
-def test_charges_are_finite_positive(dag):
+def test_charges_are_finite_positive(pair):
+    _, dag = pair
     bw = broadwell()
     cache = CacheHierarchy(bw)
     mem = MemoryModel(bw, n_parts=16)
@@ -217,6 +233,9 @@ def random_bare_dag(draw, min_tasks=1):
 
 
 _dag_strategies = st.one_of(random_problem(), random_bare_dag())
+#: ``(dag, twin)``: a built DAG and its task DAG, or a bare DAG twice
+_twin_strategies = st.one_of(random_twins(),
+                             random_bare_dag().map(lambda d: (d, d)))
 
 
 @given(_dag_strategies)
@@ -225,13 +244,15 @@ def test_levels_match_reference(dag):
     assert dag.levels() == levels_reference(dag)
 
 
-@given(_dag_strategies)
+@given(_twin_strategies)
 @settings(max_examples=30, deadline=None)
-def test_critical_path_matches_reference(dag):
+def test_critical_path_matches_reference(pair):
+    dag, twin = pair
     assert dag.critical_path() == critical_path_reference(dag)
-    # A weight function that varies per task and is registry-free.
+    # A weight function that varies per task and is registry-free: it
+    # reads Tasks, so only the task DAG takes it.
     w = lambda t: 0.25 + (t.tid % 7) * 1.5  # noqa: E731
-    assert dag.critical_path(weight=w) == critical_path_reference(dag, w)
+    assert twin.critical_path(weight=w) == critical_path_reference(twin, w)
 
 
 @given(_dag_strategies)
@@ -251,13 +272,14 @@ def test_soa_adjacency_matches_lists(dag):
         == sorted((u, v) for u, vs in enumerate(dag.succ) for v in vs)
 
 
-@given(_dag_strategies)
+@given(_twin_strategies)
 @settings(max_examples=25, deadline=None)
-def test_soa_operand_tables_match_tasks(dag):
+def test_soa_operand_tables_match_tasks(pair):
+    dag, twin = pair
     soa = dag.freeze()
     key_to_id, id_to_key = dag.handle_interning()
     assert soa.id_to_key is id_to_key
-    for t in dag.tasks:
+    for t in twin.tasks:
         tid = t.tid
         # Reads are not repeated in the frozen view; interning covers
         # them in reads-then-writes order.
@@ -281,10 +303,11 @@ def test_soa_operand_tables_match_tasks(dag):
 # over the task list before, extended to the SpMV/SpMM pricing inputs.
 # ----------------------------------------------------------------------
 
-def reference_columns(dag) -> dict:
-    """Every :class:`GraphArrays` field, from ``dag.tasks`` and the
-    adjacency lists, one task at a time."""
-    tasks = dag.tasks
+def reference_columns(dag, twin=None) -> dict:
+    """Every :class:`GraphArrays` field, from ``twin.tasks`` (``dag``'s
+    own if no twin) and ``dag``'s adjacency lists, one task at a
+    time."""
+    tasks = (dag if twin is None else twin).tasks
     n = len(tasks)
     key_to_id, id_to_key = {}, []
     for t in tasks:
@@ -396,9 +419,9 @@ def reference_columns(dag) -> dict:
     )
 
 
-def assert_columns_match_reference(dag):
+def assert_columns_match_reference(dag, twin=None):
     soa = dag.freeze()
-    want = reference_columns(dag)
+    want = reference_columns(dag, twin)
     fields = [f.name for f in dataclasses.fields(soa)]
     assert fields == list(want)
     for name in fields:
@@ -410,22 +433,40 @@ def assert_columns_match_reference(dag):
             assert got == ref, name
 
 
-@given(_dag_strategies)
+@given(_twin_strategies)
 @settings(max_examples=30, deadline=None)
-def test_frozen_columns_match_reference(dag):
-    assert_columns_match_reference(dag)
+def test_frozen_columns_match_reference(pair):
+    assert_columns_match_reference(*pair)
 
 
-def _builder_dag(solver, **options):
-    """A real solver DAG, built as `repro.analysis.experiment._dag` does."""
-    from repro.analysis.experiment import _dag
+def _builder_subkey(solver, **options):
     from repro.matrices.suite import SUITE
     from repro.tuning.blocksize import block_size_for_count
 
     width = {"lanczos": 20, "lobpcg": 8}[solver]
     bs = block_size_for_count(SUITE["inline1"].paper_rows, 16)
-    return _dag.__wrapped__("inline1", bs, solver, width,
-                            BuildOptions(**options))
+    return "inline1", bs, solver, width, BuildOptions(**options)
+
+
+def _builder_dag(solver, **options):
+    """A real solver DAG, built as `repro.analysis.experiment._dag` does."""
+    from repro.analysis.experiment import _dag
+
+    return _dag.__wrapped__(*_builder_subkey(solver, **options))
+
+
+def build_tasks_for(matrix, block_size, solver, width, options):
+    """The task DAG of one experiment subkey: the trace
+    `repro.analysis.experiment._dag` builds, through ``build_tasks``."""
+    from repro.analysis.experiment import _trace
+
+    cen, calls, chunked, small = _trace(matrix, block_size, solver, width)
+    return DAGBuilder(cen, "A", chunked, small, options).build_tasks(calls)
+
+
+def _builder_task_dag(solver, **options):
+    """:func:`_builder_dag`'s task-mode twin."""
+    return build_tasks_for(*_builder_subkey(solver, **options))
 
 
 _BUILDER_CASES = {
@@ -445,9 +486,16 @@ def builder_dag(request):
     return request.param, _builder_dag(solver, **options)
 
 
-def test_builder_dag_columns_match_reference(builder_dag):
+@pytest.fixture(scope="module")
+def builder_twin(builder_dag):
+    """``builder_dag``'s task DAG."""
+    solver, options = _BUILDER_CASES[builder_dag[0]]
+    return _builder_task_dag(solver, **options)
+
+
+def test_builder_dag_columns_match_reference(builder_dag, builder_twin):
     _, dag = builder_dag
-    assert_columns_match_reference(dag)
+    assert_columns_match_reference(dag, builder_twin)
 
 
 # ----------------------------------------------------------------------
@@ -457,14 +505,13 @@ def test_builder_dag_columns_match_reference(builder_dag):
 # and deduplicated through one global edge set.
 # ----------------------------------------------------------------------
 
-def reference_adjacency(dag, matrix_name="A"):
+def reference_adjacency(tasks, matrix_name="A"):
     """``succ``, ``pred`` and the edge count of a builder DAG, from its
-    task list: last writer and readers since that write per ``(name,
+    (or its twin's) task list: last writer and readers since that write per ``(name,
     part)`` key, every edge offered to a global ``(u, v)`` set in
     hazard order (reads' writers, then each write's writer and its
     readers), self edges dropped, the never-written matrix's reads not
     tracked."""
-    tasks = dag.tasks
     succ = [[] for _ in tasks]
     pred = [[] for _ in tasks]
     edges = set()
@@ -496,29 +543,28 @@ def reference_adjacency(dag, matrix_name="A"):
     return succ, pred, len(edges)
 
 
-def assert_adjacency_matches_reference(dag):
-    succ, pred, n_edges = reference_adjacency(dag)
+def assert_adjacency_matches_reference(dag, twin):
+    succ, pred, n_edges = reference_adjacency(twin.tasks)
     assert dag.succ == succ
     assert dag.pred == pred       # order included: first occurrence
     assert dag.n_edges == n_edges
     assert dag._edge_set is None  # the build keeps no edge set
 
 
-@given(random_problem())
+@given(random_twins())
 @settings(max_examples=30, deadline=None)
-def test_builder_adjacency_matches_reference(dag):
-    """The bulk hazard pass against the tuple-keyed walk; reading
-    ``dag.tasks`` first also runs the build-vs-task-mode drift check
-    (every frozen field and both adjacency lists against ``add_task``
-    and the per-task ``_wire``) on every example."""
+def test_builder_adjacency_matches_reference(pair):
+    """The bulk hazard pass against the tuple-keyed walk over the task
+    twin's list."""
+    dag, twin = pair
     assert dag._tasks is None
-    assert len(dag.tasks) == len(dag)
-    assert_adjacency_matches_reference(dag)
+    assert len(twin.tasks) == len(dag)
+    assert_adjacency_matches_reference(dag, twin)
 
 
-def test_builder_dag_adjacency_matches_reference(builder_dag):
+def test_builder_dag_adjacency_matches_reference(builder_dag, builder_twin):
     _, dag = builder_dag
-    assert_adjacency_matches_reference(dag)
+    assert_adjacency_matches_reference(dag, builder_twin)
 
 
 def test_self_hazards_match_reference():
@@ -541,10 +587,10 @@ def test_self_hazards_match_reference():
     small = {"P": (2, 2), "s": (1, 1)}
     for options in (BuildOptions(), BuildOptions(spmm_mode="reduction"),
                     BuildOptions(skip_empty=False)):
-        dag = DAGBuilder(csb, "A", chunked, small, options).build(t.calls)
-        assert_adjacency_matches_reference(dag)
-        small_tid = next(x.tid for x in dag.tasks
-                         if x.kernel == "SMALL_EIGH")
+        builder = DAGBuilder(csb, "A", chunked, small, options)
+        dag = builder.build(t.calls)
+        assert_adjacency_matches_reference(dag, builder.build_tasks(t.calls))
+        small_tid = dag.kernel_of().index("SMALL_EIGH")
         assert small_tid not in dag.pred[small_tid]
 
 
@@ -559,14 +605,15 @@ def _extra_spmv(dag):
                 {"i": 0, "j": 0, "A": "A", "X": "x", "Y": "y"})
 
 
-def test_add_task_after_freeze_rederives_columns(builder_dag):
-    """A frozen DAG re-derives its columns at the next ``add_task``; a
-    loaded one rebuilds its tasks first.  Both then match the walk."""
-    name, dag = builder_dag
+def test_add_task_after_freeze_rederives_columns(builder_dag, builder_twin):
+    """A frozen task DAG re-derives its columns from its list at the
+    next ``add_task``, and so does a loaded one.  Both then match the
+    walk."""
+    name, _ = builder_dag
     solver, options = _BUILDER_CASES[name]
-    fresh = _builder_dag(solver, **options)   # frozen, tasks in hand
-    loaded = pickle.loads(pickle.dumps(dag))  # no tasks, no columns
-    assert loaded._tasks is None
+    fresh = _builder_task_dag(solver, **options)   # frozen, tasks in hand
+    loaded = pickle.loads(pickle.dumps(builder_twin))  # no columns
+    assert loaded._tasks is not None
     for d in (fresh, loaded):
         before = d.freeze()
         assert d._cols is None
@@ -613,27 +660,29 @@ def test_failed_add_task_leaves_columns_consistent():
     assert_columns_match_reference(dag)
 
 
-def _reference_plans(cm, dag):
-    """Each task compiled with ``_task_info`` (its ``reads``/``writes``
-    handle objects, interned keys), zero-byte touches dropped, as a
-    plan does."""
+def _reference_plans(cm, dag, twin=None):
+    """Each task of ``twin`` (``dag`` if none) compiled with
+    ``_task_info`` (its ``reads``/``writes`` handle objects, keys
+    interned as ``dag`` does), zero-byte touches dropped, as a plan
+    does."""
     key_to_id, _ = dag.handle_interning()
     plans = []
-    for t in dag.tasks:
+    for t in (dag if twin is None else twin).tasks:
         compute, touches, gather = cm._task_info(t, key_to_id)
         plans.append((compute, tuple(tt for tt in touches if tt[1] > 0),
                       gather))
     return plans
 
 
-@given(random_problem())
+@given(random_twins())
 @settings(max_examples=15, deadline=None)
-def test_soa_compiled_plans_match_reference(dag):
+def test_soa_compiled_plans_match_reference(pair):
     """SoA plan compiler == a handle-object walk, tuple-exact."""
+    dag, twin = pair
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
     assert cm._compile_plans(dag.freeze()).plans == \
-        _reference_plans(cm, dag)
+        _reference_plans(cm, dag, twin)
 
 
 def test_plans_match_reference_with_sizes_near_64_bits():
@@ -655,7 +704,7 @@ def test_plans_match_reference_with_sizes_near_64_bits():
     assert len({id(t) for t in touches}) == len(set(touches)) == 4
 
 
-def test_builder_dag_plans_match_reference(builder_dag):
+def test_builder_dag_plans_match_reference(builder_dag, builder_twin):
     """Tuple-exact on real DAGs, whose reduction buffers (full-chunk
     output bytes) and CSR gathers (scattered, no input key) the random
     problems reach only by chance."""
@@ -665,7 +714,7 @@ def test_builder_dag_plans_match_reference(builder_dag):
         cm = CostModel(machine, CacheHierarchy(machine),
                        MemoryModel(machine, n_parts=16))
         plans = cm._compile_plans(soa).plans
-        assert plans == _reference_plans(cm, dag)
+        assert plans == _reference_plans(cm, dag, builder_twin)
     gathers = [g for _c, _t, g in plans if g is not None]
     assert gathers
     assert all(g[4] for g in gathers) == name.endswith("-csr")
@@ -758,7 +807,8 @@ def test_frozen_dag_pickle_roundtrip(dag):
     """Pickling (what the prep store does) preserves the whole graph,
     isolated tasks and empty DAGs included: the adjacency lists come
     back from their CSR arrays, order kept and one ``int`` per tid; the
-    dropped edge-dedup set is rebuilt lazily and stays correct."""
+    dropped edge-dedup set is rebuilt lazily and stays correct, and a
+    simulation DAG still refuses any edge."""
     dag.freeze()
     clone = pickle.loads(pickle.dumps(dag))
     assert clone.n_edges == dag.n_edges
@@ -772,7 +822,11 @@ def test_frozen_dag_pickle_roundtrip(dag):
     if clone.n_edges:  # re-adding an existing edge must still dedup
         u = next(i for i, vs in enumerate(clone.succ) if vs)
         v = clone.succ[u][0]
-        clone.add_edge(u, v)
+        if clone._tasks is None:
+            with pytest.raises(RuntimeError, match="build_tasks"):
+                clone.add_edge(u, v)
+        else:
+            clone.add_edge(u, v)
         assert clone.n_edges == dag.n_edges
 
 

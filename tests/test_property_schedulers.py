@@ -27,7 +27,7 @@ from repro.sim.schedulers import (
     HPXScheduler,
     RegentScheduler,
 )
-from tests.test_property_dag import random_problem
+from tests.test_property_dag import random_problem, random_twins
 
 POLICIES = ("deepsparse", "hpx", "regent", "bsp")
 
@@ -87,11 +87,11 @@ def _serial_bound(machine, dag, res, policy, sched, iterations):
     """
     phases = iterations
     if policy == "bsp":
-        phases = iterations * len({t.seq for t in dag.tasks})
+        phases = iterations * (len(dag.freeze().phase_indptr) - 1)
     release = 0.0
     if sched is not None:
         release = max(
-            (sched.release_time(t.tid, 0.0) for t in dag.tasks),
+            (sched.release_time(tid, 0.0) for tid in range(len(dag))),
             default=0.0,
         )
     c = res.counters
@@ -101,12 +101,15 @@ def _serial_bound(machine, dag, res, policy, sched, iterations):
             + 1e-9)
 
 
-@given(random_problem(), st.sampled_from(POLICIES), st.integers(0, 100))
+@given(random_twins(), st.sampled_from(POLICIES), st.integers(0, 100))
 @settings(max_examples=40, deadline=None)
-def test_makespan_between_span_and_serial_sum(dag, policy, seed):
-    """work/P ≤ span-bound ≤ makespan ≤ serialized charges, any policy."""
+def test_makespan_between_span_and_serial_sum(pair, policy, seed):
+    """work/P ≤ span-bound ≤ makespan ≤ serialized charges, any policy.
+    The compute-only span weighs the task twin's ``Task`` list."""
+    dag, twin = pair
     bw = broadwell()
-    span = dag.critical_path(weight=SimulationEngine(bw).cost.compute_seconds)
+    span = twin.critical_path(
+        weight=SimulationEngine(bw).cost.compute_seconds)
     res, sched = _run(bw, dag, policy, seed=seed)
     assert res.counters.tasks_executed == len(dag)
     assert res.total_time >= span - 1e-12
@@ -186,13 +189,15 @@ def test_replay_refuses_anchor_dependent_near_ties(monkeypatch):
         [tuple(r) for r in full.flow.records]
 
 
-@given(random_problem(), st.sampled_from(POLICIES), st.integers(0, 50))
+@given(random_twins(), st.sampled_from(POLICIES), st.integers(0, 50))
 @settings(max_examples=15, deadline=None)
-def test_multi_iteration_bounds_hold_per_iteration(dag, policy, seed):
+def test_multi_iteration_bounds_hold_per_iteration(pair, policy, seed):
     """Each barriered repetition individually beats the span bound,
     and the iteration times sum back to the total."""
+    dag, twin = pair
     bw = broadwell()
-    span = dag.critical_path(weight=SimulationEngine(bw).cost.compute_seconds)
+    span = twin.critical_path(
+        weight=SimulationEngine(bw).cost.compute_seconds)
     res, sched = _run(bw, dag, policy, seed=seed, iterations=3)
     assert len(res.iteration_times) == 3
     assert sum(res.iteration_times) <= res.total_time + 1e-9

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import random_symmetric
-from repro.runtime import build_solver_dag, execute_dag_serial
+from repro.graph.builder import DAGBuilder
+from repro.runtime import execute_dag_serial
 from repro.solvers import Workspace, lanczos, lobpcg_trace
 
 
@@ -41,7 +42,7 @@ def test_lobpcg_dag_preserves_orthonormality_drift(csb, n, seed):
     n = min(n, max(1, csb.shape[0] // 8))
     rng = np.random.default_rng(seed)
     calls, chunked, small = lobpcg_trace(csb, n=n)
-    dag = build_solver_dag(csb, calls, chunked, small)
+    dag = DAGBuilder(csb, "A", chunked, small).build_tasks(calls)
     ws = Workspace(csb, chunked, small)
     ws.full("Psi")[:] = orthonormalize(
         rng.standard_normal((csb.shape[0], n)))

@@ -1,14 +1,15 @@
-"""The cold build makes no ``Task`` objects; ``dag.tasks`` makes them.
+"""The cold build makes no ``Task`` objects; ``build_tasks`` makes them.
 
 The builder computes the DAG's frozen columns and adjacency for a whole
 trace in bulk, and a cold prep (build, plan compile, domain tables, BSP
-phases, artifact write) never asks for the task list.  Every frozen
-column and both adjacency CSR pairs of the bulk build must equal, dtype
-and values, those of the per-task column builder it replaced: pinned by
-digests in ``tests/fixtures/builder_column_digests.json``.  The list a
-built DAG hands out on demand comes from the builder's task mode and
-must equal, field by field, the list the ``Task``-emitting builder
-made: pinned by digests in ``tests/fixtures/builder_task_digests.json``.
+phases, artifact write) makes no task list, nor does exporting a
+loaded artifact's trace.  Every frozen column and both adjacency CSR
+pairs of the bulk build must equal, dtype and values, those of the
+per-task column builder it replaced: pinned by digests in
+``tests/fixtures/builder_column_digests.json``.  The list the builder's
+task mode (``DAGBuilder.build_tasks``) makes must equal, field by
+field, the list the ``Task``-emitting builder made: pinned by digests
+in ``tests/fixtures/builder_task_digests.json``.
 """
 
 import dataclasses
@@ -20,12 +21,14 @@ import numpy as np
 import pytest
 
 import repro.analysis.experiment as experiment
-from repro.graph.builder import BuildOptions
+from repro.graph.builder import BuildOptions, DAGBuilder
 from repro.graph.task import DataHandle, Task
 from repro.matrices.suite import SUITE
+from repro.trace import Tracer
+from repro.trace.chrome import to_chrome_trace
 from repro.tuning.blocksize import block_size_for_count
 from tests.test_prep_store import _clear_experiment_memos
-from tests.test_property_dag import _BUILDER_CASES
+from tests.test_property_dag import _BUILDER_CASES, build_tasks_for
 
 MACHINE = "broadwell"
 
@@ -122,32 +125,42 @@ def test_cold_prep_constructs_no_task_or_handle(constructed, tmp_path,
         dags = [experiment._prepped_dag(MACHINE, *_subkey(name))
                 for name in sorted(_BUILDER_CASES)]
         assert constructed == {"Task": 0, "DataHandle": 0}
-        assert all(d._tasks is None and d.recipe is not None
-                   for d in dags)
-        # The counter sees constructions: the list is built on demand.
-        assert len(dags[0].tasks) == len(dags[0])
-        assert constructed["Task"] == len(dags[0])
-        assert constructed["DataHandle"] > 0
+        for dag in dags:
+            with pytest.raises(RuntimeError, match="build_tasks"):
+                dag.tasks
+        assert constructed == {"Task": 0, "DataHandle": 0}
     finally:
         _clear_experiment_memos()
 
 
 @pytest.mark.parametrize("name", sorted(_BUILDER_CASES))
 def test_on_demand_tasks_equal_task_builder(name):
-    """The list ``dag.tasks`` builds on demand (through the rebuild
-    check) equals the ``Task``-emitting builder's, field by field."""
-    dag = experiment._dag.__wrapped__(*_subkey(name))
-    assert dag._tasks is None
-    tasks = dag.tasks
-    assert [t.tid for t in tasks] == list(range(len(dag)))
+    """The list ``build_tasks`` makes equals the ``Task``-emitting
+    builder's, field by field."""
+    tasks = build_tasks_for(*_subkey(name)).tasks
+    assert [t.tid for t in tasks] == list(range(len(tasks)))
     assert task_digest(tasks) == DIGESTS[name]
-    assert dag.tasks is tasks
+
+
+def _chrome(dag):
+    """The Chrome trace of a traced two-iteration DeepSparse run of
+    ``dag`` (the run's events, exported against ``dag``)."""
+    from repro.machine.presets import get_machine
+    from repro.runtime import DeepSparseRuntime
+
+    tracer = Tracer()
+    DeepSparseRuntime(get_machine(MACHINE)).execute(
+        dag, iterations=2, tracer=tracer)
+    return json.dumps(to_chrome_trace(tracer), sort_keys=True)
 
 
 @pytest.mark.parametrize("name", ["lanczos", "lobpcg-reduction"])
-def test_loaded_dag_rebuilds_the_same_tasks(name, tmp_path, monkeypatch):
-    """A loaded artifact rebuilds through its plain-data recipe to the
-    same list."""
+def test_loaded_artifact_exports_its_trace_without_tasks(
+        name, constructed, tmp_path, monkeypatch):
+    """Exporting the trace of a run over a loaded artifact makes no
+    ``Task`` or ``DataHandle`` (tile coordinates come off the frozen
+    view), and the export equals the one of its ``build_tasks`` twin,
+    whose tile coordinates are its tasks' ``params``."""
     monkeypatch.setenv("REPRO_PREP_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_PREP", raising=False)
     _clear_experiment_memos()
@@ -156,24 +169,38 @@ def test_loaded_dag_rebuilds_the_same_tasks(name, tmp_path, monkeypatch):
         _clear_experiment_memos()
         loaded = experiment._prepped_dag(MACHINE, *_subkey(name))
         assert experiment.default_prep_store().hits == 1
-        assert loaded._tasks is None and loaded._expand is None
-        assert task_digest(loaded.tasks) == DIGESTS[name]
+        got = _chrome(loaded)
+        assert constructed == {"Task": 0, "DataHandle": 0}
     finally:
         _clear_experiment_memos()
+    twin = build_tasks_for(*_subkey(name))
+    assert _chrome(twin) == got
+    events = json.loads(got)["traceEvents"]
+    tiles = {(e["args"]["tid"], e["args"].get("i"), e["args"].get("j"))
+             for e in events if e.get("cat") == "task"}
+    params = {(t.tid, t.params.get("i"), t.params.get("j"))
+              for t in twin.tasks}
+    assert tiles == params
+    assert any(j is not None for _, _, j in tiles)
 
 
 def test_task_mode_that_strays_fails_closed(monkeypatch):
-    """A task mode that disagrees with the columns the build wrote
-    (here: one shape entry the flop count reads) never hands out its
-    list."""
+    """The two-mode check (``tests/test_build_modes.py``) fails on a
+    task mode that disagrees with the bulk build's columns (here: one
+    shape entry the flop count reads, shifted after the bulk build)."""
     from repro.graph import builder
+    from tests.test_build_modes import assert_same_dag
 
-    dag = experiment._dag.__wrapped__(*_subkey("lanczos"))
+    matrix, bs, solver, width, options = _subkey("lanczos")
+    cen, calls, chunked, small = experiment._trace(matrix, bs, solver,
+                                                   width)
+    b = DAGBuilder(cen, "A", chunked, small, options)
+    built = b.build(calls)
+    assert_same_dag(built, b.build_tasks(calls))
 
     def shifted(rows, width, streams):
         return {"rows": rows + 1, "width": width, "streams": streams}
 
     monkeypatch.setattr(builder, "_streams", shifted)
-    with pytest.raises(RuntimeError, match="differs .* in flops"):
-        dag.tasks
-    assert dag._tasks is None
+    with pytest.raises(AssertionError, match="flops"):
+        assert_same_dag(built, b.build_tasks(calls))

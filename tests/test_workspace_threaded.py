@@ -98,13 +98,12 @@ def test_unknown_small_op(ws):
 
 
 def test_prepare_buffers_covers_dot_xty_spmm(csb):
-    from repro.runtime import build_solver_dag
     from repro.solvers import lobpcg_trace
-    from repro.graph.builder import BuildOptions
+    from repro.graph.builder import BuildOptions, DAGBuilder
 
     calls, chunked, small = lobpcg_trace(csb, n=2)
-    dag = build_solver_dag(csb, calls, chunked, small,
-                           options=BuildOptions(spmm_mode="reduction"))
+    dag = DAGBuilder(csb, "A", chunked, small,
+                     BuildOptions(spmm_mode="reduction")).build_tasks(calls)
     ws = Workspace(csb, chunked, small)
     ws.prepare_buffers(dag)
     kinds = {k for k in ("XTY", "DOT") for t in dag.tasks
@@ -134,12 +133,12 @@ def test_threaded_runtime_propagates_errors(csb):
 
 def test_threaded_deterministic_repeats(csb):
     """Racing would break bitwise repeatability across runs."""
-    from repro.runtime import build_solver_dag
+    from repro.graph.builder import DAGBuilder
     from repro.solvers import lobpcg_trace
     from repro.kernels import orthonormalize
 
     calls, chunked, small = lobpcg_trace(csb, n=2)
-    dag = build_solver_dag(csb, calls, chunked, small)
+    dag = DAGBuilder(csb, "A", chunked, small).build_tasks(calls)
     rng = np.random.default_rng(2)
     X0 = orthonormalize(rng.standard_normal((csb.shape[0], 2)))
     outs = []
