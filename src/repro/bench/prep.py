@@ -18,7 +18,7 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 10): the store's JSON header line —
+File format (:data:`PREP_FORMAT` 11): the store's JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
 DAG is a simulation DAG, pickled without the successor CSR its
@@ -52,6 +52,14 @@ SHA-256 of the whole payload bytes, so damage anywhere is caught at
 ``get``.  A bad pickle fails closed like any other damage.  The
 human-readable header makes ``repro prep list`` a one-line read per
 artifact.
+
+Format 11 changed two things in the pickled DAG:
+
+* its state holds no edge-dedup set and no column lists, since a DAG
+  is complete when it is made and never changes after;
+* the plan, home-array and domain-table memos are keyed by the
+  machine's field values (``dataclasses.astuple``), so an artifact
+  pickles no ``MachineSpec``.
 
 Reads are not memoized: every ``get`` re-reads, re-validates and
 unpickles.  The in-process memo is the experiment driver's DAG memo
@@ -95,7 +103,7 @@ __all__ = [
 #: or phase table columns, GraphArrays fields, …) *or* to what the
 #: builder makes of a trace: old artifacts are orphaned by the salt,
 #: not migrated.
-PREP_FORMAT = 10
+PREP_FORMAT = 11
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

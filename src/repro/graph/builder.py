@@ -44,14 +44,13 @@ Python work per task:
   walk wires them, and ``succ`` is its stable transpose.
 
 The built DAG is a simulation DAG: it carries both CSR pairs and no
-task list, and never makes one.  :meth:`DAGBuilder.build_tasks` runs
-the same handlers in *task mode* instead, for the real executors: the
-emitted arrays become ``Task`` objects (shared handles, shape and
-params dicts) added one by one through :meth:`TaskDAG.add_task`'s
-per-``Task`` column walk and wired by :meth:`DAGBuilder._wire`, the
-per-task hazard walk.  Task mode is the per-task reference of the bulk
-passes: both modes give equal frozen columns and adjacency, which
-``tests/test_build_modes.py`` checks on real and random traces.
+task list, and never makes one.  :meth:`DAGBuilder.build_tasks` makes
+a task DAG for the real executors: the same bulk DAG, plus the
+``Task`` objects (shared handles, shape and params dicts) made from the
+same emitted arrays.  These passes are the only hazard implementation
+in the package; ``tests/test_property_dag.py`` keeps the per-``Task``
+column and hazard walks they are checked against
+(``reference_columns``, ``reference_adjacency``), over the task list.
 """
 
 from __future__ import annotations
@@ -108,9 +107,9 @@ class BuildOptions:
 
 # ----------------------------------------------------------------------
 # Shape makers.  A task's shape dictionary is a pure function of these
-# arguments, so column mode prices each distinct argument tuple of a
-# group through the kernel registry once; task mode calls the maker per
-# task.
+# arguments, so the build prices each distinct argument tuple of a
+# group through the kernel registry once; ``build_tasks`` also calls
+# the maker per task for its ``Task`` list.
 # ----------------------------------------------------------------------
 
 def _streams(rows, width, streams):
@@ -188,7 +187,7 @@ def _hazard_pred(tid: np.ndarray, hid: np.ndarray, write: np.ndarray,
     of the handle since that write (WAR), in program order.  A task's
     predecessors are its accesses' in turn, first occurrence kept and
     itself left out (a task that reads and writes one handle meets
-    itself among the readers): :meth:`DAGBuilder._wire`'s order.
+    itself among the readers).
     """
     m = tid.size
     if m == 0:
@@ -276,7 +275,7 @@ class DAGBuilder:
             [b - a for a, b in map(csb.col_block_bounds, range(csb.nbc))],
             dtype=_I64)
         self._parts = np.arange(self.np_, dtype=_I64)
-        #: Task mode's handle memo: one shared DataHandle per key.
+        #: ``build_tasks``'s handle memo: one shared DataHandle per key.
         self._handles: Dict[tuple, DataHandle] = {}
         self._idle()
 
@@ -295,9 +294,6 @@ class DAGBuilder:
         self._calls: list = []
         self._buf_counter = 0
         self._grid = None
-        #: task mode's hazard state (:meth:`_wire`), by handle id
-        self._writer: List[int] = []
-        self._readers: List[List[int]] = []
 
     # ------------------------------------------------------------------
     # Emit: each handler's whole call as arrays.  Within a task,
@@ -352,31 +348,27 @@ class DAGBuilder:
         """Expand the trace into a validated, frozen simulation DAG:
         columns and adjacency from whole-trace passes, and no task
         list (:meth:`build_tasks` makes the same DAG with one)."""
-        try:
-            self._emit(calls)
-            cols, succ, pred = self._bulk()
-        finally:
-            self._idle()
-        return self._finish(TaskDAG._from_columns(cols, succ, pred))
+        return self._build(calls, False)
 
     def build_tasks(self, calls: List[PrimitiveCall]) -> TaskDAG:
-        """The same DAG with its ``Task`` list, for the real executors:
-        task mode adds each task through ``add_task`` and wires it with
-        :meth:`_wire`; validated and frozen like :meth:`build`."""
-        dag = TaskDAG()
+        """:meth:`build`'s DAG with its ``Task`` list, for the real
+        executors: the tasks are made from the same emitted arrays."""
+        return self._build(calls, True)
+
+    def _build(self, calls: List[PrimitiveCall], with_tasks: bool):
         try:
             self._emit(calls)
-            self._add_tasks(dag)
+            acc = self._accesses()
+            cols, succ, pred = self._bulk(acc)
+            tasks = self._task_list(acc) if with_tasks else None
         finally:
             self._idle()
-        return self._finish(dag)
-
-    def _finish(self, dag: TaskDAG) -> TaskDAG:
+        # The DAG freezes its structure-of-arrays view as it is made:
+        # every engine, cost model and scheduler that later executes
+        # it reads the same flat tables, and the prep store persists
+        # them.
+        dag = TaskDAG(cols, succ, pred, tasks)
         self._place(dag)
-        # Freeze the structure-of-arrays view once here: every engine,
-        # cost model and scheduler that later executes this DAG reads
-        # the same flat tables, and the prep store persists them.
-        dag.freeze()
         _check_forward(dag)
         return dag
 
@@ -403,9 +395,10 @@ class DAGBuilder:
         return (tid[order], code[order], part[order],
                 nbytes[order].astype(_I64), write[order])
 
-    def _bulk(self):
-        """Column mode: the trace's frozen columns and its successor and
-        predecessor CSR pairs, from the emitted arrays."""
+    def _bulk(self, acc):
+        """The trace's frozen columns and its successor and predecessor
+        CSR pairs, from the emitted arrays and their accesses ``acc``
+        (:meth:`_accesses`)."""
         n = self._n
         kernel = np.empty(n, dtype=_I64)
         param_i = np.empty(n, dtype=_I64)
@@ -423,7 +416,7 @@ class DAGBuilder:
         codes, first = _intern(kernel)
         names = list(kernels)
         kernel_names = [names[c] for c in kernel[first].tolist()]
-        tid, code, part, nbytes, write = self._accesses()
+        tid, code, part, nbytes, write = acc
         # Handles: ids in first-appearance order over the accesses.
         stride = int(part.max()) + 2 if part.size else 1
         hid, first_ref = _intern(code * stride + part + 1)
@@ -501,10 +494,11 @@ class DAGBuilder:
         return np.array(values, dtype=np.float64)[inverse.reshape(-1)]
 
     # ------------------------------------------------------------------
-    # Task mode: the emitted arrays as ``Task`` objects, one at a time,
-    # through ``add_task``'s column walk and the per-task hazard walk.
+    # The emitted arrays as ``Task`` objects, for ``build_tasks``.
     # ------------------------------------------------------------------
-    def _add_tasks(self, dag: TaskDAG) -> None:
+    def _task_list(self, acc) -> List[Task]:
+        """One ``Task`` per tid, from the emitted groups and the
+        accesses ``acc`` (:meth:`_accesses`)."""
         n = self._n
         owner = [None] * n
         groups = []
@@ -516,17 +510,18 @@ class DAGBuilder:
             for k, t in enumerate(tids.tolist()):
                 owner[t] = (g, k)
         calls = [(seq, it) for seq, it, m in self._calls for _ in range(m)]
-        tid, code, part, nbytes, write = self._accesses()
+        tid, code, part, nbytes, write = acc
         per_task = np.bincount(tid, minlength=n).tolist()
-        acc = zip(code.tolist(), part.tolist(), nbytes.tolist(),
-                  write.tolist())
+        refs = zip(code.tolist(), part.tolist(), nbytes.tolist(),
+                   write.tolist())
         names = self._names
+        tasks = []
         for t in range(n):
             g, k = owner[t]
             kernel, shape_of, sargs, params_of, spm, lists = groups[g]
             reads, writes = [], []
             for _ in range(per_task[t]):
-                c, p, b, w = next(acc)
+                c, p, b, w = next(refs)
                 (writes if w else reads).append(
                     self._ref(names[c], None if p < 0 else p, b))
             if spm is None:
@@ -539,55 +534,17 @@ class DAGBuilder:
                 shape = {"nnz": nnz, "rows": rows, "cols": cols,
                          "width": width, "gather_span": span}
             seq, it = calls[t]
-            dag._add_wired(
-                Task(-1, kernel, tuple(reads), tuple(writes), shape,
-                     params_of(k), it, seq),
-                self._wire,
-            )
+            tasks.append(Task(t, kernel, tuple(reads), tuple(writes), shape,
+                              params_of(k), it, seq))
+        return tasks
 
     def _ref(self, name: str, part, nbytes: int) -> DataHandle:
-        """Task mode's shared handle for ``(name, part)``."""
+        """``build_tasks``'s shared handle for ``(name, part)``."""
         key = (name, part)
         h = self._handles.get(key)
         if h is None:
             h = self._handles[key] = DataHandle(name, part, nbytes)
         return h
-
-    def _wire(self, tid: int, rids, wids, n_ids: int) -> List[int]:
-        """Predecessors of task ``tid`` from its read and write ids: the
-        per-task walk :func:`_hazard_pred` does for a whole trace.
-
-        RAW: each read's last writer.  WAW and WAR: each write's last
-        writer, then the readers since that write.  Deduplicated in
-        first-occurrence order, with ``tid`` itself left out (a task
-        that reads and writes one handle meets itself among the
-        readers).  The matrix is read but never written, so its
-        readers lists are never drained.
-        """
-        writer = self._writer
-        readers = self._readers
-        if n_ids > len(writer):  # handles first seen by this task
-            for _ in range(n_ids - len(writer)):
-                writer.append(-1)
-                readers.append([])
-        preds = []
-        for hid in rids:
-            w = writer[hid]
-            if w >= 0:
-                preds.append(w)
-            readers[hid].append(tid)
-        for hid in wids:
-            w = writer[hid]
-            if w >= 0:
-                preds.append(w)
-            preds += readers[hid]
-            writer[hid] = tid
-            readers[hid] = []
-        if len(preds) > 1 or (preds and preds[0] == tid):
-            first = dict.fromkeys(preds)
-            first.pop(tid, None)
-            preds = list(first)
-        return preds
 
     def _place(self, dag: TaskDAG) -> None:
         # Partition geometry for NUMA placement: vector chunks use row

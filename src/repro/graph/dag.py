@@ -6,18 +6,25 @@ critical path, per-level width — and validation used by tests and by
 runtimes that want to assert a schedule is legal before trusting its
 timing.
 
+A :class:`TaskDAG` is complete and frozen when it is made, and nothing
+changes its graph after: its one constructor takes the per-task columns
+(:class:`_ColumnArrays`) and both adjacency CSR pairs, and converts the
+columns into the frozen view at once.  Two producers make those
+inputs:
+
+* the :class:`~repro.graph.builder.DAGBuilder`, for a whole trace at
+  once in NumPy passes (interning, columns, RAW/WAR/WAW hazards);
+* :meth:`TaskDAG.from_tasks`, for hand-made tasks and edges (tests and
+  the empty DAG): :func:`_task_columns` reads every column off the
+  ``Task`` objects one at a time.
+
 Two representations coexist:
 
-* the **mutable build view** — ``tasks`` plus ``succ``/``pred``
-  list-of-lists, which is what the event engine's inner loop iterates
-  (Python lists of small ints beat NumPy scalar iteration there).
-  :meth:`TaskDAG.add_task` appends one task; :meth:`TaskDAG.add_edge`
-  adds one edge at a time.  The ``(u, v)`` edge set that deduplicates
-  ``add_edge`` is derived from ``succ`` on demand, so a built or
-  loaded DAG carries none.  A built DAG holds ``succ`` and ``pred`` as
-  the CSR pairs the builder's hazard pass produced, and a loaded one
-  holds ``pred`` that way; each becomes lists at its first read (no
-  simulation run reads ``pred``);
+* the **adjacency** — ``succ``/``pred`` list-of-lists, which is what
+  the event engine's inner loop iterates (Python lists of small ints
+  beat NumPy scalar iteration there).  A new DAG holds both as CSR
+  pairs, and a loaded one holds ``pred`` that way; each becomes lists
+  at its first read (no simulation run reads ``pred``);
 * the **frozen structure-of-arrays view** (:class:`GraphArrays`) —
   indegrees, dense interned operand-id tables with per-task
   write/touch spans, kernel codes, flop counts, call (phase) bounds and
@@ -26,38 +33,25 @@ Two representations coexist:
   all consume these flat arrays instead of re-deriving interning per
   engine instance — and the cross-cell prep store persists them
   (:mod:`repro.bench.prep`).  The successor CSR the vectorized
-  analyses (levels, critical path) walk is derived from ``succ`` by
-  :meth:`TaskDAG.succ_csr` on demand and never stored.
+  analyses (levels, critical path) walk is the pair the DAG was made
+  with, or derived from a loaded DAG's ``succ`` by
+  :meth:`TaskDAG.succ_csr` on demand, and never stored.
 
-The frozen columns reach :meth:`TaskDAG.freeze` as flat arrays
-(:class:`_ColumnArrays`), and ``freeze`` only converts them.
-:meth:`TaskDAG.add_task` records each task's row through
-``_Columns.add`` (interning, touch table, per-task scalars, sparse
-inputs, all read off the ``Task``), whose lists become those arrays;
-the :class:`~repro.graph.builder.DAGBuilder` computes the arrays for a
-whole trace at once and makes no ``Task`` at all.  Any mutation
-(``add_task``/``add_edge``) invalidates
-the frozen view; ``freeze`` rebuilds it on demand, and a DAG whose
-lists were dropped (frozen, pickled) re-derives them from its task
-list at the next ``add_task``.  Both views answer every query with
-bit-identical results — pinned by ``tests/test_property_dag.py``
-against the retained reference implementations in
-:mod:`repro.graph.analyze` and the per-task walk ``freeze`` used to
-make.
+Both views answer every query bit-identically to the retained reference
+implementations in :mod:`repro.graph.analyze` and the per-``Task``
+column and hazard walks in ``tests/test_property_dag.py``.
 
 Two kinds of DAG exist.  A **simulation DAG** — what
 :meth:`~repro.graph.builder.DAGBuilder.build` returns, and what a prep
 artifact loads as — holds its frozen view and adjacency and no
-``Task`` list, and can never make one: the engines, the cost model and
-the schedulers price and schedule by tid off the frozen view, the
-compiled plans and :meth:`TaskDAG.kernel_of`, and the Chrome exporter
-reads tile coordinates off the same view.  Reading ``tasks`` on one,
-or calling :meth:`TaskDAG.add_task` or :meth:`TaskDAG.add_edge`,
-raises.  A **task DAG** —
-:meth:`~repro.graph.builder.DAGBuilder.build_tasks`, or one grown by
-``add_task`` — also holds its ``Task`` objects, for the real NumPy
-executors (:mod:`repro.runtime.threaded`) and for analyses that weigh
-tasks, and pickles them with the rest.
+``Task`` list: the engines, the cost model and the schedulers price
+and schedule by tid off the frozen view, the compiled plans and
+:meth:`TaskDAG.kernel_of`, and the Chrome exporter reads tile
+coordinates off the same view.  Reading ``tasks`` on one raises.  A
+**task DAG** — :meth:`~repro.graph.builder.DAGBuilder.build_tasks` or
+:meth:`TaskDAG.from_tasks` — also holds its ``Task`` objects, for the
+real NumPy executors (:mod:`repro.runtime.threaded`) and for analyses
+that weigh tasks, and pickles them with the rest.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ import os
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -148,10 +142,10 @@ SPARSE_KERNELS = ("SPMV", "SPMM")
 
 class _ColumnArrays(NamedTuple):
     """The frozen view's per-task columns as flat arrays: what
-    :meth:`TaskDAG.freeze` converts into :class:`GraphArrays`.
+    :func:`_freeze` converts into :class:`GraphArrays`.
 
-    The builder computes them for a whole trace in bulk; a DAG grown by
-    :meth:`TaskDAG.add_task` gets them from :meth:`_Columns.arrays`.
+    The builder computes them for a whole trace in bulk;
+    :meth:`TaskDAG.from_tasks` gets them from :func:`_task_columns`.
     Per-task columns are int64 (``flops`` float64), the flat id columns
     int32; ``sparse`` is the eight int64 SpMV/SpMM columns (tid, nnz,
     rows, cols, width, gather span, reduction buffer, input chunk id)
@@ -176,152 +170,72 @@ class _ColumnArrays(NamedTuple):
     sparse_roles: np.ndarray
 
 
-class _Columns:
-    """The frozen view's per-task columns as plain lists, filled one
-    ``Task`` at a time.
+def _task_columns(tasks: List[Task]) -> _ColumnArrays:
+    """The frozen view's per-task columns, read off each ``Task`` in
+    turn: the per-``Task`` derivation :meth:`TaskDAG.from_tasks` runs.
 
-    :meth:`add` is the per-``Task`` derivation :meth:`TaskDAG.add_task`
-    runs: it interns the task's handles and reads every column off its
-    handle objects, shape and params.  A frozen or unpickled DAG that
-    gets another task re-derives the lists by running its whole task
-    list through it.  Per task one row tuple of scalars is appended
-    (and one of SpMV/SpMM inputs); :meth:`arrays` splits the rows into
-    columns for ``freeze``.
+    Handles are interned in first-appearance order over each task's
+    reads then writes, and the touch table follows
+    ``Task.touched()``'s dedup rule: first occurrence kept, with that
+    handle's nbytes.  A SpMV/SpMM task also records the inputs of
+    ``CostModel._effective_bytes`` and ``_gather_bundle``, with their
+    defaults and KeyErrors: each touch's override role (by operand
+    name, Y before X) and the gather's input chunk (first partitioned
+    read not named A); its flop count is priced from those columns by
+    :func:`_freeze`.
     """
-
-    __slots__ = ("key_to_id", "id_to_key", "kernel_code", "kernel_names",
-                 "max_part", "rows", "write_ids", "touch_ids",
-                 "touch_nbytes", "sparse", "sparse_roles")
-
-    def __init__(self):
-        self.key_to_id = {}
-        self.id_to_key = []
-        self.kernel_code = {}
-        self.kernel_names = []
-        self.max_part = 0
-        #: per task: (kernel code, param_i, first write id, writes,
-        #: touches, flops, seq)
-        self.rows = []
-        self.write_ids = []
-        self.touch_ids = []
-        self.touch_nbytes = []
-        #: per SpMV/SpMM task: (tid, nnz, rows, cols, width, gather
-        #: span, reduction buffer, gather input id)
-        self.sparse = []
-        #: touch_role of every SpMV/SpMM task's touches, in order
-        self.sparse_roles = []
-
-    def intern(self, key) -> int:
-        """The next dense id, for a ``(name, part)`` key not seen yet."""
-        hid = self.key_to_id[key] = len(self.id_to_key)
-        self.id_to_key.append(key)
-        part = key[1]
-        if part is not None and part >= self.max_part:
-            self.max_part = part + 1
-        return hid
-
-    def _code(self, kernel: str) -> int:
-        code = self.kernel_code.get(kernel)
-        if code is None:
-            code = self.kernel_code[kernel] = len(self.kernel_names)
-            self.kernel_names.append(kernel)
-        return code
-
-    def arrays(self) -> _ColumnArrays:
-        """The lists as the flat columns ``freeze`` converts."""
-        i64, i32 = np.int64, np.int32
-        (kernel_codes, param_i, first_write, n_writes, n_touches, flops,
-         seq) = _unzip(self.rows, 7)
-        return _ColumnArrays(
-            self.id_to_key, self.max_part, self.kernel_names,
-            *(np.array(c, dtype=i64) for c in (
-                kernel_codes, param_i, first_write, n_writes, n_touches)),
-            np.array(flops, dtype=np.float64),
-            np.array(seq, dtype=i64),
-            np.array(self.write_ids, dtype=i32),
-            np.array(self.touch_ids, dtype=i32),
-            np.array(self.touch_nbytes, dtype=i64),
-            tuple(np.array(c, dtype=i64) for c in _unzip(self.sparse, 8)),
-            np.array(self.sparse_roles, dtype=np.int8),
-        )
-
-    def add(self, tid: int, t: Task):
-        """Record one task's row from its ``Task``; returns its interned
-        read and write ids, each in ``reads``/``writes`` order,
-        duplicates kept."""
+    key_to_id = {}
+    id_to_key = []
+    kernel_code = {}
+    kernel_names = []
+    max_part = 0
+    #: per task: (kernel code, param_i, first write id, writes,
+    #: touches, flops, seq)
+    rows = []
+    write_ids = []
+    touch_ids = []
+    touch_nbytes = []
+    #: per SpMV/SpMM task: (tid, nnz, rows, cols, width, gather span,
+    #: reduction buffer, gather input id)
+    sparse = []
+    #: touch_role of every SpMV/SpMM task's touches, in order
+    sparse_roles = []
+    for tid, t in enumerate(tasks):
         kernel = t.kernel
-        code = self._code(kernel)
+        code = kernel_code.setdefault(kernel, len(kernel_names))
+        if code == len(kernel_names):
+            kernel_names.append(kernel)
         params = t.params
-        # Handle interning in first-appearance order over reads then
-        # writes, and the touch table with Task.touched()'s dedup rule:
-        # first occurrence kept, with that handle's nbytes.
-        key_to_id = self.key_to_id
+        is_sparse = kernel in SPARSE_KERNELS
+        xname = params.get("X")
+        yname = params.get("Y")
+        aname = params.get("A")
+        n_reads = len(t.reads)
+        gx = -1
         ids = []
-        rids = []
         wids = []
-        nbytes = self.touch_nbytes
-        if kernel not in SPARSE_KERNELS:
-            for h in t.reads:
-                key = (h.name, h.part)
-                hid = key_to_id.get(key)
-                if hid is None:
-                    hid = self.intern(key)
-                rids.append(hid)
-                if hid not in ids:
-                    ids.append(hid)
-                    nbytes.append(h.nbytes)
-            for h in t.writes:
-                key = (h.name, h.part)
-                hid = key_to_id.get(key)
-                if hid is None:
-                    hid = self.intern(key)
+        for k, h in enumerate((*t.reads, *t.writes)):
+            name, part = h.name, h.part
+            key = (name, part)
+            hid = key_to_id.get(key)
+            if hid is None:
+                hid = key_to_id[key] = len(id_to_key)
+                id_to_key.append(key)
+                if part is not None and part >= max_part:
+                    max_part = part + 1
+            if k >= n_reads:
                 wids.append(hid)
-                if hid not in ids:
-                    ids.append(hid)
-                    nbytes.append(h.nbytes)
-            spec = KERNELS.get(kernel)
-            flops = float("nan") if spec is None else spec.flops(t.shape)
-        else:
-            # The same walk, also recording the inputs of
-            # CostModel._effective_bytes and _gather_bundle, with their
-            # defaults and KeyErrors: each touch's override role (by
-            # operand name, Y before X) and the gather's input chunk
-            # (first partitioned read not named A).  The flop count is
-            # priced from these columns at freeze.
-            xname = params.get("X")
-            yname = params.get("Y")
-            aname = params.get("A")
-            roles = self.sparse_roles
-            gx = -1
-            for h in t.reads:
-                name = h.name
-                part = h.part
-                key = (name, part)
-                hid = key_to_id.get(key)
-                if hid is None:
-                    hid = self.intern(key)
-                rids.append(hid)
-                if gx < 0 and part is not None and name != aname:
-                    gx = hid
-                if hid not in ids:
-                    ids.append(hid)
-                    nbytes.append(h.nbytes)
-                    roles.append(2 if name == yname else
-                                 1 if name == xname else 0)
-            for h in t.writes:
-                name = h.name
-                key = (name, h.part)
-                hid = key_to_id.get(key)
-                if hid is None:
-                    hid = self.intern(key)
-                wids.append(hid)
-                if hid not in ids:
-                    ids.append(hid)
-                    nbytes.append(h.nbytes)
-                    roles.append(2 if name == yname else
-                                 1 if name == xname else 0)
-            shape = t.shape
-            self.sparse.append((
+            elif gx < 0 and part is not None and name != aname:
+                gx = hid
+            if hid not in ids:
+                ids.append(hid)
+                touch_nbytes.append(h.nbytes)
+                if is_sparse:
+                    sparse_roles.append(2 if name == yname else
+                                        1 if name == xname else 0)
+        shape = t.shape
+        if is_sparse:
+            sparse.append((
                 tid, shape.get("nnz", 0),
                 shape["rows"] if yname is not None else shape.get("rows", 0),
                 shape["cols"] if xname is not None else shape.get("cols", 0),
@@ -329,13 +243,30 @@ class _Columns:
                 1 if params.get("buffer") else 0, gx,
             ))
             flops = 0.0
-        self.write_ids += wids
-        self.touch_ids += ids
+        else:
+            spec = KERNELS.get(kernel)
+            flops = float("nan") if spec is None else spec.flops(shape)
+        write_ids += wids
+        touch_ids += ids
         i = params.get("i")
-        self.rows.append((code, -1 if i is None else int(i),
-                          wids[0] if wids else -1, len(wids), len(ids),
-                          flops, t.seq))
-        return rids, wids
+        rows.append((code, -1 if i is None else int(i),
+                     wids[0] if wids else -1, len(wids), len(ids), flops,
+                     t.seq))
+    i64, i32 = np.int64, np.int32
+    (kernel_codes, param_i, first_write, n_writes, n_touches, flops,
+     seq) = _unzip(rows, 7)
+    return _ColumnArrays(
+        id_to_key, max_part, kernel_names,
+        *(np.array(c, dtype=i64) for c in (
+            kernel_codes, param_i, first_write, n_writes, n_touches)),
+        np.array(flops, dtype=np.float64),
+        np.array(seq, dtype=i64),
+        np.array(write_ids, dtype=i32),
+        np.array(touch_ids, dtype=i32),
+        np.array(touch_nbytes, dtype=i64),
+        tuple(np.array(c, dtype=i64) for c in _unzip(sparse, 8)),
+        np.array(sparse_roles, dtype=np.int8),
+    )
 
 
 def _unzip(rows: list, width: int):
@@ -427,14 +358,6 @@ def _rows(csr) -> list:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _csr_or(held, memo) -> tuple:
-    """The CSR pair of an adjacency held as a pair (``held`` itself) or
-    as lists (``memo`` if derived already, else derived now)."""
-    if type(held) is tuple:
-        return held
-    return memo or _csr(held)
-
-
 def _tuples(objs: np.ndarray, index: np.ndarray, indptr: np.ndarray) -> list:
     """``[tuple(objs[index[a:b]]) for a, b in consecutive indptr
     bounds]``, made one length at a time: a ``zip`` over the columns
@@ -455,47 +378,123 @@ def _tuples(objs: np.ndarray, index: np.ndarray, indptr: np.ndarray) -> list:
     return out.tolist()
 
 
+def _freeze(cols: _ColumnArrays, pred_indptr: np.ndarray) -> GraphArrays:
+    """The frozen view of per-task columns (the builder's arrays, or
+    :func:`_task_columns`'s) over a DAG whose predecessor CSR has
+    offsets ``pred_indptr``: the columns narrowed, and the SpMV/SpMM
+    flop counts priced from their pricing inputs in bulk."""
+    n = cols.kernel_codes.size
+    i64, i32 = np.int64, np.int32
+
+    def _indptr(counts):
+        indptr = np.zeros(n + 1, dtype=i64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr
+
+    kernel_codes, first_write = cols.kernel_codes, cols.first_write
+    n_writes, n_touches = cols.n_writes, cols.n_touches
+    flops = cols.flops.copy()
+    write_indptr = _indptr(n_writes)
+    write_ids = cols.write_ids
+    touch_indptr = _indptr(n_touches)
+    touch_ids = cols.touch_ids
+    # A touch writes if it is its task's first write, or any write
+    # of the few tasks with more than one.
+    touch_is_write = touch_ids == first_write.repeat(n_touches)
+    for t in np.flatnonzero(n_writes > 1).tolist():
+        a, b = touch_indptr[t], touch_indptr[t + 1]
+        writes = write_ids[write_indptr[t]:write_indptr[t + 1]]
+        touch_is_write[a:b] = np.isin(touch_ids[a:b], writes)
+    sparse = cols.sparse
+    sparse_tids = sparse[0].astype(i32)
+    touch_role = np.zeros(touch_ids.size, dtype=np.int8)
+    if sparse_tids.size:
+        starts = touch_indptr[sparse_tids]
+        counts = n_touches[sparse_tids]
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        touch_role[at + np.arange(at.size)] = cols.sparse_roles
+        # The registry's flop counts are arithmetic on the shape
+        # entries, so they price whole columns elementwise, with
+        # the same IEEE operations as one shape at a time.
+        sparse_codes = kernel_codes[sparse_tids]
+        for code, name in enumerate(cols.kernel_names):
+            sel = sparse_codes == code
+            if name in SPARSE_KERNELS and sel.any():
+                flops[sparse_tids[sel]] = kernel_spec(name).flops({
+                    "nnz": sparse[1][sel], "rows": sparse[2][sel],
+                    "cols": sparse[3][sel], "width": sparse[4][sel],
+                    "gather_span": sparse[5][sel]})
+    return GraphArrays(
+        n_tasks=n,
+        n_edges=int(pred_indptr[-1]),
+        indegree=np.diff(pred_indptr).astype(i32),
+        id_to_key=cols.id_to_key,
+        write_indptr=_narrow(write_indptr),
+        write_ids=write_ids,
+        touch_indptr=_narrow(touch_indptr),
+        touch_ids=touch_ids,
+        touch_nbytes=_narrow(cols.touch_nbytes),
+        touch_is_write=touch_is_write,
+        touch_role=touch_role,
+        kernel_names=cols.kernel_names,
+        kernel_codes=kernel_codes.astype(i32),
+        param_i=_narrow(cols.param_i),
+        first_write_id=first_write.astype(i32),
+        flops=flops,
+        phase_indptr=_narrow(np.concatenate((
+            [0], np.flatnonzero(np.diff(cols.seq)) + 1, [n] if n else []
+        ))),
+        max_part=cols.max_part,
+        sparse_tids=sparse_tids,
+        sparse_nnz=_narrow(sparse[1]),
+        sparse_rows=_narrow(sparse[2]),
+        sparse_cols=_narrow(sparse[3]),
+        sparse_width=_narrow(sparse[4]),
+        sparse_span=sparse[5],
+        sparse_buffer=sparse[6].astype(bool),
+        sparse_x=sparse[7].astype(i32),
+    )
+
+
 class TaskDAG:
     """A DAG of :class:`~repro.graph.task.Task` nodes.
 
-    Edges mean "must complete before".  Tasks get dense ids in
-    insertion order, which for DAGs built by the
+    Edges mean "must complete before".  Tasks have dense ids in program
+    order, which for DAGs built by the
     :class:`~repro.graph.builder.DAGBuilder` coincides with the
     depth-first program order DeepSparse spawns tasks in.
 
-    A simulation DAG (see the module docstring) has no ``tasks`` and
-    refuses mutation; ``len``, ``sources``, ``in_degrees``,
-    ``handle_interning``, ``by_kernel``, :meth:`kernel_of`,
-    :meth:`levels` and the unit-weight :meth:`critical_path` of a
-    frozen DAG answer without a task list.
+    A DAG is complete when it is made: the constructor takes its
+    per-task columns and both adjacency CSR pairs (and a task DAG's
+    ``Task`` list), converts the columns into the frozen view
+    (:func:`_freeze`, read by :meth:`freeze`) and nothing changes the
+    graph after.  The builder
+    calls it; hand-made DAGs come from :meth:`from_tasks`.  A
+    simulation DAG (see the module docstring) has no ``tasks``; every
+    structural query reads the frozen view or the adjacency, so it
+    answers without one.
 
     ``_cost_prep``, ``_home_arrays``, ``_sched_domains`` and
     ``_bsp_phases`` are the run invariants the cost model, the
     schedulers and BSP memoize on the DAG (and a prep artifact
-    persists), keyed by their pricing/placement inputs.  A mutation
-    of a frozen DAG drops all four with the frozen view, so the next
-    run re-derives them for the new graph and no consumer checks
-    them for staleness.
+    persists), keyed by their pricing/placement inputs.  The graph
+    they are derived from never changes, so no consumer checks them
+    for staleness.
     """
 
-    def __init__(self):
+    def __init__(self, cols: _ColumnArrays, succ: tuple, pred: tuple,
+                 tasks: Optional[List[Task]] = None):
         #: The ``Task`` list; None for a simulation DAG.
-        self._tasks: Optional[List[Task]] = []
-        #: Successor lists, or a built DAG's CSR pair until the first
-        #: read of :attr:`succ` (kept under the plain name, so the
-        #: pickled state reads the same either way).
-        self.succ = []
-        #: Predecessor lists, or a built or loaded DAG's CSR pair until
-        #: the first read of :attr:`pred`.
-        self._pred = []
-        #: ``(u, v)`` dedup set for :meth:`add_edge`; None until
-        #: :meth:`_edge_pairs` derives it from ``succ``.
-        self._edge_set: Optional[set] = None
-        #: Per-task columns :meth:`add_task` fills; None once frozen,
-        #: pickled or loaded (re-derived by the next ``add_task``).
-        self._cols: Optional[_Columns] = _Columns()
+        self._tasks = tasks
+        #: Successor lists, held as the CSR pair until the first read of
+        #: :attr:`succ` (kept under the plain name, so the pickled state
+        #: reads the same either way).
+        self.__dict__["succ"] = succ
+        #: Predecessor lists, held as the CSR pair until the first read
+        #: of :attr:`pred`.
+        self._pred = pred
+        self._soa = _freeze(cols, pred[0])
         self._key_to_id = None
-        self._soa: Optional[GraphArrays] = None
         self._kernel_of: Optional[List[str]] = None
         self._succ_csr = None
         self._pred_csr = None
@@ -505,69 +504,69 @@ class TaskDAG:
         self._bsp_phases: dict = {}
 
     @classmethod
-    def _from_columns(cls, cols: _ColumnArrays, succ: tuple,
-                      pred: tuple) -> "TaskDAG":
-        """A simulation DAG the builder computed in bulk: its frozen
-        columns and both adjacency CSR pairs, and no task list."""
-        dag = cls()
-        dag._tasks = None
-        dag._cols = cols
-        dag.succ = succ
-        dag._pred = pred
-        return dag
+    def from_tasks(cls, tasks: Iterable[Task],
+                   edges: Iterable[Tuple[int, int]] = ()) -> "TaskDAG":
+        """A task DAG of hand-made ``tasks`` and precedence ``edges``.
+
+        Each task's tid is set to its position in ``tasks``, and
+        :func:`_task_columns` reads the frozen columns off the tasks.
+        An edge ``(u, v)`` means ``u`` before ``v``; one naming an
+        unknown tid raises ``IndexError``, duplicate and self edges are
+        dropped, and the rest keep their order.  A backward edge is
+        kept, so :meth:`topo_order` reports a cycle it closes.
+        """
+        tasks = list(tasks)
+        n = len(tasks)
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
+        for u, v in dict.fromkeys(edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexError(f"edge ({u}, {v}) references unknown task")
+            if u != v:
+                succ[u].append(v)
+                pred[v].append(u)
+        cols = _task_columns(tasks)
+        for tid, t in enumerate(tasks):
+            t.tid = tid
+        return cls(cols, _csr(succ), _csr(pred), tasks)
 
     @property
     def succ(self) -> List[List[int]]:
-        """Successor lists, each in ascending tid order.
+        """Successor lists, each in ascending tid order for a built DAG.
 
-        A built DAG holds the builder's CSR pair and builds the lists
-        on first read, with the shared :func:`tid_ints` objects.
+        Held as a CSR pair until the first read, which builds the lists
+        with the shared :func:`tid_ints` objects and keeps the pair for
+        :meth:`succ_csr`.
         """
         succ = self.__dict__["succ"]
         if type(succ) is tuple:
             self.__dict__["succ"] = rows = _rows(succ)
-            if self._soa is not None:
-                self._succ_csr = succ
+            self._succ_csr = succ
             return rows
         return succ
-
-    @succ.setter
-    def succ(self, value) -> None:
-        self.__dict__["succ"] = value
 
     @property
     def pred(self) -> List[List[int]]:
         """Predecessor lists, in wiring order.
 
-        A built or loaded DAG keeps them as a CSR pair and builds the
-        lists on first read (no simulation run reads them: BSP phases
-        carry their own intra-phase predecessors), with the shared
-        :func:`tid_ints` objects ``succ`` holds.
+        Held as a CSR pair until the first read (no simulation run reads
+        them: BSP phases carry their own intra-phase predecessors),
+        which builds the lists with the shared :func:`tid_ints` objects
+        ``succ`` holds.
         """
         pred = self._pred
         if type(pred) is tuple:
             self._pred = rows = _rows(pred)
-            if self._soa is not None:
-                self._pred_csr = pred
+            self._pred_csr = pred
             return rows
         return pred
 
     def pred_csr(self):
-        """``(indptr, indices)``: the predecessor lists as CSR arrays.
-
-        A built or loaded DAG's pair as it is; otherwise derived from
-        ``pred`` on demand like :meth:`succ_csr`, for BSP's phase
-        table and for pickling, and dropped with the frozen view on any
-        mutation.
-        """
+        """``(indptr, indices)``: the predecessor lists as CSR arrays,
+        for BSP's phase table and for pickling.  The pair the DAG was
+        made or loaded with, kept after the lists are read."""
         pred = self._pred
-        if type(pred) is tuple:
-            return pred
-        csr = self._pred_csr
-        if csr is None:
-            self.freeze()
-            csr = self._pred_csr = _csr(pred)
-        return csr
+        return pred if type(pred) is tuple else self._pred_csr
 
     @property
     def tasks(self) -> List[Task]:
@@ -577,8 +576,7 @@ class TaskDAG:
             raise RuntimeError(
                 "DAG has no task list: it is a simulation DAG "
                 "(DAGBuilder.build or a prep artifact); build the "
-                "trace with DAGBuilder.build_tasks to execute or "
-                "mutate its tasks")
+                "trace with DAGBuilder.build_tasks to execute its tasks")
         return tasks
 
     def kernel_of(self) -> List[str]:
@@ -589,7 +587,7 @@ class TaskDAG:
         """
         kernels = self._kernel_of
         if kernels is None:
-            soa = self.freeze()
+            soa = self._soa
             names = soa.kernel_names
             kernels = [names[c] for c in soa.kernel_codes.tolist()]
             self._kernel_of = kernels
@@ -615,249 +613,57 @@ class TaskDAG:
         ``freeze().id_to_key`` alone; the inverse dict is derived on
         demand and never pickled.
         """
-        id_to_key = self.freeze().id_to_key
         memo = self._key_to_id
-        if memo is None or memo[1] is not id_to_key:
+        if memo is None:
+            id_to_key = self._soa.id_to_key
             memo = ({k: i for i, k in enumerate(id_to_key)}, id_to_key)
             self._key_to_id = memo
         return memo
 
     # ------------------------------------------------------------------
     def freeze(self) -> GraphArrays:
-        """Build (or return) the structure-of-arrays view of the graph.
+        """The structure-of-arrays view of the graph, made with it.
 
-        Idempotent and cached; any later :meth:`add_task` /
-        :meth:`add_edge` invalidates the cache and the next ``freeze``
-        rebuilds.  The per-task columns arrive as flat arrays (the
-        builder's, or ``add_task``'s lists converted); this narrows
-        them, prices the SpMV/SpMM flop counts from their pricing inputs
-        in bulk, and drops the inputs.  The arrays are a pure function
-        of the DAG — two processes freezing the same graph produce
-        identical tables, which is what lets the prep store persist
-        them.
+        The arrays are a pure function of the DAG — two processes
+        making the same graph produce identical tables, which is what
+        lets the prep store persist them.
         """
-        soa = self._soa
-        if soa is not None:
-            return soa
-        cols = self._columns()
-        if isinstance(cols, _Columns):
-            cols = cols.arrays()
-        n = len(self)
-        i64, i32 = np.int64, np.int32
-
-        def _indptr(counts):
-            indptr = np.zeros(n + 1, dtype=i64)
-            np.cumsum(counts, out=indptr[1:])
-            return indptr
-
-        kernel_codes, first_write = cols.kernel_codes, cols.first_write
-        n_writes, n_touches = cols.n_writes, cols.n_touches
-        flops = cols.flops.copy()
-        write_indptr = _indptr(n_writes)
-        write_ids = cols.write_ids
-        touch_indptr = _indptr(n_touches)
-        touch_ids = cols.touch_ids
-        # A touch writes if it is its task's first write, or any write
-        # of the few tasks with more than one.
-        touch_is_write = touch_ids == first_write.repeat(n_touches)
-        for t in np.flatnonzero(n_writes > 1).tolist():
-            a, b = touch_indptr[t], touch_indptr[t + 1]
-            writes = write_ids[write_indptr[t]:write_indptr[t + 1]]
-            touch_is_write[a:b] = np.isin(touch_ids[a:b], writes)
-        sparse = cols.sparse
-        sparse_tids = sparse[0].astype(i32)
-        touch_role = np.zeros(touch_ids.size, dtype=np.int8)
-        if sparse_tids.size:
-            starts = touch_indptr[sparse_tids]
-            counts = n_touches[sparse_tids]
-            at = np.repeat(starts - np.cumsum(counts) + counts, counts)
-            touch_role[at + np.arange(at.size)] = cols.sparse_roles
-            # The registry's flop counts are arithmetic on the shape
-            # entries, so they price whole columns elementwise, with
-            # the same IEEE operations as one shape at a time.
-            sparse_codes = kernel_codes[sparse_tids]
-            for code, name in enumerate(cols.kernel_names):
-                sel = sparse_codes == code
-                if name in SPARSE_KERNELS and sel.any():
-                    flops[sparse_tids[sel]] = kernel_spec(name).flops({
-                        "nnz": sparse[1][sel], "rows": sparse[2][sel],
-                        "cols": sparse[3][sel], "width": sparse[4][sel],
-                        "gather_span": sparse[5][sel]})
-        pred = self._pred
-        soa = GraphArrays(
-            n_tasks=n,
-            n_edges=self.n_edges,
-            indegree=(np.diff(pred[0]).astype(i32) if type(pred) is tuple
-                      else np.fromiter(map(len, pred), i32, n)),
-            id_to_key=cols.id_to_key,
-            write_indptr=_narrow(write_indptr),
-            write_ids=write_ids,
-            touch_indptr=_narrow(touch_indptr),
-            touch_ids=touch_ids,
-            touch_nbytes=_narrow(cols.touch_nbytes),
-            touch_is_write=touch_is_write,
-            touch_role=touch_role,
-            kernel_names=cols.kernel_names,
-            kernel_codes=kernel_codes.astype(i32),
-            param_i=_narrow(cols.param_i),
-            first_write_id=first_write.astype(i32),
-            flops=flops,
-            phase_indptr=_narrow(np.concatenate((
-                [0], np.flatnonzero(np.diff(cols.seq)) + 1, [n] if n else []
-            ))),
-            max_part=cols.max_part,
-            sparse_tids=sparse_tids,
-            sparse_nnz=_narrow(sparse[1]),
-            sparse_rows=_narrow(sparse[2]),
-            sparse_cols=_narrow(sparse[3]),
-            sparse_width=_narrow(sparse[4]),
-            sparse_span=sparse[5],
-            sparse_buffer=sparse[6].astype(bool),
-            sparse_x=sparse[7].astype(i32),
-        )
-        self._soa = soa
-        self._cols = None
-        return soa
+        return self._soa
 
     def succ_csr(self):
         """``(indptr, indices)``: the successor lists as CSR arrays.
 
-        A built DAG's pair as it is; otherwise derived from ``succ`` on
-        demand for the vectorized analyses (:meth:`levels`,
-        :meth:`critical_path`) and the builder's forward-edge check,
-        never pickled, and dropped with the frozen view on any mutation.
+        The pair the DAG was made with, kept after the lists are read;
+        a loaded DAG derives it from ``succ`` on demand for the
+        vectorized analyses (:meth:`levels`, :meth:`critical_path`) and
+        never pickles it.
         """
         succ = self.__dict__["succ"]
         if type(succ) is tuple:
             return succ
         csr = self._succ_csr
         if csr is None:
-            self.freeze()
             csr = self._succ_csr = _csr(succ)
         return csr
-
-    def _columns(self):
-        """The per-task columns not yet frozen (the builder's arrays or
-        ``add_task``'s lists), re-derived from the task list if
-        freezing or pickling dropped them."""
-        cols = self._cols
-        if cols is None:
-            cols = _Columns()
-            add = cols.add
-            for tid, t in enumerate(self.tasks):
-                add(tid, t)
-            self._cols = cols
-        return cols
-
-    @property
-    def frozen(self) -> bool:
-        return self._soa is not None
-
-    def _invalidate(self) -> None:
-        self._soa = None
-        self._kernel_of = None
-        self._succ_csr = None
-        self._pred_csr = None
-        self._cost_prep = {}
-        self._home_arrays = {}
-        self._sched_domains = {}
-        self._bsp_phases = {}
-
-    # ------------------------------------------------------------------
-    def add_task(self, task: Task) -> int:
-        """Insert a task; assigns and returns its dense id.
-
-        Records the task's frozen-view columns as it goes, so
-        :meth:`freeze` never walks the task list again.  A simulation
-        DAG refuses (it has no task list).
-        """
-        return self._add_wired(task)
-
-    def _add_wired(self, task: Task, wire=None) -> int:
-        """:meth:`add_task`, wiring the new task's incoming edges.
-
-        The builder's path: ``wire(tid, read_ids, write_ids, n_ids)``
-        gets the interned ids ``_Columns.add`` just assigned (``n_ids``
-        interned so far) and returns the task's predecessors,
-        deduplicated, in first-occurrence order; they are appended to
-        ``pred`` and ``succ`` in one step.  If either step raises, the
-        task is refused whole: no task, no adjacency row, no column row.
-        """
-        tasks = self.tasks
-        cols = self._columns()
-        tid = len(tasks)
-        try:
-            rids, wids = cols.add(tid, task)
-            preds = [] if wire is None else wire(tid, rids, wids,
-                                                 len(cols.id_to_key))
-        except BaseException:
-            self._cols = None  # half a row recorded: re-derive next time
-            raise
-        task.tid = tid
-        tasks.append(task)
-        succ = self.succ
-        succ.append([])
-        self.pred.append(preds)
-        if preds:
-            for u in preds:
-                succ[u].append(tid)
-            self._edge_set = None
-        if self._soa is not None:
-            self._invalidate()
-        return tid
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Add precedence ``u before v``; duplicate and self edges are
-        no-ops.  A simulation DAG refuses (it has no task list)."""
-        self.tasks  # raises on a simulation DAG
-        if u == v:
-            return
-        n_tasks = len(self.succ)
-        if not (0 <= u < n_tasks and 0 <= v < n_tasks):
-            raise IndexError(f"edge ({u}, {v}) references unknown task")
-        es = self._edge_pairs()
-        n = len(es)
-        es.add((u, v))
-        if len(es) == n:  # duplicate: one hash probe, not two
-            return
-        self.succ[u].append(v)
-        self.pred[v].append(u)
-        if self._soa is not None:
-            self._invalidate()
-
-    def _edge_pairs(self) -> set:
-        """The ``(u, v)`` edge set, derived from ``succ`` on demand.
-
-        The builder never fills it (it deduplicates each task's
-        predecessors as it wires them), and pickling discards it: it is
-        pure dedup/validation state, so built DAGs and persisted prep
-        artifacts do not carry one.
-        """
-        es = self._edge_set
-        if es is None:
-            es = {(u, v) for u, vs in enumerate(self.succ) for v in vs}
-            self._edge_set = es
-        return es
 
     def __getstate__(self):
         """A task DAG pickles its list; a simulation DAG has none.
 
-        ``succ`` and ``pred`` travel as CSR pairs (``_csr``, offsets
-        narrowed like the frozen columns).  Pickle does not memoize
-        ints, so pickled lists would load with one ``int`` object per
-        edge end; :meth:`__setstate__` rebuilds ``succ`` with one per
-        tid, and ``pred`` stays a CSR pair until it is read.  A frozen
-        DAG's memoized pairs are reused.
+        ``succ`` and ``pred`` travel as CSR pairs (offsets narrowed
+        like the frozen columns).  Pickle does not memoize ints, so
+        pickled lists would load with one ``int`` object per edge end;
+        :meth:`__setstate__` rebuilds ``succ`` with one per tid, and
+        ``pred`` stays a CSR pair until it is read.  A loaded DAG that
+        is pickled again derives its successor pair without keeping it.
         """
         state = self.__dict__.copy()
-        for name, csr in (
-                ("succ", _csr_or(state["succ"], self._succ_csr)),
-                ("_pred", _csr_or(self._pred, self._pred_csr))):
-            indptr, indices = csr
+        succ = state["succ"]
+        if type(succ) is not tuple:
+            succ = self._succ_csr or _csr(succ)
+        for name, (indptr, indices) in (("succ", succ),
+                                        ("_pred", self.pred_csr())):
             state[name] = (_narrow(indptr), indices)
-        state["_edge_set"] = None
         state["_kernel_of"] = None
-        state["_cols"] = None
         state["_key_to_id"] = None
         state["_succ_csr"] = None
         state["_pred_csr"] = None
@@ -871,32 +677,18 @@ class TaskDAG:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        # One adjacency row per task, built or loaded.
-        succ = self.__dict__["succ"]
-        return len(succ[0]) - 1 if type(succ) is tuple else len(succ)
+        return self._soa.n_tasks
 
     @property
     def n_edges(self) -> int:
-        soa = self._soa
-        if soa is not None:
-            return soa.n_edges
-        succ = self.__dict__["succ"]
-        if type(succ) is tuple:
-            return len(succ[1])
-        return sum(map(len, succ))
+        return self._soa.n_edges
 
     def sources(self) -> List[int]:
         """Tasks with no predecessors (ready at time zero)."""
-        soa = self._soa
-        if soa is not None:
-            return np.flatnonzero(soa.indegree == 0).tolist()
-        return [tid for tid, p in enumerate(self.pred) if not p]
+        return np.flatnonzero(self._soa.indegree == 0).tolist()
 
     def in_degrees(self) -> List[int]:
-        soa = self._soa
-        if soa is not None:
-            return soa.indegree.tolist()
-        return [len(p) for p in self.pred]
+        return self._soa.indegree.tolist()
 
     # ------------------------------------------------------------------
     def topo_order(self) -> List[int]:
@@ -940,11 +732,13 @@ class TaskDAG:
             raise ValueError(
                 f"schedule covers {len(pos)} of {len(self)} tasks"
             )
-        for (u, v) in self._edge_pairs():
-            if pos[u] > pos[v]:
-                raise ValueError(
-                    f"dependence violated: task {u} must precede task {v}"
-                )
+        for u, vs in enumerate(self.succ):
+            for v in vs:
+                if pos[u] > pos[v]:
+                    raise ValueError(
+                        f"dependence violated: task {u} must precede "
+                        f"task {v}"
+                    )
 
     # ------------------------------------------------------------------
     def _peel_rounds(self) -> List[np.ndarray]:
@@ -1047,18 +841,13 @@ class TaskDAG:
     def by_kernel(self) -> dict:
         """Task counts per kernel name (census used in logs and tests).
 
-        In first-appearance order; a frozen DAG counts its kernel codes
-        (``kernel_names`` is already in that order) without a task list.
+        In first-appearance order: the frozen kernel codes counted
+        (``kernel_names`` is already in that order), no task list read.
         """
         soa = self._soa
-        if soa is not None:
-            counts = np.bincount(soa.kernel_codes,
-                                 minlength=len(soa.kernel_names))
-            return dict(zip(soa.kernel_names, counts.tolist()))
-        out = {}
-        for t in self.tasks:
-            out[t.kernel] = out.get(t.kernel, 0) + 1
-        return out
+        counts = np.bincount(soa.kernel_codes,
+                             minlength=len(soa.kernel_names))
+        return dict(zip(soa.kernel_names, counts.tolist()))
 
     def __repr__(self):
         return (

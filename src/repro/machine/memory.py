@@ -21,6 +21,7 @@ is unchanged and pinned by ``tests/test_engine_equivalence.py``.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ class MemoryModel:
     """
 
     __slots__ = (
-        "machine", "first_touch", "scattered", "_n_parts",
+        "machine", "_machine_key", "first_touch", "scattered", "_n_parts",
         "matrix_geometry", "_core_domain", "_domain_memo",
         "_local_cost", "_remote_cost", "_scattered_cost",
         "_intern_keys", "_intern_parts",
@@ -50,6 +51,8 @@ class MemoryModel:
     def __init__(self, machine: MachineSpec, first_touch: bool = True,
                  n_parts: int = None, scattered: bool = False):
         self.machine = machine
+        #: The machine's field values, for :meth:`placement_key`.
+        self._machine_key = dataclasses.astuple(machine)
         self.first_touch = bool(first_touch)
         #: Library (BSP) mode: MKL kernels partition work internally per
         #: call (nnz-balanced SpMV, tiled dgemm) with no regard to page
@@ -197,8 +200,10 @@ class MemoryModel:
 
     def placement_key(self) -> tuple:
         """The inputs homes are a function of, besides the interning:
-        the key the per-DAG home and domain tables are memoized under."""
-        return (self.machine, self.first_touch, self._n_parts,
+        the key the per-DAG home and domain tables are memoized under.
+        The machine enters as its field values, so a prep artifact
+        holds plain values, not a ``MachineSpec``."""
+        return (self._machine_key, self.first_touch, self._n_parts,
                 self.matrix_geometry)
 
     def dag_home_arrays(self, dag):

@@ -16,7 +16,7 @@ options) and executes it on a simulated machine, returning a
 
 :class:`~repro.runtime.threaded.ThreadedRuntime` and
 :func:`~repro.runtime.threaded.execute_dag_serial` run the same DAG's
-task bodies for real, on NumPy data, from its task-mode build
+task bodies for real, on NumPy data, from its task DAG
 (:meth:`~repro.graph.builder.DAGBuilder.build_tasks`); the equivalence
 tests use them to check that every DAG computes what the eager solvers
 compute.

@@ -13,6 +13,7 @@ placement, and per-task overheads differ between the frameworks.
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import chain
 
 import numpy as np
@@ -284,8 +285,8 @@ class CostModel:
     """
 
     __slots__ = (
-        "machine", "cache", "memory", "gather_intensity", "_peak_core",
-        "_l2c", "_l3c", "_prep",
+        "machine", "cache", "memory", "gather_intensity", "_machine_key",
+        "_peak_core", "_l2c", "_l3c", "_prep",
         # -- compiled access plans (see prepare) -----------------------
         "_bare_ctx", "_bare_common",
     )
@@ -301,6 +302,9 @@ class CostModel:
         self.cache = cache
         self.memory = memory
         self.gather_intensity = gather_intensity
+        #: The machine's field values: the plan memo's machine key, so a
+        #: prep artifact holds plain values, not a ``MachineSpec``.
+        self._machine_key = dataclasses.astuple(machine)
         self._peak_core = machine.ghz * 1e9 * machine.flops_per_cycle
         self._l2c = machine.l2_line_cost
         self._l3c = machine.l3_line_cost
@@ -492,7 +496,7 @@ class CostModel:
         # every structure hashed in the hot loop hashes small ints.
         soa = dag.freeze()
         self.memory.adopt_interning(soa.id_to_key)
-        key = (self.machine, self.gather_intensity)
+        key = (self._machine_key, self.gather_intensity)
         store = dag._cost_prep
         table = store.get(key)
         if table is None:

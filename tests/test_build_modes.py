@@ -1,54 +1,39 @@
-"""The builder's two modes make one DAG.
+"""A task DAG's ``Task`` list and its frozen view describe one graph.
 
-``DAGBuilder.build`` computes a simulation DAG's frozen columns and
-adjacency in whole-trace NumPy passes and makes no ``Task``;
-``DAGBuilder.build_tasks`` makes the same DAG one ``Task`` at a time,
-through ``add_task``'s per-task column walk and the per-task hazard
-walk ``DAGBuilder._wire``.  Every frozen field (dtype and values),
-``id_to_key`` and both adjacency CSR pairs must agree: over the
-distinct DAGs of the Fig. 9 (Lanczos) and Fig. 12 (LOBPCG) Broadwell
-grids, and over random traces of every op.
+``DAGBuilder.build_tasks`` makes ``DAGBuilder.build``'s DAG, whose
+frozen columns and adjacency come from whole-trace NumPy passes, plus
+a ``Task`` list made from the same emitted arrays.  Every frozen field
+(dtype and values) must equal ``reference_columns``, and ``succ`` and
+``pred`` ``reference_adjacency``, both walked one ``Task`` at a time
+over that list: over the distinct DAGs of the Fig. 9 (Lanczos) and
+Fig. 12 (LOBPCG) Broadwell grids, and over random traces of every op.
 """
 
-import dataclasses
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import repro.analysis.experiment as experiment
 from repro.bench.runner import DEFAULT_MATRICES, expand_grid
 from repro.graph.builder import DAGBuilder
-from repro.graph.dag import GraphArrays
 from repro.machine.presets import get_machine
 from repro.matrices.suite import SUITE
 from repro.runtime import libcsr_partitions
 from repro.tuning.blocksize import block_size_for_count
-from tests.test_property_dag import random_trace
-
-
-def assert_same_dag(built, twin):
-    """``built`` (a simulation DAG) and ``twin`` (a task DAG) agree in
-    every frozen field, bit for bit, and in both CSR pairs."""
-    assert built._tasks is None
-    assert len(twin.tasks) == len(built)
-    ours, theirs = built.freeze(), twin.freeze()
-    for f in dataclasses.fields(GraphArrays):
-        a, b = getattr(ours, f.name), getattr(theirs, f.name)
-        if isinstance(a, np.ndarray):
-            assert isinstance(b, np.ndarray), f.name
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-            assert a.tobytes() == b.tobytes(), f.name
-        else:   # repr tells an ``int`` part from a NumPy one
-            assert a == b and repr(a) == repr(b), f.name
-    for name in ("succ_csr", "pred_csr"):
-        for a, b in zip(getattr(built, name)(), getattr(twin, name)()):
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
+from tests.test_property_dag import (
+    assert_adjacency_matches_reference,
+    assert_columns_match_reference,
+    random_trace,
+)
 
 
 def assert_modes_agree(builder, calls):
-    assert_same_dag(builder.build(calls), builder.build_tasks(calls))
+    """``build_tasks``'s frozen view and adjacency against the per-Task
+    walks over its own list."""
+    dag = builder.build_tasks(calls)
+    assert len(dag.tasks) == len(dag)
+    assert [t.tid for t in dag.tasks] == list(range(len(dag)))
+    assert_columns_match_reference(dag)
+    assert_adjacency_matches_reference(dag, dag)
 
 
 def _grid_subkeys(solver):

@@ -26,6 +26,11 @@ def rec():
     return TraceRecorder()
 
 
+def edges(dag) -> set:
+    """The ``(u, v)`` edges of ``dag``, from its successor lists."""
+    return {(u, v) for u, vs in enumerate(dag.succ) for v in vs}
+
+
 def test_spmm_tasks_per_nonempty_block(csb):
     t = rec()
     t.record("SPMM", ("A", "X"), ("Y",))
@@ -47,7 +52,7 @@ def test_spmm_row_chain_dependencies(csb):
     for i, tids in rows.items():
         # chain: each consecutive pair connected
         for u, v in zip(tids, tids[1:]):
-            assert (u, v) in dag._edge_pairs()
+            assert (u, v) in edges(dag)
         # exactly the first in each row zeroes the output
         firsts = [dag.tasks[t0].params["zero_first"] for t0 in tids]
         assert firsts[0] and not any(firsts[1:])
@@ -72,7 +77,7 @@ def test_reduction_mode_structure(csb):
     spmm = [t_ for t_ in dag.tasks if t_.kernel == "SPMM"]
     for a in spmm:
         for b in spmm:
-            assert (a.tid, b.tid) not in dag._edge_pairs()
+            assert (a.tid, b.tid) not in edges(dag)
 
 
 def test_bad_spmm_mode():
@@ -110,9 +115,9 @@ def test_raw_war_waw_edges(csb):
     np_ = csb.nbr
     for i in range(np_):
         w1, r, w2 = i, np_ + i, 2 * np_ + i
-        assert (w1, r) in dag._edge_pairs()      # RAW
-        assert (w1, w2) in dag._edge_pairs()     # WAW
-        assert (r, w2) in dag._edge_pairs()      # WAR
+        assert (w1, r) in edges(dag)      # RAW
+        assert (w1, w2) in edges(dag)     # WAW
+        assert (r, w2) in edges(dag)      # WAR
 
 
 def test_scale_zero_for_empty_rows():
@@ -137,7 +142,7 @@ def test_dot_chain_serializes_scalar_consumers(csb):
     red = [x for x in dag.tasks if x.kernel == "DOT_REDUCE"][0]
     scales = [x for x in dag.tasks if x.kernel == "SCALE"]
     for s in scales:
-        assert (red.tid, s.tid) in dag._edge_pairs()
+        assert (red.tid, s.tid) in edges(dag)
 
 
 def test_csr_storage_gather_span(csb):
@@ -158,7 +163,7 @@ def test_builder_deterministic(csb):
     d1 = build(csb, t.calls)
     d2 = build(csb, t.calls)
     assert [x.kernel for x in d1.tasks] == [x.kernel for x in d2.tasks]
-    assert d1._edge_pairs() == d2._edge_pairs()
+    assert edges(d1) == edges(d2)
 
 
 def test_backward_edge_rejected(csb):

@@ -135,9 +135,7 @@ def run_three(machine, tasks, schedule):
     """Charge ``schedule`` for ``_ROUNDS`` rounds through the fused
     walk, the ``access`` oracle and the reference; assert agreement
     after every round.  Returns the number of directory compactions."""
-    dag = TaskDAG()
-    for t in tasks:
-        dag.add_task(t)
+    dag = TaskDAG.from_tasks(tasks)
     fused_cache = CacheHierarchy(machine)
     oracle_cache = CacheHierarchy(machine)
     ref_cache = NaiveHierarchy(machine)

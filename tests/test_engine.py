@@ -49,8 +49,9 @@ def test_flow_respects_dependences(bw, small_problem):
     res = eng.run(small_problem, DeepSparseScheduler(), iterations=1)
     end_of = {r.tid: r.end for r in res.flow.records}
     start_of = {r.tid: r.start for r in res.flow.records}
-    for (u, v) in small_problem._edge_pairs():
-        assert end_of[u] <= start_of[v] + 1e-12
+    for u, vs in enumerate(small_problem.succ):
+        for v in vs:
+            assert end_of[u] <= start_of[v] + 1e-12
 
 
 def test_no_core_overlap(bw, small_problem):
@@ -137,7 +138,8 @@ def test_base_scheduler_runs_lanczos(bw):
 def test_empty_dag(bw):
     from repro.graph.dag import TaskDAG
 
-    res = SimulationEngine(bw).run(TaskDAG(), DeepSparseScheduler())
+    res = SimulationEngine(bw).run(TaskDAG.from_tasks([]),
+                                  DeepSparseScheduler())
     assert res.counters.tasks_executed == 0
 
 

@@ -51,7 +51,7 @@ def test_makespan_at_least_critical_path_time(problem, trace, bw):
 
     Chain time is evaluated with compute-only costs (a lower bound on
     any task's true duration, which adds memory time and overheads),
-    over the same DAG's ``Task`` list (its task-mode build).
+    over the same DAG's ``Task`` list (its ``build_tasks`` twin).
     """
     cen, calls, chunked, small = trace
     twin = DAGBuilder(cen, "A", chunked, small).build_tasks(calls)

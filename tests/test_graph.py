@@ -18,7 +18,7 @@ from repro.graph.task import DataHandle, Task
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import banded_fem
 from repro.runtime import ThreadedRuntime, execute_dag_serial
-from repro.solvers import Workspace, lanczos_trace, lobpcg_trace
+from repro.solvers import Workspace, lobpcg_trace
 from tests.test_property_dag import _builder_dag, _builder_task_dag
 
 
@@ -27,28 +27,14 @@ def mk_task(kernel="COPY", reads=(), writes=(), shape=None, seq=0):
     return Task(-1, kernel, tuple(reads), tuple(writes), shape, {}, 0, seq)
 
 
-def chain_dag(n=5):
-    dag = TaskDAG()
-    prev = None
-    for _ in range(n):
-        tid = dag.add_task(mk_task())
-        if prev is not None:
-            dag.add_edge(prev, tid)
-        prev = tid
-    return dag
+def chain_dag(n=5, edges=()):
+    return TaskDAG.from_tasks((mk_task() for _ in range(n)),
+                              [(t, t + 1) for t in range(n - 1)] + list(edges))
 
 
 def diamond_dag():
-    dag = TaskDAG()
-    a = dag.add_task(mk_task())
-    b = dag.add_task(mk_task())
-    c = dag.add_task(mk_task())
-    d = dag.add_task(mk_task())
-    dag.add_edge(a, b)
-    dag.add_edge(a, c)
-    dag.add_edge(b, d)
-    dag.add_edge(c, d)
-    return dag
+    return TaskDAG.from_tasks((mk_task() for _ in range(4)),
+                              [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 def test_handles_equality_ignores_nbytes():
@@ -64,14 +50,25 @@ def test_task_touched_dedup():
     assert len(t.touched()) == 2
 
 
-def test_add_edge_validation():
-    dag = chain_dag(2)
-    with pytest.raises(IndexError):
-        dag.add_edge(0, 99)
-    n = dag.n_edges
-    dag.add_edge(0, 1)  # duplicate ignored
-    dag.add_edge(1, 1)  # self edge ignored
-    assert dag.n_edges == n
+def test_from_tasks_edge_rules():
+    """An unknown tid raises; duplicate and self edges are dropped; a
+    backward edge is kept and makes ``topo_order`` find the cycle."""
+    with pytest.raises(IndexError, match="unknown task"):
+        chain_dag(2, [(0, 99)])
+    with pytest.raises(IndexError, match="unknown task"):
+        chain_dag(2, [(-1, 0)])
+    dag = chain_dag(3, [(0, 1), (1, 1), (0, 2), (0, 2)])
+    assert dag.n_edges == 3
+    assert dag.succ == [[1, 2], [2], []]
+    assert dag.pred == [[], [0], [1, 0]]
+    assert [t.tid for t in dag.tasks] == [0, 1, 2]
+    assert dag.topo_order() == [0, 1, 2]
+    cyclic = chain_dag(3, [(2, 0)])
+    assert cyclic.n_edges == 3
+    with pytest.raises(ValueError, match="cycle"):
+        cyclic.topo_order()
+    with pytest.raises(ValueError, match="cycle"):
+        cyclic.levels()
 
 
 def test_topo_order_chain():
@@ -80,8 +77,7 @@ def test_topo_order_chain():
 
 
 def test_topo_order_detects_cycle():
-    dag = chain_dag(3)
-    dag.add_edge(2, 0)
+    dag = chain_dag(3, [(2, 0)])
     with pytest.raises(ValueError, match="cycle"):
         dag.topo_order()
 
@@ -96,6 +92,24 @@ def test_check_schedule():
         dag.check_schedule([0, 1])
     with pytest.raises(ValueError, match="twice"):
         dag.check_schedule([0, 0, 1, 2])
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_check_schedule_reads_the_adjacency(small_lobpcg, loaded):
+    """A built simulation DAG, and the same DAG loaded, accept their
+    topological order and reject it with one edge's ends swapped."""
+    built = small_lobpcg[3]
+    dag = _loaded(built) if loaded else built
+    order = dag.topo_order()
+    dag.check_schedule(order)
+    # Adjacent in the order, so the swap breaks this edge alone.
+    k = next(k for k in range(len(order) - 1)
+             if order[k + 1] in dag.succ[order[k]])
+    u, v = order[k], order[k + 1]
+    order[k], order[k + 1] = v, u
+    with pytest.raises(ValueError,
+                       match=f"task {u} must precede task {v}"):
+        dag.check_schedule(order)
 
 
 def test_critical_path_and_levels():
@@ -120,16 +134,17 @@ def test_sources_and_degrees():
 
 
 def test_by_kernel_census():
-    dag = TaskDAG()
-    dag.add_task(mk_task("COPY"))
-    dag.add_task(mk_task("COPY"))
-    dag.add_task(mk_task("ADD", shape={"rows": 5, "width": 1}))
+    dag = TaskDAG.from_tasks([
+        mk_task("COPY"), mk_task("COPY"),
+        mk_task("ADD", shape={"rows": 5, "width": 1})])
     assert dag.by_kernel() == {"COPY": 2, "ADD": 1}
     assert "TaskDAG(3 tasks" in repr(dag)
 
 
 def test_empty_dag():
-    dag = TaskDAG()
+    dag = TaskDAG.from_tasks([])
+    assert len(dag) == dag.n_edges == 0
+    assert dag.tasks == [] and dag.sources() == []
     assert dag.topo_order() == []
     assert dag.critical_path() == 0.0
     assert parallelism_profile(dag) == []
@@ -140,12 +155,11 @@ def test_frozen_columns_narrow_only_when_every_value_fits():
     """A column whose values fit in 32 bits is int32; one value past
     that keeps the whole column int64, exact, through a pickle."""
     big = 3 * 2**30                     # 3 GiB: past int32
-    small = TaskDAG()
-    small.add_task(mk_task(writes=[DataHandle("y", 0, 4096)]))
-    wide = TaskDAG()
-    wide.add_task(mk_task(writes=[DataHandle("y", 0, 4096)]))
-    wide.add_task(Task(-1, "COPY", (), (DataHandle("z", 0, big),),
-                       {"rows": 10, "width": 1}, {"i": big}, 0, 0))
+    small = TaskDAG.from_tasks([mk_task(writes=[DataHandle("y", 0, 4096)])])
+    wide = TaskDAG.from_tasks([
+        mk_task(writes=[DataHandle("y", 0, 4096)]),
+        Task(-1, "COPY", (), (DataHandle("z", 0, big),),
+             {"rows": 10, "width": 1}, {"i": big}, 0, 0)])
     assert small.freeze().touch_nbytes.dtype == np.int32
     assert small.freeze().param_i.dtype == np.int32
     for soa in (wide.freeze(), pickle.loads(pickle.dumps(wide))._soa):
@@ -157,16 +171,13 @@ def test_frozen_columns_narrow_only_when_every_value_fits():
 
 def test_by_kernel_reads_kernel_codes_when_frozen():
     """Frozen census == the Task walk, first-appearance order included."""
-    dag = TaskDAG()
-    for k in ("SPMV", "COPY", "SPMV", "ADD", "COPY", "SPMV"):
-        dag.add_task(mk_task(k))
+    dag = TaskDAG.from_tasks(
+        mk_task(k) for k in ("SPMV", "COPY", "SPMV", "ADD", "COPY", "SPMV"))
     walked = {}
     for t in dag.tasks:
         walked[t.kernel] = walked.get(t.kernel, 0) + 1
     assert list(dag.by_kernel().items()) == list(walked.items())
-    dag.freeze()
-    assert list(dag.by_kernel().items()) == list(walked.items())
-    assert list(TaskDAG().by_kernel().items()) == []
+    assert list(TaskDAG.from_tasks([]).by_kernel().items()) == []
 
 
 # ----------------------------------------------------------------------
@@ -191,29 +202,6 @@ def prepped_task_dag():
     dag = _builder_task_dag("lobpcg")
     _compile_prep("broadwell", dag)
     return dag
-
-
-def test_add_edge_on_built_dag_still_dedups():
-    """The builder keeps no edge set; ``add_edge`` on a task DAG
-    derives one from ``succ``, so an edge the build made stays a no-op,
-    and a new edge still invalidates the frozen view."""
-    dag = _builder_task_dag("lanczos")
-    assert dag.frozen
-    assert dag._edge_set is None
-    succ = [list(vs) for vs in dag.succ]
-    pred = [list(us) for us in dag.pred]
-    n_edges = dag.n_edges
-    u = next(i for i, vs in enumerate(succ) if vs)
-    v = succ[u][-1]
-    dag.add_edge(u, v)
-    assert dag.succ == succ and dag.pred == pred
-    assert dag.n_edges == n_edges
-    assert dag.frozen
-    w = next(x for x in range(v + 1, len(dag)) if x not in succ[u])
-    dag.add_edge(u, w)
-    assert not dag.frozen
-    assert dag.succ[u] == succ[u] + [w] and dag.pred[w] == pred[w] + [u]
-    assert dag.n_edges == n_edges + 1 == dag.freeze().n_edges
 
 
 def _loaded(dag):
@@ -289,70 +277,6 @@ def test_structural_queries_do_not_decode(prepped_dag, prepped_task_dag):
     assert loaded._tasks is None
 
 
-def test_add_task_on_loaded_dag_decodes_then_invalidates(prepped_task_dag):
-    """``add_task`` on a loaded task DAG re-derives its columns from its
-    list, then drops the frozen view."""
-    loaded = _loaded(prepped_task_dag)
-    n = len(loaded)
-    kernels = loaded.kernel_of()
-    assert loaded._cols is None
-    tid = loaded.add_task(mk_task("ADD"))
-    assert tid == n and len(loaded.tasks) == n + 1
-    assert not loaded.frozen
-    assert len(prepped_task_dag.tasks) == n
-    assert loaded.kernel_of() == kernels + ["ADD"]
-    assert loaded.freeze().n_tasks == n + 1
-    key_to_id, _ = loaded.handle_interning()
-    assert len(key_to_id) == len(prepped_task_dag.handle_interning()[0])
-    again = pickle.loads(pickle.dumps(loaded))
-    assert [t.kernel for t in again.tasks] == kernels + ["ADD"]
-
-
-def _striped_copies(lo, hi, seq0=0):
-    """COPY tasks ``lo..hi-1``: task ``i`` copies part ``i % 16`` of
-    ``x`` into a new handle over the same part, one phase per 16,
-    numbered from ``seq0``."""
-    return [mk_task("COPY", [DataHandle("x", i % 16, 8192)],
-                    [DataHandle(f"y{i // 16}", i % 16, 8192)],
-                    {"rows": 64, "width": 1}, seq=seq0 + i // 16)
-            for i in range(lo, hi)]
-
-
-@pytest.mark.parametrize("n_tasks", [64, 200])
-def test_runs_after_add_task_match_a_fresh_build(n_tasks):
-    """A run memoizes plans, homes, domain tables and BSP phases on
-    the DAG; ``add_task`` after it must drop them all.  A task DAG of
-    16 row blocks gets ``n_tasks`` striped copies over the same 16
-    partitions, so every memo key repeats: a stale domain table indexes
-    past its end, stale phases run the old tasks only."""
-    from repro.machine import epyc
-    from repro.sim.engine import SimulationEngine, run_bsp
-    from repro.sim.schedulers import DeepSparseScheduler, HPXScheduler
-
-    machine = epyc()
-    csb = CSBMatrix.from_coo(banded_fem(320, 6, seed=2), 20)  # 16 x 16
-    calls, chunked, small = lanczos_trace(csb, k=2)
-    builder = DAGBuilder(csb, "A", chunked, small)
-
-    def runs(dag):
-        return [SimulationEngine(machine).run(dag, s, iterations=2).summary()
-                for s in (DeepSparseScheduler(), HPXScheduler())] + \
-            [run_bsp(machine, dag, iterations=2).summary()]
-
-    mutated = builder.build_tasks(calls)
-    fresh = builder.build_tasks(calls)
-    n = len(mutated)
-    seq0 = len(calls)
-    runs(mutated)
-    for dag in (mutated, fresh):
-        for t in _striped_copies(0, n_tasks, seq0):
-            dag.add_task(t)
-    got, want = runs(mutated), runs(fresh)
-    assert [r.counters.tasks_executed for r in got] == \
-        [2 * (n + n_tasks)] * 3
-    assert got == want
-
-
 # ----------------------------------------------------------------------
 # A simulation DAG never makes a task list
 
@@ -368,8 +292,6 @@ def small_lobpcg():
 
 _REFUSALS = {
     "tasks": lambda dag, ws: dag.tasks,
-    "add_task": lambda dag, ws: dag.add_task(mk_task()),
-    "add_edge": lambda dag, ws: dag.add_edge(0, len(dag) - 1),
     "execute_dag_serial": lambda dag, ws: execute_dag_serial(dag, ws),
     "ThreadedRuntime.execute":
         lambda dag, ws: ThreadedRuntime(2).execute(dag, ws),
@@ -380,9 +302,9 @@ _REFUSALS = {
 @pytest.mark.parametrize("call", sorted(_REFUSALS))
 def test_simulation_dag_refuses_task_access(small_lobpcg, call, loaded):
     """A built or loaded simulation DAG has no task list and never
-    makes one: reading it, mutating the DAG and running it for real
-    each raise, naming the task-mode build, and leave the DAG and the
-    workspace as they were."""
+    makes one: reading it and running it for real each raise, naming
+    ``build_tasks``, and leave the DAG and the workspace as they
+    were."""
     csb, chunked, small, built = small_lobpcg
     dag = _loaded(built) if loaded else built
     edges, soa = dag.n_edges, dag.freeze()

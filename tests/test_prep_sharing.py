@@ -22,7 +22,6 @@ from repro.graph.builder import BuildOptions
 from repro.machine.memory import MemoryModel
 from repro.matrices.suite import SUITE
 from repro.tuning.blocksize import block_size_for_count
-from tests.test_property_dag import build_tasks_for
 
 CASES = {
     "lanczos": ("lanczos", 20, {}),
@@ -212,29 +211,6 @@ def test_loaded_adjacency_equals_built_with_one_int_per_tid(built, loaded):
     for v in chain.from_iterable(chain(loaded.succ, loaded.pred)):
         assert one.setdefault(v, v) is v
     assert len(one) > 256                   # beyond CPython's small ints
-
-
-def test_add_edge_on_loaded_dag_mutates_its_rebuilt_lists(case, tmp_path):
-    """``add_edge`` on a loaded task DAG appends to the lists
-    ``__setstate__`` rebuilt, and the next put/get carries the new
-    edge."""
-    built = build_tasks_for(*case)
-    store = PrepStore(root=str(tmp_path))
-    config = {"kind": "prep-sharing-edge", "n": len(built)}
-    store.put(config, {"dag": built})
-    dag = store.get(config)["dag"]
-    succ, pred = dag.succ, dag.pred
-    n_edges = dag.n_edges
-    u = next(u for u, vs in enumerate(succ) if len(vs) < len(succ) - u - 1)
-    w = next(w for w in range(u + 1, len(succ)) if w not in succ[u])
-    dag.add_edge(u, w)
-    assert dag.succ is succ and dag.pred is pred
-    assert succ[u][-1] == w and pred[w][-1] == u
-    assert dag.n_edges == n_edges + 1
-    assert w not in built.succ[u]           # the put DAG is untouched
-    store.put(config, {"dag": dag})
-    again = store.get(config)["dag"]
-    assert again.succ == succ and again.pred == pred
 
 
 def test_tid_ints_grow_without_losing_an_object():

@@ -58,9 +58,7 @@ def _charge_rounds(tasks, schedule, traced: bool):
     cache = CacheHierarchy(bw)
     mem = MemoryModel(bw, first_touch=True, n_parts=8)
     cm = CostModel(bw, cache, mem)
-    dag = TaskDAG()
-    for t in tasks:
-        dag.add_task(t)
+    dag = TaskDAG.from_tasks(tasks)
     cm.prepare(dag)
     # The compiled walk is armed: only the hook decides the path.
     assert cm._bare_common is not None

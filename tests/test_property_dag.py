@@ -5,13 +5,14 @@ Includes the structure-of-arrays equivalence suite: the frozen
 critical path, CSR adjacency, compiled access plans) is pinned equal —
 bit-identical, not approximately — to the retained per-node reference
 implementations in :mod:`repro.graph.analyze` on random DAGs, and
-every frozen column (recorded by ``add_task``, converted by ``freeze``)
-to :func:`reference_columns`, the per-``Task`` walk ``freeze`` used to
+every frozen column (the builder's bulk passes or ``from_tasks``'s
+per-``Task`` walk, converted by ``freeze``) to
+:func:`reference_columns`, the per-``Task`` walk ``freeze`` used to
 make, on random DAGs and on real builder DAGs.  The builder's hazard
 wiring (by interned handle id, one predecessor list per task) is pinned
 list for list to :func:`reference_adjacency`, the tuple-keyed walk with
 a global edge set it replaced.  A built DAG has no task list, so the
-per-``Task`` references read the list of its task-mode twin
+per-``Task`` references read the list of its twin
 (:meth:`DAGBuilder.build_tasks` over the same trace), and the built
 DAG's own frozen view and adjacency are what they check.
 """
@@ -121,6 +122,11 @@ def random_trace(draw):
     return DAGBuilder(csb, "A", chunked, small, opts), t.calls
 
 
+def edge_set(dag) -> set:
+    """The ``(u, v)`` edges of ``dag``, from its successor lists."""
+    return {(u, v) for u, vs in enumerate(dag.succ) for v in vs}
+
+
 def random_problem():
     """The simulation DAG (``build``) of a :func:`random_trace`."""
     return random_trace().map(lambda bc: bc[0].build(bc[1]))
@@ -182,7 +188,7 @@ def test_every_policy_executes_every_task_in_dependence_order(
     end_of = {r.tid: r.end for r in res.flow.records}
     start_of = {r.tid: r.start for r in res.flow.records}
     assert len(end_of) == len(dag)  # each task exactly once
-    for (u, v) in dag._edge_pairs():
+    for (u, v) in edge_set(dag):
         assert end_of[u] <= start_of[v] + 1e-12
 
 
@@ -212,24 +218,17 @@ def random_bare_dag(draw, min_tasks=1):
     the builder — to exercise shapes (fan-in/fan-out, isolated nodes,
     empty edge sets) the solver builder never produces."""
     n = draw(st.integers(min_tasks, 40))
-    dag = TaskDAG()
-    for i in range(n):
-        dag.add_task(Task(
-            -1, "COPY",
-            (DataHandle("x", i, 64),), (DataHandle("y", i, 64),),
-            {"rows": 1, "width": 1}, {"i": i},
-        ))
-    if not n:
-        return dag
-    max_edges = min(120, n * (n - 1) // 2)
+    tasks = [Task(-1, "COPY",
+                  (DataHandle("x", i, 64),), (DataHandle("y", i, 64),),
+                  {"rows": 1, "width": 1}, {"i": i})
+             for i in range(n)]
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        max_size=max_edges,
-    ))
-    for u, v in pairs:
-        if u != v:
-            dag.add_edge(min(u, v), max(u, v))  # forward edges: acyclic
-    return dag
+        max_size=min(120, n * (n - 1) // 2),
+    )) if n else []
+    # Forward edges: acyclic.
+    return TaskDAG.from_tasks(tasks, [(min(u, v), max(u, v))
+                                      for u, v in pairs])
 
 
 _dag_strategies = st.one_of(random_problem(), random_bare_dag())
@@ -298,9 +297,10 @@ def test_soa_operand_tables_match_tasks(pair):
 
 
 # ----------------------------------------------------------------------
-# Frozen columns against the per-Task walk.  ``add_task`` records the
-# columns and ``freeze`` converts them; this is the loop ``freeze`` ran
-# over the task list before, extended to the SpMV/SpMM pricing inputs.
+# Frozen columns against the per-Task walk.  The builder's bulk passes
+# or ``from_tasks`` make the columns and ``freeze`` converts them; this
+# is the loop ``freeze`` ran over the task list before, extended to the
+# SpMV/SpMM pricing inputs.
 # ----------------------------------------------------------------------
 
 def reference_columns(dag, twin=None) -> dict:
@@ -465,7 +465,7 @@ def build_tasks_for(matrix, block_size, solver, width, options):
 
 
 def _builder_task_dag(solver, **options):
-    """:func:`_builder_dag`'s task-mode twin."""
+    """:func:`_builder_dag`'s task DAG (``build_tasks``)."""
     return build_tasks_for(*_builder_subkey(solver, **options))
 
 
@@ -548,7 +548,6 @@ def assert_adjacency_matches_reference(dag, twin):
     assert dag.succ == succ
     assert dag.pred == pred       # order included: first occurrence
     assert dag.n_edges == n_edges
-    assert dag._edge_set is None  # the build keeps no edge set
 
 
 @given(random_twins())
@@ -605,57 +604,53 @@ def _extra_spmv(dag):
                 {"i": 0, "j": 0, "A": "A", "X": "x", "Y": "y"})
 
 
-def test_add_task_after_freeze_rederives_columns(builder_dag, builder_twin):
-    """A frozen task DAG re-derives its columns from its list at the
-    next ``add_task``, and so does a loaded one.  Both then match the
-    walk."""
-    name, _ = builder_dag
-    solver, options = _BUILDER_CASES[name]
-    fresh = _builder_task_dag(solver, **options)   # frozen, tasks in hand
-    loaded = pickle.loads(pickle.dumps(builder_twin))  # no columns
+def test_from_tasks_columns_match_reference(builder_dag, builder_twin):
+    """``from_tasks``'s per-``Task`` column walk over a real task list,
+    fresh and loaded, plus one more SpMV task, matches the reference;
+    the builder's interning and adjacency come through unchanged."""
+    before = builder_twin.freeze()
+    loaded = pickle.loads(pickle.dumps(builder_twin))
     assert loaded._tasks is not None
-    for d in (fresh, loaded):
-        before = d.freeze()
-        assert d._cols is None
-        d.add_task(_extra_spmv(d))
-        assert not d.frozen
-        assert_columns_match_reference(d)
-        after = d.freeze()
+    for d in (builder_twin, loaded):
+        dag = TaskDAG.from_tasks(d.tasks + [_extra_spmv(d)],
+                                 sorted(edge_set(d)))
+        assert_columns_match_reference(dag)
+        after = dag.freeze()
         assert after.n_tasks == before.n_tasks + 1
         assert after.id_to_key[:len(before.id_to_key)] == \
             before.id_to_key
+        assert dag.succ == d.succ + [[]]
+        assert dag.pred == [sorted(us) for us in d.pred] + [[]]
 
 
-def test_hand_built_add_task_after_freeze():
-    dag = TaskDAG()
-    for i in range(3):
-        dag.add_task(Task(-1, "COPY", (DataHandle("x", i, 64),),
-                          (DataHandle("y", i, 64),), {"rows": 8}, {"i": i}))
-    first = dag.freeze()
-    dag.add_edge(0, 1)
-    dag.add_task(Task(-1, "SPMM",
+def test_hand_built_columns_match_reference():
+    tasks = [Task(-1, "COPY", (DataHandle("x", i, 64),),
+                  (DataHandle("y", i, 64),), {"rows": 8}, {"i": i})
+             for i in range(3)]
+    tasks.append(Task(-1, "SPMM",
                       (DataHandle("A", 4, 32), DataHandle("y", 1, 64),
                        DataHandle("z", 1, 64)),
                       (DataHandle("z", 1, 64), DataHandle("w", None, 8)),
                       {"nnz": 2, "rows": 8, "cols": 8, "width": 2},
                       {"A": "A", "X": "y", "Y": "z", "buffer": True}))
+    dag = TaskDAG.from_tasks(tasks, [(0, 1)])
     assert_columns_match_reference(dag)
     soa = dag.freeze()
-    assert soa is not first and soa.max_part == 5
+    assert soa.max_part == 5
     assert soa.touch_is_write[-3:].tolist() == [False, True, True]
     assert soa.touch_role[-4:].tolist() == [0, 1, 2, 0]
 
 
-def test_failed_add_task_leaves_columns_consistent():
+def test_from_tasks_refuses_an_unpriceable_sparse_task():
     """A sparse task missing a shape key the cost model needs is
-    refused, and the half-recorded row does not survive."""
-    dag = TaskDAG()
-    dag.add_task(Task(-1, "COPY", (DataHandle("x", 0, 64),),
-                      (DataHandle("y", 0, 64),), {"rows": 8}, {"i": 0}))
+    refused when the DAG is made; without it the DAG is whole."""
+    copy = Task(-1, "COPY", (DataHandle("x", 0, 64),),
+                (DataHandle("y", 0, 64),), {"rows": 8}, {"i": 0})
     bad = Task(-1, "SPMV", (DataHandle("x", 0, 64),),
                (DataHandle("y", 1, 64),), {"nnz": 1}, {"X": "x"})
     with pytest.raises(KeyError):
-        dag.add_task(bad)
+        TaskDAG.from_tasks([copy, bad])
+    dag = TaskDAG.from_tasks([copy])
     assert len(dag) == 1 and len(dag.tasks) == 1
     assert_columns_match_reference(dag)
 
@@ -691,11 +686,10 @@ def test_plans_match_reference_with_sizes_near_64_bits():
     size instead, and the plans stay tuple-exact and shared.  (Coded by
     the size itself, ids 0 and 2 at size 2**62 - 1 would wrap to one
     int64 code.)"""
-    dag = TaskDAG()
-    for x, y in ((0, 0), (1, 1), (0, 0), (1, 0)):
-        dag.add_task(Task(
-            -1, "COPY", (DataHandle("x", x, 2**62 - 1),),
-            (DataHandle("y", y, 64),), {"rows": 1, "width": 1}, {}))
+    dag = TaskDAG.from_tasks(
+        Task(-1, "COPY", (DataHandle("x", x, 2**62 - 1),),
+             (DataHandle("y", y, 64),), {"rows": 1, "width": 1}, {})
+        for x, y in ((0, 0), (1, 1), (0, 0), (1, 0)))
     bw = broadwell()
     cm = CostModel(bw, CacheHierarchy(bw), MemoryModel(bw, n_parts=16))
     plans = cm._compile_plans(dag.freeze()).plans
@@ -801,15 +795,13 @@ def test_loaded_bsp_phases_match_reference_without_pred_lists(
 
 
 @given(st.one_of(random_problem(), random_bare_dag(min_tasks=0)))
-@example(TaskDAG())
+@example(TaskDAG.from_tasks([]))
 @settings(max_examples=20, deadline=None)
 def test_frozen_dag_pickle_roundtrip(dag):
     """Pickling (what the prep store does) preserves the whole graph,
     isolated tasks and empty DAGs included: the adjacency lists come
-    back from their CSR arrays, order kept and one ``int`` per tid; the
-    dropped edge-dedup set is rebuilt lazily and stays correct, and a
-    simulation DAG still refuses any edge."""
-    dag.freeze()
+    back from their CSR arrays, order kept and one ``int`` per tid, and
+    a simulation DAG comes back without a task list."""
     clone = pickle.loads(pickle.dumps(dag))
     assert clone.n_edges == dag.n_edges
     assert len(clone) == len(dag)
@@ -818,16 +810,8 @@ def test_frozen_dag_pickle_roundtrip(dag):
     for row in clone.succ + clone.pred:
         assert all(one.setdefault(v, v) is v for v in row)
     assert clone.levels() == dag.levels()
-    assert clone._edge_set is None  # dropped by __getstate__
-    if clone.n_edges:  # re-adding an existing edge must still dedup
-        u = next(i for i, vs in enumerate(clone.succ) if vs)
-        v = clone.succ[u][0]
-        if clone._tasks is None:
-            with pytest.raises(RuntimeError, match="build_tasks"):
-                clone.add_edge(u, v)
-        else:
-            clone.add_edge(u, v)
-        assert clone.n_edges == dag.n_edges
+    assert edge_set(clone) == edge_set(dag)
+    assert (clone._tasks is None) == (dag._tasks is None)
 
 
 @pytest.mark.parametrize("first_touch", [True, False])

@@ -14,12 +14,10 @@ from repro.sim.schedulers import (
 
 
 def simple_dag(n=8):
-    dag = TaskDAG()
-    for k in range(n):
-        dag.add_task(Task(-1, "COPY", (DataHandle("x", k, 8),),
-                          (DataHandle("y", k, 8),),
-                          {"rows": 1, "width": 1}, {"i": k}, 0, k))
-    return dag
+    return TaskDAG.from_tasks(
+        Task(-1, "COPY", (DataHandle("x", k, 8),), (DataHandle("y", k, 8),),
+             {"rows": 1, "width": 1}, {"i": k}, 0, k)
+        for k in range(n))
 
 
 @pytest.fixture
@@ -112,12 +110,13 @@ def test_regent_reserved_util_cores(bw, memory):
 
 def test_regent_analysis_pipeline_rates(bw, memory):
     """Index-launched kernels pass analysis much faster than SPMM."""
-    dag = TaskDAG()
+    tasks = []
     for k, kern in enumerate(["SPMM", "SPMM", "XY", "XY"]):
         shape = ({"nnz": 1, "rows": 1, "cols": 1, "width": 1}
                  if kern == "SPMM" else {"rows": 1, "w1": 1, "w2": 1})
-        dag.add_task(Task(-1, kern, (), (DataHandle("y", k, 8),),
+        tasks.append(Task(-1, kern, (), (DataHandle("y", k, 8),),
                           shape, {"i": k}, 0, k))
+    dag = TaskDAG.from_tasks(tasks)
     s = RegentScheduler(analysis_cost=10e-6, index_launch_cost=1e-6)
     s.prepare(dag, bw, memory)
     r = [s.release_time(t, 0.0) for t in range(4)]
@@ -131,12 +130,7 @@ def test_numa_picks_read_domain_tables_never_a_task_list(ep):
     (hints on and off) resolve homes from the DAG's domain tables:
     they never build a task list, and they need no memory model that
     adopted the DAG's interning beforehand."""
-    dag = TaskDAG()
-    for k in range(16):
-        dag.add_task(Task(-1, "COPY", (DataHandle("x", k, 8),),
-                          (DataHandle("y", k, 8),),
-                          {"rows": 1, "width": 1}, {"i": k}, 0, k))
-    dag.freeze()
+    dag = simple_dag(16)
     dag._tasks = None           # a task list read raises from here on
     ref = MemoryModel(ep, first_touch=True, n_parts=16)
 

@@ -6,10 +6,10 @@ phases, artifact write) makes no task list, nor does exporting a
 loaded artifact's trace.  Every frozen column and both adjacency CSR
 pairs of the bulk build must equal, dtype and values, those of the
 per-task column builder it replaced: pinned by digests in
-``tests/fixtures/builder_column_digests.json``.  The list the builder's
-task mode (``DAGBuilder.build_tasks``) makes must equal, field by
-field, the list the ``Task``-emitting builder made: pinned by digests
-in ``tests/fixtures/builder_task_digests.json``.
+``tests/fixtures/builder_column_digests.json``.  The list
+``DAGBuilder.build_tasks`` makes must equal, field by field, the list
+the ``Task``-emitting builder made: pinned by digests in
+``tests/fixtures/builder_task_digests.json``.
 """
 
 import dataclasses
@@ -185,22 +185,24 @@ def test_loaded_artifact_exports_its_trace_without_tasks(
 
 
 def test_task_mode_that_strays_fails_closed(monkeypatch):
-    """The two-mode check (``tests/test_build_modes.py``) fails on a
-    task mode that disagrees with the bulk build's columns (here: one
-    shape entry the flop count reads, shifted after the bulk build)."""
-    from repro.graph import builder
-    from tests.test_build_modes import assert_same_dag
+    """The list check (``tests/test_build_modes.py``) fails on a
+    ``build_tasks`` list that disagrees with the bulk columns (here:
+    one shape entry the flop count reads, shifted in the tasks alone)."""
+    from tests.test_build_modes import assert_modes_agree
 
     matrix, bs, solver, width, options = _subkey("lanczos")
     cen, calls, chunked, small = experiment._trace(matrix, bs, solver,
                                                    width)
     b = DAGBuilder(cen, "A", chunked, small, options)
-    built = b.build(calls)
-    assert_same_dag(built, b.build_tasks(calls))
+    assert_modes_agree(b, calls)
+    task_list = DAGBuilder._task_list
 
-    def shifted(rows, width, streams):
-        return {"rows": rows + 1, "width": width, "streams": streams}
+    def strayed(self, acc):
+        tasks = task_list(self, acc)
+        t = next(t for t in tasks if t.kernel == "DOT")
+        t.shape = dict(t.shape, rows=t.shape["rows"] + 1)
+        return tasks
 
-    monkeypatch.setattr(builder, "_streams", shifted)
+    monkeypatch.setattr(DAGBuilder, "_task_list", strayed)
     with pytest.raises(AssertionError, match="flops"):
-        assert_same_dag(built, b.build_tasks(calls))
+        assert_modes_agree(b, calls)

@@ -124,8 +124,8 @@ def test_threaded_runtime_validation():
 def test_threaded_runtime_propagates_errors(csb):
     from repro.graph.dag import TaskDAG
 
-    dag = TaskDAG()
-    dag.add_task(Task(-1, "SMALL_EIGH", (), (), {"k": 1}, {"op": "NOPE"}))
+    dag = TaskDAG.from_tasks(
+        [Task(-1, "SMALL_EIGH", (), (), {"k": 1}, {"op": "NOPE"})])
     ws = Workspace(csb, {}, {})
     with pytest.raises(KeyError, match="unknown small op"):
         ThreadedRuntime(2).execute(dag, ws)
