@@ -128,27 +128,23 @@ def prep_config(machine_name: str, matrix: str, block_size: int,
 def _compile_prep(machine_name: str, dag, first_touch: bool = True):
     """Compile every reusable per-run invariant onto the DAG.
 
-    Mirrors the engine's run setup exactly (configure memory → resolve
-    partitions → compile plans → scheduler domain tables → BSP phase
-    table) against a
-    throwaway memory/cache stack, so the artifact a worker loads
-    carries the same ``_cost_prep``/``_home_arrays``/``_sched_domains``
-    a live run would have produced.
+    Runs the executors' own setup (:func:`repro.sim.engine._prepare_run`:
+    memory geometry, partition count, compiled plans), then the
+    scheduler domain tables, against a throwaway memory/cache stack,
+    so the artifact a worker loads carries the same
+    ``_cost_prep``/``_home_arrays``/``_sched_domains`` a live run
+    would have produced.
     """
     from repro.machine.cache import CacheHierarchy
     from repro.machine.memory import MemoryModel
     from repro.sim.cost import CostModel
-    from repro.sim.engine import _bsp_phase_table, _max_partitions
+    from repro.sim.engine import _prepare_run
     from repro.sim.schedulers import _domain_tables
 
     machine = get_machine(machine_name)
     memory = MemoryModel(machine, first_touch=first_touch)
-    memory.configure_from_dag(dag)
-    if memory.n_parts is None:
-        memory.n_parts = _max_partitions(dag)
-    CostModel(machine, CacheHierarchy(machine), memory).prepare(dag)
+    _prepare_run(dag, CostModel(machine, CacheHierarchy(machine), memory))
     _domain_tables(dag, memory)
-    _bsp_phase_table(dag, machine.n_cores)
 
 
 @contextmanager

@@ -18,30 +18,28 @@ JSON config plus :data:`PREP_SALT`.  The salt embeds
 so cost-semantics changes and artifact-layout changes each orphan old
 entries (never mis-serve them).
 
-File format (:data:`PREP_FORMAT` 11): the store's JSON header line —
+File format (:data:`PREP_FORMAT` 12): the store's JSON header line —
 ``{"format", "salt", "key", "checksum", "nbytes", "config"}`` — then
 ``nbytes`` of pickled payload ``{"config", "census", "dag"}``.  The
 DAG is a simulation DAG, pickled without the successor CSR its
 analyses derive on demand: it carries its frozen arrays (integer
 columns narrowed to int32 where their values fit), interned tables,
-compiled plans, domain tables and BSP phases, and ``succ`` and
-``pred`` as int32 CSR pairs
+compiled plans and domain tables, and ``succ`` and ``pred`` as
+int32 CSR pairs
 (:meth:`repro.graph.dag.TaskDAG.__getstate__`).  It has no ``Task``
 list and, from format 10, nothing to make one from.  From format 9
-the two largest run memos travel as arrays: the plans as a
+the largest run memo travels as arrays: the plans as a
 :class:`~repro.sim.cost.PlanTable`'s columns (one table of the DAG's
 distinct ints, one of its distinct floats keyed by bit pattern, the
 distinct touches and gather bundles as indices into them, and
-per-task indices into those), and each core count's BSP phases as a
-:class:`~repro.sim.engine.PhaseTable`'s columns (tids and cores in
-phase order, and each task's intra-phase predecessors as a CSR).
-Index columns take the narrowest integer type that holds them.
-Loading decodes the plans, and a table's first BSP run its phases,
-into one object per distinct value: one ``int`` and one ``float`` per
-value, one tuple per distinct touch and gather bundle, and every tid
-the process-wide :func:`~repro.graph.dag.tid_ints` object that
-``succ`` holds too.  A decoded table keeps only what it decoded.
-``pred`` stays a CSR pair until it is read; no run reads it.  The
+per-task indices into those).  Index columns take the narrowest
+integer type that holds them.  Loading decodes the plans into one
+object per distinct value: one ``int`` and one ``float`` per value
+and one tuple per distinct touch and gather bundle.  A decoded table
+keeps only what it decoded.  ``succ`` holds every tid as the
+process-wide :func:`~repro.graph.dag.tid_ints` object.  ``pred``
+stays a CSR pair until it is read; no run reads its lists (a BSP run
+reads the CSR pair for its phases).  The
 domain tables share one tuple per distinct domain set (made so at
 compile time; pickle memoizes tuples).  Trace export reads the frozen
 view too; the real executors take a task DAG
@@ -60,6 +58,11 @@ Format 11 changed two things in the pickled DAG:
 * the plan, home-array and domain-table memos are keyed by the
   machine's field values (``dataclasses.astuple``), so an artifact
   pickles no ``MachineSpec``.
+
+Format 12 carries no BSP phases: a BSP run computes its phases from
+the frozen view and the pred CSR when it starts and drops them when
+it ends, and the DAG's partition geometry (``n_partitions``,
+``matrix_name``, ``matrix_nbc``) is set by its constructor.
 
 Reads are not memoized: every ``get`` re-reads, re-validates and
 unpickles.  The in-process memo is the experiment driver's DAG memo
@@ -100,10 +103,10 @@ __all__ = [
 
 #: Storage-schema version of one prep artifact.  Bump on any change to
 #: the payload layout *or* to the pickled structures it carries (plan
-#: or phase table columns, GraphArrays fields, …) *or* to what the
+#: table columns, GraphArrays fields, …) *or* to what the
 #: builder makes of a trace: old artifacts are orphaned by the salt,
 #: not migrated.
-PREP_FORMAT = 11
+PREP_FORMAT = 12
 
 #: Code fingerprint mixed into every key.
 PREP_SALT = f"cost-v{COST_MODEL_VERSION}/prep-v{PREP_FORMAT}"

@@ -366,9 +366,13 @@ class DAGBuilder:
         # The DAG freezes its structure-of-arrays view as it is made:
         # every engine, cost model and scheduler that later executes
         # it reads the same flat tables, and the prep store persists
-        # them.
-        dag = TaskDAG(cols, succ, pred, tasks)
-        self._place(dag)
+        # them.  It carries the partition geometry for NUMA placement
+        # too: vector chunks use row partition indices; matrix handles
+        # use row-major block ids that the memory model must map back
+        # to block rows.
+        dag = TaskDAG(cols, succ, pred, tasks, n_partitions=self.np_,
+                      matrix_name=self.matrix_name,
+                      matrix_nbc=self.csb.nbc)
         _check_forward(dag)
         return dag
 
@@ -545,14 +549,6 @@ class DAGBuilder:
         if h is None:
             h = self._handles[key] = DataHandle(name, part, nbytes)
         return h
-
-    def _place(self, dag: TaskDAG) -> None:
-        # Partition geometry for NUMA placement: vector chunks use row
-        # partition indices; matrix handles use row-major block ids that
-        # the memory model must map back to block rows.
-        dag.n_partitions = self.np_
-        dag.matrix_name = self.matrix_name
-        dag.matrix_nbc = self.csb.nbc
 
     # -- SPMM / SPMV ---------------------------------------------------
     def _op_spmm(self, call: PrimitiveCall) -> None:

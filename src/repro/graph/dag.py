@@ -288,8 +288,8 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 
 def _smallest(a: np.ndarray) -> np.ndarray:
     """``a`` in the narrowest signed integer type that holds every value
-    (int8 to int64): the index columns of plan and phase tables, which
-    mostly point into tables of a few thousand entries."""
+    (int8 to int64): the index columns of plan tables, which mostly
+    point into tables of a few thousand entries."""
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
     for t in (np.int8, np.int16, np.int32):
         info = np.iinfo(t)
@@ -332,9 +332,9 @@ def tid_ints(n: int) -> np.ndarray:
 
     Pickle does not memoize ints, so lists decoded from a prep
     artifact's arrays would hold one ``int`` per occurrence; indexing
-    this array instead copies references, so every adjacency list and
-    BSP phase of every loaded DAG in the process names a tid with the
-    same object.  Growing keeps the objects already handed out.
+    this array instead copies references, so every adjacency list of
+    every loaded DAG in the process names a tid with the same object.
+    Growing keeps the objects already handed out.
     """
     global _TIDS
     tids = _TIDS
@@ -474,16 +474,22 @@ class TaskDAG:
     structural query reads the frozen view or the adjacency, so it
     answers without one.
 
-    ``_cost_prep``, ``_home_arrays``, ``_sched_domains`` and
-    ``_bsp_phases`` are the run invariants the cost model, the
-    schedulers and BSP memoize on the DAG (and a prep artifact
-    persists), keyed by their pricing/placement inputs.  The graph
-    they are derived from never changes, so no consumer checks them
-    for staleness.
+    ``n_partitions``, ``matrix_name`` and ``matrix_nbc`` are the
+    partition geometry NUMA placement reads, passed by the builder; a
+    hand-made DAG has None.
+
+    ``_cost_prep``, ``_home_arrays`` and ``_sched_domains`` are the
+    run invariants the cost model and the schedulers memoize on the
+    DAG (and a prep artifact persists), keyed by their
+    pricing/placement inputs.  The graph they are derived from never
+    changes, so no consumer checks them for staleness.
     """
 
     def __init__(self, cols: _ColumnArrays, succ: tuple, pred: tuple,
-                 tasks: Optional[List[Task]] = None):
+                 tasks: Optional[List[Task]] = None,
+                 n_partitions: Optional[int] = None,
+                 matrix_name: Optional[str] = None,
+                 matrix_nbc: Optional[int] = None):
         #: The ``Task`` list; None for a simulation DAG.
         self._tasks = tasks
         #: Successor lists, held as the CSR pair until the first read of
@@ -494,6 +500,9 @@ class TaskDAG:
         #: of :attr:`pred`.
         self._pred = pred
         self._soa = _freeze(cols, pred[0])
+        self.n_partitions = n_partitions
+        self.matrix_name = matrix_name
+        self.matrix_nbc = matrix_nbc
         self._key_to_id = None
         self._kernel_of: Optional[List[str]] = None
         self._succ_csr = None
@@ -501,7 +510,6 @@ class TaskDAG:
         self._cost_prep: dict = {}
         self._home_arrays: dict = {}
         self._sched_domains: dict = {}
-        self._bsp_phases: dict = {}
 
     @classmethod
     def from_tasks(cls, tasks: Iterable[Task],
@@ -550,9 +558,9 @@ class TaskDAG:
         """Predecessor lists, in wiring order.
 
         Held as a CSR pair until the first read (no simulation run reads
-        them: BSP phases carry their own intra-phase predecessors),
-        which builds the lists with the shared :func:`tid_ints` objects
-        ``succ`` holds.
+        them: a BSP run takes its intra-phase predecessors from the
+        pair), which builds the lists with the shared :func:`tid_ints`
+        objects ``succ`` holds.
         """
         pred = self._pred
         if type(pred) is tuple:
@@ -563,7 +571,7 @@ class TaskDAG:
 
     def pred_csr(self):
         """``(indptr, indices)``: the predecessor lists as CSR arrays,
-        for BSP's phase table and for pickling.  The pair the DAG was
+        for BSP's phases and for pickling.  The pair the DAG was
         made or loaded with, kept after the lists are read."""
         pred = self._pred
         return pred if type(pred) is tuple else self._pred_csr

@@ -103,13 +103,10 @@ class MemoryModel:
 
     def configure_from_dag(self, dag) -> None:
         """Adopt a DAG's partition geometry (set by the TDGG)."""
-        n_parts = getattr(dag, "n_partitions", None)
-        if n_parts:
-            self.n_parts = n_parts
-        name = getattr(dag, "matrix_name", None)
-        nbc = getattr(dag, "matrix_nbc", None)
-        if name and nbc:
-            self.matrix_geometry = (name, nbc)
+        if dag.n_partitions:
+            self.n_parts = dag.n_partitions
+        if dag.matrix_name and dag.matrix_nbc:
+            self.matrix_geometry = (dag.matrix_name, dag.matrix_nbc)
         self.adopt_interning(dag.freeze().id_to_key)
         self._domain_memo.clear()
 

@@ -1,16 +1,29 @@
-"""The discrete-event engine and the BSP phase executor.
+"""The simulated executors: one iteration driver, two steps.
 
-:class:`SimulationEngine.run` plays a DAG under an AMT scheduling
-policy: cores pull ready tasks as the policy dictates, each execution
-is priced by the cost model against live cache state, and iteration
-boundaries are barriers (§4: DeepSparse reuses a single-iteration DAG
-with barriers in between; HPX/Regent are barriered in practice by the
-convergence check).
+Both executors run a DAG on one machine model under one iteration and
+barrier protocol.  :func:`_prepare_run` is their one run setup (memory
+geometry, partition count, compiled plans), which the prep compiler
+calls too, and :func:`_drive` their one iteration driver: barrier
+cost, tracer, iteration times, the steady-state detector and the
+:class:`RunResult`.  Each executor supplies only a *step*, one
+simulated iteration that can tape itself, and a *replay* that
+produces later iterations off a certified tape:
 
-:func:`run_bsp` is the library baseline: each primitive call is one
-parallel phase — tasks statically chunked over cores, a barrier at the
-end — which is exactly the fork-join structure of the MKL-based
-``libcsr``/``libcsb`` versions.
+* :meth:`SimulationEngine.run` plays a DAG under an AMT scheduling
+  policy: cores pull ready tasks as the policy dictates, each
+  execution is priced by the cost model against live cache state, and
+  iteration boundaries are barriers (§4: DeepSparse reuses a
+  single-iteration DAG with barriers in between; HPX/Regent are
+  barriered in practice by the convergence check).  Its step is the
+  event loop (:meth:`~SimulationEngine._run_iteration`), its replay
+  re-evaluates the taped value graph
+  (:meth:`~SimulationEngine._replay_iterations`).
+* :func:`run_bsp` is the library baseline: each primitive call is one
+  parallel phase — tasks statically chunked over cores, a barrier at
+  the end — which is exactly the fork-join structure of the MKL-based
+  ``libcsr``/``libcsb`` versions.  Its step walks the phases, computed
+  when the run starts (:func:`_phase_columns`) and dropped when it
+  ends; its replay is the same walk over the taped charges.
 """
 
 from __future__ import annotations
@@ -19,14 +32,14 @@ import heapq
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import chain
-from operator import eq, gt
-from typing import List, Optional
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, eq, gt
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.graph.dag import TaskDAG, _csr, _smallest, _tuples, tid_ints
+from repro.graph.dag import TaskDAG, _tuples, tid_ints
 from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.machine.perf import PerfCounters
@@ -38,6 +51,18 @@ from repro.sim.schedulers import Scheduler
 __all__ = ["RunResult", "RunResultSummary", "SimulationEngine", "run_bsp"]
 
 _EPS = 1e-15
+
+#: The counter totals a step accumulates in locals: seeded from the
+#: run's counters and stored back once per iteration, the same float
+#: adds in the same order as per-task ``counters.record_task`` calls.
+_TOTALS = ("tasks_executed", "busy_time", "overhead_time", "compute_time",
+           "memory_time", "l1_misses", "l2_misses", "l3_misses")
+_totals = attrgetter(*_TOTALS)
+
+
+def _store_totals(counters: PerfCounters, totals: tuple) -> None:
+    for name, value in zip(_TOTALS, totals):
+        setattr(counters, name, value)
 
 
 def _steady_state_enabled() -> bool:
@@ -179,9 +204,126 @@ def _default_barrier_cost(n_cores: int) -> float:
     return 0.4e-6 * max(1.0, math.log2(n_cores))
 
 
-def _max_partitions(dag: TaskDAG) -> int:
-    """Highest chunk partition count in the DAG (NUMA placement input)."""
-    return max(1, dag.freeze().max_part)
+def _prepare_run(dag: TaskDAG, cost: CostModel) -> None:
+    """The run setup of both executors and of the prep compiler.
+
+    The cost model's memory adopts the DAG's partition geometry, or,
+    for a DAG that names none, the highest chunk partition count in it
+    (the NUMA placement input); then the cost model compiles the DAG's
+    access plans.
+    """
+    memory = cost.memory
+    memory.configure_from_dag(dag)
+    if memory.n_parts is None:
+        memory.n_parts = max(1, dag.freeze().max_part)
+    cost.prepare(dag)
+
+
+class _Run(NamedTuple):
+    """One run in progress, as :func:`_drive` hands it to the steps."""
+
+    counters: PerfCounters
+    flow: FlowGraph
+    iteration_times: List[float]
+    barrier_cost: float
+    #: ``tracer.task``, or None when the run is not traced.
+    ttask: object
+
+
+def _drive(cost: CostModel, dag: TaskDAG, policy: str, step, replay,
+           iterations: int, barrier_cost: Optional[float],
+           record_flow: bool, steady_state: Optional[bool], tracer,
+           scheduler: Optional[Scheduler] = None) -> RunResult:
+    """Run ``iterations`` barriered iterations of one executor.
+
+    ``step(run, it, t0, taped)`` simulates iteration ``it`` from time
+    ``t0`` and returns ``(end, clock, tape)``: the end the tracer
+    reports for the iteration, the next iteration's start, and with
+    ``taped`` a tape of the iteration (else anything).  Once the
+    detector certifies a tape, taped at ``t0``, ``replay(run, tape,
+    t0)`` returns a function that produces iteration ``it`` from ``t0``
+    off the tape as ``(end, clock)``, or returns None where it cannot;
+    that iteration and every later one are then simulated.
+
+    Detection: armed by ``steady_state`` (default: on, unless
+    ``REPRO_NO_STEADY_STATE`` is set) on runs of at least 4 iterations,
+    it compares each simulated iteration's machine state
+    (:func:`_machine_state_fingerprint`), ``scheduler``'s state
+    (:meth:`Scheduler.state_fingerprint`) and tape with the previous
+    iteration's; two iterations that leave the same state and tape
+    behind start the replay.  A scheduler that returns None opts the
+    run out.  ``scheduler`` (the event loop's policy; None for BSP) is
+    also reset at every iteration boundary and attached to the tracer
+    for the run.
+    """
+    machine, cache, memory = cost.machine, cost.cache, cost.memory
+    if barrier_cost is None:
+        barrier_cost = _default_barrier_cost(machine.n_cores)
+    if steady_state is None:
+        steady_state = _steady_state_enabled()
+    # The flow summary is folded either way; record_flow only decides
+    # whether the per-task records are kept as well.
+    run = _Run(PerfCounters(), FlowGraph(keep=record_flow), [],
+               barrier_cost, tracer.task if tracer is not None else None)
+    if tracer is not None:
+        tracer.begin_run(machine.name, policy, machine.n_cores, dag)
+        cache.trace_hook = tracer._on_cache_access
+        if scheduler is not None:
+            scheduler.tracer = tracer
+    # Detection needs two comparable warm iterations after the cold
+    # one, so runs shorter than 4 iterations take the plain loop.
+    armed = bool(steady_state) and iterations >= 4
+    clock = 0.0
+    steady_state_at = None
+    replaying = None
+    prev_fp = prev_tape = None
+    for it in range(iterations):
+        t0 = clock
+        if scheduler is not None:
+            scheduler.reset_iteration(it, t0)
+        done = replaying(it, t0) if replaying is not None else None
+        if done is None:
+            replaying = None
+            end, clock, tape = step(run, it, t0, armed)
+        else:
+            end, clock = done
+            if steady_state_at is None:
+                steady_state_at = it
+        run.iteration_times.append(clock - t0)
+        if tracer is not None:
+            # During replay the machine state is at its fixed point, so
+            # barrier-interval samples legitimately repeat it.
+            tracer.sample_machine(it, end, cache, memory)
+            tracer.barrier(it, t0, end, clock, synthesized=done is not None)
+        if not armed:
+            continue
+        fp = scheduler.state_fingerprint() if scheduler is not None else ()
+        if fp is None:
+            armed = False
+            continue
+        fp = (fp, _machine_state_fingerprint(cache))
+        if fp == prev_fp and tape == prev_tape:
+            # Two consecutive iterations started from the same state,
+            # behaved identically, and returned to that state: by
+            # induction every remaining iteration repeats the tape.
+            replaying = replay(run, tape, t0)
+            armed = False
+        prev_fp, prev_tape = fp, tape
+    if tracer is not None:
+        cache.trace_hook = None
+        if scheduler is not None:
+            scheduler.tracer = None
+    return RunResult(
+        machine=machine.name,
+        policy=policy,
+        total_time=clock,
+        iteration_times=run.iteration_times,
+        counters=run.counters,
+        flow=run.flow,
+        n_cores=machine.n_cores,
+        n_tasks_per_iteration=len(dag),
+        steady_state_at=steady_state_at,
+    )
 
 
 class SimulationEngine:
@@ -231,15 +373,14 @@ class SimulationEngine:
         ``RunResult.flow`` (Gantt rendering, tests); the flow summary
         is folded as tasks record either way.
 
-        ``steady_state`` arms the iteration fast path (default: on,
-        unless ``REPRO_NO_STEADY_STATE`` is set).  Iterative solvers
-        replay the same DAG against machine state that converges to a
-        fixed point after a warm-up iteration or two; once the detector
-        sees two consecutive iterations leave *identical* machine and
-        scheduler state behind (:func:`_machine_state_fingerprint`,
-        :meth:`Scheduler.state_fingerprint`) and produce *identical*
-        value tapes, every remaining iteration is produced by replaying
-        the tape — re-executing exactly the float operations the full
+        ``steady_state`` arms the iteration fast path of :func:`_drive`
+        (default: on, unless ``REPRO_NO_STEADY_STATE`` is set).
+        Iterative solvers replay the same DAG against machine state
+        that converges to a fixed point after a warm-up iteration or
+        two; once two consecutive iterations leave *identical* machine
+        and scheduler state behind and produce *identical* value
+        tapes, every remaining iteration is produced by replaying the
+        tape — re-executing exactly the float operations the full
         simulation would execute, anchored at each iteration's start
         time — so results are bit-identical to the plain loop while
         skipping the cache simulation and scheduling logic entirely.
@@ -248,92 +389,20 @@ class SimulationEngine:
         state that never repeats (HPX's RNG), in which case every
         iteration is simulated in full.
         """
-        if barrier_cost is None:
-            barrier_cost = _default_barrier_cost(self.machine.n_cores)
-        self.memory.configure_from_dag(dag)
-        if self.memory.n_parts is None:
-            self.memory.n_parts = _max_partitions(dag)
+        _prepare_run(dag, self.cost)
         scheduler.prepare(dag, self.machine, self.memory, seed=self.seed)
-        self.cost.prepare(dag)
-        counters = PerfCounters()
-        # The flow summary is folded either way; record_flow only
-        # decides whether the per-task records are kept as well.
-        flow = FlowGraph(keep=record_flow)
-        if steady_state is None:
-            steady_state = _steady_state_enabled()
-        if tracer is not None:
-            tracer.begin_run(self.machine.name, scheduler.name,
-                             self.machine.n_cores, dag)
-            scheduler.tracer = tracer
-            self.cache.trace_hook = tracer._on_cache_access
-        ttask = tracer.task if tracer is not None else None
-        # Detection needs two comparable warm iterations after the cold
-        # one, so runs shorter than 4 iterations take the plain loop.
-        armed = bool(steady_state) and iterations >= 4
-        clock = 0.0
-        iteration_times: List[float] = []
-        steady_state_at = None
-        prev_fp = None
-        prev_tape = None
-        it = 0
-        while it < iterations:
-            t0 = clock
-            scheduler.reset_iteration(it, t0)
-            end, tape = self._run_iteration(
-                dag, scheduler, counters, flow, it, t0, ttask, armed
-            )
-            clock = end + barrier_cost
-            iteration_times.append(clock - t0)
-            if tracer is not None:
-                tracer.sample_machine(it, end, self.cache, self.memory)
-                tracer.barrier(it, t0, end, clock)
-            it += 1
-            if not armed:
-                continue
-            sched_fp = scheduler.state_fingerprint()
-            if sched_fp is None:
-                # Scheduler opted out: stop taping, plain loop onward.
-                armed = False
-                continue
-            fp = (sched_fp,
-                  _machine_state_fingerprint(self.cache))
-            if prev_fp is not None and fp == prev_fp and tape == prev_tape:
-                # Two consecutive iterations started from the same
-                # state, behaved identically, and returned to that
-                # state: by induction every remaining iteration repeats
-                # the tape.  Replay it (falls back to full simulation
-                # at the first iteration it cannot certify).
-                first = it
-                it, clock = self._replay_iterations(
-                    dag, scheduler, tape, t0, counters, flow,
-                    it, iterations, clock, barrier_cost, iteration_times,
-                    tracer,
-                )
-                if it > first:
-                    steady_state_at = first
-                armed = False
-                continue
-            prev_fp = fp
-            prev_tape = tape
-        if tracer is not None:
-            scheduler.tracer = None
-            self.cache.trace_hook = None
-        return RunResult(
-            machine=self.machine.name,
-            policy=scheduler.name,
-            total_time=clock,
-            iteration_times=iteration_times,
-            counters=counters,
-            flow=flow,
-            n_cores=self.machine.n_cores,
-            n_tasks_per_iteration=len(dag),
-            steady_state_at=steady_state_at,
+        return _drive(
+            self.cost, dag, scheduler.name,
+            partial(self._run_iteration, dag, scheduler),
+            partial(self._replay_iterations, dag, scheduler),
+            iterations, barrier_cost, record_flow, steady_state, tracer,
+            scheduler,
         )
 
     # ------------------------------------------------------------------
-    def _run_iteration(self, dag, scheduler, counters, flow, it, t0,
-                       ttask, taped):
-        """Simulate one iteration; return ``(end_time, (ops, end_node))``.
+    def _run_iteration(self, dag, scheduler, run, it, t0, taped):
+        """Simulate one iteration; return ``(end_time, clock, (ops,
+        end_node))``.
 
         ``taped`` additionally records a *value tape* of the iteration
         for :meth:`_replay_iterations`.  Every timestamp the loop
@@ -358,7 +427,7 @@ class SimulationEngine:
         n = len(dag)
         ops = [] if taped else None
         if n == 0:
-            return t0, (ops, 0)
+            return t0, t0 + run.barrier_cost, (ops, 0)
         tape_op = ops.append if taped else None
         indeg = dag.in_degrees()
         nv = 1  # node 0 is t0; each op appends exactly one value node
@@ -391,22 +460,13 @@ class SimulationEngine:
         task_overhead = scheduler.overhead_per_task
         has_ready = scheduler.has_ready
         release_time = scheduler.release_time
-        record_flow = flow.record
+        record_flow = run.flow.record
+        ttask = run.ttask
         heappush = heapq.heappush
         heappop = heapq.heappop
-        # Counter accumulation in locals, seeded from the running values
-        # and stored back once per iteration: the sequence of float adds
-        # is identical to per-task ``counters.record_task`` calls (same
-        # running accumulator, same task order), so results are
-        # bit-exact while the hot loop touches no instance attributes.
-        n_exec = counters.tasks_executed
-        busy_t = counters.busy_time
-        ovh_t = counters.overhead_time
-        comp_t = counters.compute_time
-        mem_t = counters.memory_time
-        l1m = counters.l1_misses
-        l2m = counters.l2_misses
-        l3m = counters.l3_misses
+        counters = run.counters
+        n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m = \
+            _totals(counters)
         ktime = counters.kernel_time
         ktasks = counters.kernel_tasks
         ktime_get = ktime.get
@@ -483,23 +543,14 @@ class SimulationEngine:
                             tape_op((1, v, time_node))
                         heappush(release_heap, (rt, v, core, nv))
                         nv += 1
-        counters.tasks_executed = n_exec
-        counters.busy_time = busy_t
-        counters.overhead_time = ovh_t
-        counters.compute_time = comp_t
-        counters.memory_time = mem_t
-        counters.l1_misses = l1m
-        counters.l2_misses = l2m
-        counters.l3_misses = l3m
-        return time, (ops, time_node)
+        _store_totals(counters,
+                      (n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m))
+        return time, time + run.barrier_cost, (ops, time_node)
 
     # ------------------------------------------------------------------
-    def _replay_iterations(
-        self, dag, scheduler, tape, tape_t0, counters, flow,
-        it, iterations, clock, barrier_cost, iteration_times,
-        tracer=None,
-    ):
-        """Produce iterations ``it..iterations-1`` by replaying ``tape``.
+    def _replay_iterations(self, dag, scheduler, run, tape, tape_t0):
+        """The replay of ``tape``: a function producing iteration
+        ``it`` from ``t0`` as ``(end_time, clock)``, or None.
 
         Re-executes, per iteration, exactly the float operations the
         full simulation would execute — one ``release_time`` call or
@@ -518,9 +569,8 @@ class SimulationEngine:
         finish).  Each replayed iteration is therefore certified
         against the taped iteration (anchored at ``tape_t0``): the
         values must keep the same sort order, the same ties and the same
-        ``+ _EPS`` reach.  An iteration that fails is *not* committed
-        and the caller falls back to full simulation from it.  Returns
-        ``(next_iteration, clock)``.
+        ``+ _EPS`` reach.  An iteration that fails is *not* committed:
+        the function returns None, and the driver simulates it.
         """
         ops, end_node = tape
         # kind-2 ops with the ids of the value nodes they created
@@ -529,8 +579,10 @@ class SimulationEngine:
                       if op[0] == 2]
         kernels = dag.kernel_of()
         release_time = scheduler.release_time
-        record_flow = flow.record
-        ttask = tracer.task if tracer is not None else None
+        record_flow = run.flow.record
+        ttask = run.ttask
+        counters = run.counters
+        barrier_cost = run.barrier_cost
         eps = _EPS
 
         def evaluate(t0):
@@ -559,26 +611,19 @@ class SimulationEngine:
         ref = evaluate(tape_t0)
         order = sorted(range(len(ref)), key=ref.__getitem__)
         ref_shape = shape(ref)
-        n_exec = counters.tasks_executed
-        busy_t = counters.busy_time
-        ovh_t = counters.overhead_time
-        comp_t = counters.compute_time
-        mem_t = counters.memory_time
-        l1m = counters.l1_misses
-        l2m = counters.l2_misses
-        l3m = counters.l3_misses
         ktime = counters.kernel_time
         ktasks = counters.kernel_tasks
         ktime_get = ktime.get
         ktasks_get = ktasks.get
-        while it < iterations:
-            t0 = clock
-            scheduler.reset_iteration(it, t0)
+
+        def replay(it, t0):
             # -- pass 1: evaluate and certify the value graph ---------
             vals = evaluate(t0)
             if shape(vals) != ref_shape:
-                break  # uncommitted; caller resumes full simulation
-            # -- pass 2: commit counters, flow, and the clock ---------
+                return None
+            # -- pass 2: commit counters and flow ---------------------
+            n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m = \
+                _totals(counters)
             for node, op in assign_ops:
                 dur = op[2]
                 tid = op[3]
@@ -601,119 +646,30 @@ class SimulationEngine:
                     ttask(tid, kernel, op[4], vals[op[1]], vals[node],
                           it, op[5], op[6], op[7], op[8], op[9], op[10],
                           True)
-            clock = vals[end_node] + barrier_cost
-            iteration_times.append(clock - t0)
-            if tracer is not None:
-                # Machine state is at its fixed point during replay, so
-                # barrier-interval samples legitimately repeat it.
-                tracer.sample_machine(it, vals[end_node], self.cache,
-                                      self.memory)
-                tracer.barrier(it, t0, vals[end_node], clock,
-                               synthesized=True)
-            it += 1
-        counters.tasks_executed = n_exec
-        counters.busy_time = busy_t
-        counters.overhead_time = ovh_t
-        counters.compute_time = comp_t
-        counters.memory_time = mem_t
-        counters.l1_misses = l1m
-        counters.l2_misses = l2m
-        counters.l3_misses = l3m
-        return it, clock
+            _store_totals(counters, (n_exec, busy_t, ovh_t, comp_t, mem_t,
+                                     l1m, l2m, l3m))
+            end = vals[end_node]
+            return end, end + barrier_cost
+
+        return replay
 
 
 # ----------------------------------------------------------------------
-class PhaseTable:
-    """The BSP phases of one DAG at one core count, memoized on the DAG.
+def _phase_columns(dag: TaskDAG, n_cores: int) -> tuple:
+    """Static chunk→core assignment of every BSP phase, as columns.
 
-    ``phases`` is one ``(tids, cores, preds)`` triple of equal-length
-    lists per phase: the phase's tasks in execution order, the core
-    each runs on, and each task's predecessors inside the same phase
-    (the shared ``()`` for most).  The table holds, and pickles as,
-    columns ``(bounds, order, cores, pred_indptr, pred_indices)``:
+    Returns ``(bounds, order, cores, pred_indptr, pred_indices)``:
     phase offsets into ``order`` (every tid, in phase order) and
-    ``cores``, and the intra-phase predecessors as a CSR in the same
-    order.  Only a BSP run reads the phases, so they are decoded at
-    its first read, every tid the shared
-    :func:`~repro.graph.dag.tid_ints` object, and the columns are then
-    dropped (re-encoded if the table is pickled again).  Two threads
-    decoding at once each get equal lists; the later one is kept.
-    """
-
-    __slots__ = ("_phases", "_columns")
-
-    def __init__(self, columns):
-        self._columns = columns
-        self._phases = None
-
-    __setstate__ = __init__
-
-    @property
-    def phases(self) -> list:
-        phases = self._phases
-        if phases is None:
-            columns = self._columns
-            if columns is None:         # another thread just decoded
-                return self._phases
-            bounds, order, cores, pred_indptr, pred_indices = columns
-            tids = tid_ints(order.size)
-            preds = _tuples(tids, pred_indices, pred_indptr)
-            order = tids[order].tolist()
-            cores = cores.tolist()
-            b = bounds.tolist()
-            phases = self._phases = [(order[p:q], cores[p:q], preds[p:q])
-                                     for p, q in zip(b, b[1:])]
-            self._columns = None
-        return phases
-
-    def __getstate__(self):
-        if self._columns is not None:
-            return self._columns
-        phases = self._phases
-        tids, cores, preds = zip(*phases) if phases else ((),) * 3
-        bounds = np.zeros(len(tids) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, tids), np.int64, len(tids)),
-                  out=bounds[1:])
-        n = int(bounds[-1])
-        pred_indptr, pred_indices = _csr(list(chain.from_iterable(preds)))
-        return tuple(map(_smallest, (
-            bounds, np.fromiter(chain.from_iterable(tids), np.int64, n),
-            np.fromiter(chain.from_iterable(cores), np.int64, n),
-            pred_indptr, pred_indices)))
-
-    def __eq__(self, other):
-        return isinstance(other, PhaseTable) and self.phases == other.phases
-
-    __hash__ = None
-
-
-def _bsp_phase_table(dag: TaskDAG, n_cores: int) -> PhaseTable:
-    """Static chunk→core assignment of every BSP phase, memoized.
-
-    The assignment is run-invariant — a pure function of the DAG's
-    frozen view, its predecessors and the core count — so it is cached
-    on the DAG under ``n_cores`` (and therefore persisted inside prep
-    artifacts: a loaded DAG never recomputes it).  Phases are
+    ``cores`` (the core each runs on), and each task's intra-phase
+    predecessors as a CSR in the same order.  A pure function of the
+    DAG's frozen view, its predecessor CSR and the core count, computed
+    in bulk when a BSP run starts (:func:`_decode_phases`).  Phases are
     contiguous runs of equal ``task.seq`` in program order (the frozen
     ``phase_indptr``); each phase splits its row groups over the cores
     by count, so the chunk→core mapping shifts between phases with
     different group counts (the cross-kernel locality loss inherent to
     the fork-join model).
     """
-    memo = dag._bsp_phases
-    table = memo.get(n_cores)
-    if table is None:
-        table = memo[n_cores] = PhaseTable(_phase_columns(dag, n_cores))
-    return table
-
-
-def _bsp_phase_assignments(dag: TaskDAG, n_cores: int) -> list:
-    """The ``phases`` of the DAG's :func:`_bsp_phase_table`."""
-    return _bsp_phase_table(dag, n_cores).phases
-
-
-def _phase_columns(dag: TaskDAG, n_cores: int) -> tuple:
-    """:class:`PhaseTable` columns, over the frozen view in bulk."""
     soa = dag.freeze()
     n = soa.n_tasks
     i64 = np.int64
@@ -755,8 +711,21 @@ def _phase_columns(dag: TaskDAG, n_cores: int) -> tuple:
     by_position = rows.argsort(kind="stable")
     pred_indptr = np.zeros(n + 1, dtype=i64)
     np.cumsum(np.bincount(rows, minlength=n), out=pred_indptr[1:])
-    return tuple(map(_smallest, (bounds, order, cores, pred_indptr,
-                                 indices[same][by_position])))
+    return bounds, order, cores, pred_indptr, indices[same][by_position]
+
+
+def _decode_phases(columns: tuple) -> list:
+    """:func:`_phase_columns` as one ``(tids, cores, preds)`` triple of
+    equal-length lists per phase: the phase's tasks in execution order,
+    the core each runs on, and each task's intra-phase predecessors (a
+    tuple, mostly empty)."""
+    bounds, order, cores, pred_indptr, pred_indices = columns
+    tids = tid_ints(order.size)
+    preds = _tuples(tids, pred_indices, pred_indptr)
+    order = tids[order].tolist()
+    cores = cores.tolist()
+    b = bounds.tolist()
+    return [(order[p:q], cores[p:q], preds[p:q]) for p, q in zip(b, b[1:])]
 
 
 def run_bsp(
@@ -777,7 +746,8 @@ def run_bsp(
     each group is one parallel region: tasks sorted by partition index
     are statically chunked over cores (MKL/OpenMP static schedule), a
     barrier closes the phase.  Dependence edges are honoured by
-    construction because phases execute in program order.
+    construction because phases execute in program order.  The phases
+    are computed here, for this run (:func:`_phase_columns`).
 
     ``steady_state`` arms the same iteration fast path as
     :meth:`SimulationEngine.run`: once two consecutive iterations leave
@@ -791,51 +761,33 @@ def run_bsp(
     ``record_flow`` keeps the per-task flow records, as in
     :meth:`SimulationEngine.run`; the flow summary is folded either way.
     """
-    if barrier_cost is None:
-        barrier_cost = _default_barrier_cost(machine.n_cores)
-    cache = CacheHierarchy(machine)
-    memory = MemoryModel(machine, first_touch=first_touch, scattered=True)
-    memory.configure_from_dag(dag)
-    if memory.n_parts is None:
-        memory.n_parts = _max_partitions(dag)
-    cost = CostModel(machine, cache, memory)
-    cost.prepare(dag)
-    counters = PerfCounters()
-    flow = FlowGraph(keep=record_flow)
+    cost = CostModel(machine, CacheHierarchy(machine),
+                     MemoryModel(machine, first_touch=first_touch,
+                                 scattered=True))
+    _prepare_run(dag, cost)
     n_cores = machine.n_cores
+    phases = _decode_phases(_phase_columns(dag, n_cores))
     kernels = dag.kernel_of()
-    phases = _bsp_phase_assignments(dag, n_cores)
-
     charge = cost.charge
-    frecord = flow.record
-    if tracer is not None:
-        tracer.begin_run(machine.name, flavor, n_cores, dag)
-        cache.trace_hook = tracer._on_cache_access
-    ttask = tracer.task if tracer is not None else None
-    # Local counter accumulation (bit-exact: same adds, same order as
-    # per-task ``record_task`` calls on the fresh counters object).
-    n_exec = 0
-    busy_t = ovh_t = comp_t = mem_t = 0.0
-    l1m = l2m = l3m = 0
-    ktime = counters.kernel_time
-    ktasks = counters.kernel_tasks
-    ktime_get = ktime.get
-    ktasks_get = ktasks.get
-    if steady_state is None:
-        steady_state = _steady_state_enabled()
-    armed = bool(steady_state) and iterations >= 4
-    steady_state_at = None
-    prev_fp = None
-    prev_charges = None
-    replay = None  # certified charge tape, once steady state is reached
-    clock = 0.0
-    iteration_times = []
-    it = 0
-    while it < iterations:
-        t0 = clock
-        charges = [] if armed else None
-        tape_charge = charges.append if armed else None
+
+    def walk(run, it, t0, taped, replay):
+        """One iteration from ``t0``, phase by phase: each task charged
+        (its charge appended to ``taped`` unless that is None), or off
+        the certified ``replay`` charges.  Returns ``(clock -
+        barrier_cost, clock)``."""
+        barrier_cost = run.barrier_cost
+        frecord = run.flow.record
+        ttask = run.ttask
+        tape_charge = taped.append if taped is not None else None
         synthesized = replay is not None
+        counters = run.counters
+        n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m = \
+            _totals(counters)
+        ktime = counters.kernel_time
+        ktasks = counters.kernel_tasks
+        ktime_get = ktime.get
+        ktasks_get = ktasks.get
+        clock = t0
         ci = 0
         for tids, cores, preds in phases:
             core_clock = [clock] * n_cores
@@ -878,47 +830,16 @@ def run_bsp(
                 core_clock[core] = end
                 phase_end[tid] = end
             clock = max(core_clock) + barrier_cost
-        iteration_times.append(clock - t0)
-        if tracer is not None:
-            # During replay the machine state is at its fixed point, so
-            # barrier-interval samples legitimately repeat it.
-            tracer.sample_machine(it, clock - barrier_cost, cache, memory)
-            tracer.barrier(it, t0, clock - barrier_cost, clock,
-                           synthesized=synthesized)
-        it += 1
-        if not armed:
-            continue
-        fp = _machine_state_fingerprint(cache)
-        if prev_fp is not None and fp == prev_fp and charges == prev_charges:
-            # Cache/NUMA state is at a fixed point and the last two
-            # iterations charged identically: every remaining charge()
-            # would return the taped values.  Replay the clock/counter
-            # arithmetic (identical float ops, so bit-identical) with
-            # the expensive cache simulation elided.
-            steady_state_at = it
-            replay = charges
-            armed = False
-            continue
-        prev_fp = fp
-        prev_charges = charges
-    counters.tasks_executed = n_exec
-    counters.busy_time = busy_t
-    counters.overhead_time = ovh_t
-    counters.compute_time = comp_t
-    counters.memory_time = mem_t
-    counters.l1_misses = l1m
-    counters.l2_misses = l2m
-    counters.l3_misses = l3m
-    if tracer is not None:
-        cache.trace_hook = None
-    return RunResult(
-        machine=machine.name,
-        policy=flavor,
-        total_time=clock,
-        iteration_times=iteration_times,
-        counters=counters,
-        flow=flow,
-        n_cores=n_cores,
-        n_tasks_per_iteration=len(dag),
-        steady_state_at=steady_state_at,
-    )
+        _store_totals(counters,
+                      (n_exec, busy_t, ovh_t, comp_t, mem_t, l1m, l2m, l3m))
+        return clock - barrier_cost, clock
+
+    def step(run, it, t0, taped):
+        charges = [] if taped else None
+        return (*walk(run, it, t0, charges, None), charges)
+
+    def replay(run, tape, _tape_t0):
+        return partial(walk, run, taped=None, replay=tape)
+
+    return _drive(cost, dag, flavor, step, replay, iterations,
+                  barrier_cost, record_flow, steady_state, tracer)

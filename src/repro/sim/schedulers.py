@@ -509,7 +509,7 @@ class RegentScheduler(Scheduler):
         # idle time rather than artificial deadlock.  Homes come from
         # the frozen param-i table: tasks without a row index go
         # round-robin, the rest to the worker owning their partition.
-        n_parts = max(1, getattr(dag, "n_partitions", 1))
+        n_parts = max(1, dag.n_partitions or 1)
         pi = soa.param_i.astype(np.int64)
         nw = self.n_workers
         self._home = np.where(

@@ -10,7 +10,8 @@ from repro.graph.dag import TaskDAG
 from repro.matrices.csb import CSBMatrix
 from repro.matrices.generators import banded_fem
 from repro.runtime.base import build_solver_dag
-from repro.sim.engine import SimulationEngine, _bsp_phase_assignments, run_bsp
+from repro.sim import engine
+from repro.sim.engine import SimulationEngine, run_bsp
 from repro.sim.schedulers import (
     DeepSparseScheduler,
     HPXScheduler,
@@ -153,11 +154,10 @@ class _PredlessDAG(TaskDAG):
 
 @pytest.mark.parametrize("iterations", [1, 5])
 def test_bsp_runs_from_its_phase_table_alone(bw, small_problem, iterations):
-    """A prepped DAG's phases carry their intra-phase predecessors, so
-    ``run_bsp`` on a loaded DAG whose ``pred`` raises gives the same
-    run as the DAG it was pickled from."""
+    """``run_bsp`` takes each phase's intra-phase predecessors from the
+    pred CSR pair, so on a loaded DAG whose ``pred`` lists raise it
+    gives the same run as the DAG it was pickled from."""
     dag = pickle.loads(pickle.dumps(small_problem))
-    _bsp_phase_assignments(dag, bw.n_cores)
     loaded = pickle.loads(pickle.dumps(dag))
     loaded.__class__ = _PredlessDAG
     with pytest.raises(AssertionError):
@@ -170,17 +170,23 @@ def test_bsp_runs_from_its_phase_table_alone(bw, small_problem, iterations):
     assert res.counters == ref.counters
 
 
-def test_bsp_raises_on_a_predecessor_later_in_its_phase(bw, small_problem):
+def test_bsp_raises_on_a_predecessor_later_in_its_phase(
+        bw, small_problem, monkeypatch):
     """An intra-phase predecessor that runs after its task has no end
     to wait for: ``run_bsp`` raises rather than ignore the edge."""
-    dag = pickle.loads(pickle.dumps(small_problem))
-    phases = _bsp_phase_assignments(dag, bw.n_cores)
-    p, k = next((p, k) for p, (_t, _c, preds) in enumerate(phases)
-                for k, ps in enumerate(preds) if ps)
-    tids, cores, preds = phases[p]
-    u = preds[k][0]
-    j = tids.index(u)
-    tids[j], tids[k] = tids[k], tids[j]   # the task now runs first
-    preds[j], preds[k] = preds[k], preds[j]
+    decode = engine._decode_phases
+
+    def swapped(columns):
+        phases = decode(columns)
+        p, k = next((p, k) for p, (_t, _c, preds) in enumerate(phases)
+                    for k, ps in enumerate(preds) if ps)
+        tids, cores, preds = phases[p]
+        u = preds[k][0]
+        j = tids.index(u)
+        tids[j], tids[k] = tids[k], tids[j]   # the task now runs first
+        preds[j], preds[k] = preds[k], preds[j]
+        return phases
+
+    monkeypatch.setattr(engine, "_decode_phases", swapped)
     with pytest.raises(KeyError):
-        run_bsp(bw, dag, iterations=1)
+        run_bsp(bw, small_problem, iterations=1)

@@ -228,8 +228,8 @@ def test_pickle_round_trip_keeps_tasks_arrays_and_plans(prepped_task_dag):
         else:
             assert a == b, f.name
     for attr in ("succ", "pred", "_cost_prep", "_home_arrays",
-                 "_sched_domains", "_bsp_phases", "n_partitions",
-                 "matrix_name", "matrix_nbc"):
+                 "_sched_domains", "n_partitions", "matrix_name",
+                 "matrix_nbc"):
         assert getattr(loaded, attr) == getattr(dag, attr), attr
     assert [_task_fields(t) for t in loaded.tasks] == \
         [_task_fields(t) for t in dag.tasks]

@@ -5,9 +5,10 @@ one object per distinct int, float, touch tuple and gather bundle, on
 the cold compile and on a load alike.  The schedulers' domain tables
 share one ``write_doms`` tuple per distinct domain set; pickle
 memoizes tuples, so a DAG that went through the prep store shares
-them the same way.  Pickle does not memoize ints: ``succ``, ``pred``
-and the BSP phases travel as arrays and come back holding one ``int``
-object per tid, ``pred`` only once it is read.
+them the same way.  Pickle does not memoize ints: ``succ`` and
+``pred`` travel as arrays and come back holding one ``int`` object per
+tid, ``pred`` only once it is read.  No BSP phases travel: a BSP run
+computes its own.
 """
 
 import pickle
@@ -40,8 +41,8 @@ def case(request):
 
 @pytest.fixture(scope="module")
 def built(case):
-    """A prepped real DAG (plans, home arrays, domain tables, BSP
-    phases), as a cold prep leaves it."""
+    """A prepped real DAG (plans, home arrays, domain tables), as a
+    cold prep leaves it."""
     dag = _dag.__wrapped__(*case)
     _compile_prep("broadwell", dag)
     return dag
@@ -135,46 +136,58 @@ def assert_same_columns(ours, theirs):
 
 def test_decoded_tables_pickle_to_the_columns_they_came_from(built,
                                                              loaded):
-    """A loaded plan table and a decoded phase table keep no columns;
-    pickled again, they re-encode to the columns compiled for them."""
-    from repro.sim.engine import _phase_columns
-
+    """A loaded plan table keeps no columns; pickled again, it
+    re-encodes to the columns compiled for it."""
     (plans,) = loaded._cost_prep.values()
     (compiled,) = built._cost_prep.values()
     assert plans._columns is None and compiled._columns is not None
     assert_same_columns(plans.__getstate__(), compiled.__getstate__())
-    ((n_cores, phases),) = loaded._bsp_phases.items()
-    assert phases.phases and phases._columns is None
-    assert_same_columns(phases.__getstate__(),
-                        _phase_columns(built, n_cores))
     again = pickle.loads(pickle.dumps(loaded))
     assert again._cost_prep == built._cost_prep
-    assert again._bsp_phases == built._bsp_phases
 
 
 def test_loaded_pred_stays_csr_until_read(built):
-    """No run reads ``pred``: a loaded DAG keeps the CSR pair, decodes
-    its BSP phases at the first BSP run and runs from them, and builds
-    the lists on the first read, with the tid objects of ``succ`` and
-    the phases."""
+    """No run reads ``pred``'s lists: a loaded DAG keeps the CSR pair
+    through a BSP run, which computes its phases from it, and builds
+    the lists on the first read, with the tid objects of ``succ``."""
     from repro.machine import broadwell
     from repro.sim.engine import run_bsp
 
     dag = pickle.loads(pickle.dumps(built))
     assert type(dag._pred) is tuple
-    (phases,) = dag._bsp_phases.values()
-    assert phases._phases is None
     run_bsp(broadwell(), dag, iterations=1)
-    assert phases._phases is not None
     assert type(dag._pred) is tuple
     assert dag.pred == built.pred
     assert dag.pred is dag.pred and type(dag._pred) is list
     one = {}
-    rows = chain(dag.succ, dag.pred,
-                 *((tids, *preds) for tids, _c, preds in phases.phases))
-    for v in chain.from_iterable(rows):
+    for v in chain.from_iterable(chain(dag.succ, dag.pred)):
         assert one.setdefault(v, v) is v
     assert len(one) > 256
+
+
+def test_bsp_run_leaves_a_loaded_dag_as_it_found_it(built, tmp_path):
+    """A loaded artifact holds no BSP phase memo; a BSP run on it leaves
+    nothing new on the DAG, and its summary equals its built twin's."""
+    from repro.machine import broadwell
+    from repro.sim.engine import run_bsp
+
+    store = PrepStore(root=str(tmp_path))
+    config = {"kind": "prep-bsp", "n": len(built)}
+    store.put(config, {"dag": built})
+    dag = store.get(config)["dag"]
+
+    def state():
+        return {name: sorted(map(repr, value)) if isinstance(value, dict)
+                else type(value) for name, value in vars(dag).items()}
+
+    assert not any("phase" in name for name in vars(dag))
+    dag.kernel_of()                 # the run's one derived list
+    before = state()
+    got = run_bsp(broadwell(), dag, iterations=5, flavor="libcsb")
+    assert state() == before
+    want = run_bsp(broadwell(), built, iterations=5, flavor="libcsb")
+    assert got.steady_state_at is not None
+    assert got.summary() == want.summary()
 
 
 def test_cold_prep_resolves_every_home_once(monkeypatch):

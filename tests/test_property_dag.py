@@ -38,7 +38,8 @@ from repro.machine.cache import CacheHierarchy
 from repro.machine.memory import MemoryModel
 from repro.sim.engine import (
     SimulationEngine,
-    _bsp_phase_assignments,
+    _decode_phases,
+    _phase_columns,
     run_bsp,
 )
 from repro.sim.schedulers import (
@@ -717,12 +718,17 @@ def test_builder_dag_plans_match_reference(builder_dag, builder_twin):
 
 
 # ----------------------------------------------------------------------
-# BSP phases against the per-phase walk.  The phase table is computed
-# in bulk (one sort for every phase, one mask over the pred CSR for the
-# intra-phase predecessors); this is the per-phase sort and split it
-# replaced, with each task's predecessors filtered to its phase from
-# ``dag.pred``.
+# BSP phases against the per-phase walk.  A BSP run computes its phases
+# in bulk when it starts (one sort for every phase, one mask over the
+# pred CSR for the intra-phase predecessors); this is the per-phase sort
+# and split that replaced, with each task's predecessors filtered to its
+# phase from ``dag.pred``.
 # ----------------------------------------------------------------------
+
+def run_phases(dag, n_cores):
+    """The phases ``run_bsp`` computes and decodes when it starts."""
+    return _decode_phases(_phase_columns(dag, n_cores))
+
 
 def reference_phases(dag, n_cores):
     """``(tids, cores, preds)`` of every BSP phase: each phase's tasks
@@ -757,7 +763,7 @@ def assert_phases_match_reference(dag):
     the per-phase walk, and each predecessor runs earlier in its phase
     (``run_bsp`` reads its end, and raises if it has none)."""
     for n_cores in (1, 3, 28, 128):
-        phases = _bsp_phase_assignments(dag, n_cores)
+        phases = run_phases(dag, n_cores)
         assert phases == reference_phases(dag, n_cores)
         for tids, _cores, preds in phases:
             at = {t: k for k, t in enumerate(tids)}
@@ -773,25 +779,24 @@ def test_bsp_phases_match_reference(dag):
 
 def test_builder_dag_bsp_phases_match_reference(builder_dag):
     _, dag = builder_dag
-    dag = pickle.loads(pickle.dumps(dag))  # own memo tables
+    dag = pickle.loads(pickle.dumps(dag))  # own pred lists
     assert_phases_match_reference(dag)
-    assert any(ps for _t, _c, preds in _bsp_phase_assignments(dag, 28)
+    assert any(ps for _t, _c, preds in run_phases(dag, 28)
                for ps in preds)
 
 
 def test_loaded_bsp_phases_match_reference_without_pred_lists(
         builder_dag):
-    """A loaded DAG computes phases for a new core count from its pred
-    CSR pair, without building the lists, and decodes stored phases
-    equal to the built DAG's."""
+    """A loaded DAG computes its phases from its pred CSR pair, without
+    building the lists, equal to the built DAG's."""
     _, dag = builder_dag
     dag = pickle.loads(pickle.dumps(dag))
-    _bsp_phase_assignments(dag, 28)
     loaded = pickle.loads(pickle.dumps(dag))
-    assert loaded._bsp_phases == dag._bsp_phases
-    _bsp_phase_assignments(loaded, 7)
-    assert type(loaded._pred) is tuple        # still the CSR pair
-    assert loaded._bsp_phases[7].phases == reference_phases(dag, 7)
+    for n_cores in (28, 7):
+        phases = run_phases(loaded, n_cores)
+        assert type(loaded._pred) is tuple        # still the CSR pair
+        assert phases == run_phases(dag, n_cores)
+        assert phases == reference_phases(dag, n_cores)
 
 
 @given(st.one_of(random_problem(), random_bare_dag(min_tasks=0)))

@@ -173,7 +173,7 @@ def test_replay_refuses_anchor_dependent_near_ties(monkeypatch):
     original = SimulationEngine._replay_iterations
 
     def spy(self, *args, **kwargs):
-        replays.append(len(args[-2]))  # iteration_times so far
+        replays.append(len(args[2].iteration_times))  # so far
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SimulationEngine, "_replay_iterations", spy)

@@ -83,14 +83,13 @@ def _pickled_globals(payload: bytes) -> set:
 
 
 #: Every ``module name`` global a prep artifact's pickle imports, NumPy
-#: aside: the DAG, its frozen view, the plan and BSP phase tables and
-#: the census.  The memos key the machine by its field values, so no
-#: ``MachineSpec`` travels.
+#: aside: the DAG, its frozen view, the plan table and the census.  The
+#: memos key the machine by its field values, so no ``MachineSpec``
+#: travels.
 _ARTIFACT_GLOBALS = {
     "repro.graph.dag TaskDAG",
     "repro.graph.dag GraphArrays",
     "repro.sim.cost PlanTable",
-    "repro.sim.engine PhaseTable",
     "repro.matrices.census BlockCensus",
 }
 
